@@ -8,8 +8,30 @@ cd "$(dirname "$0")"
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 
-echo "==> cargo test -q"
-cargo test -q
+echo "==> cargo test -q --workspace"
+cargo test -q --workspace
+
+echo "==> oracle and epoch tests are still in the suite that just ran"
+# -q prints no names, so a renamed or deleted test would pass unnoticed.
+cargo test -q --workspace -- --list > /tmp/cdpu_test_list.txt 2>/dev/null
+for name in \
+    package_merge_matches_oracle_uniform \
+    package_merge_matches_oracle_tie_heavy \
+    package_merge_matches_oracle_all_ones \
+    package_merge_matches_oracle_zero_heavy \
+    package_merge_matches_oracle_power_of_two \
+    package_merge_matches_oracle_geometric \
+    package_merge_matches_oracle_edge_cases \
+    epoch_scratch_interleaved_parses_match_fresh_and_reference \
+    epoch_scratch_wrap_clears_and_agrees \
+    compressed_streams_are_pinned \
+    huffman_table_build_allocates_a_handful_of_arrays \
+    small_zstd_call_allocates_per_stage_not_per_symbol; do
+    if ! grep -q "${name}: test\$" /tmp/cdpu_test_list.txt; then
+        echo "FAIL: test $name is no longer in the workspace suite" >&2
+        exit 1
+    fi
+done
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

@@ -67,64 +67,71 @@ pub fn package_merge_lengths(freqs: &[u32], limit: u8) -> Result<Vec<u8>, Huffma
     if limit == 0 || limit > MAX_CODE_LEN {
         return Err(HuffmanError::BadLengthLimit);
     }
-    let used: Vec<usize> = (0..freqs.len()).filter(|&s| freqs[s] > 0).collect();
-    let n = used.len();
+    let mut leaves: Vec<(u64, usize)> = Vec::with_capacity(freqs.len());
+    leaves.extend((0..freqs.len()).filter(|&s| freqs[s] > 0).map(|s| (freqs[s] as u64, s)));
+    let n = leaves.len();
     if n == 0 {
         return Err(HuffmanError::EmptyAlphabet);
     }
     let mut lengths = vec![0u8; freqs.len()];
     if n == 1 {
-        lengths[used[0]] = 1;
+        lengths[leaves[0].1] = 1;
         return Ok(lengths);
     }
     if (1usize << limit) < n {
         return Err(HuffmanError::BadLengthLimit);
     }
+    // Stable, so equal weights stay in ascending symbol order.
+    leaves.sort_by_key(|leaf| leaf.0);
 
-    // Leaves sorted by weight. Each item carries the set of leaf symbols it
-    // contains; alphabets here are <= ~260 symbols so Vec payloads are cheap.
-    let mut leaves: Vec<(u64, Vec<u16>)> = used
-        .iter()
-        .map(|&s| (freqs[s] as u64, vec![s as u16]))
-        .collect();
-    leaves.sort_by_key(|item| item.0);
-
-    // list := leaves; repeat (limit-1) times: list := merge(leaves, package(list)).
-    let mut list = leaves.clone();
-    for _ in 1..limit {
-        let mut packages: Vec<(u64, Vec<u16>)> = Vec::with_capacity(list.len() / 2);
-        let mut iter = list.chunks_exact(2);
-        for pair in &mut iter {
-            let mut syms = pair[0].1.clone();
-            syms.extend_from_slice(&pair[1].1);
-            packages.push((pair[0].0 + pair[1].0, syms));
-        }
-        // Merge packages with the original leaves (both sorted by weight).
-        let mut merged = Vec::with_capacity(leaves.len() + packages.len());
+    // Level 1 is the sorted leaves; level k+1 merges them with the packages
+    // (sums of adjacent pairs) of level k, a leaf going first on equal
+    // weight. The order of a level therefore depends on weights alone, so an
+    // item needs no record of the symbols inside it: a weight to build the
+    // next level from (two buffers), and a leaf/package flag to trace the
+    // solution back through (all levels, flat; `ends[k]` closes level k).
+    let levels = limit as usize;
+    let mut ends = [0usize; MAX_CODE_LEN as usize + 1];
+    let mut is_leaf = Vec::with_capacity(levels * 2 * n);
+    is_leaf.resize(n, true);
+    ends[1] = n;
+    let mut below: Vec<u64> = leaves.iter().map(|leaf| leaf.0).collect();
+    let mut level: Vec<u64> = Vec::with_capacity(2 * n);
+    for end in &mut ends[2..=levels] {
+        let packages = below.len() / 2;
         let (mut i, mut j) = (0, 0);
-        while i < leaves.len() || j < packages.len() {
-            let take_leaf = match (leaves.get(i), packages.get(j)) {
-                (Some(l), Some(p)) => l.0 <= p.0,
-                (Some(_), None) => true,
-                _ => false,
-            };
+        while i < n || j < packages {
+            // Out of packages: a weight no sum of u32 counts can reach.
+            let package = if j < packages { below[2 * j] + below[2 * j + 1] } else { u64::MAX };
+            let take_leaf = i < n && leaves[i].0 <= package;
             if take_leaf {
-                merged.push(leaves[i].clone());
+                level.push(leaves[i].0);
                 i += 1;
             } else {
-                merged.push(packages[j].clone());
+                level.push(package);
                 j += 1;
             }
+            is_leaf.push(take_leaf);
         }
-        list = merged;
+        *end = is_leaf.len();
+        std::mem::swap(&mut below, &mut level);
+        level.clear();
     }
 
-    // The first 2(n-1) items of the final list define the solution: a
-    // symbol's code length is its number of occurrences among them.
-    for item in list.iter().take(2 * (n - 1)) {
-        for &s in &item.1 {
-            lengths[s as usize] += 1;
+    // The first 2(n-1) items of the top level are the solution, and a
+    // symbol's code length is the number of them it occurs in. Leaves among
+    // the first `take` items of a level are the `taken` lightest leaves; the
+    // packages among them are that level's first `take - taken` packages,
+    // i.e. the first `2 * (take - taken)` items of the level below.
+    let mut take = 2 * (n - 1);
+    for k in (1..=levels).rev() {
+        let level = &is_leaf[ends[k - 1]..ends[k]];
+        take = take.min(level.len());
+        let taken = level[..take].iter().filter(|&&leaf| leaf).count();
+        for &(_, s) in &leaves[..taken] {
+            lengths[s] += 1;
         }
+        take = 2 * (take - taken);
     }
     debug_assert!(kraft_sum_is_one(&lengths), "package-merge produced non-tight code");
     Ok(lengths)
@@ -186,43 +193,42 @@ impl HuffmanTable {
     /// [`MAX_CODE_LEN`], or no symbol is present. A single symbol of length
     /// 1 is accepted as the degenerate complete-enough code.
     pub fn from_lengths(lengths: Vec<u8>) -> Result<Self, HuffmanError> {
-        let used: Vec<usize> = (0..lengths.len()).filter(|&s| lengths[s] > 0).collect();
-        if used.is_empty() {
-            return Err(HuffmanError::BadTable);
-        }
         if lengths.iter().any(|&l| l > MAX_CODE_LEN) {
             return Err(HuffmanError::BadTable);
         }
-        let single = used.len() == 1;
-        if single {
-            if lengths[used[0]] != 1 {
-                return Err(HuffmanError::BadTable);
-            }
-        } else if !kraft_sum_is_one(&lengths) {
+        let mut count = [0u32; MAX_CODE_LEN as usize + 1];
+        for &l in &lengths {
+            count[l as usize] += 1;
+        }
+        count[0] = 0; // absent symbols take no code space
+        let max_len = match count.iter().rposition(|&c| c > 0) {
+            Some(l) => l as u8,
+            None => return Err(HuffmanError::BadTable),
+        };
+        let single = count.iter().sum::<u32>() == 1;
+        let complete = if single { max_len == 1 } else { kraft_sum_is_one(&lengths) };
+        if !complete {
             return Err(HuffmanError::BadTable);
         }
 
-        let max_len = lengths.iter().copied().max().unwrap_or(1);
-        // Canonical assignment: sort by (length, symbol), codes count upward.
-        let mut order: Vec<usize> = used.clone();
-        order.sort_by_key(|&s| (lengths[s], s));
-        let mut codes = vec![0u16; lengths.len()];
-        let mut code: u32 = 0;
-        let mut prev_len = 0u8;
-        for &s in &order {
-            let len = lengths[s];
-            code <<= len - prev_len;
-            codes[s] = code as u16;
-            code += 1;
-            prev_len = len;
+        // Canonical assignment in `(length, symbol)` order without sorting
+        // (RFC 1951 §3.2.2): the first code of each length follows from the
+        // counts of the shorter ones, then symbols take codes in index order.
+        let mut next_code = [0u32; MAX_CODE_LEN as usize + 1];
+        for l in 1..=max_len as usize {
+            next_code[l] = (next_code[l - 1] + count[l - 1]) << 1;
         }
-
-        // Flat decode table.
+        let mut codes = vec![0u16; lengths.len()];
         let mut decode = vec![(0u16, 0u8); 1usize << max_len];
-        for &s in &used {
-            let len = lengths[s];
-            let base = (codes[s] as usize) << (max_len - len);
+        for (s, &len) in lengths.iter().enumerate() {
+            if len == 0 {
+                continue;
+            }
+            let code = next_code[len as usize];
+            next_code[len as usize] += 1;
+            codes[s] = code as u16;
             let span = 1usize << (max_len - len);
+            let base = code as usize * span;
             for entry in &mut decode[base..base + span] {
                 *entry = (s as u16, len);
             }
@@ -447,6 +453,204 @@ mod tests {
             f[b as usize] += 1;
         }
         f
+    }
+
+    /// The set-carrying package-merge this module shipped first, kept as the
+    /// oracle for the flat one: every item owns the symbols inside it, so the
+    /// answer is read off the top list with no back-trace to get wrong.
+    fn package_merge_oracle(freqs: &[u32], limit: u8) -> Result<Vec<u8>, HuffmanError> {
+        if limit == 0 || limit > MAX_CODE_LEN {
+            return Err(HuffmanError::BadLengthLimit);
+        }
+        let used: Vec<usize> = (0..freqs.len()).filter(|&s| freqs[s] > 0).collect();
+        let n = used.len();
+        if n == 0 {
+            return Err(HuffmanError::EmptyAlphabet);
+        }
+        let mut lengths = vec![0u8; freqs.len()];
+        if n == 1 {
+            lengths[used[0]] = 1;
+            return Ok(lengths);
+        }
+        if (1usize << limit) < n {
+            return Err(HuffmanError::BadLengthLimit);
+        }
+        let mut leaves: Vec<(u64, Vec<u16>)> = used
+            .iter()
+            .map(|&s| (freqs[s] as u64, vec![s as u16]))
+            .collect();
+        leaves.sort_by_key(|item| item.0);
+        let mut list = leaves.clone();
+        for _ in 1..limit {
+            let mut packages: Vec<(u64, Vec<u16>)> = Vec::with_capacity(list.len() / 2);
+            for pair in list.chunks_exact(2) {
+                let mut syms = pair[0].1.clone();
+                syms.extend_from_slice(&pair[1].1);
+                packages.push((pair[0].0 + pair[1].0, syms));
+            }
+            let mut merged = Vec::with_capacity(leaves.len() + packages.len());
+            let (mut i, mut j) = (0, 0);
+            while i < leaves.len() || j < packages.len() {
+                let take_leaf = match (leaves.get(i), packages.get(j)) {
+                    (Some(l), Some(p)) => l.0 <= p.0,
+                    (Some(_), None) => true,
+                    _ => false,
+                };
+                if take_leaf {
+                    merged.push(leaves[i].clone());
+                    i += 1;
+                } else {
+                    merged.push(packages[j].clone());
+                    j += 1;
+                }
+            }
+            list = merged;
+        }
+        for item in list.iter().take(2 * (n - 1)) {
+            for &s in &item.1 {
+                lengths[s as usize] += 1;
+            }
+        }
+        Ok(lengths)
+    }
+
+    /// Histogram shapes that stress the tie rule and the depth limit.
+    #[derive(Debug, Clone, Copy)]
+    enum Shape {
+        Uniform,
+        TieHeavy,
+        AllOnes,
+        ZeroHeavy,
+        PowerOfTwo,
+        Geometric,
+    }
+
+    /// Alphabet sizes 2..=700, skewed small so the quadratic oracle stays
+    /// affordable; every 50th histogram is a large one.
+    fn histogram(rng: &mut Xoshiro256, shape: Shape, case: usize) -> Vec<u32> {
+        let len = match case % 50 {
+            0 => 121 + rng.index(580),
+            1..=5 => 25 + rng.index(96),
+            _ => 2 + rng.index(23),
+        };
+        let ratio = 1.05 + rng.index(100) as f64 / 100.0;
+        let mut weight = 1.0f64;
+        let mut freqs: Vec<u32> = (0..len)
+            .map(|_| match shape {
+                Shape::Uniform => {
+                    let bits = 1 + rng.index(32);
+                    rng.range_u64(1, (1u64 << bits) - 1) as u32
+                }
+                Shape::TieHeavy => 1 + rng.index(3) as u32,
+                Shape::AllOnes => 1,
+                Shape::ZeroHeavy if rng.chance(0.8) => 0,
+                Shape::ZeroHeavy => 1 + rng.index(50) as u32,
+                Shape::PowerOfTwo => 1 << rng.index(24),
+                Shape::Geometric => {
+                    weight = (weight * ratio).min(4e9);
+                    weight as u32
+                }
+            })
+            .collect();
+        // Geometric weights ascend by construction; shuffle half the cases so
+        // the sort, not the input order, decides the leaf order.
+        if case % 2 == 1 {
+            for i in (1..len).rev() {
+                freqs.swap(i, rng.index(i + 1));
+            }
+        }
+        freqs
+    }
+
+    fn assert_matches_oracle(shape: Shape, seed: u64) {
+        let mut rng = Xoshiro256::seed_from(seed);
+        for case in 0..10_000 {
+            let freqs = histogram(&mut rng, shape, case);
+            for limit in 1..=MAX_CODE_LEN {
+                assert_eq!(
+                    package_merge_lengths(&freqs, limit),
+                    package_merge_oracle(&freqs, limit),
+                    "{shape:?} case {case} limit {limit} freqs {freqs:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn package_merge_matches_oracle_uniform() {
+        assert_matches_oracle(Shape::Uniform, 0xA11);
+    }
+
+    #[test]
+    fn package_merge_matches_oracle_tie_heavy() {
+        assert_matches_oracle(Shape::TieHeavy, 0xA12);
+    }
+
+    #[test]
+    fn package_merge_matches_oracle_all_ones() {
+        assert_matches_oracle(Shape::AllOnes, 0xA13);
+    }
+
+    #[test]
+    fn package_merge_matches_oracle_zero_heavy() {
+        assert_matches_oracle(Shape::ZeroHeavy, 0xA14);
+    }
+
+    #[test]
+    fn package_merge_matches_oracle_power_of_two() {
+        assert_matches_oracle(Shape::PowerOfTwo, 0xA15);
+    }
+
+    #[test]
+    fn package_merge_matches_oracle_geometric() {
+        assert_matches_oracle(Shape::Geometric, 0xA16);
+    }
+
+    #[test]
+    fn package_merge_matches_oracle_edge_cases() {
+        let mut one_of_700 = vec![0u32; 700];
+        one_of_700[433] = 9;
+        let edges: [&[u32]; 7] = [
+            &[],
+            &[0; 300],
+            &[7],
+            &one_of_700,
+            &[1; 700],          // 2^limit < n up to limit 9
+            &[u32::MAX; 700],   // sums need more than 32 bits
+            &[3, 0, 3],
+        ];
+        for freqs in edges {
+            for limit in 0..=MAX_CODE_LEN + 1 {
+                assert_eq!(
+                    package_merge_lengths(freqs, limit),
+                    package_merge_oracle(freqs, limit),
+                    "limit {limit} freqs {freqs:?}"
+                );
+            }
+        }
+    }
+
+    /// `from_lengths` assigns codes by the count-per-length pass; the sort it
+    /// replaced is the definition of canonical order.
+    #[test]
+    fn canonical_codes_match_sorted_assignment() {
+        let mut rng = Xoshiro256::seed_from(0xA17);
+        for case in 0..2_000 {
+            let freqs = histogram(&mut rng, Shape::ZeroHeavy, case);
+            let limit = 1 + rng.index(MAX_CODE_LEN as usize) as u8;
+            let Ok(t) = HuffmanTable::from_frequencies_limited(&freqs, limit) else {
+                continue;
+            };
+            let mut order: Vec<usize> = (0..freqs.len()).filter(|&s| t.lengths[s] > 0).collect();
+            order.sort_by_key(|&s| (t.lengths[s], s));
+            let (mut code, mut prev_len) = (0u32, 0u8);
+            for s in order {
+                code <<= t.lengths[s] - prev_len;
+                assert_eq!(t.codes[s] as u32, code, "case {case} symbol {s}");
+                code += 1;
+                prev_len = t.lengths[s];
+            }
+        }
     }
 
     #[test]

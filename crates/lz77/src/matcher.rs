@@ -17,33 +17,59 @@ use cdpu_telemetry::counter;
 /// heads/links) whose size depends only on the configuration, not the
 /// input. Allocating them per call shows up hard when the experiment
 /// engine profiles thousands of small files, so the tables live in one
-/// contiguous `u32` buffer that is zeroed — never reallocated — between
-/// calls of compatible size. Obtain one with [`MatcherScratch::new`] and
-/// pass it to `parse_with_scratch`, or let the plain `parse` entry points
-/// use a per-thread scratch automatically (each `cdpu-par` worker thread
-/// gets its own, so parallel suites reuse without contention).
+/// contiguous `u32` buffer that is neither reallocated nor cleared between
+/// calls of compatible size: clearing 1 MiB of chain tables costs more than
+/// parsing a 4 KiB call. Instead the scratch keeps an epoch `base`. A parse
+/// stores position `p` as `base + p + 1` and reads any slot `<= base` as
+/// empty; afterwards `base` advances by the input length, so everything the
+/// parse wrote — and everything older, under whatever table layout —
+/// is `<= base` again and empty to the next call. The buffer has to be
+/// cleared only when it grows or when `base` would pass `u32::MAX`; it is
+/// also cleared ahead of an input long enough to touch all of it, which
+/// warms the cache for next to nothing. Obtain one with
+/// [`MatcherScratch::new`] and pass it to `parse_with_scratch`, or let the
+/// plain `parse` entry points use a per-thread scratch automatically (each
+/// `cdpu-par` worker thread gets its own, so parallel suites reuse without
+/// contention).
 #[derive(Debug, Default)]
 pub struct MatcherScratch {
     buf: Vec<u32>,
+    /// No value in `buf` exceeds this between calls.
+    base: u32,
 }
 
 impl MatcherScratch {
     /// Creates an empty scratch; tables are allocated on first use.
     pub const fn new() -> Self {
-        MatcherScratch { buf: Vec::new() }
+        MatcherScratch { buf: Vec::new(), base: 0 }
     }
 
-    /// Returns a zeroed slice of exactly `n` entries, reusing the backing
+    /// Returns `n` table entries that all read as empty, and the stamp a
+    /// parse of `len` input bytes stores positions with: position `p` is
+    /// `stamp + p`, and a slot `< stamp` is empty. Reuses the backing
     /// allocation when it is already large enough.
-    fn zeroed(&mut self, n: usize) -> &mut [u32] {
+    fn tables(&mut self, n: usize, len: usize) -> (&mut [u32], u32) {
         if self.buf.len() < n {
             counter!("lz77.scratch.misses").incr();
             self.buf = vec![0u32; n];
         } else {
             counter!("lz77.scratch.hits").incr();
+        }
+        if self.base as u64 + len as u64 >= u32::MAX as u64 {
+            self.buf.fill(0);
+            self.base = 0;
+        } else if len >= 16 * n {
+            // Not needed for emptiness. An input several times the tables'
+            // size touches every line of them, and zeroing streams those
+            // lines into cache ahead of the probes, which otherwise miss on
+            // them one at a time: 3 % of a 0.5–2 MiB snappy-class call, for
+            // under 0.5 % of its parse.
             self.buf[..n].fill(0);
         }
-        &mut self.buf[..n]
+        let stamp = self.base + 1;
+        // Positions are u32 throughout (`Seq`), so `len` fits.
+        self.base += len as u32;
+        (&mut self.buf[..n], stamp)
     }
 }
 
@@ -203,12 +229,12 @@ impl HashTableMatcher {
         let sets = (1usize << cfg.entries_log) / ways;
         let set_log = cdpu_util::floor_log2(sets.max(1) as u64);
         let window = cfg.window_size();
-        // Slot stores position + 1; 0 means empty. Within a set, slot 0 is
-        // most recent (FIFO replacement, like a shift register in SRAM).
-        // The table is one contiguous bucket array: set s occupies
+        // Slot stores stamp + position; below stamp means empty. Within a
+        // set, slot 0 is most recent (FIFO replacement, like a shift register
+        // in SRAM). The table is one contiguous bucket array: set s occupies
         // `[s*ways, (s+1)*ways)`, so a probe touches one cache line for
         // typical way counts.
-        let table = scratch.zeroed(sets * ways);
+        let (table, stamp) = scratch.tables(sets * ways, data.len());
 
         let mut probes = 0u64;
         let mut seqs = Vec::new();
@@ -229,10 +255,10 @@ impl HashTableMatcher {
                 let mut best_len = 0usize;
                 let mut best_off = 0usize;
                 for &slot in set.iter() {
-                    if slot == 0 {
+                    if slot < stamp {
                         continue;
                     }
-                    let cand = (slot - 1) as usize;
+                    let cand = (slot - stamp) as usize;
                     let off = pos - cand;
                     if off == 0 || off > window {
                         continue;
@@ -246,7 +272,7 @@ impl HashTableMatcher {
 
                 // Insert current position (FIFO within the set).
                 set.copy_within(0..ways - 1, 1);
-                set[0] = pos as u32 + 1;
+                set[0] = stamp + pos as u32;
 
                 if best_len > 0 {
                     seqs.push(Seq {
@@ -263,7 +289,7 @@ impl HashTableMatcher {
                         let h = hash_at(data, p, cfg.hash_fn, set_log) as usize;
                         let set = &mut table[h * ways..(h + 1) * ways];
                         set.copy_within(0..ways - 1, 1);
-                        set[0] = p as u32 + 1;
+                        set[0] = stamp + p as u32;
                         p += 1;
                     }
                     pos = end;
@@ -362,18 +388,19 @@ impl HashChainMatcher {
         pos: usize,
         head: &[u32],
         prev: &[u32],
-        window: usize,
+        stamp: u32,
         probes: &mut u64,
     ) -> (usize, usize) {
         let cfg = &self.cfg;
         let h = hash_at(data, pos, HashFn::Multiplicative, cfg.hash_log) as usize;
-        let mut cand_plus1 = head[h];
+        let mut slot = head[h];
         let mut depth = 0;
         let mut best_len = 0usize;
         let mut best_off = 0usize;
+        let window = 1usize << cfg.window_log;
         let wmask = window - 1;
-        while cand_plus1 != 0 && depth < cfg.max_chain {
-            let cand = (cand_plus1 - 1) as usize;
+        while slot >= stamp && depth < cfg.max_chain {
+            let cand = (slot - stamp) as usize;
             if cand >= pos || pos - cand > window {
                 break;
             }
@@ -383,7 +410,7 @@ impl HashChainMatcher {
                 best_len = len;
                 best_off = pos - cand;
             }
-            cand_plus1 = prev[cand & wmask];
+            slot = prev[cand & wmask];
             depth += 1;
         }
         (best_len, best_off)
@@ -403,14 +430,17 @@ impl HashChainMatcher {
         let wmask = window - 1;
         // Head table and chain links share one contiguous allocation:
         // `[0, heads)` is the hash-head table, `[heads, heads+window)` the
-        // per-position previous-occurrence links.
+        // per-position previous-occurrence links. A walk only follows links
+        // of positions this call inserted, and a link copied from a stale
+        // head is below `stamp`, which ends the walk.
         let heads = 1usize << cfg.hash_log;
-        let (head, prev) = scratch.zeroed(heads + window).split_at_mut(heads);
+        let (tables, stamp) = scratch.tables(heads + window, data.len());
+        let (head, prev) = tables.split_at_mut(heads);
 
         let insert = |data: &[u8], p: usize, head: &mut [u32], prev: &mut [u32]| {
             let h = hash_at(data, p, HashFn::Multiplicative, cfg.hash_log) as usize;
             prev[p & wmask] = head[h];
-            head[h] = p as u32 + 1;
+            head[h] = stamp + p as u32;
         };
 
         let mut probes = 0u64;
@@ -418,7 +448,7 @@ impl HashChainMatcher {
         let mut pos = 0usize;
         let mut anchor = 0usize;
         while pos + cfg.min_match <= data.len() {
-            let (mut len, mut off) = self.best_match(data, pos, head, prev, window, &mut probes);
+            let (mut len, mut off) = self.best_match(data, pos, head, prev, stamp, &mut probes);
             insert(data, pos, head, prev);
             if len == 0 {
                 pos += 1;
@@ -426,7 +456,7 @@ impl HashChainMatcher {
             }
             if cfg.lazy && pos + 1 + cfg.min_match <= data.len() {
                 let (len2, off2) =
-                    self.best_match(data, pos + 1, head, prev, window, &mut probes);
+                    self.best_match(data, pos + 1, head, prev, stamp, &mut probes);
                 if len2 > len + 1 {
                     // Emit current byte as a literal; take the later match.
                     insert(data, pos + 1, head, prev);
@@ -650,6 +680,111 @@ mod tests {
         })
         .parse(&data);
         assert!(deep.matched_len() >= shallow.matched_len());
+    }
+
+    enum AnyMatcher {
+        Table(HashTableMatcher),
+        Chain(HashChainMatcher),
+    }
+
+    impl AnyMatcher {
+        /// Parses with `scratch` and checks the result against a fresh
+        /// scratch and the allocate-per-call reference.
+        fn check(&self, data: &[u8], scratch: &mut MatcherScratch, what: &str) {
+            let (reused, fresh, naive) = match self {
+                AnyMatcher::Table(m) => (
+                    m.parse_with_scratch(data, scratch),
+                    m.parse_with_scratch(data, &mut MatcherScratch::new()),
+                    crate::reference::hash_table_parse(m.config(), data),
+                ),
+                AnyMatcher::Chain(m) => (
+                    m.parse_with_scratch(data, scratch),
+                    m.parse_with_scratch(data, &mut MatcherScratch::new()),
+                    crate::reference::hash_chain_parse(m.config(), data),
+                ),
+            };
+            assert_eq!(reused, fresh, "{what}: reused scratch differs from fresh");
+            assert_eq!(reused, naive, "{what}: differs from reference");
+        }
+    }
+
+    /// The table shapes the codecs put through one thread's scratch: snappy's
+    /// table, the zstd-3 and flate-6 chains, and a 4-way table.
+    fn epoch_matchers() -> [AnyMatcher; 4] {
+        [
+            AnyMatcher::Table(HashTableMatcher::new(MatcherConfig::snappy_sw())),
+            AnyMatcher::Chain(HashChainMatcher::new(ChainConfig {
+                window_log: 17,
+                hash_log: 17,
+                max_chain: 8,
+                lazy: false,
+                min_match: MIN_MATCH,
+            })),
+            AnyMatcher::Chain(HashChainMatcher::new(ChainConfig {
+                window_log: 15,
+                hash_log: 15,
+                max_chain: 32,
+                lazy: true,
+                min_match: MIN_MATCH,
+            })),
+            AnyMatcher::Table(HashTableMatcher::new(MatcherConfig {
+                ways: 4,
+                ..MatcherConfig::snappy_hw()
+            })),
+        ]
+    }
+
+    /// Short inputs plus one that outruns flate's 32 KiB window, so chain
+    /// links are overwritten within a call as well as left over between calls.
+    fn epoch_inputs() -> Vec<Vec<u8>> {
+        let mut rng = Xoshiro256::seed_from(24);
+        let mut inputs = sample_texts(&mut rng);
+        let mut long = Vec::new();
+        while long.len() < 80_000 {
+            let b = b'a' + rng.index(6) as u8;
+            long.extend(std::iter::repeat_n(b, rng.index(9) + 1));
+        }
+        inputs.push(long);
+        inputs
+    }
+
+    #[test]
+    fn epoch_scratch_interleaved_parses_match_fresh_and_reference() {
+        let matchers = epoch_matchers();
+        let inputs = epoch_inputs();
+        let mut scratch = MatcherScratch::new();
+        for i in 0..inputs.len() {
+            // Each matcher sees a different input each round, so what one
+            // leaves in the tables is never what the next would have written.
+            for (k, m) in matchers.iter().enumerate() {
+                let data = &inputs[(i + 5 * k) % inputs.len()];
+                m.check(data, &mut scratch, &format!("round {i} matcher {k}"));
+            }
+        }
+        let parsed: usize = inputs.iter().map(|d| d.len()).sum::<usize>() * matchers.len();
+        assert_eq!(scratch.base as usize, parsed, "base advances by every input length");
+    }
+
+    #[test]
+    fn epoch_scratch_wrap_clears_and_agrees() {
+        let matchers = epoch_matchers();
+        let inputs = epoch_inputs();
+        let mut scratch = MatcherScratch {
+            buf: Vec::new(),
+            base: u32::MAX - 20_000,
+        };
+        let mut wraps = 0;
+        for (i, data) in inputs.iter().enumerate() {
+            for (k, m) in matchers.iter().enumerate() {
+                let before = scratch.base;
+                m.check(data, &mut scratch, &format!("input {i} matcher {k}"));
+                if scratch.base < before {
+                    wraps += 1;
+                    assert_eq!(scratch.base as usize, data.len(), "a wrap restarts at zero");
+                }
+            }
+        }
+        assert_eq!(wraps, 1, "tables filled near u32::MAX, then wrapped exactly once");
     }
 
     #[test]
