@@ -11,7 +11,7 @@ cargo build --release --workspace
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
-echo "==> oracle and epoch tests are still in the suite that just ran"
+echo "==> oracle, epoch, decode-path and allocation tests are still in the suite that just ran"
 # -q prints no names, so a renamed or deleted test would pass unnoticed.
 cargo test -q --workspace -- --list > /tmp/cdpu_test_list.txt 2>/dev/null
 for name in \
@@ -26,7 +26,18 @@ for name in \
     epoch_scratch_wrap_clears_and_agrees \
     compressed_streams_are_pinned \
     huffman_table_build_allocates_a_handful_of_arrays \
-    small_zstd_call_allocates_per_stage_not_per_symbol; do
+    small_zstd_call_allocates_per_stage_not_per_symbol \
+    warm_decompress_into_allocates_per_block_only \
+    fifteen_bit_codes_resolve_through_the_second_level \
+    literal_pairs_straddle_the_hand_over_at_every_alignment \
+    overrun_in_the_middle_of_a_literal_pair \
+    hostile_literal_flood_is_cut_off_at_the_declared_length \
+    symbols_outside_the_deflate_alphabets \
+    unmapped_half_of_a_single_symbol_table \
+    staging_stops_at_the_declared_length \
+    prefix_then_checked_loop_matches_reference_walk \
+    overlapping_copies_at_every_small_offset_and_length \
+    copies_are_counted_once_each; do
     if ! grep -q "${name}: test\$" /tmp/cdpu_test_list.txt; then
         echo "FAIL: test $name is no longer in the workspace suite" >&2
         exit 1

@@ -13,6 +13,8 @@
 //! Huffman expander (Section 5.3); `cdpu-hwsim` reuses [`HuffmanTable`] and
 //! performs the multi-start-position speculation on top of it.
 
+use std::sync::OnceLock;
+
 use cdpu_util::bits::{BitBuf, MsbBitReader, MsbBitWriter};
 
 /// Maximum supported code length (table entries are `1 << max_len`).
@@ -158,8 +160,9 @@ pub struct HuffmanTable {
     max_len: u8,
     /// Flat decode table: index by `max_len` peeked bits ->
     /// `(symbol, code_len)`; `code_len == 0` marks an invalid entry (only
-    /// possible for non-tight tables, which construction rejects).
-    decode: Vec<(u16, u8)>,
+    /// the unused half of a single-symbol table). Filled on first decode
+    /// use: the encoders build tables they never decode with.
+    decode: OnceLock<Vec<(u16, u8)>>,
 }
 
 impl HuffmanTable {
@@ -219,25 +222,34 @@ impl HuffmanTable {
             next_code[l] = (next_code[l - 1] + count[l - 1]) << 1;
         }
         let mut codes = vec![0u16; lengths.len()];
-        let mut decode = vec![(0u16, 0u8); 1usize << max_len];
         for (s, &len) in lengths.iter().enumerate() {
             if len == 0 {
                 continue;
             }
-            let code = next_code[len as usize];
+            codes[s] = next_code[len as usize] as u16;
             next_code[len as usize] += 1;
-            codes[s] = code as u16;
-            let span = 1usize << (max_len - len);
-            let base = code as usize * span;
-            for entry in &mut decode[base..base + span] {
-                *entry = (s as u16, len);
-            }
         }
         Ok(HuffmanTable {
             lengths,
             codes,
             max_len,
-            decode,
+            decode: OnceLock::new(),
+        })
+    }
+
+    /// The flat decode table, filled on first use.
+    fn decode_table(&self) -> &[(u16, u8)] {
+        self.decode.get_or_init(|| {
+            let mut decode = vec![(0u16, 0u8); 1usize << self.max_len];
+            for (s, (&len, &code)) in self.lengths.iter().zip(&self.codes).enumerate() {
+                if len == 0 {
+                    continue;
+                }
+                let span = 1usize << (self.max_len - len);
+                let base = code as usize * span;
+                decode[base..base + span].fill((s as u16, len));
+            }
+            decode
         })
     }
 
@@ -279,7 +291,7 @@ impl HuffmanTable {
     /// requires.
     pub fn decode_symbol(&self, input: &mut MsbBitReader<'_>) -> Result<u16, HuffmanError> {
         let peek = input.peek_bits(self.max_len as u32);
-        let (sym, len) = self.decode[peek as usize];
+        let (sym, len) = self.decode_table()[peek as usize];
         if len == 0 || input.remaining() < len as usize {
             return Err(HuffmanError::BadStream);
         }
@@ -291,7 +303,7 @@ impl HuffmanTable {
     /// batch decoder (`crate::interleave`), which runs the same
     /// peek/lookup/consume step against several stream cursors at once.
     pub(crate) fn decode_entries(&self) -> (&[(u16, u8)], u32) {
-        (&self.decode, self.max_len as u32)
+        (self.decode_table(), self.max_len as u32)
     }
 
     /// Serializes the code book (alphabet size + nibble-packed lengths).
@@ -408,6 +420,7 @@ impl HuffmanTable {
     ) -> Result<(), HuffmanError> {
         out.reserve(count);
         let max_len = self.max_len as u32;
+        let decode = self.decode_table();
         let mut buf = BitBuf::new(bytes, bit_len);
         let mut decoded = 0usize;
         let mut refills = 0u64;
@@ -416,7 +429,7 @@ impl HuffmanTable {
             refills += 1;
             while decoded < count && buf.valid() >= max_len {
                 let peek = buf.peek(max_len);
-                let (sym, len) = self.decode[peek as usize];
+                let (sym, len) = decode[peek as usize];
                 if len == 0 || sym > 255 {
                     return Err(HuffmanError::BadStream);
                 }
@@ -888,7 +901,7 @@ mod tests {
         let freqs = [10u32, 1, 1, 4, 4, 20];
         let t = HuffmanTable::from_frequencies(&freqs).unwrap();
         // Decode table covers all 2^max_len entries (completeness).
-        assert!(t.decode.iter().all(|&(_, l)| l > 0));
+        assert!(t.decode_table().iter().all(|&(_, l)| l > 0));
         // Shorter codes for more frequent symbols.
         assert!(t.code_len(5).unwrap() <= t.code_len(1).unwrap());
         assert!(t.code_len(0).unwrap() <= t.code_len(2).unwrap());

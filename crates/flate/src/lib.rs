@@ -26,14 +26,17 @@
 
 use cdpu_entropy::huffman::{HuffmanError, HuffmanTable};
 use cdpu_lz77::matcher::{ChainConfig, HashChainMatcher};
-use cdpu_lz77::window::{apply_copy, DecoderScratch};
+use cdpu_lz77::window::DecoderScratch;
 use cdpu_lz77::{Parse, Seq};
-use cdpu_util::bits::{MsbBitReader, MsbBitWriter};
+use cdpu_util::bits::MsbBitWriter;
 use cdpu_util::varint;
 
 pub mod codes;
+mod decode;
 pub mod reference;
 pub mod stream;
+
+pub(crate) use decode::{apply_huff_ops, decode_huff_entropy};
 
 /// Frame magic (`CDPF`): deliberately distinct from gzip/zlib headers.
 pub const MAGIC: [u8; 4] = *b"CDPF";
@@ -387,188 +390,6 @@ fn encode_huff_block(data: &[u8], parse: &Parse, out: &mut Vec<u8>) -> Result<()
     Ok(())
 }
 
-/// Decodes one Huffman block payload, appending to `out`.
-fn decode_huff_block(
-    payload: &[u8],
-    out: &mut Vec<u8>,
-    window: u32,
-    max_len: usize,
-) -> Result<(), FlateError> {
-    let mut pos = 0usize;
-    let (litlen, n) = HuffmanTable::deserialize(&payload[pos..]).map_err(FlateError::Huffman)?;
-    pos += n;
-    let (dist, n) = HuffmanTable::deserialize(&payload[pos..]).map_err(FlateError::Huffman)?;
-    pos += n;
-    let (bit_len, n) =
-        varint::read_u64(&payload[pos..]).map_err(|_| FlateError::BadBlock("bit length"))?;
-    pos += n;
-    let nbytes = (bit_len as usize).div_ceil(8);
-    if pos + nbytes > payload.len() {
-        return Err(FlateError::Truncated);
-    }
-    let mut r = MsbBitReader::new(&payload[pos..pos + nbytes], bit_len as usize);
-
-    let start = out.len();
-    loop {
-        let sym = litlen.decode_symbol(&mut r).map_err(FlateError::Huffman)?;
-        if sym == codes::END_OF_BLOCK {
-            break;
-        }
-        if sym < 256 {
-            out.push(sym as u8);
-        } else {
-            let extra_bits = codes::length_extra_bits(sym)
-                .ok_or(FlateError::BadBlock("length code"))?;
-            let extra = r
-                .read_bits(extra_bits as u32)
-                .map_err(|_| FlateError::Truncated)? as u32;
-            let len = codes::length_value(sym, extra)
-                .map_err(|_| FlateError::BadBlock("length code"))?;
-            let dsym = dist.decode_symbol(&mut r).map_err(FlateError::Huffman)?;
-            let dbits = codes::dist_extra_bits(dsym)
-                .ok_or(FlateError::BadBlock("distance code"))?;
-            let dextra = r
-                .read_bits(dbits as u32)
-                .map_err(|_| FlateError::Truncated)? as u32;
-            let distance = codes::dist_value(dsym, dextra)
-                .map_err(|_| FlateError::BadBlock("distance code"))?;
-            if distance > window {
-                return Err(FlateError::BadDistance);
-            }
-            apply_copy(out, distance, len).map_err(|_| FlateError::BadDistance)?;
-        }
-        if out.len() - start > max_len {
-            return Err(FlateError::BadBlock("block output overruns declared size"));
-        }
-    }
-    Ok(())
-}
-
-/// Decodes a Huffman block's *entropy stage only*: tables, bitstream and
-/// symbol semantics, staging literals and copy operations without touching
-/// the output window. Used by the streaming decoder and the stage-pipelined
-/// decode, where LZ77 application runs separately (and, for the pipeline,
-/// concurrently on the next block).
-///
-/// On error the operations staged *before* the failing symbol are left in
-/// `lits`/`seqs` and the error is returned alongside, because the
-/// interleaved one-shot decoder would have applied them (and may hit an
-/// application error — which takes precedence) before reaching the corrupt
-/// symbol. [`apply_huff_ops`] consumes the pair and reproduces the one-shot
-/// decoder's first-error value exactly.
-///
-/// Returns `(tail_literals, deferred_error)`: the literal count after the
-/// last staged copy, and the entropy error to surface if application
-/// succeeds.
-pub(crate) fn decode_huff_entropy(
-    payload: &[u8],
-    lits: &mut Vec<u8>,
-    seqs: &mut Vec<Seq>,
-) -> (usize, Option<FlateError>) {
-    lits.clear();
-    seqs.clear();
-    let mut pending = 0usize;
-    let mut pos = 0usize;
-    let header = (|| {
-        let (litlen, n) =
-            HuffmanTable::deserialize(&payload[pos..]).map_err(FlateError::Huffman)?;
-        pos += n;
-        let (dist, n) = HuffmanTable::deserialize(&payload[pos..]).map_err(FlateError::Huffman)?;
-        pos += n;
-        let (bit_len, n) =
-            varint::read_u64(&payload[pos..]).map_err(|_| FlateError::BadBlock("bit length"))?;
-        pos += n;
-        let nbytes = (bit_len as usize).div_ceil(8);
-        if pos + nbytes > payload.len() {
-            return Err(FlateError::Truncated);
-        }
-        Ok((litlen, dist, MsbBitReader::new(&payload[pos..pos + nbytes], bit_len as usize)))
-    })();
-    let (litlen, dist, mut r) = match header {
-        Ok(h) => h,
-        Err(e) => return (0, Some(e)),
-    };
-
-    loop {
-        let res = (|| {
-            let sym = litlen.decode_symbol(&mut r).map_err(FlateError::Huffman)?;
-            if sym == codes::END_OF_BLOCK {
-                return Ok(true);
-            }
-            if sym < 256 {
-                lits.push(sym as u8);
-                pending += 1;
-            } else {
-                let extra_bits =
-                    codes::length_extra_bits(sym).ok_or(FlateError::BadBlock("length code"))?;
-                let extra =
-                    r.read_bits(extra_bits as u32).map_err(|_| FlateError::Truncated)? as u32;
-                let len = codes::length_value(sym, extra)
-                    .map_err(|_| FlateError::BadBlock("length code"))?;
-                let dsym = dist.decode_symbol(&mut r).map_err(FlateError::Huffman)?;
-                let dbits =
-                    codes::dist_extra_bits(dsym).ok_or(FlateError::BadBlock("distance code"))?;
-                let dextra =
-                    r.read_bits(dbits as u32).map_err(|_| FlateError::Truncated)? as u32;
-                let distance = codes::dist_value(dsym, dextra)
-                    .map_err(|_| FlateError::BadBlock("distance code"))?;
-                seqs.push(Seq {
-                    lit_len: std::mem::take(&mut pending) as u32,
-                    match_len: len,
-                    offset: distance,
-                });
-            }
-            Ok(false)
-        })();
-        match res {
-            Ok(true) => return (pending, None),
-            Ok(false) => {}
-            Err(e) => return (pending, Some(e)),
-        }
-    }
-}
-
-/// Applies entropy-staged operations ([`decode_huff_entropy`]) to the
-/// output window, enforcing the window bound and the per-operation overrun
-/// check, then surfaces the deferred entropy error (if any). Application
-/// errors on staged operations take precedence over the deferred error —
-/// matching the interleaved one-shot decoder, which would have hit them
-/// first.
-pub(crate) fn apply_huff_ops(
-    lits: &[u8],
-    seqs: &[Seq],
-    tail_literals: usize,
-    deferred: Option<FlateError>,
-    out: &mut Vec<u8>,
-    window: u32,
-    max_len: usize,
-) -> Result<(), FlateError> {
-    let start = out.len();
-    let mut cursor = 0usize;
-    for s in seqs {
-        out.extend_from_slice(&lits[cursor..cursor + s.lit_len as usize]);
-        cursor += s.lit_len as usize;
-        if out.len() - start > max_len {
-            return Err(FlateError::BadBlock("block output overruns declared size"));
-        }
-        if s.offset > window {
-            return Err(FlateError::BadDistance);
-        }
-        apply_copy(out, s.offset, s.match_len).map_err(|_| FlateError::BadDistance)?;
-        if out.len() - start > max_len {
-            return Err(FlateError::BadBlock("block output overruns declared size"));
-        }
-    }
-    out.extend_from_slice(&lits[cursor..cursor + tail_literals]);
-    if out.len() - start > max_len {
-        return Err(FlateError::BadBlock("block output overruns declared size"));
-    }
-    match deferred {
-        Some(e) => Err(e),
-        None => Ok(()),
-    }
-}
-
 /// Decompresses a Flate-class frame.
 ///
 /// # Errors
@@ -577,7 +398,7 @@ pub(crate) fn apply_huff_ops(
 /// distances, or length mismatches.
 pub fn decompress(frame: &[u8]) -> Result<Vec<u8>, FlateError> {
     let mut out = Vec::new();
-    decompress_impl(frame, &mut out)?;
+    decompress_impl(frame, &mut out, &mut Vec::new(), &mut Vec::new())?;
     Ok(out)
 }
 
@@ -593,12 +414,20 @@ pub fn decompress_into<'a>(
     frame: &[u8],
     scratch: &'a mut DecoderScratch,
 ) -> Result<&'a [u8], FlateError> {
-    let (out, _, _) = scratch.buffers();
-    decompress_impl(frame, out)?;
+    let (out, lits, seqs) = scratch.buffers();
+    decompress_impl(frame, out, lits, seqs)?;
     Ok(out)
 }
 
-fn decompress_impl(frame: &[u8], out: &mut Vec<u8>) -> Result<(), FlateError> {
+/// The frame walk behind both one-shot entries; each Huffman block goes
+/// through the [`decode_huff_entropy`] / [`apply_huff_ops`] pair the
+/// streaming and pipelined decoders use, staged in `lits`/`seqs`.
+fn decompress_impl(
+    frame: &[u8],
+    out: &mut Vec<u8>,
+    lits: &mut Vec<u8>,
+    seqs: &mut Vec<Seq>,
+) -> Result<(), FlateError> {
     if frame.len() < 5 || frame[..4] != MAGIC {
         return Err(FlateError::BadMagic);
     }
@@ -613,7 +442,7 @@ fn decompress_impl(frame: &[u8], out: &mut Vec<u8>) -> Result<(), FlateError> {
 
     // Reserve conservatively: the declared size is untrusted input, so cap
     // the up-front allocation and let the vector grow if the data is real.
-    out.reserve((expected as usize).min(MAX_BLOCK_SIZE));
+    out.reserve((expected as usize).min(MAX_BLOCK_SIZE.max(frame.len() * 4)));
     let mut saw_last = false;
     while !saw_last {
         if pos >= frame.len() {
@@ -646,7 +475,9 @@ fn decompress_impl(frame: &[u8], out: &mut Vec<u8>) -> Result<(), FlateError> {
                     return Err(FlateError::Truncated);
                 }
                 let before = out.len();
-                decode_huff_block(&frame[pos..pos + payload_len], out, window, block_len)?;
+                let (tail, deferred) =
+                    decode_huff_entropy(&frame[pos..pos + payload_len], block_len, lits, seqs);
+                apply_huff_ops(lits, seqs, tail, deferred, out, window, block_len)?;
                 if out.len() - before != block_len {
                     return Err(FlateError::BadBlock("block length mismatch"));
                 }

@@ -229,7 +229,7 @@ impl FlateStreamDecoder {
     fn run_payload(&mut self, block_len: usize, last: bool) -> Result<(), FlateError> {
         let before = self.hist.produced();
         let Self { hist, payload, lits, seqs, window, .. } = self;
-        let (tail, deferred) = decode_huff_entropy(payload, lits, seqs);
+        let (tail, deferred) = decode_huff_entropy(payload, block_len, lits, seqs);
         apply_huff_ops(lits, seqs, tail, deferred, hist.sink(), *window, block_len)?;
         if self.hist.produced() - before != block_len as u64 {
             return Err(FlateError::BadBlock("block length mismatch"));
@@ -560,6 +560,7 @@ pub fn decompress_pipelined(frame: &[u8]) -> Result<Vec<u8>, FlateError> {
                         let mut seqs = Vec::new();
                         let (tail, deferred) = decode_huff_entropy(
                             &frame[pos..pos + payload_len],
+                            block_len,
                             &mut lits,
                             &mut seqs,
                         );

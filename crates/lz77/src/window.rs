@@ -53,6 +53,111 @@ pub fn apply_copy(out: &mut Vec<u8>, offset: u32, len: u32) -> Result<(), Lz77Er
     Ok(())
 }
 
+/// Bytes moved per step of [`apply_sequences_prefix`].
+const CHUNK: usize = 16;
+/// A block whose sequences average more bytes than this is left to the
+/// per-copy path: its time goes into long `memcpy`s, which that path does
+/// well, and sizing the output first would only add a pass over it.
+const LONG_SEQUENCES: usize = 128;
+
+/// For an overlapping copy at `offset < CHUNK`: the smallest multiple of
+/// `offset` that is at least [`CHUNK`]. Output is periodic in `offset`, so
+/// it is periodic in this too, and a copy from that far back never overlaps
+/// the chunk it writes.
+const WIDE_OFFSET: [u8; CHUNK] = [0, 16, 16, 18, 16, 20, 18, 21, 16, 18, 20, 22, 24, 26, 28, 30];
+
+/// Copies `buf[src..src + CHUNK]` to `buf[dst..dst + CHUNK]`, `src + CHUNK <= dst`.
+#[inline(always)]
+fn copy_chunk(buf: &mut [u8], src: usize, dst: usize) {
+    let (head, tail) = buf.split_at_mut(dst);
+    let chunk: [u8; CHUNK] = head[src..src + CHUNK].try_into().expect("a CHUNK-byte range");
+    tail[..CHUNK].copy_from_slice(&chunk);
+}
+
+/// Applies the longest *plainly valid* prefix of a block's sequence list to
+/// `out` and returns `(sequences applied, literals consumed)`; the caller's
+/// own checked loop finishes the list from there and so keeps every error,
+/// in its own order, with its own payloads.
+///
+/// `out` holds the history on entry and the block may add at most `max_len`
+/// bytes to it. A sequence is plainly valid when its literals are present
+/// with 16 bytes to spare, `1 <= offset <= window`, the offset reaches no
+/// further back than the bytes produced so far, and the sequence ends 32
+/// bytes short of the block's end. Inside that margin literals and matches
+/// move in whole 16-byte chunks — a chunk may write up to 15 bytes past the
+/// end of its run, which the next run overwrites — instead of through a
+/// length-dispatched `memcpy` per run, which is where a decoder of ~6-byte
+/// matches otherwise spends its time. `out` is sized to `max_len` once, so
+/// nothing is written past `out.len() + max_len`, and is cut back to the
+/// bytes produced before returning. A block whose sequences average more
+/// than 128 bytes is left to the caller whole.
+///
+/// Telemetry: `decode.wild_copies` / `decode.overlap_copies` count copies
+/// exactly as [`apply_copy`] does, published once per call.
+pub fn apply_sequences_prefix(
+    out: &mut Vec<u8>,
+    literals: &[u8],
+    seqs: &[Seq],
+    window: u32,
+    max_len: usize,
+) -> (usize, usize) {
+    if max_len <= 2 * CHUNK || seqs.len() * LONG_SEQUENCES < max_len {
+        return (0, 0);
+    }
+    let start = out.len();
+    out.resize(start + max_len, 0);
+    let limit = out.len() - 2 * CHUNK;
+    let lit_limit = literals.len().saturating_sub(CHUNK);
+    let (mut pos, mut lit_pos, mut applied) = (start, 0usize, 0usize);
+    let mut overlaps = 0u64;
+    for seq in seqs {
+        let (lit_len, match_len, offset) =
+            (seq.lit_len as usize, seq.match_len as usize, seq.offset as usize);
+        let room = limit - pos;
+        if lit_len > lit_limit.saturating_sub(lit_pos)
+            || lit_len > room
+            || match_len > room - lit_len
+            || offset == 0
+            || seq.offset > window
+            || offset > pos + lit_len
+        {
+            break;
+        }
+        let mut done = 0;
+        while done < lit_len {
+            out[pos + done..pos + done + CHUNK]
+                .copy_from_slice(&literals[lit_pos + done..lit_pos + done + CHUNK]);
+            done += CHUNK;
+        }
+        pos += lit_len;
+        lit_pos += lit_len;
+
+        let mut done = 0;
+        let mut back = offset;
+        if offset < CHUNK {
+            // Byte-wise until the widened offset reaches the match start.
+            back = WIDE_OFFSET[offset] as usize;
+            done = (back - offset).min(match_len);
+            for i in 0..done {
+                out[pos + i] = out[pos + i - offset];
+            }
+        }
+        while done < match_len {
+            copy_chunk(out, pos + done - back, pos + done);
+            done += CHUNK;
+        }
+        overlaps += (offset < match_len) as u64;
+        pos += match_len;
+        applied += 1;
+    }
+    out.truncate(pos);
+    if cdpu_telemetry::enabled() {
+        cdpu_telemetry::counter!("decode.wild_copies").add(applied as u64 - overlaps);
+        cdpu_telemetry::counter!("decode.overlap_copies").add(overlaps);
+    }
+    (applied, lit_pos)
+}
+
 /// Reconstructs the original buffer from a parse and its literal stream.
 ///
 /// `max_window`, when given, enforces the decoder's window bound — a copy
@@ -101,8 +206,8 @@ fn take_literals(
 ///
 /// The three buffers cover the decoder shapes in the workspace: `out` is
 /// the reconstructed output every codec needs; `lits` and `seqs` hold the
-/// per-block literal and sequence staging the ZStd-class decoder otherwise
-/// allocates per block.
+/// per-block literal and sequence staging the ZStd- and Flate-class
+/// decoders otherwise allocate per block.
 #[derive(Debug, Default)]
 pub struct DecoderScratch {
     out: Vec<u8>,

@@ -780,8 +780,11 @@ pub fn apply_block(
     max_len: usize,
 ) -> Result<(), ZstdError> {
     let start_len = out.len();
-    let mut lit_pos = 0usize;
-    for seq in seqs {
+    // The chunked executor takes every sequence that is valid with room to
+    // spare; the loop below owns the rest, and with it every error.
+    let (applied, mut lit_pos) =
+        cdpu_lz77::window::apply_sequences_prefix(out, literals, seqs, window, max_len);
+    for seq in &seqs[applied..] {
         let lit_end = lit_pos + seq.lit_len as usize;
         if lit_end > literals.len() {
             return Err(ZstdError::BadBlock("literals exhausted"));

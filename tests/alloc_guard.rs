@@ -74,3 +74,25 @@ fn small_zstd_call_allocates_per_stage_not_per_symbol() {
     assert!(n <= 200, "zstd::compress of 4 KiB allocated {n} times");
     assert_eq!(cdpu::zstd::decompress(&warm).unwrap(), text);
 }
+
+/// Warm decode allocates per block — a code book or two and the FSE tables —
+/// and nothing per call or per symbol: output, staging and the Flate-class
+/// decode tables live in scratch that only grows. Ceilings are the counts
+/// measured before the decoders shared one staged path.
+#[test]
+fn warm_decompress_into_allocates_per_block_only() {
+    for (len, flate_max, zstd_max) in [(4usize << 10, 9, 17), (200 << 10, 12, 34)] {
+        let text = cdpu::corpus::generate(cdpu::corpus::CorpusKind::MarkovText, len, 3);
+        let mut scratch = cdpu::lz77::window::DecoderScratch::new();
+
+        let frame = cdpu::flate::compress(&text);
+        assert_eq!(cdpu::flate::decompress_into(&frame, &mut scratch).unwrap(), text);
+        let n = allocations_in(|| cdpu::flate::decompress_into(&frame, &mut scratch).is_ok());
+        assert!(n <= flate_max, "warm flate::decompress_into of {len} bytes allocated {n} times");
+
+        let frame = cdpu::zstd::compress(&text);
+        assert_eq!(cdpu::zstd::decompress_into(&frame, &mut scratch).unwrap(), text);
+        let n = allocations_in(|| cdpu::zstd::decompress_into(&frame, &mut scratch).is_ok());
+        assert!(n <= zstd_max, "warm zstd::decompress_into of {len} bytes allocated {n} times");
+    }
+}
