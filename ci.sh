@@ -29,8 +29,8 @@ for name in \
     small_zstd_call_allocates_per_stage_not_per_symbol \
     warm_decompress_into_allocates_per_block_only \
     fifteen_bit_codes_resolve_through_the_second_level \
-    literal_pairs_straddle_the_hand_over_at_every_alignment \
-    overrun_in_the_middle_of_a_literal_pair \
+    literal_runs_cross_the_hand_over_at_every_alignment \
+    overrun_at_every_position_of_a_literal_run \
     hostile_literal_flood_is_cut_off_at_the_declared_length \
     symbols_outside_the_deflate_alphabets \
     unmapped_half_of_a_single_symbol_table \

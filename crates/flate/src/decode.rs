@@ -15,18 +15,17 @@
 //! Both alphabets decode through one `u32` per look-up:
 //!
 //! ```text
-//! bits  0..4   code length of the (first) symbol; 0 = no code maps here
+//! bits  0..4   code length of the symbol; 0 = no code maps here
 //! bits  4..9   bits the fast loop consumes for the whole entry
-//! bits  9..12  kind: LIT1, LIT2, BASE, SUB, OTHER
+//! bits  9..12  kind: LIT, BASE, SUB, OTHER
 //! bits 12..16  extra-bit count (BASE)
-//! bits 16..32  literal byte(s) | base length or distance | sub-table
-//!              offset | symbol (OTHER)
+//! bits 16..32  literal byte | base length or distance | sub-table offset
+//!              | symbol (OTHER)
 //! ```
 //!
 //! `BASE` is a length symbol (257..=285) or a distance symbol (0..=29): its
 //! extra bits follow the code, so "bits consumed" is code length plus
 //! extra-bit count and the value is `base + (peek(consumed) & mask)`.
-//! `LIT2` is two literals whose codes together fit the primary index.
 //! `SUB` points at a second-level table for codes longer than the primary
 //! index. `OTHER` is everything the fast loop does not handle: end of
 //! block, symbols outside DEFLATE's alphabets (`deserialize` admits up to
@@ -42,10 +41,6 @@ use crate::{codes, FlateError};
 
 /// Widest primary index. Codes up to 15 bits resolve through `SUB`.
 const PRIMARY_BITS: u32 = 11;
-/// Declared block length from which the literal/length table is built
-/// `PRIMARY_BITS` wide with two-literal entries; a shorter block does not
-/// decode enough symbols to repay filling and pairing 2¹¹ entries.
-const PAIR_MIN_BLOCK: usize = 16 * 1024;
 /// Longest code either alphabet can carry.
 const MAX_CODE_BITS: u32 = 15;
 /// Longest length/distance pair: 15-bit code + 5 extra, 15-bit code + 13
@@ -54,11 +49,10 @@ const PAIR_BITS: u32 = 48;
 
 const OVERRUN: FlateError = FlateError::BadBlock("block output overruns declared size");
 
-const LIT1: u32 = 0;
-const LIT2: u32 = 1;
-const BASE: u32 = 2;
-const SUB: u32 = 3;
-const OTHER: u32 = 4;
+const LIT: u32 = 0;
+const BASE: u32 = 1;
+const SUB: u32 = 2;
+const OTHER: u32 = 3;
 
 const fn entry(kind: u32, len: u32, consumed: u32, extra: u32, payload: u32) -> u32 {
     len | consumed << 4 | kind << 9 | extra << 12 | payload << 16
@@ -89,7 +83,7 @@ const fn payload(e: u32) -> u32 {
 fn litlen_entry(sym: u16, len: u32) -> u32 {
     match (codes::length_extra_bits(sym), codes::length_value(sym, 0)) {
         (Some(extra), Ok(base)) => entry(BASE, len, len + extra as u32, extra as u32, base),
-        _ if sym < 256 => entry(LIT1, len, len, 0, sym as u32),
+        _ if sym < 256 => entry(LIT, len, len, 0, sym as u32),
         _ => entry(OTHER, len, 0, 0, sym as u32),
     }
 }
@@ -132,9 +126,12 @@ impl PackedTable {
         PackedTable { entries: Vec::new(), bits: 0 }
     }
 
-    /// Fills the table for a canonical code over `lengths` (a complete code
-    /// or a single 1-bit symbol, as [`HuffmanTable::deserialize`] admits).
-    fn build(&mut self, lengths: &[u8], bits: u32, entry_for: fn(u16, u32) -> u32) {
+    /// Fills the table for a canonical code (a complete code or a single
+    /// 1-bit symbol, as [`HuffmanTable::deserialize`] admits), the primary
+    /// level indexed by the longest code's bits up to [`PRIMARY_BITS`].
+    fn build(&mut self, code: &HuffmanTable, entry_for: fn(u16, u32) -> u32) {
+        let lengths = code.lengths();
+        let bits = PRIMARY_BITS.min(code.max_code_len() as u32);
         self.bits = bits;
         self.entries.clear();
         self.entries.resize(1 << bits, UNMAPPED);
@@ -168,28 +165,6 @@ impl PackedTable {
             let span = 1usize << (consumed(sub) - (len - bits));
             let at = payload(sub) as usize + low * span;
             self.entries[at..at + span].fill(entry_for(sym, len));
-        }
-    }
-
-    /// Turns every primary literal entry whose remaining index bits hold a
-    /// second whole literal code into a `LIT2`.
-    fn pair_literals(&mut self) {
-        let bits = self.bits;
-        for i in 0..1usize << bits {
-            let first = self.entries[i];
-            if kind(first) != LIT1 {
-                continue;
-            }
-            // The slot the index reaches once the first code is shifted
-            // out. Its low bits are zeros, not stream bits, so it names the
-            // next symbol only if that code fits the bits that are left. An
-            // entry already paired still leads with its own first literal.
-            let second = self.entries[(i << code_len(first)) & ((1 << bits) - 1)];
-            let both = code_len(first) + code_len(second);
-            if kind(second) <= LIT2 && both <= bits {
-                let bytes = payload(first) | (payload(second) & 0xFF) << 8;
-                self.entries[i] = entry(LIT2, code_len(first), both, 0, bytes);
-            }
         }
     }
 }
@@ -251,7 +226,7 @@ enum Op {
 fn next_op(tables: &BlockTables, r: &mut MsbBitReader<'_>) -> Result<Op, FlateError> {
     let e = decode_symbol(&tables.litlen, r).map_err(FlateError::Huffman)?;
     match kind(e) {
-        LIT1 | LIT2 => Ok(Op::Literal(payload(e) as u8)),
+        LIT => Ok(Op::Literal(payload(e) as u8)),
         BASE => {
             let extra = r.read_bits(extra_bits(e)).map_err(|_| FlateError::Truncated)?;
             let d = decode_symbol(&tables.dist, r).map_err(FlateError::Huffman)?;
@@ -314,15 +289,8 @@ pub(crate) fn decode_huff_entropy(
         lits.resize(block_len, 0);
     }
     with_block_tables(|tables| {
-        if block_len >= PAIR_MIN_BLOCK {
-            tables.litlen.build(litlen.lengths(), PRIMARY_BITS, litlen_entry);
-            tables.litlen.pair_literals();
-        } else {
-            let bits = PRIMARY_BITS.min(litlen.max_code_len() as u32);
-            tables.litlen.build(litlen.lengths(), bits, litlen_entry);
-        }
-        let bits = PRIMARY_BITS.min(dist.max_code_len() as u32);
-        tables.dist.build(dist.lengths(), bits, dist_entry);
+        tables.litlen.build(&litlen, litlen_entry);
+        tables.dist.build(&dist, dist_entry);
         decode_symbols(tables, stream, bit_len, &mut lits[..block_len], seqs)
     })
 }
@@ -333,14 +301,13 @@ pub(crate) fn decode_huff_entropy(
 /// The fast loop reads through a cached [`BitBuf`] window and only ever
 /// looks at bits inside the stream: it refills only while 64 bits remain,
 /// and between refills consumes no more than the window held. It stages
-/// literals and whole length/distance pairs and nothing else, and it stores
-/// two bytes per literal entry, so it runs while the block has room for
-/// two. Anything else — end of block, a symbol outside the alphabets, an
-/// unmapped slot, fewer than 64 bits or 2 bytes left — goes to the
-/// per-symbol loop *at the bit position of the literal/length symbol it
-/// belongs to*, so that loop sees exactly the stream position and staged
-/// prefix the reference decoder has when it meets that symbol, and reports
-/// what the reference reports.
+/// literals and whole length/distance pairs and nothing else, and runs
+/// while the block has room for a byte. Anything else — end of block, a
+/// symbol outside the alphabets, an unmapped slot, fewer than 64 bits left,
+/// a full block — goes to the per-symbol loop *at the bit position of the
+/// literal/length symbol it belongs to*, so that loop sees exactly the
+/// stream position and staged prefix the reference decoder has when it
+/// meets that symbol, and reports what the reference reports.
 fn decode_symbols(
     tables: &BlockTables,
     stream: &[u8],
@@ -354,7 +321,7 @@ fn decode_symbols(
 
     let mut buf = BitBuf::new(stream, bit_len);
     let hand_over = loop {
-        if staged + copied + 2 > block_len {
+        if staged + copied >= block_len {
             break buf.position();
         }
         if buf.valid() < MAX_CODE_BITS {
@@ -364,9 +331,9 @@ fn decode_symbols(
             buf.refill();
         }
         let e = lookup(&tables.litlen, &buf);
-        if kind(e) <= LIT2 {
-            lits[staged..staged + 2].copy_from_slice(&(payload(e) as u16).to_le_bytes());
-            staged += 1 + kind(e) as usize;
+        if kind(e) == LIT {
+            lits[staged] = payload(e) as u8;
+            staged += 1;
             buf.consume(consumed(e));
             continue;
         }
@@ -469,7 +436,7 @@ mod tests {
     use super::*;
 
     /// A payload coding 100 000 literals stages no more of them than the
-    /// block declares, whether or not the table pairs literals.
+    /// block declares.
     #[test]
     fn staging_stops_at_the_declared_length() {
         let mut litlen = vec![0u8; 257];
@@ -483,7 +450,7 @@ mod tests {
         payload.extend_from_slice(&[0u8; 12_500]);
         payload.push(0x80);
 
-        for block_len in [0, 1, 2, 777, PAIR_MIN_BLOCK, PAIR_MIN_BLOCK + 1, 99_999] {
+        for block_len in [0, 1, 2, 777, 16_384, 99_999] {
             let (mut lits, mut seqs) = (Vec::new(), Vec::new());
             let (tail, deferred) = decode_huff_entropy(&payload, block_len, &mut lits, &mut seqs);
             assert_eq!((tail, deferred), (block_len, Some(OVERRUN)));

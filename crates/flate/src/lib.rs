@@ -442,7 +442,7 @@ fn decompress_impl(
 
     // Reserve conservatively: the declared size is untrusted input, so cap
     // the up-front allocation and let the vector grow if the data is real.
-    out.reserve((expected as usize).min(MAX_BLOCK_SIZE.max(frame.len() * 4)));
+    out.reserve((expected as usize).min(MAX_BLOCK_SIZE));
     let mut saw_last = false;
     while !saw_last {
         if pos >= frame.len() {

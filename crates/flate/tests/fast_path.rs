@@ -1,7 +1,7 @@
 //! Hand-built blocks for the decode paths the corpus-driven suites do not
-//! force: second-level table look-ups, two-literal entries around the point
+//! force: second-level table look-ups, short literal codes around the point
 //! where the cached-window loop hands over, a block that overruns its
-//! declared length in the middle of a literal pair, and symbols outside
+//! declared length at every position of a literal run, and symbols outside
 //! DEFLATE's alphabets. Every frame — and every truncation and `^0x40` flip
 //! of it — must decode to the same bytes or the same error through
 //! `decompress`, `decompress_into`, `reference::decompress`, the pipelined
@@ -16,8 +16,8 @@ use cdpu_util::rng::Xoshiro256;
 use cdpu_util::stream::StreamDecoder;
 use cdpu_util::varint;
 
-/// From this declared block length the decoder builds two-literal entries.
-const PAIR_BLOCK: usize = 16 * 1024;
+/// A block long enough that the cached-window loop decodes nearly all of it.
+const LARGE_BLOCK: usize = 16 * 1024;
 
 #[derive(Clone, Copy)]
 enum Op {
@@ -225,8 +225,7 @@ fn fifteen_bit_codes_resolve_through_the_second_level() {
     assert!(dist.iter().any(|&l| l > 11), "a long distance code");
 
     let mut rng = Xoshiro256::seed_from(0xF15);
-    // Below and above the pair-table threshold.
-    for (min_len, what) in [(600, "small block"), (PAIR_BLOCK + 100, "large block")] {
+    for (min_len, what) in [(600, "small block"), (LARGE_BLOCK + 100, "large block")] {
         let ops = random_ops(&mut rng, &used, &dist, min_len);
         let (f, n) = exact_frame(&litlen, &dist, &ops);
         let out = assert_hostile_sweep_agrees(&f, what).expect("valid frame");
@@ -235,7 +234,7 @@ fn fifteen_bit_codes_resolve_through_the_second_level() {
     // Many shapes, valid frames only.
     let mut scratch = DecoderScratch::new();
     for trial in 0..40 {
-        let min_len = if trial % 2 == 0 { 200 + rng.index(3000) } else { PAIR_BLOCK + rng.index(3000) };
+        let min_len = if trial % 2 == 0 { 200 + rng.index(3000) } else { LARGE_BLOCK + rng.index(3000) };
         let ops = random_ops(&mut rng, &used, &dist, min_len);
         let (f, n) = exact_frame(&litlen, &dist, &ops);
         let out = assert_all_agree(&f, &mut scratch, &mut rng, &format!("trial {trial}"));
@@ -243,9 +242,8 @@ fn fifteen_bit_codes_resolve_through_the_second_level() {
     }
 }
 
-/// Three 2-bit literals, a 3-bit end of block and a 3-bit length 258: every
-/// primary entry that starts with a literal holds two.
-fn paired_litlen() -> Vec<u8> {
+/// Three 2-bit literals, a 3-bit end of block and a 3-bit length 258.
+fn short_litlen() -> Vec<u8> {
     let mut l = vec![0u8; codes::LITLEN_SYMBOLS];
     for b in *b"abc" {
         l[b as usize] = 2;
@@ -256,8 +254,8 @@ fn paired_litlen() -> Vec<u8> {
 }
 
 /// A large block: a few literals, `copies` maximal overlapping copies, then
-/// `tail` literals, so the stream ends inside a run of two-literal entries.
-fn paired_ops(copies: usize, tail: usize) -> Vec<Op> {
+/// `tail` literals, so the stream ends inside a run of 2-bit literals.
+fn short_ops(copies: usize, tail: usize) -> Vec<Op> {
     let abc = [b'a', b'b', b'c'];
     let mut ops: Vec<Op> = (0..5).map(|i| Op::Sym(u16::from(abc[i % 3]))).collect();
     ops.extend(std::iter::repeat_n(Op::Copy { len: 258, dist: 3 }, copies));
@@ -266,40 +264,39 @@ fn paired_ops(copies: usize, tail: usize) -> Vec<Op> {
 }
 
 #[test]
-fn literal_pairs_straddle_the_hand_over_at_every_alignment() {
-    let litlen = paired_litlen();
+fn literal_runs_cross_the_hand_over_at_every_alignment() {
+    let litlen = short_litlen();
     let dist = lengths(&[0, 0, 1]);
     let mut scratch = DecoderScratch::new();
     let mut rng = Xoshiro256::seed_from(0xA1B);
     // The per-symbol loop takes over once fewer than 64 bits remain; with
     // 2-bit literals every tail length moves that point by one literal,
-    // across pair boundaries and byte boundaries alike.
+    // across byte boundaries.
     for tail in 0..=80 {
-        let ops = paired_ops(64, tail);
+        let ops = short_ops(64, tail);
         let n = produced(&ops);
-        assert!(n >= PAIR_BLOCK);
+        assert!(n >= LARGE_BLOCK);
         let f = frame_of(&litlen, &dist, &ops, n);
         let out = assert_all_agree(&f, &mut scratch, &mut rng, &format!("tail {tail}"));
         assert_eq!(out.expect("valid frame").len(), n);
     }
     for tail in [31, 32, 47] {
-        let ops = paired_ops(64, tail);
+        let ops = short_ops(64, tail);
         let (f, _) = exact_frame(&litlen, &dist, &ops);
         assert_hostile_sweep_agrees(&f, &format!("tail {tail}")).expect("valid frame");
     }
 }
 
 #[test]
-fn overrun_in_the_middle_of_a_literal_pair() {
-    let litlen = paired_litlen();
+fn overrun_at_every_position_of_a_literal_run() {
+    let litlen = short_litlen();
     let dist = lengths(&[0, 0, 1]);
     let mut scratch = DecoderScratch::new();
     let mut rng = Xoshiro256::seed_from(0xA1C);
-    let ops = paired_ops(64, 200);
+    let ops = short_ops(64, 200);
     let n = produced(&ops);
-    // The block declares less than it codes: the overrun lands on the first
-    // literal of a pair for one parity of `short`, on the second for the
-    // other, inside the fast loop's reach (many bits left) for all of them.
+    // The block declares less than it codes: the overrun lands on a literal
+    // inside the cached-window loop's reach (many bits left).
     for short in 1..=40 {
         let f = frame_of(&litlen, &dist, &ops, n - short);
         let got = assert_all_agree(&f, &mut scratch, &mut rng, &format!("short by {short}"));
@@ -316,7 +313,7 @@ fn overrun_in_the_middle_of_a_literal_pair() {
 #[test]
 fn hostile_literal_flood_is_cut_off_at_the_declared_length() {
     // A block declaring one byte whose payload codes 100 000 literals.
-    let litlen = paired_litlen();
+    let litlen = short_litlen();
     let dist = lengths(&[1]);
     let ops: Vec<Op> = (0..100_000).map(|i| Op::Sym(u16::from(b"abc"[i % 3]))).collect();
     let f = frame_of(&litlen, &dist, &ops, 1);
@@ -394,14 +391,14 @@ fn unmapped_half_of_a_single_symbol_table() {
     let mut scratch = DecoderScratch::new();
     let mut rng = Xoshiro256::seed_from(0xA1E);
     // One bit (per-symbol loop only) and 72 (the cached-window loop sees it
-    // first), in a small and in a pair-table block.
+    // first), in an empty and in a large block.
     for (declared, bytes, want) in [
         (0, vec![0x80], Err(bad_stream)),
         (0, vec![0x00], Ok(vec![])),
         (0, vec![0x80; 9], Err(bad_stream)),
         (0, vec![0x7F; 9], Ok(vec![])),
-        (PAIR_BLOCK, vec![0x80; 9], Err(bad_stream)),
-        (PAIR_BLOCK, vec![0x7F; 9], Err(mismatch)),
+        (LARGE_BLOCK, vec![0x80; 9], Err(bad_stream)),
+        (LARGE_BLOCK, vec![0x7F; 9], Err(mismatch)),
     ] {
         let mut payload = Vec::new();
         table.serialize(&mut payload);

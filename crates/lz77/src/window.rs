@@ -55,10 +55,9 @@ pub fn apply_copy(out: &mut Vec<u8>, offset: u32, len: u32) -> Result<(), Lz77Er
 
 /// Bytes moved per step of [`apply_sequences_prefix`].
 const CHUNK: usize = 16;
-/// A block whose sequences average more bytes than this is left to the
-/// per-copy path: its time goes into long `memcpy`s, which that path does
-/// well, and sizing the output first would only add a pass over it.
-const LONG_SEQUENCES: usize = 128;
+/// A literal run or a match longer than this is one slice copy, not chunks:
+/// past a few chunks a `memcpy` call has repaid its length dispatch.
+const LONG_RUN: usize = 4 * CHUNK;
 
 /// For an overlapping copy at `offset < CHUNK`: the smallest multiple of
 /// `offset` that is at least [`CHUNK`]. Output is periodic in `offset`, so
@@ -84,13 +83,14 @@ fn copy_chunk(buf: &mut [u8], src: usize, dst: usize) {
 /// with 16 bytes to spare, `1 <= offset <= window`, the offset reaches no
 /// further back than the bytes produced so far, and the sequence ends 32
 /// bytes short of the block's end. Inside that margin literals and matches
-/// move in whole 16-byte chunks — a chunk may write up to 15 bytes past the
-/// end of its run, which the next run overwrites — instead of through a
-/// length-dispatched `memcpy` per run, which is where a decoder of ~6-byte
-/// matches otherwise spends its time. `out` is sized to `max_len` once, so
-/// nothing is written past `out.len() + max_len`, and is cut back to the
-/// bytes produced before returning. A block whose sequences average more
-/// than 128 bytes is left to the caller whole.
+/// of up to 64 bytes move in whole 16-byte chunks — a chunk may write up to
+/// 15 bytes past the end of its run, which the next run overwrites — instead
+/// of through a length-dispatched `memcpy` per run, which is where a decoder
+/// of ~6-byte matches otherwise spends its time; a longer run is one slice
+/// copy (an overlapping match doubles its region as [`apply_copy`] does).
+/// `out` is sized to `max_len` once, so nothing is written past
+/// `out.len() + max_len`, and is cut back to the bytes produced before
+/// returning.
 ///
 /// Telemetry: `decode.wild_copies` / `decode.overlap_copies` count copies
 /// exactly as [`apply_copy`] does, published once per call.
@@ -101,7 +101,7 @@ pub fn apply_sequences_prefix(
     window: u32,
     max_len: usize,
 ) -> (usize, usize) {
-    if max_len <= 2 * CHUNK || seqs.len() * LONG_SEQUENCES < max_len {
+    if max_len <= 2 * CHUNK {
         return (0, 0);
     }
     let start = out.len();
@@ -123,28 +123,44 @@ pub fn apply_sequences_prefix(
         {
             break;
         }
-        let mut done = 0;
-        while done < lit_len {
-            out[pos + done..pos + done + CHUNK]
-                .copy_from_slice(&literals[lit_pos + done..lit_pos + done + CHUNK]);
-            done += CHUNK;
+        if lit_len > LONG_RUN {
+            out[pos..pos + lit_len].copy_from_slice(&literals[lit_pos..lit_pos + lit_len]);
+        } else {
+            let mut done = 0;
+            while done < lit_len {
+                out[pos + done..pos + done + CHUNK]
+                    .copy_from_slice(&literals[lit_pos + done..lit_pos + done + CHUNK]);
+                done += CHUNK;
+            }
         }
         pos += lit_len;
         lit_pos += lit_len;
 
-        let mut done = 0;
-        let mut back = offset;
-        if offset < CHUNK {
-            // Byte-wise until the widened offset reaches the match start.
-            back = WIDE_OFFSET[offset] as usize;
-            done = (back - offset).min(match_len);
-            for i in 0..done {
-                out[pos + i] = out[pos + i - offset];
+        if match_len > LONG_RUN {
+            // The region from the match source to the write position stays
+            // a multiple of `offset` long, so copying it whole continues
+            // the period; `offset >= match_len` is a single copy.
+            let mut done = 0;
+            while done < match_len {
+                let take = (offset + done).min(match_len - done);
+                out.copy_within(pos - offset..pos - offset + take, pos + done);
+                done += take;
             }
-        }
-        while done < match_len {
-            copy_chunk(out, pos + done - back, pos + done);
-            done += CHUNK;
+        } else {
+            let mut done = 0;
+            let mut back = offset;
+            if offset < CHUNK {
+                // Byte-wise until the widened offset reaches the match start.
+                back = WIDE_OFFSET[offset] as usize;
+                done = (back - offset).min(match_len);
+                for i in 0..done {
+                    out[pos + i] = out[pos + i - offset];
+                }
+            }
+            while done < match_len {
+                copy_chunk(out, pos + done - back, pos + done);
+                done += CHUNK;
+            }
         }
         overlaps += (offset < match_len) as u64;
         pos += match_len;

@@ -637,7 +637,7 @@ fn decompress_impl(
     let window = 1u64.checked_shl(info.window_log).unwrap_or(u64::MAX) as u32;
     // Reserve conservatively: the declared size is untrusted input, so cap
     // the up-front allocation and let the vector grow if the data is real.
-    out.reserve((info.content_size as usize).min(MAX_BLOCK_SIZE.max(frame.len() * 4)));
+    out.reserve((info.content_size as usize).min(MAX_BLOCK_SIZE));
     let mut saw_last = false;
     while !saw_last {
         if pos >= frame.len() {
