@@ -558,6 +558,29 @@ mod tests {
         }
     }
 
+    /// Every kernel the serving tier can reach, both directions, folded
+    /// into one digest: a change to which codec, level or payload a call
+    /// runs on moves it, whatever happens to the dispatch code.
+    #[test]
+    fn execute_outcomes_are_pinned() {
+        let wl = tiny_workload();
+        let mut scratch = DecoderScratch::new();
+        let mut h = 0xCBF2_9CE4_8422_2325u64;
+        for algo in Algorithm::ALL {
+            for dir in Direction::ALL {
+                for (bytes, level) in [(4 * 1024, 1), (32 * 1024, 9)] {
+                    let out = wl.execute(&call(algo, dir, bytes, Some(level)), &mut scratch);
+                    for word in [out.uncompressed_bytes, out.compressed_bytes, out.check] {
+                        for b in word.to_le_bytes() {
+                            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(h, 0x9FAE_0871_8312_AD34, "serving outcomes moved: got {h:#018X}");
+    }
+
     #[test]
     fn execution_is_deterministic_per_salt() {
         let wl = tiny_workload();
