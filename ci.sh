@@ -11,7 +11,7 @@ cargo build --release --workspace
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
-echo "==> oracle, epoch, decode-path and allocation tests are still in the suite that just ran"
+echo "==> oracle, epoch, pin, decode-path and allocation tests are still in the suite that just ran"
 # -q prints no names, so a renamed or deleted test would pass unnoticed.
 cargo test -q --workspace -- --list > /tmp/cdpu_test_list.txt 2>/dev/null
 for name in \
@@ -25,6 +25,9 @@ for name in \
     epoch_scratch_interleaved_parses_match_fresh_and_reference \
     epoch_scratch_wrap_clears_and_agrees \
     compressed_streams_are_pinned \
+    execute_outcomes_are_pinned \
+    chain_links_sized_by_input_match_reference \
+    splitter_emits_short_matches_as_literals \
     huffman_table_build_allocates_a_handful_of_arrays \
     small_zstd_call_allocates_per_stage_not_per_symbol \
     warm_decompress_into_allocates_per_block_only \
@@ -43,6 +46,13 @@ for name in \
         exit 1
     fi
 done
+
+echo "==> no offline-dead bench targets, one algorithm ladder in the serving tier"
+if ls -d crates/*/benches >/dev/null 2>&1 ||
+    [ "$(cat crates/serve/src/*.rs | grep -c 'Algorithm::Snappy =>')" -gt 1 ]; then
+    echo "FAIL: crates/*/benches is back, or cdpu_serve grew a second per-algorithm ladder" >&2
+    exit 1
+fi
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

@@ -1,23 +1,14 @@
-//! `bench` — times the experiment pipeline serial vs parallel and writes
-//! `results/BENCH_parallel.json`.
+//! `bench` — the timing harness behind `results/BENCH_*.json` and the
+//! perf-regression gate. One mode flag per run; none is a usage error.
 //!
 //! Usage:
 //!
 //! ```text
-//! bench [--files N] [--seed N] [--jobs N] [--out PATH] [--tiny] [--serve] [--served]
-//!       [--shards N] [--batch-bytes N] [--batch-max N] [--kernels] [--dekernels]
-//!       [--streaming] [--regress] [--tolerance F] [--baseline-dir DIR]
+//! bench (--served | --kernels | --dekernels | --streaming | --regress | --entropy-smoke)
+//!       [--files N] [--seed N] [--jobs N] [--out PATH] [--tiny]
+//!       [--shards N] [--batch-bytes N] [--batch-max N]
+//!       [--tolerance F] [--baseline-dir DIR]
 //! ```
-//!
-//! Each stage (chunk bank, suite generation, call profiling, DSE sweeps,
-//! figure rendering) runs twice against a fresh workbench: once pinned to
-//! one thread, once across the pool (`--jobs`, else `CDPU_THREADS`, else
-//! host parallelism). The report records per-stage wall-clock and speedup
-//! and asserts the two runs rendered byte-identical figure tables.
-//!
-//! `--serve` times the serving-tier simulations instead (load sweep,
-//! placement grid, fairness grid — each point its own RNG stream across
-//! the pool) and writes `results/BENCH_serve.json` by default.
 //!
 //! `--served` benchmarks the serving *engine* (real codec execution on
 //! the worker shards): the deterministic work-timing ratios the
@@ -30,8 +21,8 @@
 //! engine's shard count and coalescing policy (validated up front by the
 //! same helper the `figures` binary uses).
 //!
-//! `--kernels` microbenchmarks the single-threaded compression kernels
-//! instead: parse, compress and call-profile throughput (MB/s) per
+//! `--kernels` microbenchmarks the single-threaded compression
+//! kernels: parse, compress and call-profile throughput (MB/s) per
 //! algorithm (Snappy, ZStd L3, Flate L6) over a deterministic suite
 //! corpus, plus the two-pass profiling baseline (`parse_with` followed by
 //! the profiler, i.e. the pre-single-parse pipeline) the speedup is
@@ -94,10 +85,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use cdpu_bench::cli::{self, ServedOpts};
-use cdpu_bench::{dse_figures, regress, serve_figures, served_figures, Scale, Workbench};
-use cdpu_core::dse::{
-    compression_sweep, decompression_sweep, standard_histories, standard_placements,
-};
+use cdpu_bench::{regress, served_figures, Scale, Workbench};
 use cdpu_fleet::Direction;
 use cdpu_hwsim::params::MemParams;
 use cdpu_hwsim::profile::{profile_flate, profile_snappy, profile_zstd};
@@ -105,100 +93,6 @@ use cdpu_lz77::matcher::MatcherConfig;
 use cdpu_serve::{engine, tenants::fleet_tenants, BatchPolicy, EngineConfig, Timing};
 use cdpu_util::json::{self, Json};
 use cdpu_util::rng::mix64;
-
-const FIGS: [&str; 6] = ["fig11", "fig12", "fig13", "fig14", "fig15", "summary"];
-
-struct Run {
-    stages: Vec<(&'static str, f64)>,
-    tables: String,
-}
-
-fn run_once(scale: Scale) -> Run {
-    let mut stages = Vec::new();
-    let wb = Workbench::new(scale);
-
-    let t = Instant::now();
-    wb.bank();
-    stages.push(("bank", t.elapsed().as_secs_f64()));
-
-    let t = Instant::now();
-    cdpu_par::par_map(&Workbench::ops(), |&op| {
-        wb.suite(op);
-    });
-    stages.push(("suites", t.elapsed().as_secs_f64()));
-
-    let t = Instant::now();
-    cdpu_par::par_map(&Workbench::ops(), |&op| {
-        if op.dir == Direction::Decompress {
-            wb.profiles(op);
-        }
-    });
-    stages.push(("profiles", t.elapsed().as_secs_f64()));
-
-    let t = Instant::now();
-    let mem = MemParams::default();
-    for op in Workbench::ops() {
-        let suite = wb.suite(op);
-        if op.dir == Direction::Decompress {
-            let profiles = wb.profiles(op);
-            let _ = decompression_sweep(
-                &suite,
-                &profiles,
-                &standard_placements(),
-                &standard_histories(),
-                16,
-                &mem,
-            );
-        } else {
-            let _ = compression_sweep(
-                &suite,
-                &standard_placements(),
-                &standard_histories(),
-                14,
-                &mem,
-            );
-        }
-    }
-    stages.push(("sweeps", t.elapsed().as_secs_f64()));
-
-    let t = Instant::now();
-    let rendered = cdpu_par::par_map(&FIGS, |&fig| match fig {
-        "fig11" => dse_figures::fig11(&wb),
-        "fig12" => dse_figures::fig12(&wb),
-        "fig13" => dse_figures::fig13(&wb),
-        "fig14" => dse_figures::fig14(&wb),
-        "fig15" => dse_figures::fig15(&wb),
-        _ => dse_figures::summary(&wb),
-    });
-    stages.push(("figures", t.elapsed().as_secs_f64()));
-
-    Run {
-        stages,
-        tables: rendered.join("\n"),
-    }
-}
-
-fn run_serve_once(scale: Scale) -> Run {
-    let mut stages = Vec::new();
-    let mut tables = Vec::new();
-
-    let t = Instant::now();
-    tables.push(serve_figures::serve_load(scale));
-    stages.push(("load-sweep", t.elapsed().as_secs_f64()));
-
-    let t = Instant::now();
-    tables.push(serve_figures::serve_placement(scale));
-    stages.push(("placement", t.elapsed().as_secs_f64()));
-
-    let t = Instant::now();
-    tables.push(serve_figures::serve_fairness(scale));
-    stages.push(("fairness", t.elapsed().as_secs_f64()));
-
-    Run {
-        stages,
-        tables: tables.join("\n"),
-    }
-}
 
 /// One kernel-stage measurement: the best (minimum) single-pass time over
 /// the corpus across `iters` repetitions, and the resulting throughput.
@@ -342,11 +236,6 @@ fn counters_json() -> Json {
 /// exactly and the document stays readable.
 fn round3(x: f64) -> f64 {
     (x * 1000.0).round() / 1000.0
-}
-
-/// Microsecond-precision seconds for the stage timing report.
-fn round6(x: f64) -> f64 {
-    (x * 1e6).round() / 1e6
 }
 
 /// hwsim-modeled chunked-frame execution of a 1 MiB Snappy fleet call at
@@ -1506,7 +1395,6 @@ fn main() {
     };
     let mut jobs = 0usize;
     let mut out: Option<String> = None;
-    let mut serve = false;
     let mut served = false;
     let mut served_opts = ServedOpts::default();
     let mut kernels = false;
@@ -1539,7 +1427,6 @@ fn main() {
             "--out" => {
                 out = Some(args.next().unwrap_or_else(|| usage("--out needs a path")));
             }
-            "--serve" => serve = true,
             "--served" => served = true,
             "--shards" => {
                 served_opts.shards = args
@@ -1603,12 +1490,8 @@ fn main() {
             "results/BENCH_dekernels.json"
         } else if streaming {
             "results/BENCH_streaming.json"
-        } else if served {
-            "results/BENCH_served.json"
-        } else if serve {
-            "results/BENCH_serve.json"
         } else {
-            "results/BENCH_parallel.json"
+            "results/BENCH_served.json"
         })
     });
     // Kernel microbenchmarks (and the regression gate built on them) are
@@ -1639,72 +1522,16 @@ fn main() {
         eprintln!("bench: wrote {out}");
         return;
     }
-    if served {
-        // The engine manages its own shard threads; the pool only renders
-        // the sim-vs-engine comparison points concurrently.
-        if jobs > 0 {
-            cdpu_par::set_threads(jobs);
-        }
-        write_report(&out, &run_served(scale, &served_opts));
-        eprintln!("bench: wrote {out}");
-        return;
+    if !served {
+        usage("no mode given");
     }
-    let (bench_name, pass): (&str, fn(Scale) -> Run) = if serve {
-        ("cdpu serving-tier simulator", run_serve_once)
-    } else {
-        ("cdpu parallel experiment engine", run_once)
-    };
-
-    cdpu_par::set_threads(1);
-    eprintln!("bench: serial pass ({} files/suite)...", scale.files_per_suite);
-    let serial = pass(scale);
-
-    cdpu_par::set_threads(jobs);
-    let workers = cdpu_par::threads();
-    eprintln!("bench: parallel pass ({workers} threads)...");
-    let parallel = pass(scale);
-
-    let identical = serial.tables == parallel.tables;
-    let mut stage_objs: Vec<Json> = Vec::new();
-    let (mut ser_total, mut par_total) = (0.0f64, 0.0f64);
-    for ((name, s), (_, p)) in serial.stages.iter().zip(&parallel.stages) {
-        ser_total += s;
-        par_total += p;
-        stage_objs.push(
-            Json::obj()
-                .set("name", *name)
-                .set("serial_s", round6(*s))
-                .set("parallel_s", round6(*p))
-                .set("speedup", round3(s / p)),
-        );
-        eprintln!("  {name:<10} serial {s:>8.3}s  parallel {p:>8.3}s  {:.2}x", s / p);
+    // The engine manages its own shard threads; the pool only renders
+    // the sim-vs-engine comparison points concurrently.
+    if jobs > 0 {
+        cdpu_par::set_threads(jobs);
     }
-    eprintln!(
-        "  {:<10} serial {ser_total:>8.3}s  parallel {par_total:>8.3}s  {:.2}x  tables_identical={identical}",
-        "total",
-        ser_total / par_total
-    );
-
-    let doc = Json::obj()
-        .set("bench", bench_name)
-        .set(
-            "host_threads",
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-        )
-        .set("workers", workers)
-        .set("scale", scale_json(scale))
-        .set("stages", stage_objs)
-        .set(
-            "total",
-            Json::obj()
-                .set("serial_s", round6(ser_total))
-                .set("parallel_s", round6(par_total))
-                .set("speedup", round3(ser_total / par_total)),
-        )
-        .set("tables_identical", identical);
-    write_report(&out, &json::render_pretty(&doc));
+    write_report(&out, &run_served(scale, &served_opts));
     eprintln!("bench: wrote {out}");
-    assert!(identical, "serial and parallel figure tables diverged");
 }
 
 fn usage(err: &str) -> ! {
@@ -1712,9 +1539,10 @@ fn usage(err: &str) -> ! {
         eprintln!("error: {err}");
     }
     eprintln!(
-        "usage: bench [--files N] [--seed N] [--jobs N] [--out PATH] [--tiny] [--serve] [--kernels] [--dekernels]\n\
-         \x20            [--streaming] [--served] [--shards N] [--batch-bytes N] [--batch-max N]\n\
-         \x20            [--regress] [--tolerance F] [--baseline-dir DIR] [--entropy-smoke]"
+        "usage: bench (--served | --kernels | --dekernels | --streaming | --regress | --entropy-smoke)\n\
+         \x20            [--files N] [--seed N] [--jobs N] [--out PATH] [--tiny]\n\
+         \x20            [--shards N] [--batch-bytes N] [--batch-max N]\n\
+         \x20            [--tolerance F] [--baseline-dir DIR]"
     );
     std::process::exit(2);
 }

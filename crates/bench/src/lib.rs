@@ -6,8 +6,8 @@
 //! ([`served_figures`], which closes the loop between the two tiers).
 //!
 //! Each `fig*` function returns the figure's data as a printable table so
-//! the `figures` binary, the Criterion benches and the integration tests
-//! all share one implementation. A [`Workbench`] carries the expensive
+//! the `figures` binary and the integration tests share one
+//! implementation. A [`Workbench`] carries the expensive
 //! shared state (chunk bank, generated suites, per-file profiles) so a
 //! full `figures all` run builds everything once.
 //!

@@ -58,8 +58,6 @@ pub fn workload(scale: Scale) -> Arc<Workload> {
         seed: scale.seed,
         tape_bytes: scale.bank_bytes_per_kind * cdpu_corpus::ALL_KINDS.len(),
         max_call_bytes: scale.max_call_bytes,
-        chunked: None,
-        streaming: None,
     }))
 }
 

@@ -266,6 +266,12 @@ impl Splitter {
     }
 
     pub(crate) fn add_match(&mut self, mut rem: u32, offset: u32) {
+        if rem < cdpu_lz77::MIN_MATCH as u32 {
+            // No length code exists below MIN_MATCH and no matcher emits
+            // one; a hand-built parse's short match goes out as literals.
+            self.add_literals(rem as usize);
+            return;
+        }
         while rem > 0 {
             if self.cur_len == self.target {
                 self.flush();
@@ -501,14 +507,6 @@ fn decompress_impl(
     Ok(())
 }
 
-/// Compression ratio at a level.
-pub fn compression_ratio(data: &[u8], level: u32) -> f64 {
-    if data.is_empty() {
-        return 1.0;
-    }
-    data.len() as f64 / compress_with(data, &FlateConfig::with_level(level)).len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -544,6 +542,24 @@ mod tests {
         let c = compress(&data);
         assert!(c.len() <= data.len() + 64);
         assert_eq!(decompress(&c).unwrap(), data);
+    }
+
+    #[test]
+    fn splitter_emits_short_matches_as_literals() {
+        // A caller-supplied parse may carry a match no matcher would emit;
+        // the splitter must terminate and the frame must still decode.
+        let data = b"abcdabcdabcdabcdabcd";
+        for short in 1..cdpu_lz77::MIN_MATCH as u32 {
+            let parse = Parse {
+                seqs: vec![
+                    Seq { lit_len: 4, match_len: short, offset: 4 },
+                    Seq { lit_len: 0, match_len: 8, offset: 4 },
+                ],
+                last_literals: data.len() as u32 - 12 - short,
+            };
+            let c = compress_parse(data, &parse, &FlateConfig::default());
+            assert_eq!(decompress(&c).unwrap(), data, "match_len {short}");
+        }
     }
 
     #[test]

@@ -398,7 +398,7 @@ impl HashChainMatcher {
         let mut best_len = 0usize;
         let mut best_off = 0usize;
         let window = 1usize << cfg.window_log;
-        let wmask = window - 1;
+        let lmask = prev.len() - 1;
         while slot >= stamp && depth < cfg.max_chain {
             let cand = (slot - stamp) as usize;
             if cand >= pos || pos - cand > window {
@@ -410,7 +410,7 @@ impl HashChainMatcher {
                 best_len = len;
                 best_off = pos - cand;
             }
-            slot = prev[cand & wmask];
+            slot = prev[cand & lmask];
             depth += 1;
         }
         (best_len, best_off)
@@ -426,20 +426,25 @@ impl HashChainMatcher {
     /// tables; the parse produced is identical.
     pub fn parse_with_scratch(&self, data: &[u8], scratch: &mut MatcherScratch) -> Parse {
         let cfg = &self.cfg;
-        let window = 1usize << cfg.window_log;
-        let wmask = window - 1;
+        // One link per window position, or per input position when the
+        // input is shorter than the window: positions below `data.len()`
+        // never wrap a power-of-two table at least that long, so the walk
+        // is the full-window walk without a window's worth of zeroed
+        // entries behind a small call.
+        let links = (1usize << cfg.window_log).min(data.len().next_power_of_two());
+        let lmask = links - 1;
         // Head table and chain links share one contiguous allocation:
-        // `[0, heads)` is the hash-head table, `[heads, heads+window)` the
+        // `[0, heads)` is the hash-head table, `[heads, heads+links)` the
         // per-position previous-occurrence links. A walk only follows links
         // of positions this call inserted, and a link copied from a stale
         // head is below `stamp`, which ends the walk.
         let heads = 1usize << cfg.hash_log;
-        let (tables, stamp) = scratch.tables(heads + window, data.len());
+        let (tables, stamp) = scratch.tables(heads + links, data.len());
         let (head, prev) = tables.split_at_mut(heads);
 
         let insert = |data: &[u8], p: usize, head: &mut [u32], prev: &mut [u32]| {
             let h = hash_at(data, p, HashFn::Multiplicative, cfg.hash_log) as usize;
-            prev[p & wmask] = head[h];
+            prev[p & lmask] = head[h];
             head[h] = stamp + p as u32;
         };
 
@@ -763,6 +768,45 @@ mod tests {
         }
         let parsed: usize = inputs.iter().map(|d| d.len()).sum::<usize>() * matchers.len();
         assert_eq!(scratch.base as usize, parsed, "base advances by every input length");
+    }
+
+    #[test]
+    fn chain_links_sized_by_input_match_reference() {
+        // Short runs over six letters make every walk several links deep; a
+        // 3 000-byte period puts candidates beyond the small windows and
+        // inside the large ones. Lengths sit on both sides of every power
+        // of two, so the link table is sometimes the input's size and
+        // sometimes the window's, and consecutive parses on the one
+        // scratch never share a layout.
+        let mut rng = Xoshiro256::seed_from(25);
+        let mut data = Vec::new();
+        while data.len() < 3000 {
+            let b = b'a' + rng.index(6) as u8;
+            data.extend(std::iter::repeat_n(b, rng.index(9) + 1));
+        }
+        data.truncate(3000);
+        while data.len() <= 1 << 16 {
+            let at = data.len() - 3000;
+            data.extend_from_within(at..);
+            let flip = data.len() - 1 - rng.index(3000);
+            data[flip] ^= 1;
+        }
+        let mut scratch = MatcherScratch::new();
+        for k in 2..=16u32 {
+            for len in [(1usize << k) - 1, 1 << k, (1 << k) + 1] {
+                for window_log in 10..=24 {
+                    let m = AnyMatcher::Chain(HashChainMatcher::new(ChainConfig {
+                        window_log,
+                        hash_log: 12,
+                        max_chain: 8,
+                        lazy: window_log % 2 == 0,
+                        min_match: MIN_MATCH,
+                    }));
+                    let what = format!("window_log {window_log} len {len}");
+                    m.check(&data[..len], &mut scratch, &what);
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,20 +1,20 @@
 //! Concrete codec bindings for the chunked frame container.
 //!
 //! `cdpu_util::frame` sits below every codec crate, so it is generic over
-//! compress/decode closures; this module binds it to the real kernels the
-//! serving tier executes (and to the LZ4-class codec the benchmarks
-//! exercise). Each fleet algorithm gets a stable codec-id byte, so a frame
-//! self-describes which decoder it needs and a mismatched decode fails
-//! loudly instead of misparsing.
+//! compress/decode closures; this module binds it to the serving tier's
+//! kernel table (and to the LZ4-class codec the benchmarks exercise). Each
+//! fleet algorithm gets a stable codec-id byte, so a frame self-describes
+//! which decoder it needs and a mismatched decode fails loudly instead of
+//! misparsing.
 //!
 //! Chunk decode runs across the `cdpu-par` pool into disjoint output
-//! slices, with a dedicated thread-local [`DecoderScratch`] per worker —
-//! deliberately separate from the workload's per-shard scratch, which is
-//! already borrowed while a call executes.
+//! slices, with a thread-local [`DecoderScratch`] per worker.
 
 use cdpu_fleet::Algorithm;
 use cdpu_lz77::window::DecoderScratch;
 use cdpu_util::frame::{self, FrameError};
+
+use crate::kernel::{kernel, DecompressInto};
 
 /// Codec-id bytes stored in the frame header, one per kernel.
 pub const CODEC_LZ4: u8 = 1;
@@ -29,9 +29,6 @@ pub const CODEC_LZO: u8 = 5;
 /// Gipfeli-class kernel.
 pub const CODEC_GIPFELI: u8 = 6;
 
-/// Flate level for framed payloads — matches the workload's ladder level.
-const FLATE_LEVEL: u32 = 6;
-
 cdpu_util::tls_scratch! {
     /// Per-pool-worker decode scratch for chunk decompression.
     fn with_chunk_scratch, DecoderScratch
@@ -39,53 +36,26 @@ cdpu_util::tls_scratch! {
 
 /// The codec-id byte a fleet algorithm's frames carry.
 pub fn codec_id(algo: Algorithm) -> u8 {
-    match algo {
-        Algorithm::Snappy => CODEC_SNAPPY,
-        Algorithm::Zstd => CODEC_ZSTD,
-        Algorithm::Flate | Algorithm::Brotli => CODEC_FLATE,
-        Algorithm::Lzo => CODEC_LZO,
-        Algorithm::Gipfeli => CODEC_GIPFELI,
-    }
+    kernel(algo).codec_id
 }
 
 /// Frames `data` as `chunk_bytes`-sized chunks compressed independently by
 /// the algorithm's kernel (chunks compress in parallel across the pool).
 /// `level` is the ZStd level; other kernels ignore it.
 pub fn compress_frame(algo: Algorithm, level: i32, data: &[u8], chunk_bytes: usize) -> Vec<u8> {
-    let id = codec_id(algo);
-    match algo {
-        Algorithm::Snappy => frame::compress_with(data, chunk_bytes, id, cdpu_snappy::compress),
-        Algorithm::Zstd => frame::compress_with(data, chunk_bytes, id, |c| {
-            cdpu_zstd::compress_with(c, &cdpu_zstd::ZstdConfig::with_level(level))
-        }),
-        Algorithm::Flate | Algorithm::Brotli => frame::compress_with(data, chunk_bytes, id, |c| {
-            cdpu_flate::compress_with(c, &cdpu_flate::FlateConfig::with_level(FLATE_LEVEL))
-        }),
-        Algorithm::Lzo => frame::compress_with(data, chunk_bytes, id, cdpu_lite::lzo::compress),
-        Algorithm::Gipfeli => {
-            frame::compress_with(data, chunk_bytes, id, cdpu_lite::gipfeli::compress)
-        }
-    }
+    let k = kernel(algo);
+    frame::compress_with(data, chunk_bytes, k.codec_id, |c| (k.compress)(c, level))
 }
 
-/// Decodes one chunk with the algorithm's `decompress_into` fast path into
-/// its disjoint output slice, via the pool worker's thread-local scratch.
-fn decode_chunk(algo: Algorithm, src: &[u8], dst: &mut [u8]) -> bool {
-    with_chunk_scratch(|scratch| {
-        let decoded: Option<&[u8]> = match algo {
-            Algorithm::Snappy => cdpu_snappy::decompress_into(src, scratch).ok(),
-            Algorithm::Zstd => cdpu_zstd::decompress_into(src, scratch).ok(),
-            Algorithm::Flate | Algorithm::Brotli => cdpu_flate::decompress_into(src, scratch).ok(),
-            Algorithm::Lzo => cdpu_lite::lzo::decompress_into(src, scratch).ok(),
-            Algorithm::Gipfeli => cdpu_lite::gipfeli::decompress_into(src, scratch).ok(),
-        };
-        match decoded {
-            Some(d) if d.len() == dst.len() => {
-                dst.copy_from_slice(d);
-                true
-            }
-            _ => false,
+/// Decodes one chunk with a kernel's `decompress_into` fast path into its
+/// disjoint output slice, via the pool worker's thread-local scratch.
+fn decode_chunk(decompress_into: DecompressInto, src: &[u8], dst: &mut [u8]) -> bool {
+    with_chunk_scratch(|scratch| match decompress_into(src, scratch) {
+        Some(d) if d.len() == dst.len() => {
+            dst.copy_from_slice(d);
+            true
         }
+        _ => false,
     })
 }
 
@@ -95,7 +65,8 @@ fn decode_chunk(algo: Algorithm, src: &[u8], dst: &mut [u8]) -> bool {
 ///
 /// Any [`FrameError`], identically to [`decompress_frame_serial`].
 pub fn decompress_frame(algo: Algorithm, framed: &[u8]) -> Result<Vec<u8>, FrameError> {
-    frame::decompress_with(framed, codec_id(algo), |src, dst| decode_chunk(algo, src, dst))
+    let k = kernel(algo);
+    frame::decompress_with(framed, k.codec_id, |src, dst| decode_chunk(k.decompress_into, src, dst))
 }
 
 /// Serial reference twin of [`decompress_frame`]: one chunk at a time
@@ -105,13 +76,8 @@ pub fn decompress_frame(algo: Algorithm, framed: &[u8]) -> Result<Vec<u8>, Frame
 ///
 /// Any [`FrameError`], identically to [`decompress_frame`].
 pub fn decompress_frame_serial(algo: Algorithm, framed: &[u8]) -> Result<Vec<u8>, FrameError> {
-    frame::decompress_serial_with(framed, codec_id(algo), |src| match algo {
-        Algorithm::Snappy => cdpu_snappy::decompress(src).ok(),
-        Algorithm::Zstd => cdpu_zstd::decompress(src).ok(),
-        Algorithm::Flate | Algorithm::Brotli => cdpu_flate::decompress(src).ok(),
-        Algorithm::Lzo => cdpu_lite::lzo::decompress(src).ok(),
-        Algorithm::Gipfeli => cdpu_lite::gipfeli::decompress(src).ok(),
-    })
+    let k = kernel(algo);
+    frame::decompress_serial_with(framed, k.codec_id, k.decompress)
 }
 
 /// Frames `data` with the LZ4-class codec (the throughput-regime pairing
@@ -127,13 +93,7 @@ pub fn compress_frame_lz4(data: &[u8], chunk_bytes: usize) -> Vec<u8> {
 /// Any [`FrameError`], identically to [`decompress_frame_lz4_serial`].
 pub fn decompress_frame_lz4(framed: &[u8]) -> Result<Vec<u8>, FrameError> {
     frame::decompress_with(framed, CODEC_LZ4, |src, dst| {
-        with_chunk_scratch(|scratch| match cdpu_lite::lz4::decompress_into(src, scratch) {
-            Ok(d) if d.len() == dst.len() => {
-                dst.copy_from_slice(d);
-                true
-            }
-            _ => false,
-        })
+        decode_chunk(|s, scratch| cdpu_lite::lz4::decompress_into(s, scratch).ok(), src, dst)
     })
 }
 

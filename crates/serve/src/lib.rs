@@ -54,6 +54,7 @@ pub mod batch;
 pub mod chunk;
 pub mod engine;
 pub mod event;
+mod kernel;
 pub mod obs;
 pub mod report;
 pub mod scheduler;

@@ -19,11 +19,11 @@
 //!   source) and ZStd levels to the {1, 3, 9} buckets, bounding the
 //!   ladder to a few dozen cached payloads per algorithm.
 //!
-//! Brotli has no codec crate in this repo; its calls execute on the Flate
-//! kernel (both are LZ77+Huffman heavyweights — closest residency proxy).
-//! Decode scratch buffers are thread-local, so steady-state execution on
-//! a worker shard is allocation-free for decompression and outputs are
-//! identical regardless of which shard ran the call.
+//! Which codec crate runs an algorithm is the `kernel` module's table
+//! (Brotli calls execute on the Flate kernel). Decode scratch buffers are
+//! thread-local, so steady-state execution on a worker shard is
+//! allocation-free for decompression and outputs are identical regardless
+//! of which shard ran the call.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -35,6 +35,8 @@ use cdpu_hcbench::bank::{BankConfig, ChunkBank};
 use cdpu_lz77::window::DecoderScratch;
 use cdpu_util::rng::mix64;
 
+use crate::kernel::{kernel, Kernel};
+
 /// Smallest call the workload will execute (codecs accept less, but a
 /// sub-16-byte "call" prices below measurement noise).
 pub const MIN_CALL_BYTES: u64 = 16;
@@ -42,34 +44,6 @@ pub const MIN_CALL_BYTES: u64 = 16;
 /// ZStd ladder level buckets: lightweight / default / heavy, matching the
 /// bank's own precompute levels.
 const ZSTD_BUCKETS: [i32; 3] = [1, 3, 9];
-
-/// Flate level used for ladder payloads and compression calls without an
-/// explicit level (zlib's default).
-const FLATE_LEVEL: u32 = 6;
-
-/// Chunked-frame execution for large decompression calls: ladder payloads
-/// at or above the threshold are stored as chunked frames (see
-/// [`crate::chunk`]) and decoded with chunk parallelism across the
-/// `cdpu-par` pool on the shard that runs the call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChunkedDecode {
-    /// Decompress calls at or above this ladder size execute chunked.
-    pub threshold_bytes: u64,
-    /// Uncompressed bytes per chunk.
-    pub chunk_bytes: u64,
-}
-
-/// Streaming execution for large calls: at or above the threshold, calls
-/// run through the bounded-memory streaming core (`*::stream`) instead of
-/// the one-shot kernels — stage-pipelined for the heavyweights (ZStd,
-/// Flate/Brotli), incremental encoder/decoder drives for the lightweights.
-/// Output bytes (and so every outcome fold) are identical to the one-shot
-/// path; the parity suites in each codec crate pin that equivalence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StreamingExec {
-    /// Calls at or above this uncompressed size execute streaming.
-    pub threshold_bytes: u64,
-}
 
 /// How the serving engine generates call payloads.
 #[derive(Debug, Clone)]
@@ -80,13 +54,6 @@ pub struct WorkloadConfig {
     pub tape_bytes: usize,
     /// Calls larger than this clamp down to it (must be ≤ half the tape).
     pub max_call_bytes: u64,
-    /// Chunked decode for large calls (None = every call serial, today's
-    /// behavior; decoded bytes are identical either way).
-    pub chunked: Option<ChunkedDecode>,
-    /// Streaming execution for large calls (None = one-shot kernels,
-    /// today's behavior; outcomes are identical either way). Chunked
-    /// frames take precedence where both policies cover a call.
-    pub streaming: Option<StreamingExec>,
 }
 
 impl Default for WorkloadConfig {
@@ -95,8 +62,6 @@ impl Default for WorkloadConfig {
             seed: 0xC0FFEE,
             tape_bytes: 2 << 20,
             max_call_bytes: 512 * 1024,
-            chunked: None,
-            streaming: None,
         }
     }
 }
@@ -108,8 +73,6 @@ impl WorkloadConfig {
             seed: 0xC0FFEE,
             tape_bytes: 512 * 1024,
             max_call_bytes: 64 * 1024,
-            chunked: None,
-            streaming: None,
         }
     }
 }
@@ -147,8 +110,6 @@ type LadderKey = (Algorithm, i32, u32);
 pub struct Workload {
     tape: Vec<u8>,
     max_call_bytes: u64,
-    chunked: Option<ChunkedDecode>,
-    streaming: Option<StreamingExec>,
     ladder: Mutex<HashMap<LadderKey, Arc<Vec<u8>>>>,
 }
 
@@ -178,8 +139,6 @@ impl Workload {
         Workload {
             tape,
             max_call_bytes: max_call,
-            chunked: cfg.chunked,
-            streaming: cfg.streaming,
             ladder: Mutex::new(HashMap::new()),
         }
     }
@@ -219,24 +178,7 @@ impl Workload {
     fn execute_compress(&self, call: &EngineCall) -> ExecOutcome {
         let bytes = self.clamp_bytes(call.bytes);
         let input = self.tape_window(call.salt, bytes as usize);
-        let out = if self.streaming_for(bytes) {
-            streaming_compress(call.op.algo, zstd_bucket(call.level), input)
-        } else {
-            match call.op.algo {
-                Algorithm::Snappy => cdpu_snappy::compress(input),
-                Algorithm::Zstd => cdpu_zstd::compress_with(
-                    input,
-                    &cdpu_zstd::ZstdConfig::with_level(zstd_bucket(call.level)),
-                ),
-                // Brotli executes on the Flate kernel (see module docs).
-                Algorithm::Flate | Algorithm::Brotli => cdpu_flate::compress_with(
-                    input,
-                    &cdpu_flate::FlateConfig::with_level(FLATE_LEVEL),
-                ),
-                Algorithm::Gipfeli => cdpu_lite::gipfeli::compress(input),
-                Algorithm::Lzo => cdpu_lite::lzo::compress(input),
-            }
-        };
+        let out = (kernel(call.op.algo).compress)(input, zstd_bucket(call.level));
         ExecOutcome {
             uncompressed_bytes: bytes,
             compressed_bytes: out.len() as u64,
@@ -246,65 +188,14 @@ impl Workload {
 
     fn execute_decompress(&self, call: &EngineCall, scratch: &mut DecoderScratch) -> ExecOutcome {
         let bytes = self.clamp_bytes(call.bytes);
-        let algo = call.op.algo;
-        let step = step_of(bytes);
-        let payload = self.ladder_payload(algo, zstd_bucket(call.level), step);
-        if self.chunked_for(step).is_some() {
-            // The ladder stored this step as a chunked frame; decode its
-            // chunks in parallel on the shard's pool workers. Decoded
-            // bytes (and so the fold) are identical to the serial path.
-            let out = crate::chunk::decompress_frame(ladder_algo(algo), &payload)
-                .expect("ladder frame is self-compressed");
-            return ExecOutcome {
-                uncompressed_bytes: out.len() as u64,
-                compressed_bytes: payload.len() as u64,
-                check: fold(&out),
-            };
-        }
-        let size = step_bytes(step.min(step_of(self.max_call_bytes))).min(self.max_call_bytes);
-        if self.streaming_for(size) {
-            // Plain (non-chunked) payload at or above the streaming
-            // threshold: decode through the streaming core. Output bytes
-            // — and so the fold — are identical to the one-shot path.
-            let out = streaming_decompress(algo, &payload);
-            return ExecOutcome {
-                uncompressed_bytes: out.len() as u64,
-                compressed_bytes: payload.len() as u64,
-                check: fold(&out),
-            };
-        }
-        let out = match algo {
-            Algorithm::Snappy => cdpu_snappy::decompress_into(&payload, scratch)
-                .expect("ladder payload is self-compressed"),
-            Algorithm::Zstd => cdpu_zstd::decompress_into(&payload, scratch)
-                .expect("ladder payload is self-compressed"),
-            Algorithm::Flate | Algorithm::Brotli => cdpu_flate::decompress_into(&payload, scratch)
-                .expect("ladder payload is self-compressed"),
-            Algorithm::Gipfeli => cdpu_lite::gipfeli::decompress_into(&payload, scratch)
-                .expect("ladder payload is self-compressed"),
-            Algorithm::Lzo => cdpu_lite::lzo::decompress_into(&payload, scratch)
-                .expect("ladder payload is self-compressed"),
-        };
+        let k = kernel(call.op.algo);
+        let payload = self.ladder_payload(k, zstd_bucket(call.level), step_of(bytes));
+        let out = (k.decompress_into)(&payload, scratch).expect("ladder payload is self-compressed");
         ExecOutcome {
             uncompressed_bytes: out.len() as u64,
             compressed_bytes: payload.len() as u64,
             check: fold(out),
         }
-    }
-
-    /// Whether a call of this uncompressed size executes streaming.
-    fn streaming_for(&self, bytes: u64) -> bool {
-        self.streaming.is_some_and(|s| bytes >= s.threshold_bytes)
-    }
-
-    /// The chunked policy that applies to a ladder step's payload, if any:
-    /// chunking is on and the step's decompressed size (after the ladder's
-    /// own clamping) reaches the threshold. Both the ladder builder and
-    /// the decode path use this, so they always agree on the stored format.
-    fn chunked_for(&self, step: u32) -> Option<ChunkedDecode> {
-        let step = step.min(step_of(self.max_call_bytes));
-        let size = step_bytes(step).min(self.max_call_bytes);
-        self.chunked.filter(|c| size >= c.threshold_bytes)
     }
 
     /// An exact-length window into the tape at a salt-hashed offset.
@@ -318,9 +209,9 @@ impl Workload {
     /// The cached compressed payload whose decompressed size is the given
     /// ladder step. Built on first use; payload content depends only on
     /// the tape and the key, never on which call or shard asked first.
-    fn ladder_payload(&self, algo: Algorithm, level: i32, step: u32) -> Arc<Vec<u8>> {
+    fn ladder_payload(&self, k: &Kernel, level: i32, step: u32) -> Arc<Vec<u8>> {
         let step = step.min(step_of(self.max_call_bytes));
-        let key = (ladder_algo(algo), level, step);
+        let key = (k.algo, level, step);
         if let Some(p) = self.ladder.lock().unwrap_or_else(|e| e.into_inner()).get(&key) {
             return Arc::clone(p);
         }
@@ -331,114 +222,9 @@ impl Workload {
         let salt = mix64(
             0x4C41_4444_4552 ^ ((key.0 as u64) << 40) ^ ((level as u64 & 0xFF) << 32) ^ step as u64,
         );
-        let input = self.tape_window(salt, size);
-        let built = if let Some(pol) = self.chunked_for(step) {
-            // Large step: store a chunked frame so decode can parallelize.
-            crate::chunk::compress_frame(key.0, level, input, pol.chunk_bytes.max(1) as usize)
-        } else {
-            match key.0 {
-                Algorithm::Snappy => cdpu_snappy::compress(input),
-                Algorithm::Zstd => {
-                    cdpu_zstd::compress_with(input, &cdpu_zstd::ZstdConfig::with_level(level))
-                }
-                Algorithm::Flate => cdpu_flate::compress_with(
-                    input,
-                    &cdpu_flate::FlateConfig::with_level(FLATE_LEVEL),
-                ),
-                Algorithm::Gipfeli => cdpu_lite::gipfeli::compress(input),
-                Algorithm::Lzo => cdpu_lite::lzo::compress(input),
-                Algorithm::Brotli => unreachable!("mapped to Flate by ladder_algo"),
-            }
-        };
-        let arc = Arc::new(built);
+        let arc = Arc::new((k.compress)(self.tape_window(salt, size), level));
         let mut guard = self.ladder.lock().unwrap_or_else(|e| e.into_inner());
         Arc::clone(guard.entry(key).or_insert(arc))
-    }
-}
-
-/// Bytes fed/drained per streaming drive window.
-const STREAM_CHUNK: usize = 64 * 1024;
-
-/// Streaming-core compression: stage-pipelined for the heavyweights,
-/// incremental encoder drives for the lightweights. Byte-identical to the
-/// one-shot kernels (pinned by each codec's stream-parity suite).
-fn streaming_compress(algo: Algorithm, zstd_level: i32, input: &[u8]) -> Vec<u8> {
-    use cdpu_util::stream::drive_encoder;
-    match algo {
-        Algorithm::Zstd => cdpu_zstd::stream::compress_pipelined(
-            input,
-            &cdpu_zstd::ZstdConfig::with_level(zstd_level),
-        ),
-        Algorithm::Flate | Algorithm::Brotli => cdpu_flate::stream::compress_pipelined(
-            input,
-            &cdpu_flate::FlateConfig::with_level(FLATE_LEVEL),
-        ),
-        Algorithm::Snappy => {
-            let mut enc = cdpu_snappy::stream::SnappyStreamEncoder::new(
-                input.len(),
-                &cdpu_lz77::matcher::MatcherConfig::snappy_sw(),
-            );
-            let mut out = Vec::new();
-            drive_encoder(&mut enc, input, STREAM_CHUNK, &mut out)
-                .expect("encoder driven within its contract");
-            out
-        }
-        Algorithm::Gipfeli => {
-            let mut enc = cdpu_lite::stream::GipfeliStreamEncoder::new(input.len());
-            let mut out = Vec::new();
-            drive_encoder(&mut enc, input, STREAM_CHUNK, &mut out)
-                .expect("encoder driven within its contract");
-            out
-        }
-        Algorithm::Lzo => {
-            let mut enc = cdpu_lite::stream::LzoStreamEncoder::new(input.len(), 3);
-            let mut out = Vec::new();
-            drive_encoder(&mut enc, input, STREAM_CHUNK, &mut out)
-                .expect("encoder driven within its contract");
-            out
-        }
-    }
-}
-
-/// Streaming-core decompression of a plain (non-chunked) ladder payload.
-/// Byte-identical to the one-shot kernels.
-fn streaming_decompress(algo: Algorithm, payload: &[u8]) -> Vec<u8> {
-    use cdpu_util::stream::drive_decoder;
-    match algo {
-        Algorithm::Zstd => cdpu_zstd::stream::decompress_pipelined(payload)
-            .expect("ladder payload is self-compressed"),
-        Algorithm::Flate | Algorithm::Brotli => cdpu_flate::stream::decompress_pipelined(payload)
-            .expect("ladder payload is self-compressed"),
-        Algorithm::Snappy => {
-            let mut dec = cdpu_snappy::stream::SnappyStreamDecoder::new();
-            let mut out = Vec::new();
-            drive_decoder(&mut dec, payload, STREAM_CHUNK, &mut out)
-                .expect("ladder payload is self-compressed");
-            out
-        }
-        Algorithm::Gipfeli => {
-            let mut dec = cdpu_lite::stream::GipfeliStreamDecoder::new();
-            let mut out = Vec::new();
-            drive_decoder(&mut dec, payload, STREAM_CHUNK, &mut out)
-                .expect("ladder payload is self-compressed");
-            out
-        }
-        Algorithm::Lzo => {
-            let mut dec = cdpu_lite::stream::LzoStreamDecoder::new();
-            let mut out = Vec::new();
-            drive_decoder(&mut dec, payload, STREAM_CHUNK, &mut out)
-                .expect("ladder payload is self-compressed");
-            out
-        }
-    }
-}
-
-/// Brotli shares Flate's ladder entries (it executes on the Flate kernel).
-fn ladder_algo(algo: Algorithm) -> Algorithm {
-    if algo == Algorithm::Brotli {
-        Algorithm::Flate
-    } else {
-        algo
     }
 }
 
@@ -499,21 +285,6 @@ mod tests {
             seed: 7,
             tape_bytes: 128 * 1024,
             max_call_bytes: 32 * 1024,
-            chunked: None,
-            streaming: None,
-        })
-    }
-
-    fn chunked_workload() -> Workload {
-        Workload::build(&WorkloadConfig {
-            seed: 7,
-            tape_bytes: 128 * 1024,
-            max_call_bytes: 32 * 1024,
-            chunked: Some(ChunkedDecode {
-                threshold_bytes: 16 * 1024,
-                chunk_bytes: 8 * 1024,
-            }),
-            streaming: None,
         })
     }
 
@@ -614,82 +385,6 @@ mod tests {
         let c = call(Algorithm::Lzo, Direction::Compress, 1 << 30, None);
         let out = wl.execute(&c, &mut scratch);
         assert_eq!(out.uncompressed_bytes, wl.max_call_bytes());
-    }
-
-    #[test]
-    fn chunked_decode_produces_identical_bytes() {
-        let plain = tiny_workload();
-        let chunked = chunked_workload();
-        let mut scratch = DecoderScratch::new();
-        for algo in Algorithm::ALL {
-            // Above the threshold: the chunked workload decodes a frame;
-            // the decoded bytes (and fold) must match the serial workload.
-            let big = call(algo, Direction::Decompress, 32 * 1024, Some(3));
-            let a = plain.execute(&big, &mut scratch);
-            let b = chunked.execute(&big, &mut scratch);
-            assert_eq!(a.uncompressed_bytes, b.uncompressed_bytes, "{algo:?}");
-            assert_eq!(a.check, b.check, "{algo:?} fold diverged");
-            // The frame wraps per-chunk kernel streams plus a small
-            // header; sizes stay near the plain stream in both directions
-            // (smaller chunks can even win where per-chunk entropy tables
-            // adapt better, as with Flate).
-            let (lo, hi) = (a.compressed_bytes.min(b.compressed_bytes),
-                            a.compressed_bytes.max(b.compressed_bytes));
-            assert!(
-                hi <= lo + lo / 4 + 256,
-                "{algo:?} chunking cost implausible: {} vs {}",
-                b.compressed_bytes,
-                a.compressed_bytes
-            );
-            // Below the threshold: identical payloads, identical outcomes.
-            let small = call(algo, Direction::Decompress, 4 * 1024, Some(3));
-            assert_eq!(
-                plain.execute(&small, &mut scratch),
-                chunked.execute(&small, &mut scratch),
-                "{algo:?} small call must be untouched by chunking"
-            );
-        }
-    }
-
-    #[test]
-    fn streaming_exec_produces_identical_outcomes() {
-        let plain = tiny_workload();
-        let streaming = Workload::build(&WorkloadConfig {
-            seed: 7,
-            tape_bytes: 128 * 1024,
-            max_call_bytes: 32 * 1024,
-            chunked: None,
-            streaming: Some(StreamingExec { threshold_bytes: 16 * 1024 }),
-        });
-        let mut scratch = DecoderScratch::new();
-        for algo in Algorithm::ALL {
-            for dir in Direction::ALL {
-                // Above the threshold: the streaming workload runs the
-                // streaming core; outcomes (sizes and fold) must match the
-                // one-shot workload exactly.
-                let big = call(algo, dir, 32 * 1024, Some(3));
-                assert_eq!(
-                    plain.execute(&big, &mut scratch),
-                    streaming.execute(&big, &mut scratch),
-                    "{algo:?} {dir:?} streaming outcome diverged"
-                );
-                // Below the threshold: the one-shot path runs either way.
-                let small = call(algo, dir, 4 * 1024, Some(3));
-                assert_eq!(
-                    plain.execute(&small, &mut scratch),
-                    streaming.execute(&small, &mut scratch),
-                    "{algo:?} {dir:?} small call must be untouched by streaming"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn chunked_decode_is_deterministic() {
-        let wl = chunked_workload();
-        let mut scratch = DecoderScratch::new();
-        let c = call(Algorithm::Snappy, Direction::Decompress, 32 * 1024, None);
-        assert_eq!(wl.execute(&c, &mut scratch), wl.execute(&c, &mut scratch));
     }
 
     #[test]

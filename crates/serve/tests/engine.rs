@@ -22,8 +22,6 @@ fn workload() -> &'static Arc<Workload> {
             seed: 0x454e_4749_4e45,
             tape_bytes: 256 * 1024,
             max_call_bytes: 16 * 1024,
-            chunked: None,
-            streaming: None,
         }))
     })
 }

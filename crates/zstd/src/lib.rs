@@ -709,14 +709,6 @@ fn decompress_impl(
     Ok(())
 }
 
-/// Compression ratio at a given level (uncompressed / compressed).
-pub fn compression_ratio(data: &[u8], level: i32) -> f64 {
-    if data.is_empty() {
-        return 1.0;
-    }
-    data.len() as f64 / compress_with(data, &ZstdConfig::with_level(level)).len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
