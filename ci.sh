@@ -25,6 +25,9 @@ for name in \
     epoch_scratch_interleaved_parses_match_fresh_and_reference \
     epoch_scratch_wrap_clears_and_agrees \
     compressed_streams_are_pinned \
+    hash_table_parses_are_pinned \
+    hash_table_grid_matches_reference \
+    table_matcher_grid_equivalence \
     execute_outcomes_are_pinned \
     chain_links_sized_by_input_match_reference \
     splitter_emits_short_matches_as_literals \
@@ -54,8 +57,23 @@ if ls -d crates/*/benches >/dev/null 2>&1 ||
     exit 1
 fi
 
+echo "==> one hash-table loop: the set-associative insert exists once outside the reference oracle"
+if [ "$(cat crates/lz77/src/matcher.rs crates/lz77/src/stream.rs crates/lz77/src/hash.rs | grep -c 'copy_within(0..ways - 1')" -ne 1 ]; then
+    echo "FAIL: cdpu_lz77 grew a second hash-table insert beside matcher::insert" >&2
+    exit 1
+fi
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> repo benchmark smoke (benchmark/smoke.sh: every public entry it links still builds and runs)"
+# The benchmark is a package of its own, which the workspace build never
+# sees: a renamed entry point would otherwise fail the driver first.
+benchmark/smoke.sh > /tmp/cdpu_benchmark_smoke.txt 2>&1 || {
+    tail -n 40 /tmp/cdpu_benchmark_smoke.txt >&2
+    echo "FAIL: benchmark/smoke.sh" >&2
+    exit 1
+}
 
 echo "==> figures determinism smoke (serial vs parallel at tiny scale)"
 ./target/release/figures --tiny --jobs 1 > /tmp/cdpu_figures_serial.txt

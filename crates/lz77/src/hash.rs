@@ -18,38 +18,34 @@ pub enum HashFn {
     XorFold,
 }
 
-/// Hashes the 4-byte group `bytes` to `hash_log` bits (1..=32).
+/// Hashes the 4-byte group `bytes` to `hash_log` bits (0..=32; zero bits
+/// is the one-set table, where every group lands in set 0).
 ///
 /// ```
 /// use cdpu_lz77::hash::{hash4, HashFn};
 /// let h = hash4([b'a', b'b', b'c', b'd'], HashFn::Multiplicative, 14);
 /// assert!(h < (1 << 14));
 /// ```
+#[inline]
 pub fn hash4(bytes: [u8; 4], f: HashFn, hash_log: u32) -> u32 {
-    debug_assert!((1..=32).contains(&hash_log));
+    debug_assert!(hash_log <= 32);
     let x = u32::from_le_bytes(bytes);
+    // The shift and the mask are taken in 64 bits, where `hash_log` 0 and
+    // 32 need no case of their own.
     match f {
         // Multiplicative hashing mixes entropy toward the high bits, so the
         // index is taken from the top.
-        HashFn::Multiplicative => {
-            let h = x.wrapping_mul(2654435761);
-            if hash_log == 32 {
-                h
-            } else {
-                h >> (32 - hash_log)
-            }
-        }
+        HashFn::Multiplicative => ((x.wrapping_mul(2654435761) as u64) >> (32 - hash_log)) as u32,
         // XOR folding keeps entropy in the low bits (no multiplier needed in
         // gates), so the index is taken from the bottom.
-        HashFn::XorFold => {
-            let h = x ^ (x >> 13) ^ (x >> 26);
-            if hash_log == 32 {
-                h
-            } else {
-                h & ((1u32 << hash_log) - 1)
-            }
-        }
+        HashFn::XorFold => (x ^ (x >> 13) ^ (x >> 26)) & ((1u64 << hash_log) - 1) as u32,
     }
+}
+
+/// The 4-byte group at `pos`, the unit every hash here covers.
+#[inline]
+pub(crate) fn word_at(data: &[u8], pos: usize) -> [u8; 4] {
+    data[pos..pos + 4].try_into().expect("a 4-byte slice")
 }
 
 /// Hashes the 4 bytes at `pos` in `data`.
@@ -57,12 +53,9 @@ pub fn hash4(bytes: [u8; 4], f: HashFn, hash_log: u32) -> u32 {
 /// # Panics
 ///
 /// Panics if fewer than 4 bytes remain at `pos`.
+#[inline]
 pub fn hash_at(data: &[u8], pos: usize, f: HashFn, hash_log: u32) -> u32 {
-    hash4(
-        [data[pos], data[pos + 1], data[pos + 2], data[pos + 3]],
-        f,
-        hash_log,
-    )
+    hash4(word_at(data, pos), f, hash_log)
 }
 
 #[cfg(test)]
@@ -76,12 +69,10 @@ mod tests {
         for _ in 0..1000 {
             let mut b = [0u8; 4];
             rng.fill_bytes(&mut b);
-            for log in [1u32, 4, 9, 14, 20, 32] {
+            for log in [0u32, 1, 4, 9, 14, 20, 32] {
                 for f in [HashFn::Multiplicative, HashFn::XorFold] {
                     let h = hash4(b, f, log);
-                    if log < 32 {
-                        assert!(h < (1u32 << log));
-                    }
+                    assert!((h as u64) < (1u64 << log));
                 }
             }
         }

@@ -7,26 +7,26 @@
 //! one-step lazy matching, which the ZStd-class codec maps compression
 //! levels onto.
 
-use crate::hash::{hash_at, HashFn};
+use crate::hash::{hash4, hash_at, word_at, HashFn};
 use crate::{Parse, Seq, MIN_MATCH};
 use cdpu_telemetry::counter;
+use std::ops::Range;
 
 /// Reusable table storage for the match finders.
 ///
 /// Both matchers need per-parse working tables (hash buckets, chain
-/// heads/links) whose size depends only on the configuration, not the
-/// input. Allocating them per call shows up hard when the experiment
-/// engine profiles thousands of small files, so the tables live in one
-/// contiguous `u32` buffer that is neither reallocated nor cleared between
-/// calls of compatible size: clearing 1 MiB of chain tables costs more than
-/// parsing a 4 KiB call. Instead the scratch keeps an epoch `base`. A parse
-/// stores position `p` as `base + p + 1` and reads any slot `<= base` as
-/// empty; afterwards `base` advances by the input length, so everything the
-/// parse wrote — and everything older, under whatever table layout —
-/// is `<= base` again and empty to the next call. The buffer has to be
-/// cleared only when it grows or when `base` would pass `u32::MAX`; it is
-/// also cleared ahead of an input long enough to touch all of it, which
-/// warms the cache for next to nothing. Obtain one with
+/// heads/links), sized by the configuration and — the chain links of an
+/// input shorter than the window — by the input. Allocating them per call
+/// shows up hard when the experiment engine profiles thousands of small
+/// files, so the tables live in one contiguous `u32` buffer that is
+/// neither reallocated nor cleared between calls that fit in it: clearing
+/// 1 MiB of chain tables costs more than parsing a 4 KiB call. Instead the
+/// scratch keeps an epoch `base`. A parse stores position `p` as
+/// `base + p + 1` and reads any slot `<= base` as empty; afterwards `base`
+/// advances by the input length, so everything the parse wrote — and
+/// everything older, under whatever table layout — is `<= base` again and
+/// empty to the next call. The buffer has to be cleared only when it grows
+/// or when `base` would pass `u32::MAX`. Obtain one with
 /// [`MatcherScratch::new`] and pass it to `parse_with_scratch`, or let the
 /// plain `parse` entry points use a per-thread scratch automatically (each
 /// `cdpu-par` worker thread gets its own, so parallel suites reuse without
@@ -58,13 +58,6 @@ impl MatcherScratch {
         if self.base as u64 + len as u64 >= u32::MAX as u64 {
             self.buf.fill(0);
             self.base = 0;
-        } else if len >= 16 * n {
-            // Not needed for emptiness. An input several times the tables'
-            // size touches every line of them, and zeroing streams those
-            // lines into cache ahead of the probes, which otherwise miss on
-            // them one at a time: 3 % of a 0.5–2 MiB snappy-class call, for
-            // under 0.5 % of its parse.
-            self.buf[..n].fill(0);
         }
         let stamp = self.base + 1;
         // Positions are u32 throughout (`Seq`), so `len` fits.
@@ -132,6 +125,17 @@ impl MatcherConfig {
         1usize << self.window_log
     }
 
+    /// Sets in the table, which holds `sets * ways` slots: the entries
+    /// rounded down to whole sets.
+    pub(crate) fn sets(&self) -> usize {
+        (1usize << self.entries_log) / self.ways as usize
+    }
+
+    /// Hash bits that select a set.
+    pub(crate) fn set_log(&self) -> u32 {
+        cdpu_util::floor_log2(self.sets() as u64)
+    }
+
     pub(crate) fn validate(&self) {
         assert!(self.window_log >= 2 && self.window_log <= 30, "window_log out of range");
         assert!(self.entries_log >= 1 && self.entries_log <= 24, "entries_log out of range");
@@ -144,39 +148,207 @@ impl MatcherConfig {
     }
 }
 
-/// Extends a candidate match forward. Returns the match length (0 if the
-/// first `min_match` bytes do not all match).
+/// Longest common prefix of `data[cand..]` and `data[pos..]`, capped at
+/// `limit` bytes.
 ///
 /// Compares eight bytes per step (the match-extension discipline the
 /// paper's hardware applies per SRAM word); on divergence the XOR's
 /// trailing zeros give the byte-exact length, so results are identical to
 /// a byte-at-a-time scan.
 #[inline]
-fn match_length(data: &[u8], pos: usize, cand: usize, min_match: usize) -> usize {
+pub(crate) fn common_prefix(data: &[u8], cand: usize, pos: usize, limit: usize) -> usize {
     debug_assert!(cand < pos);
-    let max = data.len() - pos;
-    if max < min_match {
-        return 0;
-    }
     let mut len = 0usize;
-    while len + 8 <= max {
+    while len + 8 <= limit {
         let a = u64::from_le_bytes(data[cand + len..cand + len + 8].try_into().unwrap());
         let b = u64::from_le_bytes(data[pos + len..pos + len + 8].try_into().unwrap());
         let x = a ^ b;
         if x != 0 {
-            len += (x.trailing_zeros() >> 3) as usize;
-            return if len >= min_match { len } else { 0 };
+            return len + (x.trailing_zeros() >> 3) as usize;
         }
         len += 8;
     }
-    while len < max && data[cand + len] == data[pos + len] {
+    while len < limit && data[cand + len] == data[pos + len] {
         len += 1;
     }
-    if len >= min_match {
-        len
-    } else {
-        0
+    len
+}
+
+/// Where a parse stands between two positions: all the hash-table loop
+/// carries besides the table. The one-shot matcher runs it from zero to
+/// the end of the input in one go; the streaming parser keeps it between
+/// feeds.
+#[derive(Debug)]
+pub(crate) struct ParseCursor {
+    /// Next position to probe.
+    pub(crate) pos: usize,
+    /// Snappy-style skip counter: the bytes stepped per miss grow as misses
+    /// accumulate (`skip_counter >> 5` extra per step, starting at 32).
+    skip_counter: usize,
+    /// Positions the last match covers that are not in the table yet.
+    pub(crate) cover: Range<usize>,
+    /// Probes completed.
+    probes: u64,
+}
+
+impl ParseCursor {
+    pub(crate) const fn new() -> Self {
+        ParseCursor { pos: 0, skip_counter: 32, cover: 0..0, probes: 0 }
     }
+
+    /// Takes from `cover` the positions to index now: those whose whole
+    /// hash word is among the first `fed` bytes of the input. What stays in
+    /// `cover` waits for more input, and the cursor must not probe before.
+    pub(crate) fn take_covered(&mut self, fed: usize) -> Range<usize> {
+        let stop = self.cover.end.min(fed.saturating_sub(3)).max(self.cover.start);
+        let ready = self.cover.start..stop;
+        self.cover.start = stop;
+        ready
+    }
+}
+
+/// The bytes a hash-table parse may read: `data[i]` is input position
+/// `base + i` of `total`. `data` ends where the input does, or short of it
+/// while a stream is still arriving.
+pub(crate) struct TableInput<'a> {
+    pub(crate) data: &'a [u8],
+    pub(crate) base: usize,
+    pub(crate) total: usize,
+}
+
+/// Puts `value` into set `h`, FIFO within the set: slot 0 is the most
+/// recent, like a shift register in SRAM.
+#[inline(always)]
+fn insert<const DIRECT: bool>(table: &mut [u32], h: usize, ways: usize, value: u32) {
+    if DIRECT {
+        table[h] = value;
+    } else {
+        let set = &mut table[h * ways..(h + 1) * ways];
+        set.copy_within(0..ways - 1, 1);
+        set[0] = value;
+    }
+}
+
+/// The greedy hash-table parse, the one loop under [`HashTableMatcher`] and
+/// the streaming parser: one probe per position, `on_match(at, offset,
+/// len)` per match, every covered position indexed.
+///
+/// Runs from `cur` to the end of the input. While `input.data` stops short
+/// of `input.total` it returns earlier, at the first step that bytes not
+/// yet seen could change — a probe with a candidate matching up to the
+/// last byte present, or a covered position whose hash word has not all
+/// arrived — leaving the table and `cur` as they were before that step.
+/// Called again with more bytes it takes the step over, so the matches
+/// reported do not depend on where the input was cut.
+///
+/// A slot stores `stamp` + position; below `stamp` means empty. The table
+/// is one contiguous bucket array, set `s` at `[s * ways, (s + 1) * ways)`,
+/// so a probe touches one cache line for typical way counts.
+pub(crate) fn run_hash_table(
+    cfg: &MatcherConfig,
+    table: &mut [u32],
+    stamp: u32,
+    input: TableInput<'_>,
+    cur: &mut ParseCursor,
+    on_match: impl FnMut(usize, usize, usize),
+) {
+    // Nothing is configurable inside the loop: each instance has its way
+    // count and hash family fixed, and the hash shift hoisted. Every codec
+    // default and the DSE default is direct-mapped and multiplicative; the
+    // rest (lz4/lzo at level 7 and up, the ablations) shares the
+    // set-associative instance.
+    let set_log = cfg.set_log();
+    if cfg.ways == 1 && cfg.hash_fn == HashFn::Multiplicative {
+        let hash = |w| hash4(w, HashFn::Multiplicative, set_log) as usize;
+        hash_table_loop::<true>(cfg, hash, table, stamp, input, cur, on_match)
+    } else {
+        let hash = |w| hash4(w, cfg.hash_fn, set_log) as usize;
+        hash_table_loop::<false>(cfg, hash, table, stamp, input, cur, on_match)
+    }
+}
+
+fn hash_table_loop<const DIRECT: bool>(
+    cfg: &MatcherConfig,
+    hash: impl Fn([u8; 4]) -> usize,
+    table: &mut [u32],
+    stamp: u32,
+    input: TableInput<'_>,
+    cur: &mut ParseCursor,
+    mut on_match: impl FnMut(usize, usize, usize),
+) {
+    let TableInput { data, base, total } = input;
+    let ways = if DIRECT { 1 } else { cfg.ways as usize };
+    let window = cfg.window_size();
+    let min_match = cfg.min_match;
+    let fed = base + data.len();
+    let is_final = fed == total;
+    let (mut pos, mut skip_counter, mut probes) = (cur.pos, cur.skip_counter, cur.probes);
+    'parse: loop {
+        // Index the positions the last match covered so later data can
+        // match into it (streaming hardware hashes every byte it ingests).
+        for p in cur.take_covered(fed) {
+            insert::<DIRECT>(table, hash(word_at(data, p - base)), ways, stamp + p as u32);
+        }
+        if !cur.cover.is_empty() {
+            break;
+        }
+        loop {
+            if pos + min_match > fed {
+                break 'parse;
+            }
+            let rel = pos - base;
+            let limit = data.len() - rel;
+            let word = word_at(data, rel);
+            let h = hash(word);
+
+            // Probe all ways; take the longest valid match (ties to the
+            // most recent way, i.e. smallest offset).
+            let set = if DIRECT {
+                std::slice::from_ref(&table[h])
+            } else {
+                &table[h * ways..(h + 1) * ways]
+            };
+            let mut best_len = 0usize;
+            let mut best_off = 0usize;
+            for &slot in set {
+                if slot < stamp {
+                    continue;
+                }
+                let cand = (slot - stamp) as usize;
+                let off = pos - cand;
+                if off == 0 || off > window || word_at(data, cand - base) != word {
+                    continue;
+                }
+                let len = 4 + common_prefix(data, cand - base + 4, rel + 4, limit - 4);
+                if len == limit && !is_final {
+                    // This candidate could still grow; nothing was
+                    // written, so the probe is taken over exactly.
+                    break 'parse;
+                }
+                if len >= min_match && len > best_len {
+                    best_len = len;
+                    best_off = off;
+                }
+            }
+            probes += 1;
+            insert::<DIRECT>(table, h, ways, stamp + pos as u32);
+
+            if best_len > 0 {
+                on_match(pos, best_off, best_len);
+                let end = pos + best_len;
+                cur.cover = pos + 1..end.min(total + 1 - min_match);
+                pos = end;
+                skip_counter = 32;
+                continue 'parse;
+            }
+            pos += 1;
+            if cfg.skip {
+                pos += skip_counter >> 5;
+                skip_counter += 1;
+            }
+        }
+    }
+    (cur.pos, cur.skip_counter, cur.probes) = (pos, skip_counter, probes);
 }
 
 /// Set-associative hash-table match finder (the hardware LZ77 encoder).
@@ -225,84 +397,19 @@ impl HashTableMatcher {
     /// [`HashTableMatcher::parse`]'s.
     pub fn parse_with_scratch(&self, data: &[u8], scratch: &mut MatcherScratch) -> Parse {
         let cfg = &self.cfg;
-        let ways = cfg.ways as usize;
-        let sets = (1usize << cfg.entries_log) / ways;
-        let set_log = cdpu_util::floor_log2(sets.max(1) as u64);
-        let window = cfg.window_size();
-        // Slot stores stamp + position; below stamp means empty. Within a
-        // set, slot 0 is most recent (FIFO replacement, like a shift register
-        // in SRAM). The table is one contiguous bucket array: set s occupies
-        // `[s*ways, (s+1)*ways)`, so a probe touches one cache line for
-        // typical way counts.
-        let (table, stamp) = scratch.tables(sets * ways, data.len());
-
-        let mut probes = 0u64;
+        let (table, stamp) = scratch.tables(cfg.sets() * cfg.ways as usize, data.len());
+        let input = TableInput { data, base: 0, total: data.len() };
+        let mut cur = ParseCursor::new();
         let mut seqs = Vec::new();
-        let mut pos = 0usize;
         let mut anchor = 0usize;
-        // Snappy-style skip counter: probes between lookups grow as misses
-        // accumulate (skip >> 5 bytes per step, starting at 32).
-        let mut skip_counter: usize = 32;
-
-        if data.len() >= cfg.min_match {
-            while pos + cfg.min_match <= data.len() {
-                let h = hash_at(data, pos, cfg.hash_fn, set_log) as usize;
-                let set = &mut table[h * ways..(h + 1) * ways];
-                probes += 1;
-
-                // Probe all ways; take the longest valid match (ties to the
-                // most recent way, i.e. smallest offset).
-                let mut best_len = 0usize;
-                let mut best_off = 0usize;
-                for &slot in set.iter() {
-                    if slot < stamp {
-                        continue;
-                    }
-                    let cand = (slot - stamp) as usize;
-                    let off = pos - cand;
-                    if off == 0 || off > window {
-                        continue;
-                    }
-                    let len = match_length(data, pos, cand, cfg.min_match);
-                    if len > best_len {
-                        best_len = len;
-                        best_off = off;
-                    }
-                }
-
-                // Insert current position (FIFO within the set).
-                set.copy_within(0..ways - 1, 1);
-                set[0] = stamp + pos as u32;
-
-                if best_len > 0 {
-                    seqs.push(Seq {
-                        lit_len: (pos - anchor) as u32,
-                        match_len: best_len as u32,
-                        offset: best_off as u32,
-                    });
-                    // Index the positions covered by the match so later data
-                    // can match into it (streaming hardware hashes every
-                    // byte it ingests).
-                    let end = pos + best_len;
-                    let mut p = pos + 1;
-                    while p + cfg.min_match <= data.len() && p < end {
-                        let h = hash_at(data, p, cfg.hash_fn, set_log) as usize;
-                        let set = &mut table[h * ways..(h + 1) * ways];
-                        set.copy_within(0..ways - 1, 1);
-                        set[0] = stamp + p as u32;
-                        p += 1;
-                    }
-                    pos = end;
-                    anchor = pos;
-                    skip_counter = 32;
-                } else if cfg.skip {
-                    pos += 1 + (skip_counter >> 5);
-                    skip_counter += 1;
-                } else {
-                    pos += 1;
-                }
-            }
-        }
+        run_hash_table(cfg, table, stamp, input, &mut cur, |at, off, len| {
+            seqs.push(Seq {
+                lit_len: (at - anchor) as u32,
+                match_len: len as u32,
+                offset: off as u32,
+            });
+            anchor = at + len;
+        });
         let parse = Parse {
             seqs,
             last_literals: (data.len() - anchor) as u32,
@@ -311,7 +418,7 @@ impl HashTableMatcher {
             counter!("lz77.parse_calls").incr();
             counter!("lz77.input_bytes").add(data.len() as u64);
             counter!("lz77.match_bytes").add(parse.matched_len() as u64);
-            counter!("lz77.probes").add(probes);
+            counter!("lz77.probes").add(cur.probes);
         }
         parse
     }
@@ -405,8 +512,8 @@ impl HashChainMatcher {
                 break;
             }
             *probes += 1;
-            let len = match_length(data, pos, cand, cfg.min_match);
-            if len > best_len {
+            let len = common_prefix(data, cand, pos, data.len() - pos);
+            if len >= cfg.min_match && len > best_len {
                 best_len = len;
                 best_off = pos - cand;
             }

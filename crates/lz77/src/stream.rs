@@ -8,7 +8,10 @@
 //!
 //! # How identity is preserved
 //!
-//! The one-shot matchers take two kinds of decisions that peek past the
+//! The table matcher is not reproduced but run: `matcher::run_hash_table`
+//! is the one loop under both the one-shot and this parser, which calls it
+//! on the bytes fed so far. The chain matcher is stepped here. Either way,
+//! the one-shot matchers take two kinds of decisions that peek past the
 //! current position: match extension (a candidate's length is measured up
 //! to the end of the *whole* input) and the one-step lazy probe. The
 //! streaming parser takes the same decisions with the same table state,
@@ -45,7 +48,9 @@
 //! [`HashChainMatcher`]: crate::matcher::HashChainMatcher
 
 use crate::hash::{hash_at, HashFn};
-use crate::matcher::{ChainConfig, MatcherConfig};
+use crate::matcher::{
+    common_prefix, run_hash_table, ChainConfig, MatcherConfig, ParseCursor, TableInput,
+};
 use crate::MIN_MATCH;
 
 /// One parse decision, streamed to the consumer as soon as it is final.
@@ -66,10 +71,13 @@ pub enum ParseEvent<'a> {
     },
 }
 
-/// Matcher-specific state: the flattened knobs of the one-shot configs.
+/// Matcher-specific state. The table matcher is the one-shot's own loop
+/// (`matcher::run_hash_table`) stopped at the fed horizon, so its config is
+/// all it needs; the chain matcher steps here, on the flattened knobs of
+/// its one-shot config.
 #[derive(Debug, Clone, Copy)]
 enum Kind {
-    Table { ways: usize, set_log: u32, hash_fn: HashFn, skip: bool },
+    Table(MatcherConfig),
     Chain { hash_log: u32, max_chain: u32, lazy: bool, heads: usize },
 }
 
@@ -101,13 +109,12 @@ pub struct StreamParser {
     base: usize,
     total: usize,
     fed: usize,
-    pos: usize,
+    /// The probe cursor and the covered-position insertions still awaiting
+    /// their hash bytes (at most 3, always a suffix of the covered range,
+    /// so insertion order is preserved).
+    cur: ParseCursor,
     /// Everything before this absolute position has been emitted.
     emitted: usize,
-    skip_counter: usize,
-    /// Covered-position insertions awaiting their hash bytes (≤ 3).
-    pending: [usize; 3],
-    npending: usize,
 }
 
 impl StreamParser {
@@ -123,12 +130,9 @@ impl StreamParser {
     pub fn table(cfg: MatcherConfig, total: usize, max_offset: Option<u32>) -> Self {
         cfg.validate();
         assert!((total as u64) < u32::MAX as u64, "streaming parse positions are u32");
-        let ways = cfg.ways as usize;
-        let sets = (1usize << cfg.entries_log) / ways;
-        let set_log = cdpu_util::floor_log2(sets.max(1) as u64);
         Self::with_kind(
-            Kind::Table { ways, set_log, hash_fn: cfg.hash_fn, skip: cfg.skip },
-            vec![0u32; sets * ways],
+            Kind::Table(cfg),
+            vec![0u32; cfg.sets() * cfg.ways as usize],
             cfg.window_size(),
             cfg.min_match,
             total,
@@ -180,11 +184,8 @@ impl StreamParser {
             base: 0,
             total,
             fed: 0,
-            pos: 0,
+            cur: ParseCursor::new(),
             emitted: 0,
-            skip_counter: 32,
-            pending: [0; 3],
-            npending: 0,
         }
     }
 
@@ -214,7 +215,7 @@ impl StreamParser {
         self.fed += chunk.len();
         self.run(sink);
         // Every byte the cursor has passed is a confirmed literal.
-        let lit_end = self.pos.min(self.fed);
+        let lit_end = self.cur.pos.min(self.fed);
         if self.emitted < lit_end {
             sink(ParseEvent::Literals(&self.buf[self.emitted - self.base..lit_end - self.base]));
             self.emitted = lit_end;
@@ -231,7 +232,7 @@ impl StreamParser {
     pub fn finish(&mut self, sink: &mut dyn FnMut(ParseEvent<'_>)) {
         assert_eq!(self.fed, self.total, "finish before all input was fed");
         self.run(sink);
-        debug_assert_eq!(self.npending, 0);
+        debug_assert!(self.cur.cover.is_empty());
         if self.emitted < self.total {
             sink(ParseEvent::Literals(&self.buf[self.emitted - self.base..self.total - self.base]));
             self.emitted = self.total;
@@ -240,116 +241,59 @@ impl StreamParser {
 
     /// Advances the parse as far as the fed bytes allow.
     fn run(&mut self, sink: &mut dyn FnMut(ParseEvent<'_>)) {
-        loop {
-            if !self.flush_pending() {
-                return;
-            }
-            if self.pos + self.min_match > self.total {
-                return; // parse complete; finish() emits the tail
-            }
-            if self.pos + self.min_match > self.fed {
-                return;
-            }
-            let is_final = self.fed == self.total;
-            let step = match self.kind {
-                Kind::Table { .. } => self.step_table(is_final),
-                Kind::Chain { .. } => self.step_chain(is_final),
-            };
-            match step {
-                Step::Suspend => return,
-                Step::Miss => {}
-                Step::Found { at, off, len } => self.commit(at, off, len, sink),
-            }
-        }
-    }
-
-    /// Replays deferred covered-position insertions whose hash bytes have
-    /// arrived. Returns false while any remain gated (the cursor cannot
-    /// probe before they flush, so order is preserved).
-    fn flush_pending(&mut self) -> bool {
-        while self.npending > 0 {
-            let p = self.pending[0];
-            if p + 4 > self.fed {
-                return false;
-            }
-            self.insert_abs(p);
-            self.pending[0] = self.pending[1];
-            self.pending[1] = self.pending[2];
-            self.npending -= 1;
-        }
-        true
-    }
-
-    /// Inserts absolute position `p` into the match table, exactly as the
-    /// one-shot matchers do.
-    fn insert_abs(&mut self, p: usize) {
-        let rel = p - self.base;
         match self.kind {
-            Kind::Table { ways, set_log, hash_fn, .. } => {
-                let h = hash_at(&self.buf, rel, hash_fn, set_log) as usize;
-                let set = &mut self.table[h * ways..(h + 1) * ways];
-                set.copy_within(0..ways - 1, 1);
-                set[0] = p as u32 + 1;
+            Kind::Table(cfg) => {
+                let StreamParser { table, buf, base, total, cur, emitted, max_offset, .. } = self;
+                let buf: &[u8] = buf;
+                let input = TableInput { data: buf, base: *base, total: *total };
+                // Position `p` is stored as `p + 1` and 0 is empty: the
+                // stamp of a table that serves one parse.
+                run_hash_table(&cfg, table, 1, input, cur, |at, off, len| {
+                    emit_match(buf, *base, emitted, *max_offset, (at, off, len), sink)
+                });
             }
-            Kind::Chain { hash_log, heads, .. } => {
-                let h = hash_at(&self.buf, rel, HashFn::Multiplicative, hash_log) as usize;
-                let wmask = self.window - 1;
-                let (head, prev) = self.table.split_at_mut(heads);
-                prev[p & wmask] = head[h];
-                head[h] = p as u32 + 1;
-            }
+            Kind::Chain { .. } => loop {
+                if !self.insert_covered() {
+                    return;
+                }
+                if self.cur.pos + self.min_match > self.fed {
+                    return; // out of input; after the last feed, finish() emits the tail
+                }
+                match self.step_chain(self.fed == self.total) {
+                    Step::Suspend => return,
+                    Step::Miss => {}
+                    Step::Found { at, off, len } => {
+                        let StreamParser { buf, base, emitted, max_offset, .. } = self;
+                        emit_match(buf, *base, emitted, *max_offset, (at, off, len), sink);
+                        let end = at + len;
+                        self.cur.cover = at + 1..end.min(self.total + 1 - self.min_match);
+                        self.cur.pos = end;
+                    }
+                }
+            },
         }
     }
 
-    /// One probe of the set-associative table matcher at the cursor.
-    fn step_table(&mut self, is_final: bool) -> Step {
-        let Kind::Table { ways, set_log, hash_fn, skip } = self.kind else { unreachable!() };
-        let pos = self.pos;
-        let rel = pos - self.base;
-        let limit = self.fed - pos;
-        let h = hash_at(&self.buf, rel, hash_fn, set_log) as usize;
-        let mut best_len = 0usize;
-        let mut best_off = 0usize;
-        for &slot in &self.table[h * ways..(h + 1) * ways] {
-            if slot == 0 {
-                continue;
-            }
-            let cand = (slot - 1) as usize;
-            if cand >= pos || pos - cand > self.window {
-                continue;
-            }
-            let raw = raw_match_len(&self.buf, cand - self.base, rel, limit);
-            if raw == limit && !is_final {
-                // This candidate could still grow; retry the whole probe
-                // (nothing mutated) once more bytes arrive.
-                return Step::Suspend;
-            }
-            if raw >= self.min_match && raw > best_len {
-                best_len = raw;
-                best_off = pos - cand;
-            }
+    /// Chain matcher: indexes the positions the last match covered, as far
+    /// as their hash bytes have arrived. Returns false while any remain
+    /// (the cursor cannot probe before they are in).
+    fn insert_covered(&mut self) -> bool {
+        let Kind::Chain { hash_log, heads, .. } = self.kind else { unreachable!() };
+        let wmask = self.window - 1;
+        let (head, prev) = self.table.split_at_mut(heads);
+        for p in self.cur.take_covered(self.fed) {
+            let h = hash_at(&self.buf, p - self.base, HashFn::Multiplicative, hash_log) as usize;
+            prev[p & wmask] = head[h];
+            head[h] = p as u32 + 1;
         }
-        let set = &mut self.table[h * ways..(h + 1) * ways];
-        set.copy_within(0..ways - 1, 1);
-        set[0] = pos as u32 + 1;
-        if best_len > 0 {
-            Step::Found { at: pos, off: best_off, len: best_len }
-        } else {
-            if skip {
-                self.pos += 1 + (self.skip_counter >> 5);
-                self.skip_counter += 1;
-            } else {
-                self.pos += 1;
-            }
-            Step::Miss
-        }
+        self.cur.cover.is_empty()
     }
 
     /// One probe of the hash-chain matcher (greedy + optional 1-step lazy)
     /// at the cursor.
     fn step_chain(&mut self, is_final: bool) -> Step {
         let Kind::Chain { hash_log, max_chain, lazy, heads } = self.kind else { unreachable!() };
-        let pos = self.pos;
+        let pos = self.cur.pos;
         let wmask = self.window - 1;
         let (head, prev) = self.table.split_at_mut(heads);
         let probe = ChainProbe {
@@ -372,7 +316,7 @@ impl StreamParser {
         prev[pos & wmask] = head[h];
         head[h] = pos as u32 + 1;
         if len == 0 {
-            self.pos += 1;
+            self.cur.pos += 1;
             return Step::Miss;
         }
         let mut at = pos;
@@ -407,41 +351,10 @@ impl StreamParser {
         Step::Found { at, off, len }
     }
 
-    /// Emits a found match (literals first), indexes the covered
-    /// positions, and moves the cursor past it.
-    fn commit(&mut self, at: usize, off: usize, len: usize, sink: &mut dyn FnMut(ParseEvent<'_>)) {
-        if self.emitted < at {
-            sink(ParseEvent::Literals(&self.buf[self.emitted - self.base..at - self.base]));
-        }
-        let end = at + len;
-        if self.max_offset.is_some_and(|m| off > m as usize) {
-            // Out-of-format offset: same table updates, but the region
-            // streams out as literals (fold_matches_beyond, applied live).
-            sink(ParseEvent::Literals(&self.buf[at - self.base..end - self.base]));
-        } else {
-            sink(ParseEvent::Match { offset: off as u32, len: len as u32 });
-        }
-        self.emitted = end;
-        let mut p = at + 1;
-        while p + self.min_match <= self.total && p < end {
-            if p + 4 <= self.fed {
-                self.insert_abs(p);
-            } else {
-                // Hash bytes not fed yet; deferral is always a suffix of
-                // the covered range, so insertion order is preserved.
-                self.pending[self.npending] = p;
-                self.npending += 1;
-            }
-            p += 1;
-        }
-        self.pos = end;
-        self.skip_counter = 32;
-    }
-
     /// Drops retained bytes that neither literal emission nor any
     /// in-window candidate can reach again.
     fn compact(&mut self) {
-        let keep_from = self.emitted.min(self.pos.saturating_sub(self.window));
+        let keep_from = self.emitted.min(self.cur.pos.saturating_sub(self.window));
         let dead = keep_from.saturating_sub(self.base);
         if dead >= 64 * 1024 && dead * 2 >= self.buf.len() {
             self.buf.drain(..dead);
@@ -478,7 +391,7 @@ impl ChainProbe<'_> {
             if cand >= pos || pos - cand > self.window {
                 break;
             }
-            let raw = raw_match_len(self.buf, cand - self.base, rel, limit);
+            let raw = common_prefix(self.buf, cand - self.base, rel, limit);
             if raw == limit && !self.is_final {
                 return None;
             }
@@ -493,23 +406,26 @@ impl ChainProbe<'_> {
     }
 }
 
-/// Longest common prefix of `buf[cand..]` and `buf[pos..]`, capped at
-/// `limit` — the raw (unfiltered) form of the one-shot `match_length`,
-/// with the same 8-bytes-per-step extension discipline.
-fn raw_match_len(buf: &[u8], cand: usize, pos: usize, limit: usize) -> usize {
-    debug_assert!(cand < pos);
-    let mut len = 0usize;
-    while len + 8 <= limit {
-        let a = u64::from_le_bytes(buf[cand + len..cand + len + 8].try_into().unwrap());
-        let b = u64::from_le_bytes(buf[pos + len..pos + len + 8].try_into().unwrap());
-        let x = a ^ b;
-        if x != 0 {
-            return len + (x.trailing_zeros() >> 3) as usize;
-        }
-        len += 8;
+/// Emits the match `(at, offset, len)` found at absolute position `at`,
+/// the literals before it first, and moves `emitted` past it.
+fn emit_match(
+    buf: &[u8],
+    base: usize,
+    emitted: &mut usize,
+    max_offset: Option<u32>,
+    (at, off, len): (usize, usize, usize),
+    sink: &mut dyn FnMut(ParseEvent<'_>),
+) {
+    if *emitted < at {
+        sink(ParseEvent::Literals(&buf[*emitted - base..at - base]));
     }
-    while len < limit && buf[cand + len] == buf[pos + len] {
-        len += 1;
+    let end = at + len;
+    if max_offset.is_some_and(|m| off > m as usize) {
+        // Out-of-format offset: same table updates, but the region
+        // streams out as literals (fold_matches_beyond, applied live).
+        sink(ParseEvent::Literals(&buf[at - base..end - base]));
+    } else {
+        sink(ParseEvent::Match { offset: off as u32, len: len as u32 });
     }
-    len
+    *emitted = end;
 }

@@ -9,6 +9,8 @@
 //! adversarial corpora; compressed-stream stability in the codec crates
 //! follows from parse equality here.
 
+mod common;
+
 use cdpu_lz77::matcher::{
     ChainConfig, HashChainMatcher, HashTableMatcher, MatcherConfig, MatcherScratch,
 };
@@ -145,6 +147,21 @@ fn hash_table_matches_reference() {
     for (i, data) in corpora(0xE01).iter().enumerate() {
         for cfg in table_configs() {
             let fast = HashTableMatcher::new(cfg).parse(data);
+            let naive = reference::hash_table_parse(&cfg, data);
+            assert_eq!(fast, naive, "input {i} ({} bytes), cfg {cfg:?}", data.len());
+        }
+    }
+}
+
+#[test]
+fn hash_table_grid_matches_reference() {
+    // One scratch throughout, so consecutive parses never share a layout.
+    let mut scratch = MatcherScratch::new();
+    let inputs = common::grid_inputs();
+    for cfg in common::grid_configs() {
+        let matcher = HashTableMatcher::new(cfg);
+        for (i, data) in inputs.iter().enumerate() {
+            let fast = matcher.parse_with_scratch(data, &mut scratch);
             let naive = reference::hash_table_parse(&cfg, data);
             assert_eq!(fast, naive, "input {i} ({} bytes), cfg {cfg:?}", data.len());
         }

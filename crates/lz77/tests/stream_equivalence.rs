@@ -4,6 +4,8 @@
 //! and sizes that split a match, a probe, or a lazy lookahead across the
 //! chunk boundary.
 
+mod common;
+
 use cdpu_lz77::matcher::{ChainConfig, HashChainMatcher, HashTableMatcher, MatcherConfig};
 use cdpu_lz77::stream::{ParseEvent, StreamParser};
 use cdpu_lz77::{Parse, Seq};
@@ -113,6 +115,16 @@ fn table_matcher_equivalence() {
             MatcherConfig { window_log: 11, ..MatcherConfig::snappy_sw() },
         ] {
             check_table(&data, cfg, None, CHUNKS);
+        }
+    }
+}
+
+#[test]
+fn table_matcher_grid_equivalence() {
+    let inputs = common::grid_inputs();
+    for cfg in common::grid_configs() {
+        for data in &inputs {
+            check_table(data, cfg, None, &[1, 7, 4096, usize::MAX]);
         }
     }
 }
