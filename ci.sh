@@ -26,8 +26,15 @@ for name in \
     epoch_scratch_wrap_clears_and_agrees \
     compressed_streams_are_pinned \
     hash_table_parses_are_pinned \
+    chain_parses_are_pinned \
+    entropy_modes_are_pinned \
     hash_table_grid_matches_reference \
     table_matcher_grid_equivalence \
+    hash_chain_grid_matches_reference \
+    chain_matcher_grid_equivalence \
+    short_stream_at_a_wide_window_sizes_links_by_its_length \
+    writers_match_a_bit_at_a_time_model \
+    encode_bytes_matches_encode_symbol_and_rejects_absent_bytes \
     execute_outcomes_are_pinned \
     chain_links_sized_by_input_match_reference \
     splitter_emits_short_matches_as_literals \
@@ -60,6 +67,12 @@ fi
 echo "==> one hash-table loop: the set-associative insert exists once outside the reference oracle"
 if [ "$(cat crates/lz77/src/matcher.rs crates/lz77/src/stream.rs crates/lz77/src/hash.rs | grep -c 'copy_within(0..ways - 1')" -ne 1 ]; then
     echo "FAIL: cdpu_lz77 grew a second hash-table insert beside matcher::insert" >&2
+    exit 1
+fi
+
+echo "==> one hash-chain walk: no stepped chain parser and no hash_at call beside matcher::run_hash_chain"
+if grep -nE 'step_chain|ChainProbe|hash_at\(' crates/lz77/src/matcher.rs crates/lz77/src/stream.rs; then
+    echo "FAIL: cdpu_lz77 grew a second chain walk or a hash_at call in the chain paths" >&2
     exit 1
 fi
 

@@ -373,11 +373,23 @@ impl HuffmanTable {
     /// [`HuffmanError::UnknownSymbol`] if `data` contains a byte absent from
     /// the table.
     pub fn encode_bytes(&self, data: &[u8]) -> Result<(Vec<u8>, usize), HuffmanError> {
+        let codes = self.byte_codes();
         let mut w = MsbBitWriter::new();
         for &b in data {
-            self.encode_symbol(b as u16, &mut w)?;
+            encode_byte(&codes, b, &mut w)?;
         }
         Ok(w.finish())
+    }
+
+    /// The code book for byte symbols packed one `code << 8 | len` entry
+    /// per byte value, 0 for an absent one: one load per symbol where
+    /// [`HuffmanTable::encode_symbol`] makes two bounds-checked ones.
+    pub(crate) fn byte_codes(&self) -> [u32; 256] {
+        let mut packed = [0u32; 256];
+        for (entry, (&len, &code)) in packed.iter_mut().zip(self.lengths.iter().zip(&self.codes)) {
+            *entry = (code as u32) << 8 | len as u32;
+        }
+        packed
     }
 
     /// Convenience: decodes exactly `count` byte symbols from a bitstream.
@@ -453,6 +465,21 @@ impl HuffmanTable {
         }
         Ok(())
     }
+}
+
+/// Appends byte `b`'s code from a [`HuffmanTable::byte_codes`] table.
+///
+/// # Errors
+///
+/// [`HuffmanError::UnknownSymbol`] if `b` has no code.
+#[inline(always)]
+pub(crate) fn encode_byte(codes: &[u32; 256], b: u8, out: &mut MsbBitWriter) -> Result<(), HuffmanError> {
+    let entry = codes[b as usize];
+    if entry == 0 {
+        return Err(HuffmanError::UnknownSymbol);
+    }
+    out.write_bits((entry >> 8) as u64, entry & 0xFF);
+    Ok(())
 }
 
 #[cfg(test)]
@@ -833,6 +860,26 @@ mod tests {
             t.encode_symbol(b'z' as u16, &mut w),
             Err(HuffmanError::UnknownSymbol)
         );
+    }
+
+    #[test]
+    fn encode_bytes_matches_encode_symbol_and_rejects_absent_bytes() {
+        let mut rng = Xoshiro256::seed_from(4);
+        let mut data = vec![0u8; 3000];
+        for b in &mut data {
+            *b = rng.index(40) as u8 * 3;
+        }
+        let t = HuffmanTable::from_frequencies(&freq_of(&data)).unwrap();
+        let mut w = MsbBitWriter::new();
+        for &b in &data {
+            t.encode_symbol(b as u16, &mut w).unwrap();
+        }
+        assert_eq!(t.encode_bytes(&data).unwrap(), w.finish());
+        for at in [0, data.len() / 2, data.len() - 1] {
+            let mut bad = data.clone();
+            bad[at] = 1;
+            assert_eq!(t.encode_bytes(&bad), Err(HuffmanError::UnknownSymbol), "absent byte at {at}");
+        }
     }
 
     #[test]

@@ -30,7 +30,7 @@
 use cdpu_util::bits::{BitBufBank, MsbBitReader, MsbBitWriter, ReverseTailCursor};
 
 use crate::fse::{FseDecodeTable, FseEncodeTable, FseError, FseStreamDecoder, FseStreamEncoder};
-use crate::huffman::{HuffmanError, HuffmanTable};
+use crate::huffman::{encode_byte, HuffmanError, HuffmanTable};
 use cdpu_util::bits::BitWriter;
 
 /// Maximum supported stream count. 4 is the sweet spot on current cores
@@ -72,9 +72,10 @@ pub fn huffman_encode(
     if !check_ways(ways) {
         return Err(HuffmanError::BadStream);
     }
+    let codes = table.byte_codes();
     let mut writers: Vec<MsbBitWriter> = (0..ways).map(|_| MsbBitWriter::new()).collect();
     for (i, &b) in data.iter().enumerate() {
-        table.encode_symbol(b as u16, &mut writers[i % ways])?;
+        encode_byte(&codes, b, &mut writers[i % ways])?;
     }
     let mut bit_lens = Vec::with_capacity(ways);
     let mut payload = Vec::new();

@@ -7,7 +7,7 @@
 //! one-step lazy matching, which the ZStd-class codec maps compression
 //! levels onto.
 
-use crate::hash::{hash4, hash_at, word_at, HashFn};
+use crate::hash::{hash4, word_at, HashFn};
 use crate::{Parse, Seq, MIN_MATCH};
 use cdpu_telemetry::counter;
 use std::ops::Range;
@@ -174,10 +174,9 @@ pub(crate) fn common_prefix(data: &[u8], cand: usize, pos: usize, limit: usize) 
     len
 }
 
-/// Where a parse stands between two positions: all the hash-table loop
-/// carries besides the table. The one-shot matcher runs it from zero to
-/// the end of the input in one go; the streaming parser keeps it between
-/// feeds.
+/// Where a parse stands between two positions: all a parse loop carries
+/// besides its tables. The one-shot matchers run it from zero to the end
+/// of the input in one go; the streaming parser keeps it between feeds.
 #[derive(Debug)]
 pub(crate) struct ParseCursor {
     /// Next position to probe.
@@ -207,7 +206,7 @@ impl ParseCursor {
     }
 }
 
-/// The bytes a hash-table parse may read: `data[i]` is input position
+/// The bytes a parse loop may read: `data[i]` is input position
 /// `base + i` of `total`. `data` ends where the input does, or short of it
 /// while a stream is still arriving.
 pub(crate) struct TableInput<'a> {
@@ -351,6 +350,41 @@ fn hash_table_loop<const DIRECT: bool>(
     (cur.pos, cur.skip_counter, cur.probes) = (pos, skip_counter, probes);
 }
 
+/// Collects the matches a one-shot parse loop reports into a [`Parse`].
+#[derive(Default)]
+struct ParseBuilder {
+    seqs: Vec<Seq>,
+    /// End of the last match: where the pending literal run starts.
+    anchor: usize,
+}
+
+impl ParseBuilder {
+    fn push(&mut self, at: usize, off: usize, len: usize) {
+        self.seqs.push(Seq {
+            lit_len: (at - self.anchor) as u32,
+            match_len: len as u32,
+            offset: off as u32,
+        });
+        self.anchor = at + len;
+    }
+
+    /// The parse of all `len` input bytes, counted in telemetry with the
+    /// loop's `probes`.
+    fn finish(self, len: usize, probes: u64) -> Parse {
+        let parse = Parse {
+            seqs: self.seqs,
+            last_literals: (len - self.anchor) as u32,
+        };
+        if cdpu_telemetry::enabled() {
+            counter!("lz77.parse_calls").incr();
+            counter!("lz77.input_bytes").add(len as u64);
+            counter!("lz77.match_bytes").add(parse.matched_len() as u64);
+            counter!("lz77.probes").add(probes);
+        }
+        parse
+    }
+}
+
 /// Set-associative hash-table match finder (the hardware LZ77 encoder).
 ///
 /// ```
@@ -400,27 +434,9 @@ impl HashTableMatcher {
         let (table, stamp) = scratch.tables(cfg.sets() * cfg.ways as usize, data.len());
         let input = TableInput { data, base: 0, total: data.len() };
         let mut cur = ParseCursor::new();
-        let mut seqs = Vec::new();
-        let mut anchor = 0usize;
-        run_hash_table(cfg, table, stamp, input, &mut cur, |at, off, len| {
-            seqs.push(Seq {
-                lit_len: (at - anchor) as u32,
-                match_len: len as u32,
-                offset: off as u32,
-            });
-            anchor = at + len;
-        });
-        let parse = Parse {
-            seqs,
-            last_literals: (data.len() - anchor) as u32,
-        };
-        if cdpu_telemetry::enabled() {
-            counter!("lz77.parse_calls").incr();
-            counter!("lz77.input_bytes").add(data.len() as u64);
-            counter!("lz77.match_bytes").add(parse.matched_len() as u64);
-            counter!("lz77.probes").add(cur.probes);
-        }
-        parse
+        let mut out = ParseBuilder::default();
+        run_hash_table(cfg, table, stamp, input, &mut cur, |at, off, len| out.push(at, off, len));
+        out.finish(data.len(), cur.probes)
     }
 }
 
@@ -451,6 +467,207 @@ impl ChainConfig {
             min_match: MIN_MATCH,
         }
     }
+
+    pub(crate) fn validate(&self) {
+        assert!(self.window_log >= 2 && self.window_log <= 30, "window_log out of range");
+        assert!(self.hash_log >= 1 && self.hash_log <= 24, "hash_log out of range");
+        assert!(self.max_chain >= 1, "max_chain must be at least 1");
+        assert!(self.min_match >= MIN_MATCH, "min_match below hash width");
+    }
+
+    /// Table entries a parse of `total` bytes uses: `[0, heads)` the hash
+    /// heads, then one link per window position — or per input position
+    /// when the input is shorter than the window: positions below `total`
+    /// never wrap a power-of-two table at least that long, so the walk is
+    /// the full-window walk without a window's worth of zeroed links behind
+    /// a short input.
+    pub(crate) fn table_len(&self, total: usize) -> usize {
+        (1usize << self.hash_log) + (1usize << self.window_log).min(total.next_power_of_two())
+    }
+}
+
+/// The hash-chain parse, the one walk under [`HashChainMatcher`] and the
+/// streaming parser: per position one hash, one chain walk and one insert
+/// (with `lazy`, one more walk at `pos + 1` before a match is taken),
+/// `on_match(at, offset, len)` per match, every covered position indexed.
+///
+/// `tables` is [`ChainConfig::table_len`] entries, the hash heads and then
+/// the links; a slot stores `stamp` + position and below `stamp` is empty.
+/// A walk only follows links of positions this parse inserted, and a link
+/// copied from a stale head is below `stamp`, which ends the walk.
+///
+/// Suspends like [`run_hash_table`] while `input.data` stops short of
+/// `input.total`, at the first step that bytes not yet seen could change:
+/// a walk that reaches a candidate matching up to the last byte present,
+/// or whose floor already reaches it, or a covered position whose hash
+/// word has not all arrived. A lazy walk that suspends takes back the
+/// insert of `pos` before it returns, so the retry replays the whole step.
+pub(crate) fn run_hash_chain(
+    cfg: &ChainConfig,
+    tables: &mut [u32],
+    stamp: u32,
+    input: TableInput<'_>,
+    cur: &mut ParseCursor,
+    on_match: impl FnMut(usize, usize, usize),
+) {
+    if cfg.lazy {
+        hash_chain_loop::<true>(cfg, tables, stamp, input, cur, on_match)
+    } else {
+        hash_chain_loop::<false>(cfg, tables, stamp, input, cur, on_match)
+    }
+}
+
+/// What every chain walk of one call reads besides the tables.
+struct ChainWalk<'a> {
+    data: &'a [u8],
+    base: usize,
+    /// Input bytes present: `base + data.len()`.
+    fed: usize,
+    is_final: bool,
+    stamp: u32,
+    window: usize,
+    max_chain: u32,
+}
+
+impl ChainWalk<'_> {
+    /// The longest match at `pos` that is longer than `floor`, walking the
+    /// chain from `slot` through `links`: `(len, offset)`, offset 0 when no
+    /// candidate beats the floor. Every candidate reached is counted in
+    /// `probes`, but extended only when its first word is the cursor's and
+    /// its byte at the best length so far matches — without both it cannot
+    /// be longer. `None` when bytes not yet fed could change the answer.
+    #[inline(always)]
+    fn longest(
+        &self,
+        mut slot: u32,
+        links: &[u32],
+        pos: usize,
+        word: [u8; 4],
+        floor: usize,
+        probes: &mut u64,
+    ) -> Option<(usize, usize)> {
+        let data = self.data;
+        let rel = pos - self.base;
+        let limit = self.fed - pos;
+        if floor >= limit && !self.is_final {
+            return None;
+        }
+        let lmask = links.len() - 1;
+        let (mut best_len, mut best_off) = (floor, 0);
+        let mut depth = 0;
+        while slot >= self.stamp && depth < self.max_chain {
+            let cand = (slot - self.stamp) as usize;
+            if cand >= pos || pos - cand > self.window {
+                break;
+            }
+            *probes += 1;
+            let at = cand - self.base;
+            if best_len < limit && word_at(data, at) == word && data[at + best_len] == data[rel + best_len] {
+                let len = 4 + common_prefix(data, at + 4, rel + 4, limit - 4);
+                if len == limit && !self.is_final {
+                    return None;
+                }
+                if len > best_len {
+                    best_len = len;
+                    best_off = pos - cand;
+                }
+            }
+            slot = links[cand & lmask];
+            depth += 1;
+        }
+        Some((best_len, best_off))
+    }
+}
+
+fn hash_chain_loop<const LAZY: bool>(
+    cfg: &ChainConfig,
+    tables: &mut [u32],
+    stamp: u32,
+    input: TableInput<'_>,
+    cur: &mut ParseCursor,
+    mut on_match: impl FnMut(usize, usize, usize),
+) {
+    let TableInput { data, base, total } = input;
+    let (head, links) = tables.split_at_mut(1 << cfg.hash_log);
+    let lmask = links.len() - 1;
+    let min_match = cfg.min_match;
+    let fed = base + data.len();
+    let walk = ChainWalk {
+        data,
+        base,
+        fed,
+        is_final: fed == total,
+        stamp,
+        window: 1 << cfg.window_log,
+        max_chain: cfg.max_chain,
+    };
+    let hash = |w| hash4(w, HashFn::Multiplicative, cfg.hash_log) as usize;
+    let (mut pos, mut probes) = (cur.pos, cur.probes);
+    'parse: loop {
+        for p in cur.take_covered(fed) {
+            let h = hash(word_at(data, p - base));
+            links[p & lmask] = head[h];
+            head[h] = stamp + p as u32;
+        }
+        if !cur.cover.is_empty() {
+            break;
+        }
+        loop {
+            if pos + min_match > fed {
+                break 'parse;
+            }
+            // A suspended step leaves the count as it found it.
+            let step_probes = probes;
+            let word = word_at(data, pos - base);
+            let h = hash(word);
+            let floor = min_match - 1;
+            let Some((mut len, mut off)) = walk.longest(head[h], links, pos, word, floor, &mut probes) else {
+                probes = step_probes;
+                break 'parse;
+            };
+            let link = links[pos & lmask];
+            links[pos & lmask] = head[h];
+            head[h] = stamp + pos as u32;
+            if off == 0 {
+                pos += 1;
+                continue;
+            }
+            let mut at = pos;
+            let mut cover_from = pos + 1;
+            if LAZY && pos + 1 + min_match <= total {
+                // The lazy walk runs with `pos` inserted and looks only for
+                // a match longer than `len + 1`, the one it would take.
+                let next = pos + 1;
+                let lazy = if next + min_match <= fed {
+                    let word = word_at(data, next - base);
+                    let h = hash(word);
+                    walk.longest(head[h], links, next, word, len + 1, &mut probes).map(|m| (m, h))
+                } else {
+                    None
+                };
+                let Some(((len2, off2), h2)) = lazy else {
+                    head[h] = links[pos & lmask];
+                    links[pos & lmask] = link;
+                    probes = step_probes;
+                    break 'parse;
+                };
+                // `next` is indexed now either way: as the match start or
+                // as the first position the match covers.
+                links[next & lmask] = head[h2];
+                head[h2] = stamp + next as u32;
+                cover_from = next + 1;
+                if off2 != 0 {
+                    (at, len, off) = (next, len2, off2);
+                }
+            }
+            on_match(at, off, len);
+            let end = at + len;
+            cur.cover = cover_from..end.min(total + 1 - min_match);
+            pos = end;
+            continue 'parse;
+        }
+    }
+    (cur.pos, cur.probes) = (pos, probes);
 }
 
 /// Hash-chain match finder with bounded search depth — the software-effort
@@ -476,51 +693,13 @@ impl HashChainMatcher {
     ///
     /// Panics on a structurally invalid configuration.
     pub fn new(cfg: ChainConfig) -> Self {
-        assert!(cfg.window_log >= 2 && cfg.window_log <= 30);
-        assert!(cfg.hash_log >= 1 && cfg.hash_log <= 24);
-        assert!(cfg.max_chain >= 1);
-        assert!(cfg.min_match >= MIN_MATCH);
+        cfg.validate();
         HashChainMatcher { cfg }
     }
 
     /// The configuration this matcher was built with.
     pub fn config(&self) -> &ChainConfig {
         &self.cfg
-    }
-
-    /// Finds the best match at `pos` by walking the chain.
-    fn best_match(
-        &self,
-        data: &[u8],
-        pos: usize,
-        head: &[u32],
-        prev: &[u32],
-        stamp: u32,
-        probes: &mut u64,
-    ) -> (usize, usize) {
-        let cfg = &self.cfg;
-        let h = hash_at(data, pos, HashFn::Multiplicative, cfg.hash_log) as usize;
-        let mut slot = head[h];
-        let mut depth = 0;
-        let mut best_len = 0usize;
-        let mut best_off = 0usize;
-        let window = 1usize << cfg.window_log;
-        let lmask = prev.len() - 1;
-        while slot >= stamp && depth < cfg.max_chain {
-            let cand = (slot - stamp) as usize;
-            if cand >= pos || pos - cand > window {
-                break;
-            }
-            *probes += 1;
-            let len = common_prefix(data, cand, pos, data.len() - pos);
-            if len >= cfg.min_match && len > best_len {
-                best_len = len;
-                best_off = pos - cand;
-            }
-            slot = prev[cand & lmask];
-            depth += 1;
-        }
-        (best_len, best_off)
     }
 
     /// Parses `data` into LZ77 sequences (greedy, optionally 1-step lazy),
@@ -533,75 +712,12 @@ impl HashChainMatcher {
     /// tables; the parse produced is identical.
     pub fn parse_with_scratch(&self, data: &[u8], scratch: &mut MatcherScratch) -> Parse {
         let cfg = &self.cfg;
-        // One link per window position, or per input position when the
-        // input is shorter than the window: positions below `data.len()`
-        // never wrap a power-of-two table at least that long, so the walk
-        // is the full-window walk without a window's worth of zeroed
-        // entries behind a small call.
-        let links = (1usize << cfg.window_log).min(data.len().next_power_of_two());
-        let lmask = links - 1;
-        // Head table and chain links share one contiguous allocation:
-        // `[0, heads)` is the hash-head table, `[heads, heads+links)` the
-        // per-position previous-occurrence links. A walk only follows links
-        // of positions this call inserted, and a link copied from a stale
-        // head is below `stamp`, which ends the walk.
-        let heads = 1usize << cfg.hash_log;
-        let (tables, stamp) = scratch.tables(heads + links, data.len());
-        let (head, prev) = tables.split_at_mut(heads);
-
-        let insert = |data: &[u8], p: usize, head: &mut [u32], prev: &mut [u32]| {
-            let h = hash_at(data, p, HashFn::Multiplicative, cfg.hash_log) as usize;
-            prev[p & lmask] = head[h];
-            head[h] = stamp + p as u32;
-        };
-
-        let mut probes = 0u64;
-        let mut seqs = Vec::new();
-        let mut pos = 0usize;
-        let mut anchor = 0usize;
-        while pos + cfg.min_match <= data.len() {
-            let (mut len, mut off) = self.best_match(data, pos, head, prev, stamp, &mut probes);
-            insert(data, pos, head, prev);
-            if len == 0 {
-                pos += 1;
-                continue;
-            }
-            if cfg.lazy && pos + 1 + cfg.min_match <= data.len() {
-                let (len2, off2) =
-                    self.best_match(data, pos + 1, head, prev, stamp, &mut probes);
-                if len2 > len + 1 {
-                    // Emit current byte as a literal; take the later match.
-                    insert(data, pos + 1, head, prev);
-                    pos += 1;
-                    len = len2;
-                    off = off2;
-                }
-            }
-            seqs.push(Seq {
-                lit_len: (pos - anchor) as u32,
-                match_len: len as u32,
-                offset: off as u32,
-            });
-            let end = pos + len;
-            let mut p = pos + 1;
-            while p + cfg.min_match <= data.len() && p < end {
-                insert(data, p, head, prev);
-                p += 1;
-            }
-            pos = end;
-            anchor = pos;
-        }
-        let parse = Parse {
-            seqs,
-            last_literals: (data.len() - anchor) as u32,
-        };
-        if cdpu_telemetry::enabled() {
-            counter!("lz77.parse_calls").incr();
-            counter!("lz77.input_bytes").add(data.len() as u64);
-            counter!("lz77.match_bytes").add(parse.matched_len() as u64);
-            counter!("lz77.probes").add(probes);
-        }
-        parse
+        let (tables, stamp) = scratch.tables(cfg.table_len(data.len()), data.len());
+        let input = TableInput { data, base: 0, total: data.len() };
+        let mut cur = ParseCursor::new();
+        let mut out = ParseBuilder::default();
+        run_hash_chain(cfg, tables, stamp, input, &mut cur, |at, off, len| out.push(at, off, len));
+        out.finish(data.len(), cur.probes)
     }
 }
 

@@ -1,8 +1,8 @@
-//! The configuration grid and inputs the `equivalence` and
-//! `stream_equivalence` suites both sweep the hash-table matcher over.
+//! The configuration grids and inputs the `equivalence` and
+//! `stream_equivalence` suites both sweep the two matchers over.
 
 use cdpu_lz77::hash::HashFn;
-use cdpu_lz77::matcher::MatcherConfig;
+use cdpu_lz77::matcher::{ChainConfig, MatcherConfig};
 use cdpu_util::rng::Xoshiro256;
 
 /// Every way count the kernel treats differently (direct-mapped, powers of
@@ -28,6 +28,26 @@ pub fn grid_configs() -> Vec<MatcherConfig> {
     for hash_fn in [HashFn::Multiplicative, HashFn::XorFold] {
         for (entries_log, ways) in [(3u32, 8u32), (4, 16)] {
             cfgs.push(MatcherConfig { entries_log, ways, hash_fn, ..MatcherConfig::snappy_hw() });
+        }
+    }
+    cfgs
+}
+
+/// Windows smaller than, near and larger than the inputs × a head table of
+/// a few slots (every chain long and mixed) or of the codecs' size × walk
+/// depths of one, two, a few and one past a power of two × greedy and
+/// lazy × minimum matches at and above the hash width.
+pub fn chain_grid_configs() -> Vec<ChainConfig> {
+    let mut cfgs = Vec::new();
+    for window_log in [8u32, 11, 16] {
+        for hash_log in [4u32, 12] {
+            for max_chain in [1u32, 2, 8, 33] {
+                for lazy in [false, true] {
+                    for min_match in [4usize, 5, 8] {
+                        cfgs.push(ChainConfig { window_log, hash_log, max_chain, lazy, min_match });
+                    }
+                }
+            }
         }
     }
     cfgs

@@ -180,6 +180,21 @@ fn hash_chain_matches_reference() {
 }
 
 #[test]
+fn hash_chain_grid_matches_reference() {
+    // One scratch throughout, so consecutive parses never share a layout.
+    let mut scratch = MatcherScratch::new();
+    let inputs = common::grid_inputs();
+    for cfg in common::chain_grid_configs() {
+        let matcher = HashChainMatcher::new(cfg);
+        for (i, data) in inputs.iter().enumerate() {
+            let fast = matcher.parse_with_scratch(data, &mut scratch);
+            let naive = reference::hash_chain_parse(&cfg, data);
+            assert_eq!(fast, naive, "input {i} ({} bytes), cfg {cfg:?}", data.len());
+        }
+    }
+}
+
+#[test]
 fn scratch_reuse_is_stateless() {
     // One scratch reused across different inputs and *both* matcher kinds
     // (different table sizes, shrinking and growing) must never leak state

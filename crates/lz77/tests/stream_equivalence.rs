@@ -145,6 +145,29 @@ fn chain_matcher_equivalence() {
 }
 
 #[test]
+fn chain_matcher_grid_equivalence() {
+    let inputs = common::grid_inputs();
+    for cfg in common::chain_grid_configs() {
+        for data in &inputs {
+            check_chain(data, cfg, &[1, 7, 4096, usize::MAX]);
+        }
+    }
+}
+
+#[test]
+fn short_stream_at_a_wide_window_sizes_links_by_its_length() {
+    // zstd level 19's search: a 2^23-byte window, which a link per window
+    // position would spend 32 MiB on for a 4 KiB input.
+    let cfg = ChainConfig { window_log: 23, hash_log: 17, max_chain: 1024, lazy: true, min_match: 4 };
+    let mut rng = Xoshiro256::seed_from(75);
+    let data: Vec<u8> = (0..4096).map(|_| b'a' + rng.index(6) as u8).collect();
+    let mut parser = StreamParser::chain(cfg, data.len(), None);
+    let (got, _) = collect(&mut parser, &data, 1024);
+    assert_eq!(got, HashChainMatcher::new(cfg).parse(&data));
+    assert!(parser.scratch_bytes() < 1 << 20, "{} scratch bytes", parser.scratch_bytes());
+}
+
+#[test]
 fn window_wrap_and_compaction_equivalence() {
     // Inputs larger than the window force the sliding buffer to compact
     // while far-back candidates age out of range.

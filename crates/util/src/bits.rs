@@ -32,11 +32,17 @@ impl std::error::Error for BitstreamExhausted {}
 
 const MAX_FIELD_BITS: u32 = 57;
 
+/// Bits the writers flush at a time. Between calls fewer than this many
+/// are pending, so a field of up to this width always fits beside them in
+/// the 64-bit accumulator; wider fields go in as two.
+const FLUSH_BITS: u32 = 32;
+
 /// LSB-first bit accumulator producing a byte vector.
 ///
 /// Fields of up to 57 bits are appended least-significant-bit first. Pair
 /// with [`ReverseBitReader`] (after [`BitWriter::finish_with_marker`]) for
-/// FSE-style streams, or with [`BitReader`] for forward reading.
+/// FSE-style streams, or with [`BitReader`] for forward reading. Bits
+/// collect in a 64-bit accumulator and go out 32 at a time.
 ///
 /// ```
 /// use cdpu_util::bits::{BitWriter, BitReader};
@@ -72,18 +78,30 @@ impl BitWriter {
     /// # Panics
     ///
     /// Panics if `nbits > 57` or if `value` has bits set above `nbits`.
+    #[inline]
     pub fn write_bits(&mut self, value: u64, nbits: u32) {
         assert!(nbits <= MAX_FIELD_BITS, "field too wide: {nbits}");
         debug_assert!(
             nbits == 64 || value < (1u64 << nbits),
             "value {value:#x} does not fit in {nbits} bits"
         );
+        if nbits > FLUSH_BITS {
+            self.put(value & u32::MAX as u64, FLUSH_BITS);
+            self.put(value >> FLUSH_BITS, nbits - FLUSH_BITS);
+        } else {
+            self.put(value, nbits);
+        }
+    }
+
+    /// Appends a field of at most [`FLUSH_BITS`] bits.
+    #[inline(always)]
+    fn put(&mut self, value: u64, nbits: u32) {
         self.acc |= value << self.acc_bits;
         self.acc_bits += nbits;
-        while self.acc_bits >= 8 {
-            self.bytes.push((self.acc & 0xFF) as u8);
-            self.acc >>= 8;
-            self.acc_bits -= 8;
+        if self.acc_bits >= FLUSH_BITS {
+            self.bytes.extend_from_slice(&(self.acc as u32).to_le_bytes());
+            self.acc >>= FLUSH_BITS;
+            self.acc_bits -= FLUSH_BITS;
         }
     }
 
@@ -91,9 +109,8 @@ impl BitWriter {
     /// Returns `(bytes, exact_bit_count)`.
     pub fn finish(mut self) -> (Vec<u8>, usize) {
         let bit_len = self.bit_len();
-        if self.acc_bits > 0 {
-            self.bytes.push((self.acc & 0xFF) as u8);
-        }
+        let tail = self.acc_bits.div_ceil(8) as usize;
+        self.bytes.extend_from_slice(&self.acc.to_le_bytes()[..tail]);
         (self.bytes, bit_len)
     }
 
@@ -319,14 +336,27 @@ impl MsbBitWriter {
     /// # Panics
     ///
     /// Panics if `nbits > 57`.
+    #[inline]
     pub fn write_bits(&mut self, value: u64, nbits: u32) {
         assert!(nbits <= MAX_FIELD_BITS, "field too wide: {nbits}");
         debug_assert!(nbits == 64 || value < (1u64 << nbits));
+        if nbits > FLUSH_BITS {
+            self.put(value >> FLUSH_BITS, nbits - FLUSH_BITS);
+            self.put(value & u32::MAX as u64, FLUSH_BITS);
+        } else {
+            self.put(value, nbits);
+        }
+    }
+
+    /// Appends a field of at most [`FLUSH_BITS`] bits. The pending bits are
+    /// the low `acc_bits` of `acc`; what lies above them was flushed.
+    #[inline(always)]
+    fn put(&mut self, value: u64, nbits: u32) {
         self.acc = (self.acc << nbits) | value;
         self.acc_bits += nbits;
-        while self.acc_bits >= 8 {
-            self.acc_bits -= 8;
-            self.bytes.push(((self.acc >> self.acc_bits) & 0xFF) as u8);
+        if self.acc_bits >= FLUSH_BITS {
+            self.acc_bits -= FLUSH_BITS;
+            self.bytes.extend_from_slice(&((self.acc >> self.acc_bits) as u32).to_be_bytes());
         }
     }
 
@@ -335,8 +365,9 @@ impl MsbBitWriter {
     pub fn finish(mut self) -> (Vec<u8>, usize) {
         let bit_len = self.bit_len();
         if self.acc_bits > 0 {
-            self.bytes
-                .push(((self.acc << (8 - self.acc_bits)) & 0xFF) as u8);
+            let tail = self.acc_bits.div_ceil(8) as usize;
+            let aligned = self.acc << (64 - self.acc_bits);
+            self.bytes.extend_from_slice(&aligned.to_be_bytes()[..tail]);
         }
         (self.bytes, bit_len)
     }
@@ -674,6 +705,43 @@ mod tests {
         let mut r = BitReader::new(&bytes);
         for &(v, n) in &fields {
             assert_eq!(r.read_bits(n).unwrap(), v);
+        }
+    }
+
+    /// Packs a bit-at-a-time model of a writer's stream into bytes,
+    /// zero-padding the last one.
+    fn pack(bits: &[bool], msb_first: bool) -> Vec<u8> {
+        let at = |i: usize| if msb_first { 7 - i } else { i };
+        bits.chunks(8)
+            .map(|byte| byte.iter().enumerate().fold(0u8, |acc, (i, &b)| acc | (b as u8) << at(i)))
+            .collect()
+    }
+
+    #[test]
+    fn writers_match_a_bit_at_a_time_model() {
+        let mut rng = Xoshiro256::seed_from(83);
+        // A last field tops each stream up to every residue mod the flush
+        // width, so `finish` meets every number of pending bits.
+        for residue in 0..FLUSH_BITS as usize {
+            for _trial in 0..20 {
+                let mut widths: Vec<u32> = (0..rng.index(40)).map(|_| rng.range_u64(0, 57) as u32).collect();
+                let total: usize = widths.iter().map(|&w| w as usize).sum();
+                widths.push(((residue + 32 - total % 32) % 32) as u32);
+                let (mut lsb, mut msb) = (BitWriter::new(), MsbBitWriter::new());
+                let (mut lsb_bits, mut msb_bits) = (Vec::new(), Vec::new());
+                for nbits in widths {
+                    let v = rng.next_u64() & mask(nbits);
+                    lsb.write_bits(v, nbits);
+                    msb.write_bits(v, nbits);
+                    lsb_bits.extend((0..nbits).map(|i| v >> i & 1 == 1));
+                    msb_bits.extend((0..nbits).rev().map(|i| v >> i & 1 == 1));
+                    assert_eq!(lsb.bit_len(), lsb_bits.len());
+                    assert_eq!(msb.bit_len(), msb_bits.len());
+                }
+                assert_eq!(lsb_bits.len() % 32, residue);
+                assert_eq!(lsb.finish(), (pack(&lsb_bits, false), lsb_bits.len()));
+                assert_eq!(msb.finish(), (pack(&msb_bits, true), msb_bits.len()));
+            }
         }
     }
 
