@@ -50,7 +50,10 @@ for name in \
     staging_stops_at_the_declared_length \
     prefix_then_checked_loop_matches_reference_walk \
     overlapping_copies_at_every_small_offset_and_length \
-    copies_are_counted_once_each; do
+    copies_are_counted_once_each \
+    decode_outcomes_are_pinned \
+    gipfeli_literal_runs_cross_the_window_hand_over \
+    sharded_spans_survive_flush_during_thread_teardown; do
     if ! grep -q "${name}: test\$" /tmp/cdpu_test_list.txt; then
         echo "FAIL: test $name is no longer in the workspace suite" >&2
         exit 1
@@ -73,6 +76,12 @@ fi
 echo "==> one hash-chain walk: no stepped chain parser and no hash_at call beside matcher::run_hash_chain"
 if grep -nE 'step_chain|ChainProbe|hash_at\(' crates/lz77/src/matcher.rs crates/lz77/src/stream.rs; then
     echo "FAIL: cdpu_lz77 grew a second chain walk or a hash_at call in the chain paths" >&2
+    exit 1
+fi
+
+echo "==> one decode loop per byte-aligned codec: no per-byte state machine beside the element loops"
+if grep -nwE 'CopyOff|LitExt|ShortOff|LongOff|MatchOff|MatchExt' crates/snappy/src/stream.rs crates/lite/src/stream.rs; then
+    echo "FAIL: a streaming decoder grew its own element parser beside the one-shot element loop" >&2
     exit 1
 fi
 

@@ -19,7 +19,7 @@
 
 use cdpu_lz77::matcher::{HashTableMatcher, MatcherConfig};
 use cdpu_lz77::window::{apply_copy, DecoderScratch};
-use cdpu_util::bits::{MsbBitReader, MsbBitWriter};
+use cdpu_util::bits::{BitBuf, MsbBitReader, MsbBitWriter};
 use cdpu_util::varint;
 
 /// Number of short-coded frequent symbols.
@@ -79,9 +79,11 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
     let mut ranked: Vec<u8> = (0..=255u8).collect();
     ranked.sort_by_key(|&b| std::cmp::Reverse(hist[b as usize]));
     let table: [u8; FREQUENT] = ranked[..FREQUENT].try_into().expect("32 entries");
-    let mut short_code = [None::<u8>; 256];
-    for (i, &b) in table.iter().enumerate() {
-        short_code[b as usize] = Some(i as u8);
+    // Each byte's whole code as one field: `1 ‖ byte` in 9 bits, or
+    // `0 ‖ rank` in 6 for the frequent ones.
+    let mut codes: [(u16, u32); 256] = std::array::from_fn(|b| (0x100 | b as u16, 9));
+    for (rank, &b) in table.iter().enumerate() {
+        codes[b as usize] = (rank as u16, 6);
     }
 
     // Ops section: literal counts + matches, Snappy-token-like.
@@ -99,16 +101,8 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
     // Literal bitstream.
     let mut w = MsbBitWriter::new();
     for &b in &literals {
-        match short_code[b as usize] {
-            Some(code) => {
-                w.write_bits(0, 1);
-                w.write_bits(code as u64, 5);
-            }
-            None => {
-                w.write_bits(1, 1);
-                w.write_bits(b as u64, 8);
-            }
-        }
+        let (code, len) = codes[b as usize];
+        w.write_bits(code as u64, len);
     }
     let (bits, bit_len) = w.finish();
 
@@ -165,6 +159,78 @@ fn check_room(out: &[u8], add: u64, expected: u64) -> Result<(), GipfeliError> {
     Ok(())
 }
 
+/// Literals decoded per window refill: six 9-bit codes are 54 bits, inside
+/// the 57 a refill guarantees.
+const LITS_PER_REFILL: usize = 6;
+
+/// The literal bitstream's decoder. Every code fits a 9-bit window: its
+/// first bit is the flag that sets its length (`0 ‖ rank` is 6 bits, `1 ‖
+/// byte` 9), and one table entry per window gives the byte. While 64 bits
+/// remain the codes come from a cached [`BitBuf`] window, six per refill;
+/// the tail goes through [`MsbBitReader`], which zero-fills past the
+/// stream's end and checks each code against what remains.
+struct Literals<'a> {
+    fast: BitBuf<'a>,
+    tail: MsbBitReader<'a>,
+    /// The literal byte of every 9-bit window.
+    bytes: [u8; 512],
+}
+
+/// Length of the code a 9-bit window starts with.
+#[inline(always)]
+fn code_len(window: u64) -> u32 {
+    6 + 3 * (window >> 8) as u32
+}
+
+impl<'a> Literals<'a> {
+    fn new(bits: &'a [u8], bit_len: usize, rank: &[u8; FREQUENT]) -> Self {
+        let mut bytes = [0u8; 512];
+        for (window, byte) in bytes.iter_mut().enumerate() {
+            *byte = if window < 256 { rank[window >> 3] } else { window as u8 };
+        }
+        Literals { fast: BitBuf::new(bits, bit_len), tail: MsbBitReader::new(bits, bit_len), bytes }
+    }
+
+    /// Appends the next `n` literals to `out`.
+    ///
+    /// # Errors
+    ///
+    /// [`GipfeliError::Truncated`] if the bitstream ends first.
+    fn decode(&mut self, mut n: u64, out: &mut Vec<u8>) -> Result<(), GipfeliError> {
+        let Literals { fast, tail, bytes } = self;
+        while n > 0 && fast.remaining() >= 64 {
+            fast.refill();
+            let take = n.min(LITS_PER_REFILL as u64) as usize;
+            let mut run = [0u8; LITS_PER_REFILL];
+            for lit in &mut run[..take] {
+                let window = fast.peek(9);
+                fast.consume(code_len(window));
+                *lit = bytes[window as usize];
+            }
+            out.extend_from_slice(&run[..take]);
+            n -= take as u64;
+        }
+        if n == 0 {
+            return Ok(());
+        }
+        // The window stops for good under 64 bits; the tail reader takes
+        // over from it once and from itself after that.
+        if tail.position() < fast.position() {
+            tail.seek(fast.position());
+        }
+        for _ in 0..n {
+            let window = tail.peek_bits(9);
+            let len = code_len(window);
+            if tail.remaining() < len as usize {
+                return Err(GipfeliError::Truncated);
+            }
+            tail.consume(len);
+            out.push(bytes[window as usize]);
+        }
+        Ok(())
+    }
+}
+
 /// Decompresses a Gipfeli-class stream.
 ///
 /// # Errors
@@ -217,19 +283,7 @@ fn decompress_impl(input: &[u8], out: &mut Vec<u8>) -> Result<(), GipfeliError> 
         return Err(GipfeliError::Truncated);
     }
     let bit_bytes = bit_bytes as usize;
-    let mut bits = MsbBitReader::new(&input[pos..pos + bit_bytes], bit_len as usize);
-
-    let mut read_literal = |out: &mut Vec<u8>| -> Result<(), GipfeliError> {
-        let flag = bits.read_bits(1).map_err(|_| GipfeliError::Truncated)?;
-        let b = if flag == 0 {
-            let idx = bits.read_bits(5).map_err(|_| GipfeliError::Truncated)? as usize;
-            table[idx]
-        } else {
-            bits.read_bits(8).map_err(|_| GipfeliError::Truncated)? as u8
-        };
-        out.push(b);
-        Ok(())
-    };
+    let mut lits = Literals::new(&input[pos..pos + bit_bytes], bit_len as usize, &table);
 
     // Reserve conservatively: the declared size is untrusted input, so cap
     // the up-front allocation and let the vector grow if the data is real.
@@ -241,7 +295,9 @@ fn decompress_impl(input: &[u8], out: &mut Vec<u8>) -> Result<(), GipfeliError> 
         if token & 0x80 == 0 {
             // Literal count, varint-extended; the extension is untrusted,
             // so the count stays in checked u64 (the loop itself is
-            // bounded by the bit section, which was validated above).
+            // bounded by the bit section, which was validated above). A
+            // run of u64::MAX + 1 saturates: the bit section holds fewer
+            // than 2^61 codes, so either count ends in `Truncated`.
             let mut v = (token & 0x7F) as u64;
             if v == 0x7F {
                 let (ext, used) =
@@ -249,9 +305,7 @@ fn decompress_impl(input: &[u8], out: &mut Vec<u8>) -> Result<(), GipfeliError> 
                 op_pos += used;
                 v = v.checked_add(ext).ok_or(GipfeliError::Truncated)?;
             }
-            for _ in 0..=v {
-                read_literal(out)?;
-            }
+            lits.decode(v.saturating_add(1), out)?;
         } else if token & 0x40 == 0 {
             // Short match: 3-bit length, 11-bit offset.
             if op_pos + 1 > ops.len() {

@@ -19,7 +19,7 @@
 //! The final sequence is literals-only: the stream ends after its literal
 //! bytes, so it carries no offset (its match nibble is 0).
 
-use crate::matcher_for_level;
+use crate::{extend_literals, matcher_for_level, read_ext, Stop};
 use cdpu_lz77::matcher::HashTableMatcher;
 use cdpu_lz77::window::{apply_copy, DecoderScratch};
 use cdpu_util::varint;
@@ -143,70 +143,108 @@ pub fn decompress_into<'a>(
 }
 
 fn decompress_impl(input: &[u8], out: &mut Vec<u8>) -> Result<(), Lz4Error> {
-    let (expected, mut pos) = varint::read_u64(input).map_err(|_| Lz4Error::BadPreamble)?;
+    let (expected, pos) = varint::read_u64(input).map_err(|_| Lz4Error::BadPreamble)?;
     // Reserve conservatively: the declared size is untrusted input, so cap
     // the up-front allocation and let the vector grow if the data is real.
     out.reserve((expected as usize).min(1 << 20));
-    while pos < input.len() {
+    let seqs = &input[pos..];
+    let stop = decode_sequences(seqs, out, 0, expected, usize::MAX)?;
+    end_of_input(&stop, seqs.len(), out.len() as u64, expected)
+}
+
+/// The sequence loop under both LZ4 decoders: applies `input`'s sequences
+/// to `out` until the input ends inside one, or `out` holds `high_water`
+/// bytes. `out` holds the output from byte `base` on, and the stream
+/// declared `expected` bytes in all. A sequence whose literals are in but
+/// whose match is not stops with [`Stop::resume`] set after the literals.
+///
+/// # Errors
+///
+/// An [`Lz4Error`] at the first sequence that is invalid whatever follows.
+#[inline]
+pub(crate) fn decode_sequences(
+    input: &[u8],
+    out: &mut Vec<u8>,
+    base: u64,
+    expected: u64,
+    high_water: usize,
+) -> Result<Stop, Lz4Error> {
+    let produced = |out: &Vec<u8>| base + out.len() as u64;
+    let ext = |input: &[u8]| read_ext(input).map_err(|_| Lz4Error::Truncated);
+    let mut pos = 0;
+    while pos < input.len() && out.len() < high_water {
         let token = input[pos];
-        pos += 1;
         // Literal run, varint-extended past a full nibble. The extension
         // is untrusted and can be anything up to u64::MAX, so all length
         // arithmetic stays in checked u64 and is bounded against the
         // remaining input before the cast to usize.
         let mut ll = (token >> 4) as u64;
+        let mut p = pos + 1;
         if ll == 15 {
-            let (ext, used) = varint::read_u64(&input[pos..]).map_err(|_| Lz4Error::Truncated)?;
-            pos += used;
-            ll = ll.checked_add(ext).ok_or(Lz4Error::Truncated)?;
+            let Some((e, used)) = ext(&input[p..])? else { break };
+            p += used;
+            ll = ll.checked_add(e).ok_or(Lz4Error::Truncated)?;
         }
-        if ll > (input.len() - pos) as u64 {
-            return Err(Lz4Error::Truncated);
+        let resume = Some(token & 0x0F);
+        let avail = (input.len() - p) as u64;
+        if ll > avail {
+            out.extend_from_slice(&input[p..]);
+            return Ok(Stop { pos: input.len(), lit_left: ll - avail, resume });
         }
-        let lits = ll as usize;
-        out.extend_from_slice(&input[pos..pos + lits]);
-        pos += lits;
-        if out.len() as u64 > expected {
-            return Err(Lz4Error::LengthMismatch {
-                expected,
-                actual: out.len() as u64,
-            });
+        extend_literals(out, &input[p..], ll as usize);
+        p += ll as usize;
+        if produced(out) > expected {
+            return Err(Lz4Error::LengthMismatch { expected, actual: produced(out) });
         }
-        if pos == input.len() {
-            // Final literals-only sequence: no offset follows.
-            break;
-        }
-        if pos + 2 > input.len() {
-            return Err(Lz4Error::Truncated);
-        }
-        let offset = u16::from_le_bytes([input[pos], input[pos + 1]]) as u32;
-        pos += 2;
+        // The match: a 2-byte offset, then the length's extension. A
+        // stream may end before it (the final, literals-only sequence).
+        let Some(&[lo, hi]) = input.get(p..p + 2) else {
+            return Ok(Stop { pos: p, lit_left: 0, resume });
+        };
+        let offset = u16::from_le_bytes([lo, hi]) as u32;
+        let mut q = p + 2;
         let mut n = (token & 0x0F) as u64;
         if n == 15 {
-            let (ext, used) = varint::read_u64(&input[pos..]).map_err(|_| Lz4Error::Truncated)?;
-            pos += used;
-            n = n.checked_add(ext).ok_or(Lz4Error::Truncated)?;
+            let Some((e, used)) = ext(&input[q..])? else {
+                return Ok(Stop { pos: p, lit_left: 0, resume });
+            };
+            q += used;
+            n = n.checked_add(e).ok_or(Lz4Error::Truncated)?;
         }
         // Guard before copying: a hostile length must not balloon the
         // output past the declared size, and must fit the u32 copy width
         // rather than silently truncating.
         let copy = n.checked_add(4).ok_or(Lz4Error::Truncated)?;
-        if copy > expected.saturating_sub(out.len() as u64) {
+        if copy > expected.saturating_sub(produced(out)) {
             return Err(Lz4Error::LengthMismatch {
                 expected,
-                actual: (out.len() as u64).saturating_add(copy),
+                actual: produced(out).saturating_add(copy),
             });
         }
         if copy > u32::MAX as u64 {
             return Err(Lz4Error::Truncated);
         }
         apply_copy(out, offset, copy as u32).map_err(|_| Lz4Error::BadOffset)?;
+        pos = q;
     }
-    if out.len() as u64 != expected {
-        return Err(Lz4Error::LengthMismatch {
-            expected,
-            actual: out.len() as u64,
-        });
+    Ok(Stop { pos, lit_left: 0, resume: None })
+}
+
+/// What a stream whose sequences (`len` bytes of them) ended where
+/// [`decode_sequences`] stopped reports: `Truncated` for a cut-off
+/// sequence — one whose literals are all in may end there — else
+/// `LengthMismatch` unless it produced exactly what it declared.
+pub(crate) fn end_of_input(
+    stop: &Stop,
+    len: usize,
+    produced: u64,
+    expected: u64,
+) -> Result<(), Lz4Error> {
+    if stop.lit_left > 0 || stop.pos < len {
+        return Err(Lz4Error::Truncated);
+    }
+    if produced != expected {
+        return Err(Lz4Error::LengthMismatch { expected, actual: produced });
     }
     Ok(())
 }

@@ -13,7 +13,7 @@
 //! - match: `0x80 | (len - 4)` for lengths 4–130 (one varint extension
 //!   byte for longer), followed by a 2-byte little-endian offset.
 
-use crate::matcher_for_level;
+use crate::{extend_literals, matcher_for_level, read_ext, Stop};
 use cdpu_lz77::matcher::HashTableMatcher;
 use cdpu_lz77::window::{apply_copy, DecoderScratch};
 use cdpu_util::varint;
@@ -147,81 +147,110 @@ pub fn decompress_into<'a>(
 }
 
 fn decompress_impl(input: &[u8], out: &mut Vec<u8>) -> Result<(), LzoError> {
-    let (expected, mut pos) = varint::read_u64(input).map_err(|_| LzoError::BadPreamble)?;
+    let (expected, pos) = varint::read_u64(input).map_err(|_| LzoError::BadPreamble)?;
     // Reserve conservatively: the declared size is untrusted input, so cap
     // the up-front allocation and let the vector grow if the data is real.
     out.reserve((expected as usize).min(1 << 20));
-    while pos < input.len() {
+    let tokens = &input[pos..];
+    let stop = decode_tokens(tokens, out, 0, expected, usize::MAX)?;
+    end_of_input(&stop, tokens.len(), out.len() as u64, expected)
+}
+
+/// The token loop under both LZO decoders: applies `input`'s tokens to
+/// `out` until the input ends inside one, or `out` holds `high_water`
+/// bytes. `out` holds the output from byte `base` on, and the stream
+/// declared `expected` bytes in all.
+///
+/// # Errors
+///
+/// An [`LzoError`] at the first token that is invalid whatever follows it.
+#[inline]
+pub(crate) fn decode_tokens(
+    input: &[u8],
+    out: &mut Vec<u8>,
+    base: u64,
+    expected: u64,
+    high_water: usize,
+) -> Result<Stop, LzoError> {
+    let produced = |out: &Vec<u8>| base + out.len() as u64;
+    let ext = |input: &[u8]| read_ext(input).map_err(|_| LzoError::Truncated);
+    let mut pos = 0;
+    while pos < input.len() && out.len() < high_water {
         let token = input[pos];
-        pos += 1;
         if token & 0x80 == 0 {
             // Literal run, varint-extended count. The extension is
             // untrusted, so length arithmetic stays in checked u64,
             // bounded against the remaining input before the cast.
             let mut n = (token & 0x7F) as u64;
+            let mut p = pos + 1;
             if n == 0x7F {
-                let (ext, used) =
-                    varint::read_u64(&input[pos..]).map_err(|_| LzoError::Truncated)?;
-                pos += used;
-                n = n.checked_add(ext).ok_or(LzoError::Truncated)?;
+                let Some((e, used)) = ext(&input[p..])? else { break };
+                p += used;
+                n = n.checked_add(e).ok_or(LzoError::Truncated)?;
             }
             let len = n.checked_add(1).ok_or(LzoError::Truncated)?;
-            if len > (input.len() - pos) as u64 {
-                return Err(LzoError::Truncated);
+            let avail = (input.len() - p) as u64;
+            if len > avail {
+                out.extend_from_slice(&input[p..]);
+                return Ok(Stop { pos: input.len(), lit_left: len - avail, resume: None });
             }
-            let len = len as usize;
-            out.extend_from_slice(&input[pos..pos + len]);
-            pos += len;
+            extend_literals(out, &input[p..], len as usize);
+            pos = p + len as usize;
         } else if token & 0x40 == 0 {
             // Short match: 3-bit length, 11-bit offset.
-            if pos + 1 > input.len() {
-                return Err(LzoError::Truncated);
-            }
+            let Some(&low) = input.get(pos + 1) else { break };
             let len = 4 + ((token >> 3) & 0x7) as u32;
-            let offset = (((token & 0x7) as u32) << 8) | input[pos] as u32;
-            pos += 1;
+            let offset = (((token & 0x7) as u32) << 8) | low as u32;
             apply_copy(out, offset, len).map_err(|_| LzoError::BadOffset)?;
+            pos += 2;
         } else {
             // Long match: 6-bit length (varint-extended), 16-bit offset.
             let mut n = (token & 0x3F) as u64;
+            let mut p = pos + 1;
             if n == 0x3F {
-                let (ext, used) =
-                    varint::read_u64(&input[pos..]).map_err(|_| LzoError::Truncated)?;
-                pos += used;
-                n = n.checked_add(ext).ok_or(LzoError::Truncated)?;
+                let Some((e, used)) = ext(&input[p..])? else { break };
+                p += used;
+                n = n.checked_add(e).ok_or(LzoError::Truncated)?;
             }
-            if pos + 2 > input.len() {
-                return Err(LzoError::Truncated);
-            }
-            let offset = u16::from_le_bytes([input[pos], input[pos + 1]]) as u32;
-            pos += 2;
+            let Some(&[lo, hi]) = input.get(p..p + 2) else { break };
+            let offset = u16::from_le_bytes([lo, hi]) as u32;
             // Guard before copying: a hostile length must not balloon the
             // output past the declared size, and must fit the u32 copy
             // width rather than silently truncating.
             let copy = n.checked_add(4).ok_or(LzoError::Truncated)?;
-            if copy > expected.saturating_sub(out.len() as u64) {
+            if copy > expected.saturating_sub(produced(out)) {
                 return Err(LzoError::LengthMismatch {
                     expected,
-                    actual: (out.len() as u64).saturating_add(copy),
+                    actual: produced(out).saturating_add(copy),
                 });
             }
             if copy > u32::MAX as u64 {
                 return Err(LzoError::Truncated);
             }
             apply_copy(out, offset, copy as u32).map_err(|_| LzoError::BadOffset)?;
+            pos = p + 2;
         }
-        if out.len() as u64 > expected {
-            return Err(LzoError::LengthMismatch {
-                expected,
-                actual: out.len() as u64,
-            });
+        if produced(out) > expected {
+            return Err(LzoError::LengthMismatch { expected, actual: produced(out) });
         }
     }
-    if out.len() as u64 != expected {
-        return Err(LzoError::LengthMismatch {
-            expected,
-            actual: out.len() as u64,
-        });
+    Ok(Stop { pos, lit_left: 0, resume: None })
+}
+
+/// What a stream whose tokens (`len` bytes of them) ended where
+/// [`decode_tokens`] stopped reports: `Truncated` for a cut-off token,
+/// else `LengthMismatch` unless it produced exactly what it declared.
+pub(crate) fn end_of_input(
+    stop: &Stop,
+    len: usize,
+    produced: u64,
+    expected: u64,
+) -> Result<(), LzoError> {
+    if stop.lit_left > 0 || stop.pos < len {
+        return Err(LzoError::Truncated);
+    }
+    if produced != expected {
+        return Err(LzoError::LengthMismatch { expected, actual: produced });
     }
     Ok(())
 }

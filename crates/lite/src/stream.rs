@@ -1,15 +1,25 @@
 //! Streaming adapters for the lightweight codecs, byte-identical to the
 //! one-shot entry points.
 //!
-//! The LZO- and LZ4-class coders stream natively: encoders feed a
+//! The LZO- and LZ4-class coders stream natively. Encoders feed a
 //! [`StreamParser`] configured by the shared [`matcher_for_level`] ladder
 //! (with offsets folded at the 16-bit field ceiling, exactly like the
 //! one-shot paths' `fold_matches_beyond`) and serialize events with the
-//! same `emit_*` helpers; decoders are resumable token state machines
-//! over a sliding [`HistBuf`] whose error values match the one-shot
-//! decoders for valid, truncated, and hostile streams alike. Both
-//! formats cap offsets at 65535, which the retained 64 KiB window always
-//! covers — unlike Snappy there is no hostile-offset divergence.
+//! same `emit_*` helpers. Both decoders are one core, `ElementStream`,
+//! over the format's one-shot element loop (`lzo::decode_tokens`,
+//! `lz4::decode_sequences`) and a sliding [`HistBuf`] window. Each push
+//! hands the loop the new input; the loop applies every whole element and
+//! stops at the first one the input cuts off. Between pushes the core
+//! keeps only that element's front, which then takes one input byte at a
+//! time until it is whole, and the payload bytes a cut-off literal run
+//! still owes, which pass straight into the window. An LZ4 sequence cut
+//! off after its literals is carried as its match-length nibble, which,
+//! read as a token, is the rest of that sequence. At end-of-input the core
+//! reports what the one-shot decoder reports for a stream ending there
+//! (`end_of_input`), so error values match the one-shot decoders for
+//! valid, truncated and hostile streams alike. Both formats cap offsets at
+//! 65535, which the retained 64 KiB window always covers — unlike Snappy
+//! there is no hostile-offset divergence.
 //!
 //! The Gipfeli-class coder is *not* streamable: its fixed-layout literal
 //! code is built from a histogram over the whole literal stream, and the
@@ -21,13 +31,10 @@
 use crate::gipfeli::{self, GipfeliError};
 use crate::lz4::{self, Lz4Error};
 use crate::lzo::{self, LzoError};
-use crate::matcher_for_level;
+use crate::{matcher_for_level, Stop};
 use cdpu_lz77::stream::{ParseEvent, StreamParser};
-use cdpu_lz77::window::apply_copy;
-use cdpu_util::stream::{
-    HistBuf, OutBuf, StreamDecoder, StreamEncoder, StreamError, StreamProgress, VarintAccum,
-};
-use cdpu_util::varint;
+use cdpu_util::stream::{HistBuf, OutBuf, StreamDecoder, StreamEncoder, StreamError, StreamProgress};
+use cdpu_util::varint::{self, VarintError};
 
 /// Stop accepting input while this much output is staged undrained.
 const HIGH_WATER: usize = 256 * 1024;
@@ -35,6 +42,200 @@ const HIGH_WATER: usize = 256 * 1024;
 const FEED_PIECE: usize = 64 * 1024;
 /// Both byte-oriented formats use a 64 KiB history window.
 const WINDOW_SIZE: usize = 64 * 1024;
+
+// ---------------------------------------------------------------------------
+// The byte-aligned decoders' streaming core
+// ---------------------------------------------------------------------------
+
+/// A byte-aligned format as [`ElementStream`] drives it: its element loop
+/// and its end-of-input rule, both shared with the one-shot decoder.
+trait Format {
+    type Error: Copy;
+    const BAD_PREAMBLE: Self::Error;
+    /// The element loop ([`lzo::decode_tokens`], [`lz4::decode_sequences`]).
+    fn decode(
+        input: &[u8],
+        out: &mut Vec<u8>,
+        base: u64,
+        expected: u64,
+        high_water: usize,
+    ) -> Result<Stop, Self::Error>;
+    /// What a stream that ends where the loop stopped reports.
+    fn end(stop: &Stop, len: usize, produced: u64, expected: u64) -> Result<(), Self::Error>;
+    /// The error for `actual` output bytes against `expected`.
+    fn length_mismatch(expected: u64, actual: u64) -> Self::Error;
+}
+
+struct Lzo;
+
+impl Format for Lzo {
+    type Error = LzoError;
+    const BAD_PREAMBLE: LzoError = LzoError::BadPreamble;
+    fn decode(
+        input: &[u8],
+        out: &mut Vec<u8>,
+        base: u64,
+        expected: u64,
+        high_water: usize,
+    ) -> Result<Stop, LzoError> {
+        lzo::decode_tokens(input, out, base, expected, high_water)
+    }
+    fn end(stop: &Stop, len: usize, produced: u64, expected: u64) -> Result<(), LzoError> {
+        lzo::end_of_input(stop, len, produced, expected)
+    }
+    fn length_mismatch(expected: u64, actual: u64) -> LzoError {
+        LzoError::LengthMismatch { expected, actual }
+    }
+}
+
+struct Lz4;
+
+impl Format for Lz4 {
+    type Error = Lz4Error;
+    const BAD_PREAMBLE: Lz4Error = Lz4Error::BadPreamble;
+    fn decode(
+        input: &[u8],
+        out: &mut Vec<u8>,
+        base: u64,
+        expected: u64,
+        high_water: usize,
+    ) -> Result<Stop, Lz4Error> {
+        lz4::decode_sequences(input, out, base, expected, high_water)
+    }
+    fn end(stop: &Stop, len: usize, produced: u64, expected: u64) -> Result<(), Lz4Error> {
+        lz4::end_of_input(stop, len, produced, expected)
+    }
+    fn length_mismatch(expected: u64, actual: u64) -> Lz4Error {
+        Lz4Error::LengthMismatch { expected, actual }
+    }
+}
+
+/// A streaming decoder: the format's one-shot element loop over a sliding
+/// [`HistBuf`] window. Between pushes it keeps only the front of an
+/// element the input cut off and the payload bytes a cut-off literal run
+/// still owes.
+struct ElementStream<F: Format> {
+    /// The declared output length, once the preamble is in.
+    expected: Option<u64>,
+    /// The front of the preamble, or of an element (behind an LZ4
+    /// [`Stop::resume`] token), that the input so far cut off.
+    carry: Vec<u8>,
+    /// Literal payload bytes owed before the next element.
+    lit_left: u64,
+    hist: HistBuf,
+    err: Option<F::Error>,
+    finished: bool,
+}
+
+impl<F: Format> ElementStream<F> {
+    fn new() -> Self {
+        ElementStream {
+            expected: None,
+            carry: Vec::new(),
+            lit_left: 0,
+            hist: HistBuf::new(WINDOW_SIZE),
+            err: None,
+            finished: false,
+        }
+    }
+
+    /// Output bytes before the retained window.
+    fn base(&self) -> u64 {
+        self.hist.produced() - self.hist.retained() as u64
+    }
+
+    fn push_bytes(&mut self, input: &[u8], out: &mut [u8]) -> Result<StreamProgress, F::Error> {
+        if let Some(e) = self.err {
+            return Err(e);
+        }
+        let consumed = self.advance(input).inspect_err(|&e| self.err = Some(e))?;
+        Ok(StreamProgress { consumed, written: self.hist.drain_into(out) })
+    }
+
+    /// Decodes from `input` until it is used up or [`HIGH_WATER`] bytes
+    /// wait undrained; returns the bytes consumed.
+    fn advance(&mut self, input: &[u8]) -> Result<usize, F::Error> {
+        let mut i = 0;
+        while i < input.len() && self.hist.undrained() < HIGH_WATER {
+            let Some(expected) = self.expected else {
+                self.carry.push(input[i]);
+                i += 1;
+                match varint::read_u64(&self.carry) {
+                    Ok((v, _)) => {
+                        self.expected = Some(v);
+                        self.carry.clear();
+                    }
+                    Err(VarintError::Truncated) => {}
+                    Err(VarintError::Overflow) => return Err(F::BAD_PREAMBLE),
+                }
+                continue;
+            };
+            if self.lit_left > 0 {
+                let take = self.lit_left.min((input.len() - i) as u64) as usize;
+                self.hist.sink().extend_from_slice(&input[i..i + take]);
+                i += take;
+                self.lit_left -= take as u64;
+                if self.lit_left == 0 && self.hist.produced() > expected {
+                    return Err(F::length_mismatch(expected, self.hist.produced()));
+                }
+                continue;
+            }
+            let base = self.base();
+            let high_water = self.hist.retained() + (HIGH_WATER - self.hist.undrained());
+            let Self { carry, hist, lit_left, .. } = self;
+            if carry.is_empty() {
+                let stop = F::decode(&input[i..], hist.sink(), base, expected, high_water)?;
+                i += stop.pos;
+                *lit_left = stop.lit_left;
+                carry.extend(stop.resume);
+                if hist.retained() < high_water {
+                    // Cut off by the end of the input, not by the mark.
+                    carry.extend_from_slice(&input[i..]);
+                    i = input.len();
+                }
+            } else {
+                // A cut-off element takes one byte at a time until whole.
+                carry.push(input[i]);
+                i += 1;
+                let stop = F::decode(carry, hist.sink(), base, expected, high_water)?;
+                carry.drain(..stop.pos);
+                *lit_left = stop.lit_left;
+                if let Some(token) = stop.resume {
+                    carry.insert(0, token);
+                }
+            }
+        }
+        Ok(i)
+    }
+
+    fn finish_bytes(&mut self, out: &mut [u8]) -> Result<(usize, bool), F::Error> {
+        if let Some(e) = self.err {
+            return Err(e);
+        }
+        if !self.finished {
+            self.end().inspect_err(|&e| self.err = Some(e))?;
+            self.finished = true;
+        }
+        let n = self.hist.drain_into(out);
+        Ok((n, self.hist.undrained() == 0))
+    }
+
+    /// The one-shot's verdict on a stream that ends here.
+    fn end(&mut self) -> Result<(), F::Error> {
+        let expected = self.expected.ok_or(F::BAD_PREAMBLE)?;
+        let stop = if self.lit_left > 0 {
+            Stop { pos: 0, lit_left: self.lit_left, resume: None }
+        } else {
+            let base = self.base();
+            F::decode(&self.carry, self.hist.sink(), base, expected, usize::MAX)?
+        };
+        F::end(&stop, self.carry.len(), self.hist.produced(), expected)
+    }
+
+    fn scratch_bytes(&self) -> usize {
+        self.hist.capacity() + self.carry.capacity()
+    }
+}
 
 // ---------------------------------------------------------------------------
 // LZO-class
@@ -119,37 +320,9 @@ impl StreamEncoder for LzoStreamEncoder {
     }
 }
 
-/// Where the LZO decoder's token cursor sits between pushes.
-enum LzoState {
-    /// Reading the uncompressed-length varint preamble.
-    Preamble,
-    /// At a token boundary.
-    Token,
-    /// Collecting the varint extension of a chained literal count.
-    LitExt,
-    /// Copying literal payload through (`swallow`: see snappy's decoder —
-    /// the run already overran the declared length and is consumed but
-    /// discarded, the pending `LengthMismatch` firing on completion).
-    LitBytes { remaining: u64, swallow: bool },
-    /// Collecting the short-match offset byte.
-    ShortOff { token: u8 },
-    /// Collecting the varint extension of a chained long-match length.
-    LongExt,
-    /// Collecting the two long-match offset bytes.
-    LongOff { n: u64, got: [u8; 2], have: usize },
-}
-
-/// Streaming LZO-class decompressor; see the module docs for the
-/// parity contract.
-pub struct LzoStreamDecoder {
-    state: LzoState,
-    accum: VarintAccum,
-    expected: u64,
-    pending_overrun: Option<u64>,
-    hist: HistBuf,
-    err: Option<LzoError>,
-    finished: bool,
-}
+/// Streaming LZO-class decompressor: [`lzo`]'s token loop over a sliding
+/// window; see the module docs for the parity contract.
+pub struct LzoStreamDecoder(ElementStream<Lzo>);
 
 impl Default for LzoStreamDecoder {
     fn default() -> Self {
@@ -160,57 +333,7 @@ impl Default for LzoStreamDecoder {
 impl LzoStreamDecoder {
     /// Creates a decoder positioned at the length preamble.
     pub fn new() -> Self {
-        LzoStreamDecoder {
-            state: LzoState::Preamble,
-            accum: VarintAccum::new(),
-            expected: 0,
-            pending_overrun: None,
-            hist: HistBuf::new(WINDOW_SIZE),
-            err: None,
-            finished: false,
-        }
-    }
-
-    fn enter_literal(&mut self, len: u64) {
-        let overrun = self.hist.produced() + len > self.expected;
-        if overrun {
-            self.pending_overrun = Some(self.hist.produced() + len);
-        }
-        self.state = LzoState::LitBytes { remaining: len, swallow: overrun };
-    }
-
-    /// Applies a match, in the one-shot decoder's exact check order.
-    fn apply_long(&mut self, n: u64, offset: u32) -> Result<(), LzoError> {
-        let produced = self.hist.produced();
-        let copy = n.checked_add(4).ok_or(LzoError::Truncated)?;
-        if copy > self.expected.saturating_sub(produced) {
-            return Err(LzoError::LengthMismatch {
-                expected: self.expected,
-                actual: produced.saturating_add(copy),
-            });
-        }
-        if copy > u32::MAX as u64 {
-            return Err(LzoError::Truncated);
-        }
-        if offset == 0 || offset as u64 > produced {
-            return Err(LzoError::BadOffset);
-        }
-        apply_copy(self.hist.sink(), offset, copy as u32).map_err(|_| LzoError::BadOffset)
-    }
-
-    fn apply_short(&mut self, offset: u32, len: u32) -> Result<(), LzoError> {
-        let produced = self.hist.produced();
-        if offset == 0 || offset as u64 > produced {
-            return Err(LzoError::BadOffset);
-        }
-        apply_copy(self.hist.sink(), offset, len).map_err(|_| LzoError::BadOffset)?;
-        if produced + len as u64 > self.expected {
-            return Err(LzoError::LengthMismatch {
-                expected: self.expected,
-                actual: produced + len as u64,
-            });
-        }
-        Ok(())
+        LzoStreamDecoder(ElementStream::new())
     }
 
     /// Feeds compressed bytes; the trait `push` with the codec's precise
@@ -220,118 +343,8 @@ impl LzoStreamDecoder {
     ///
     /// The same [`LzoError`] values [`lzo::decompress`] reports at the
     /// equivalent point in the token stream.
-    pub fn push_bytes(
-        &mut self,
-        input: &[u8],
-        out: &mut [u8],
-    ) -> Result<StreamProgress, LzoError> {
-        if let Some(e) = self.err {
-            return Err(e);
-        }
-        let mut i = 0;
-        while i < input.len() && self.hist.undrained() < HIGH_WATER {
-            if let Err(e) = self.step(input, &mut i) {
-                self.err = Some(e);
-                return Err(e);
-            }
-        }
-        let written = self.hist.drain_into(out);
-        Ok(StreamProgress { consumed: i, written })
-    }
-
-    fn step(&mut self, input: &[u8], i: &mut usize) -> Result<(), LzoError> {
-        match self.state {
-            LzoState::Preamble => {
-                let (used, done) = self.accum.feed(&input[*i..]);
-                *i += used;
-                if let Some(res) = done {
-                    let v = res.map_err(|_| LzoError::BadPreamble)?;
-                    self.expected = v;
-                    self.accum = VarintAccum::new();
-                    self.state = LzoState::Token;
-                }
-            }
-            LzoState::Token => {
-                let token = input[*i];
-                *i += 1;
-                if token & 0x80 == 0 {
-                    if token == 0x7F {
-                        self.state = LzoState::LitExt;
-                    } else {
-                        self.enter_literal(token as u64 + 1);
-                    }
-                } else if token & 0x40 == 0 {
-                    self.state = LzoState::ShortOff { token };
-                } else if token & 0x3F == 0x3F {
-                    self.state = LzoState::LongExt;
-                } else {
-                    self.state = LzoState::LongOff { n: (token & 0x3F) as u64, got: [0; 2], have: 0 };
-                }
-            }
-            LzoState::LitExt => {
-                let (used, done) = self.accum.feed(&input[*i..]);
-                *i += used;
-                if let Some(res) = done {
-                    let ext = res.map_err(|_| LzoError::Truncated)?;
-                    self.accum = VarintAccum::new();
-                    let n = 0x7Fu64.checked_add(ext).ok_or(LzoError::Truncated)?;
-                    let len = n.checked_add(1).ok_or(LzoError::Truncated)?;
-                    self.enter_literal(len);
-                }
-            }
-            LzoState::LitBytes { remaining, swallow } => {
-                let take = remaining.min((input.len() - *i) as u64) as usize;
-                if !swallow {
-                    self.hist.sink().extend_from_slice(&input[*i..*i + take]);
-                }
-                *i += take;
-                let remaining = remaining - take as u64;
-                if remaining == 0 {
-                    if swallow {
-                        return Err(LzoError::LengthMismatch {
-                            expected: self.expected,
-                            actual: self.pending_overrun.take().unwrap_or(0),
-                        });
-                    }
-                    self.state = LzoState::Token;
-                } else {
-                    self.state = LzoState::LitBytes { remaining, swallow };
-                }
-            }
-            LzoState::ShortOff { token } => {
-                let b = input[*i];
-                *i += 1;
-                let len = 4 + ((token >> 3) & 0x7) as u32;
-                let offset = (((token & 0x7) as u32) << 8) | b as u32;
-                self.apply_short(offset, len)?;
-                self.state = LzoState::Token;
-            }
-            LzoState::LongExt => {
-                let (used, done) = self.accum.feed(&input[*i..]);
-                *i += used;
-                if let Some(res) = done {
-                    let ext = res.map_err(|_| LzoError::Truncated)?;
-                    self.accum = VarintAccum::new();
-                    let n = 0x3Fu64.checked_add(ext).ok_or(LzoError::Truncated)?;
-                    self.state = LzoState::LongOff { n, got: [0; 2], have: 0 };
-                }
-            }
-            LzoState::LongOff { n, mut got, mut have } => {
-                while have < 2 && *i < input.len() {
-                    got[have] = input[*i];
-                    have += 1;
-                    *i += 1;
-                }
-                if have == 2 {
-                    let offset = u16::from_le_bytes(got) as u32;
-                    self.apply_long(n, offset)?;
-                    self.state = LzoState::Token;
-                } else {
-                    self.state = LzoState::LongOff { n, got, have };
-                }
-            }
-        }
-        Ok(())
+    pub fn push_bytes(&mut self, input: &[u8], out: &mut [u8]) -> Result<StreamProgress, LzoError> {
+        self.0.push_bytes(input, out)
     }
 
     /// Declares end-of-input; the trait `finish` with the codec's precise
@@ -342,35 +355,7 @@ impl LzoStreamDecoder {
     /// The same [`LzoError`] [`lzo::decompress`] reports for the
     /// equivalent truncated stream.
     pub fn finish_bytes(&mut self, out: &mut [u8]) -> Result<(usize, bool), LzoError> {
-        if let Some(e) = self.err {
-            return Err(e);
-        }
-        if !self.finished {
-            let end_err = match self.state {
-                LzoState::Preamble => Some(LzoError::BadPreamble),
-                LzoState::Token => None,
-                // Truncation mid-element is Truncated everywhere in this
-                // format (the one-shot decoder has no BadLiteral case).
-                LzoState::LitExt
-                | LzoState::LitBytes { .. }
-                | LzoState::ShortOff { .. }
-                | LzoState::LongExt
-                | LzoState::LongOff { .. } => Some(LzoError::Truncated),
-            };
-            let end_err = end_err.or_else(|| {
-                (self.hist.produced() != self.expected).then(|| LzoError::LengthMismatch {
-                    expected: self.expected,
-                    actual: self.hist.produced(),
-                })
-            });
-            if let Some(e) = end_err {
-                self.err = Some(e);
-                return Err(e);
-            }
-            self.finished = true;
-        }
-        let n = self.hist.drain_into(out);
-        Ok((n, self.hist.undrained() == 0))
+        self.0.finish_bytes(out)
     }
 }
 
@@ -384,7 +369,7 @@ impl StreamDecoder for LzoStreamDecoder {
     }
 
     fn scratch_bytes(&self) -> usize {
-        self.hist.capacity()
+        self.0.scratch_bytes()
     }
 }
 
@@ -470,36 +455,9 @@ impl StreamEncoder for Lz4StreamEncoder {
     }
 }
 
-/// Where the LZ4 decoder's sequence cursor sits between pushes.
-enum Lz4State {
-    /// Reading the uncompressed-length varint preamble.
-    Preamble,
-    /// At a sequence boundary, expecting a token byte.
-    Token,
-    /// Collecting the varint extension of a chained literal count.
-    LitExt { token: u8 },
-    /// Copying literal payload through (swallow: as in the LZO decoder).
-    LitBytes { token: u8, remaining: u64, swallow: bool },
-    /// Literals done; end-of-stream here is the legal final sequence,
-    /// otherwise the two offset bytes follow.
-    AfterLits { token: u8 },
-    /// Collecting the two match-offset bytes.
-    MatchOff { token: u8, got: [u8; 2], have: usize },
-    /// Collecting the varint extension of a chained match length.
-    MatchExt { offset: u32 },
-}
-
-/// Streaming LZ4-class decompressor; see the module docs for the
-/// parity contract.
-pub struct Lz4StreamDecoder {
-    state: Lz4State,
-    accum: VarintAccum,
-    expected: u64,
-    pending_overrun: Option<u64>,
-    hist: HistBuf,
-    err: Option<Lz4Error>,
-    finished: bool,
-}
+/// Streaming LZ4-class decompressor: [`lz4`]'s sequence loop over a sliding
+/// window; see the module docs for the parity contract.
+pub struct Lz4StreamDecoder(ElementStream<Lz4>);
 
 impl Default for Lz4StreamDecoder {
     fn default() -> Self {
@@ -510,46 +468,7 @@ impl Default for Lz4StreamDecoder {
 impl Lz4StreamDecoder {
     /// Creates a decoder positioned at the length preamble.
     pub fn new() -> Self {
-        Lz4StreamDecoder {
-            state: Lz4State::Preamble,
-            accum: VarintAccum::new(),
-            expected: 0,
-            pending_overrun: None,
-            hist: HistBuf::new(WINDOW_SIZE),
-            err: None,
-            finished: false,
-        }
-    }
-
-    fn enter_literal(&mut self, token: u8, len: u64) {
-        if len == 0 {
-            self.state = Lz4State::AfterLits { token };
-            return;
-        }
-        let overrun = self.hist.produced() + len > self.expected;
-        if overrun {
-            self.pending_overrun = Some(self.hist.produced() + len);
-        }
-        self.state = Lz4State::LitBytes { token, remaining: len, swallow: overrun };
-    }
-
-    /// Applies a match, in the one-shot decoder's exact check order.
-    fn apply(&mut self, offset: u32, n: u64) -> Result<(), Lz4Error> {
-        let produced = self.hist.produced();
-        let copy = n.checked_add(4).ok_or(Lz4Error::Truncated)?;
-        if copy > self.expected.saturating_sub(produced) {
-            return Err(Lz4Error::LengthMismatch {
-                expected: self.expected,
-                actual: produced.saturating_add(copy),
-            });
-        }
-        if copy > u32::MAX as u64 {
-            return Err(Lz4Error::Truncated);
-        }
-        if offset == 0 || offset as u64 > produced {
-            return Err(Lz4Error::BadOffset);
-        }
-        apply_copy(self.hist.sink(), offset, copy as u32).map_err(|_| Lz4Error::BadOffset)
+        Lz4StreamDecoder(ElementStream::new())
     }
 
     /// Feeds compressed bytes; the trait `push` with the codec's precise
@@ -559,109 +478,8 @@ impl Lz4StreamDecoder {
     ///
     /// The same [`Lz4Error`] values [`lz4::decompress`] reports at the
     /// equivalent point in the sequence stream.
-    pub fn push_bytes(
-        &mut self,
-        input: &[u8],
-        out: &mut [u8],
-    ) -> Result<StreamProgress, Lz4Error> {
-        if let Some(e) = self.err {
-            return Err(e);
-        }
-        let mut i = 0;
-        while i < input.len() && self.hist.undrained() < HIGH_WATER {
-            if let Err(e) = self.step(input, &mut i) {
-                self.err = Some(e);
-                return Err(e);
-            }
-        }
-        let written = self.hist.drain_into(out);
-        Ok(StreamProgress { consumed: i, written })
-    }
-
-    fn step(&mut self, input: &[u8], i: &mut usize) -> Result<(), Lz4Error> {
-        match self.state {
-            Lz4State::Preamble => {
-                let (used, done) = self.accum.feed(&input[*i..]);
-                *i += used;
-                if let Some(res) = done {
-                    let v = res.map_err(|_| Lz4Error::BadPreamble)?;
-                    self.expected = v;
-                    self.accum = VarintAccum::new();
-                    self.state = Lz4State::Token;
-                }
-            }
-            Lz4State::Token => {
-                let token = input[*i];
-                *i += 1;
-                if token >> 4 == 15 {
-                    self.state = Lz4State::LitExt { token };
-                } else {
-                    self.enter_literal(token, (token >> 4) as u64);
-                }
-            }
-            Lz4State::LitExt { token } => {
-                let (used, done) = self.accum.feed(&input[*i..]);
-                *i += used;
-                if let Some(res) = done {
-                    let ext = res.map_err(|_| Lz4Error::Truncated)?;
-                    self.accum = VarintAccum::new();
-                    let ll = 15u64.checked_add(ext).ok_or(Lz4Error::Truncated)?;
-                    self.enter_literal(token, ll);
-                }
-            }
-            Lz4State::LitBytes { token, remaining, swallow } => {
-                let take = remaining.min((input.len() - *i) as u64) as usize;
-                if !swallow {
-                    self.hist.sink().extend_from_slice(&input[*i..*i + take]);
-                }
-                *i += take;
-                let remaining = remaining - take as u64;
-                if remaining == 0 {
-                    if swallow {
-                        return Err(Lz4Error::LengthMismatch {
-                            expected: self.expected,
-                            actual: self.pending_overrun.take().unwrap_or(0),
-                        });
-                    }
-                    self.state = Lz4State::AfterLits { token };
-                } else {
-                    self.state = Lz4State::LitBytes { token, remaining, swallow };
-                }
-            }
-            Lz4State::AfterLits { token } => {
-                self.state = Lz4State::MatchOff { token, got: [0; 2], have: 0 };
-            }
-            Lz4State::MatchOff { token, mut got, mut have } => {
-                while have < 2 && *i < input.len() {
-                    got[have] = input[*i];
-                    have += 1;
-                    *i += 1;
-                }
-                if have == 2 {
-                    let offset = u16::from_le_bytes(got) as u32;
-                    if token & 0x0F == 15 {
-                        self.state = Lz4State::MatchExt { offset };
-                    } else {
-                        self.apply(offset, (token & 0x0F) as u64)?;
-                        self.state = Lz4State::Token;
-                    }
-                } else {
-                    self.state = Lz4State::MatchOff { token, got, have };
-                }
-            }
-            Lz4State::MatchExt { offset } => {
-                let (used, done) = self.accum.feed(&input[*i..]);
-                *i += used;
-                if let Some(res) = done {
-                    let ext = res.map_err(|_| Lz4Error::Truncated)?;
-                    self.accum = VarintAccum::new();
-                    let n = 15u64.checked_add(ext).ok_or(Lz4Error::Truncated)?;
-                    self.apply(offset, n)?;
-                    self.state = Lz4State::Token;
-                }
-            }
-        }
-        Ok(())
+    pub fn push_bytes(&mut self, input: &[u8], out: &mut [u8]) -> Result<StreamProgress, Lz4Error> {
+        self.0.push_bytes(input, out)
     }
 
     /// Declares end-of-input; the trait `finish` with the codec's precise
@@ -672,37 +490,7 @@ impl Lz4StreamDecoder {
     /// The same [`Lz4Error`] [`lz4::decompress`] reports for the
     /// equivalent truncated stream.
     pub fn finish_bytes(&mut self, out: &mut [u8]) -> Result<(usize, bool), Lz4Error> {
-        if let Some(e) = self.err {
-            return Err(e);
-        }
-        if !self.finished {
-            let end_err = match self.state {
-                Lz4State::Preamble => Some(Lz4Error::BadPreamble),
-                // A stream may legally end at a sequence boundary or
-                // right after a final literals-only sequence.
-                Lz4State::Token | Lz4State::AfterLits { .. } => None,
-                // Only 0 or 1 of the two offset bytes arrived: the
-                // one-shot decoder's `pos + 2 > len` check. Zero arrived
-                // is unreachable (AfterLits only advances on input).
-                Lz4State::LitExt { .. }
-                | Lz4State::LitBytes { .. }
-                | Lz4State::MatchOff { .. }
-                | Lz4State::MatchExt { .. } => Some(Lz4Error::Truncated),
-            };
-            let end_err = end_err.or_else(|| {
-                (self.hist.produced() != self.expected).then(|| Lz4Error::LengthMismatch {
-                    expected: self.expected,
-                    actual: self.hist.produced(),
-                })
-            });
-            if let Some(e) = end_err {
-                self.err = Some(e);
-                return Err(e);
-            }
-            self.finished = true;
-        }
-        let n = self.hist.drain_into(out);
-        Ok((n, self.hist.undrained() == 0))
+        self.0.finish_bytes(out)
     }
 }
 
@@ -716,7 +504,7 @@ impl StreamDecoder for Lz4StreamDecoder {
     }
 
     fn scratch_bytes(&self) -> usize {
-        self.hist.capacity()
+        self.0.scratch_bytes()
     }
 }
 

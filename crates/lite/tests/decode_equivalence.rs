@@ -295,6 +295,94 @@ fn lzo_max_varint_extensions_error_not_panic() {
     }
 }
 
+/// A Gipfeli frame around a hand-made op section and literal bitstream:
+/// `bits` holds `bit_len` bits, and every bit of its last byte past them
+/// is `pad`.
+fn gipfeli_frame(expected: u64, ops: &[u8], bits: &[u8], bit_len: usize, pad: bool) -> Vec<u8> {
+    let mut f = Vec::new();
+    varint::write_u64(&mut f, expected);
+    f.extend((0..gipfeli::FREQUENT as u8).map(|r| r.wrapping_mul(37) ^ 0x5A));
+    varint::write_u64(&mut f, ops.len() as u64);
+    f.extend_from_slice(ops);
+    varint::write_u64(&mut f, bit_len as u64);
+    let mut tail = bits[..bit_len.div_ceil(8)].to_vec();
+    if let Some(last) = tail.last_mut() {
+        let spare = (8 - bit_len % 8) % 8;
+        let mask = ((1u16 << spare) - 1) as u8;
+        *last = if pad { *last | mask } else { *last & !mask };
+    }
+    f.extend_from_slice(&tail);
+    f
+}
+
+#[test]
+fn gipfeli_literal_runs_cross_the_window_hand_over() {
+    use cdpu_util::bits::MsbBitWriter;
+    let mut rng = Xoshiro256::seed_from(91);
+    let (mut cases, mut oks) = (0usize, 0usize);
+    // Codes mixing 6- and 9-bit forms at random, then all of one width
+    // (a refill's six codes span 36 to 54 bits), ~2.5 windows of each.
+    for nine_share in [0.5, 0.5, 0.5, 0.5, 1.0, 0.0] {
+        let mut w = MsbBitWriter::new();
+        let mut ends = vec![0usize];
+        while w.bit_len() < 160 {
+            if !rng.chance(nine_share) {
+                w.write_bits(rng.index(gipfeli::FREQUENT) as u64, 6);
+            } else {
+                w.write_bits(0x100 | rng.index(256) as u64, 9);
+            }
+            ends.push(w.bit_len());
+        }
+        let (bits, _) = w.finish();
+        // Every stream end from 0 to 136 bits: up to two whole windows
+        // and every residue 0..72 past the last of them.
+        for bit_len in 0..=136 {
+            let fit = ends.iter().filter(|&&e| e <= bit_len).count() - 1;
+            // Ask for every code that fits, or one more (`Truncated`:
+            // the missing code's bits are padding).
+            for want in [fit, fit + 1] {
+                let mut ops = Vec::new();
+                let mut left = want;
+                while left > 0 {
+                    let run = (1 + rng.index(7)).min(left);
+                    ops.push(run as u8 - 1);
+                    left -= run;
+                }
+                for pad in [false, true] {
+                    let f = gipfeli_frame(want as u64, &ops, &bits, bit_len, pad);
+                    let got = gipfeli::decompress(&f);
+                    assert_eq!(
+                        got,
+                        reference::gipfeli::decompress(&f),
+                        "bit_len {bit_len}, {want} codes of {fit}, pad {pad}"
+                    );
+                    cases += 1;
+                    oks += got.is_ok() as usize;
+                }
+            }
+        }
+    }
+    // Varint-extended counts: the run is `0x7F + ext + 1` literals; the
+    // largest overflows u64 and every long one outruns the stream.
+    let (bits, bit_len) = {
+        let mut w = MsbBitWriter::new();
+        for i in 0..300u64 {
+            w.write_bits(i % gipfeli::FREQUENT as u64, 6);
+        }
+        w.finish()
+    };
+    for ext in [0u64, 1, 172, 173, 174, 1 << 20, u64::MAX - 0x80, u64::MAX - 0x7F, u64::MAX] {
+        let mut ops = vec![0x7F];
+        varint::write_u64(&mut ops, ext);
+        for pad in [false, true] {
+            let f = gipfeli_frame(0x80u64.saturating_add(ext), &ops, &bits, bit_len, pad);
+            assert_eq!(gipfeli::decompress(&f), reference::gipfeli::decompress(&f), "ext {ext}");
+            cases += 1;
+        }
+    }
+    assert!(cases > 3000 && oks > 1000, "{oks} of {cases} cases decode");
+}
+
 #[test]
 fn gipfeli_max_varint_extensions_error_not_panic() {
     use cdpu_lite::gipfeli::GipfeliError;

@@ -242,7 +242,7 @@ pub fn decompress_into<'a>(
 }
 
 fn decompress_impl(compressed: &[u8], out: &mut Vec<u8>) -> Result<(), SnappyError> {
-    let (expected, mut pos) =
+    let (expected, pos) =
         varint::read_u32(compressed).map_err(|_| SnappyError::BadPreamble)?;
     let expected = expected as u64;
     // The declared size is untrusted input, so cross-check it against what
@@ -257,80 +257,115 @@ fn decompress_impl(compressed: &[u8], out: &mut Vec<u8>) -> Result<(), SnappyErr
     let payload = (compressed.len() - pos) as u64;
     let bound = (payload / 3 + 1) * 64 + payload;
     out.reserve(expected.min(bound) as usize);
+    let elements = &compressed[pos..];
+    let (used, lit_left) = decode_elements(elements, out, 0, expected, usize::MAX)?;
+    end_of_input(elements.len() - used, lit_left, out.len() as u64, expected)
+}
 
-    while pos < compressed.len() {
-        let tag = compressed[pos];
-        pos += 1;
+/// The element loop under both decoders: applies `input`'s elements to
+/// `out` until the input ends inside one, or `out` holds `high_water`
+/// bytes. `out` holds the output from byte `base` on, and the stream
+/// declared `expected` bytes in all. Returns the input bytes consumed and
+/// the payload bytes a literal the input ended inside still owes (the ones
+/// present are applied, and all of the input is consumed).
+///
+/// # Errors
+///
+/// A [`SnappyError`] at the first element that is invalid whatever
+/// follows it.
+#[inline]
+pub(crate) fn decode_elements(
+    input: &[u8],
+    out: &mut Vec<u8>,
+    base: u64,
+    expected: u64,
+    high_water: usize,
+) -> Result<(usize, u64), SnappyError> {
+    let mut pos = 0;
+    while pos < input.len() && out.len() < high_water {
+        let tag = input[pos];
         match tag & 0b11 {
             0b00 => {
                 let n6 = (tag >> 2) as usize;
-                let len = if n6 < 60 {
-                    n6 + 1
+                let (len, start) = if n6 < 60 {
+                    (n6 + 1, pos + 1)
                 } else {
                     let extra = n6 - 59; // 1..=4 extra length bytes
-                    if pos + extra > compressed.len() {
-                        return Err(SnappyError::Truncated);
-                    }
-                    let mut v = 0usize;
-                    for i in 0..extra {
-                        v |= (compressed[pos + i] as usize) << (8 * i);
-                    }
-                    pos += extra;
-                    v + 1
+                    let Some(ext) = input.get(pos + 1..pos + 1 + extra) else { break };
+                    let v = ext.iter().rev().fold(0usize, |v, &b| v << 8 | b as usize);
+                    (v + 1, pos + 1 + extra)
                 };
-                if pos + len > compressed.len() {
-                    return Err(SnappyError::BadLiteral);
+                let avail = input.len() - start;
+                if len > avail {
+                    out.extend_from_slice(&input[start..]);
+                    return Ok((input.len(), (len - avail) as u64));
                 }
-                out.extend_from_slice(&compressed[pos..pos + len]);
-                pos += len;
+                extend_literals(out, &input[start..], len);
+                pos = start + len;
             }
             0b01 => {
-                if pos + 1 > compressed.len() {
-                    return Err(SnappyError::Truncated);
-                }
+                let Some(&low) = input.get(pos + 1) else { break };
                 let len = 4 + ((tag >> 2) & 0b111) as u32;
-                let offset = (((tag >> 5) as u32) << 8) | compressed[pos] as u32;
-                pos += 1;
+                let offset = (((tag >> 5) as u32) << 8) | low as u32;
                 apply_copy(out, offset, len).map_err(|_| SnappyError::BadOffset)?;
+                pos += 2;
             }
             0b10 => {
-                if pos + 2 > compressed.len() {
-                    return Err(SnappyError::Truncated);
-                }
+                let Some(&[b0, b1]) = input.get(pos + 1..pos + 3) else { break };
                 let len = 1 + (tag >> 2) as u32;
-                let offset =
-                    u16::from_le_bytes([compressed[pos], compressed[pos + 1]]) as u32;
-                pos += 2;
+                let offset = u16::from_le_bytes([b0, b1]) as u32;
                 apply_copy(out, offset, len).map_err(|_| SnappyError::BadOffset)?;
+                pos += 3;
             }
             _ => {
-                if pos + 4 > compressed.len() {
-                    return Err(SnappyError::Truncated);
-                }
+                let Some(&[b0, b1, b2, b3]) = input.get(pos + 1..pos + 5) else { break };
                 let len = 1 + (tag >> 2) as u32;
-                let offset = u32::from_le_bytes([
-                    compressed[pos],
-                    compressed[pos + 1],
-                    compressed[pos + 2],
-                    compressed[pos + 3],
-                ]);
-                pos += 4;
+                let offset = u32::from_le_bytes([b0, b1, b2, b3]);
                 apply_copy(out, offset, len).map_err(|_| SnappyError::BadOffset)?;
+                pos += 5;
             }
         }
-        if out.len() as u64 > expected {
-            return Err(SnappyError::LengthMismatch {
-                expected,
-                actual: out.len() as u64,
-            });
+        let produced = base + out.len() as u64;
+        if produced > expected {
+            return Err(SnappyError::LengthMismatch { expected, actual: produced });
         }
     }
+    Ok((pos, 0))
+}
 
-    if out.len() as u64 != expected {
-        return Err(SnappyError::LengthMismatch {
-            expected,
-            actual: out.len() as u64,
-        });
+/// Appends `input[..len]` to `out`. A run of up to 16 bytes, with 16 in
+/// `input` and room for 16 in `out`, moves as one fixed-size copy and is
+/// cut back to `len`, instead of a length-dispatched `memcpy`.
+#[inline(always)]
+fn extend_literals(out: &mut Vec<u8>, input: &[u8], len: usize) {
+    if len <= 16 && input.len() >= 16 && out.capacity() - out.len() >= 16 {
+        let end = out.len() + len;
+        out.extend_from_slice(&input[..16]);
+        out.truncate(end);
+    } else {
+        out.extend_from_slice(&input[..len]);
+    }
+}
+
+/// What a stream whose elements ended where [`decode_elements`] stopped —
+/// `rest` bytes short of their end, `lit_left` payload bytes short of a
+/// literal's — reports: `BadLiteral` for a cut-off literal payload,
+/// `Truncated` for any other cut-off element, else `LengthMismatch` unless
+/// it produced exactly what it declared.
+pub(crate) fn end_of_input(
+    rest: usize,
+    lit_left: u64,
+    produced: u64,
+    expected: u64,
+) -> Result<(), SnappyError> {
+    if lit_left > 0 {
+        return Err(SnappyError::BadLiteral);
+    }
+    if rest > 0 {
+        return Err(SnappyError::Truncated);
+    }
+    if produced != expected {
+        return Err(SnappyError::LengthMismatch { expected, actual: produced });
     }
     Ok(())
 }

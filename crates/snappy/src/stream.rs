@@ -8,15 +8,24 @@
 //! element stream — and therefore every output byte — matches
 //! [`compress_with`](crate::compress_with) for any chunking of the input.
 //!
-//! The decoder is a resumable element-stream state machine over the same
-//! grammar as `decompress`, holding a sliding history window instead of
-//! the whole output. Error values match the one-shot decoder for every
-//! stream the encoder can produce and for truncations/corruptions
-//! thereof, with one documented divergence: a hostile type-11 copy whose
-//! offset exceeds the retained 64 KiB history (but not total produced
-//! output) reports [`SnappyError::BadOffset`] where the one-shot decoder,
-//! which keeps everything, can still serve it. The format's encoder never
-//! emits such an offset (the window is clamped to 64 KiB).
+//! The decoder runs the one-shot decoder's element loop
+//! (`decode_elements`) over a sliding [`HistBuf`] window instead of the
+//! whole output. Each push hands the loop the new input; the loop applies
+//! every whole element and stops at the first one the input cuts off.
+//! Between pushes the decoder keeps only that element's front (at most a
+//! tag and three of its length or offset bytes), which then takes one
+//! input byte at a time until it is whole, and the payload bytes a cut-off
+//! literal still owes, which pass straight into the window. At
+//! end-of-input it reports what the one-shot decoder reports for a stream
+//! ending there (`end_of_input`), so error values match the one-shot
+//! decoder for every stream but one documented divergence: a hostile
+//! type-11 copy whose offset exceeds the retained 64 KiB history (but not
+//! total produced output) reports [`SnappyError::BadOffset`] where the
+//! one-shot decoder, which keeps everything, can still serve it. The
+//! format's encoder never emits such an offset (the window is clamped to
+//! 64 KiB). A literal that overruns the declared length reaches the output
+//! before its `LengthMismatch` fires, as the one-shot decoder extends
+//! before it checks.
 //!
 //! Memory bounds: the encoder's scratch is the match table plus the
 //! parser's sliding buffer plus staged output; the parser buffer can grow
@@ -25,14 +34,11 @@
 //! incompressible input). The decoder retains at most the 64 KiB format
 //! window plus the undrained staged output.
 
-use crate::{emit_copy, emit_literals, SnappyError, WINDOW_SIZE};
+use crate::{decode_elements, emit_copy, emit_literals, end_of_input, SnappyError, WINDOW_SIZE};
 use cdpu_lz77::matcher::MatcherConfig;
 use cdpu_lz77::stream::{ParseEvent, StreamParser};
-use cdpu_lz77::window::apply_copy;
-use cdpu_util::stream::{
-    HistBuf, OutBuf, StreamDecoder, StreamEncoder, StreamError, StreamProgress, VarintAccum,
-};
-use cdpu_util::varint;
+use cdpu_util::stream::{HistBuf, OutBuf, StreamDecoder, StreamEncoder, StreamError, StreamProgress};
+use cdpu_util::varint::{self, VarintError};
 
 /// Stop accepting input while this much output is staged undrained.
 const HIGH_WATER: usize = 256 * 1024;
@@ -119,32 +125,16 @@ impl StreamEncoder for SnappyStreamEncoder {
     }
 }
 
-/// Where the decoder's element-stream cursor sits between pushes.
-enum DecState {
-    /// Reading the uncompressed-length varint preamble.
-    Preamble,
-    /// At an element boundary, expecting a tag byte.
-    Tag,
-    /// Collecting the 1–4 extra length bytes of a long literal header.
-    LitExt { extra: usize, got: [u8; 4], have: usize },
-    /// Copying literal payload bytes through. `swallow` is set when the
-    /// header already overran the declared length: the bytes are consumed
-    /// but discarded, and the pending `LengthMismatch` fires once all of
-    /// them arrived (matching the one-shot order: availability check,
-    /// then extend, then length check).
-    LitBytes { remaining: u64, swallow: bool },
-    /// Collecting the 1/2/4 offset bytes of a copy element.
-    CopyOff { tag: u8, need: usize, got: [u8; 4], have: usize },
-}
-
-/// Streaming Snappy decompressor. See the module docs for the contract.
+/// Streaming Snappy decompressor: the one-shot element loop over a
+/// sliding window. See the module docs for the contract.
 pub struct SnappyStreamDecoder {
-    state: DecState,
-    pre: VarintAccum,
-    expected: u64,
-    /// `LengthMismatch` payload recorded when a literal header overruns;
-    /// reported once the literal's bytes have been consumed.
-    pending_overrun: Option<u64>,
+    /// The declared output length, once the preamble is in.
+    expected: Option<u64>,
+    /// The front of the preamble, or of an element, that the input so far
+    /// cut off.
+    carry: Vec<u8>,
+    /// Literal payload bytes owed before the next element.
+    lit_left: u64,
     hist: HistBuf,
     err: Option<SnappyError>,
     finished: bool,
@@ -160,50 +150,18 @@ impl SnappyStreamDecoder {
     /// Creates a decoder positioned at the length preamble.
     pub fn new() -> Self {
         SnappyStreamDecoder {
-            state: DecState::Preamble,
-            pre: VarintAccum::new(),
-            expected: 0,
-            pending_overrun: None,
+            expected: None,
+            carry: Vec::new(),
+            lit_left: 0,
             hist: HistBuf::new(WINDOW_SIZE),
             err: None,
             finished: false,
         }
     }
 
-    fn produced(&self) -> u64 {
-        self.hist.produced()
-    }
-
-    /// Enters literal-payload state for a `len`-byte literal, recording a
-    /// pending overrun if the declared output length would be exceeded.
-    fn enter_literal(&mut self, len: u64) {
-        let overrun = self.produced() + len > self.expected;
-        if overrun {
-            self.pending_overrun = Some(self.produced() + len);
-        }
-        self.state = DecState::LitBytes { remaining: len, swallow: overrun };
-    }
-
-    /// Applies one copy element, in the one-shot decoder's check order.
-    fn apply(&mut self, offset: u32, len: u32) -> Result<(), SnappyError> {
-        let produced = self.produced();
-        if offset == 0 || offset as u64 > produced {
-            return Err(SnappyError::BadOffset);
-        }
-        if offset as usize > self.hist.retained() {
-            // Documented divergence: the back-reference is valid against
-            // total produced output but reaches past the retained window.
-            // Only a hostile type-11 offset > 64 KiB can get here.
-            return Err(SnappyError::BadOffset);
-        }
-        apply_copy(self.hist.sink(), offset, len).map_err(|_| SnappyError::BadOffset)?;
-        if produced + len as u64 > self.expected {
-            return Err(SnappyError::LengthMismatch {
-                expected: self.expected,
-                actual: produced + len as u64,
-            });
-        }
-        Ok(())
+    /// Output bytes before the retained window.
+    fn base(&self) -> u64 {
+        self.hist.produced() - self.hist.retained() as u64
     }
 
     /// Feeds compressed bytes; identical to the trait `push` but with the
@@ -221,117 +179,62 @@ impl SnappyStreamDecoder {
         if let Some(e) = self.err {
             return Err(e);
         }
-        let mut i = 0;
-        while i < input.len() && self.hist.undrained() < HIGH_WATER {
-            if let Err(e) = self.step(input, &mut i) {
-                self.err = Some(e);
-                return Err(e);
-            }
-        }
-        let written = self.hist.drain_into(out);
-        Ok(StreamProgress { consumed: i, written })
+        let consumed = self.advance(input).inspect_err(|&e| self.err = Some(e))?;
+        Ok(StreamProgress { consumed, written: self.hist.drain_into(out) })
     }
 
-    /// Advances the state machine, consuming at least one byte from
-    /// `input[*i..]` (which is non-empty).
-    fn step(&mut self, input: &[u8], i: &mut usize) -> Result<(), SnappyError> {
-        match self.state {
-            DecState::Preamble => {
-                let (used, done) = self.pre.feed(&input[*i..]);
-                *i += used;
-                if let Some(res) = done {
-                    match res {
-                        Ok(v) if v <= u32::MAX as u64 => {
-                            self.expected = v;
-                            self.state = DecState::Tag;
-                        }
-                        _ => return Err(SnappyError::BadPreamble),
+    /// Decodes from `input` until it is used up or [`HIGH_WATER`] bytes
+    /// wait undrained; returns the bytes consumed.
+    fn advance(&mut self, input: &[u8]) -> Result<usize, SnappyError> {
+        let mut i = 0;
+        while i < input.len() && self.hist.undrained() < HIGH_WATER {
+            let Some(expected) = self.expected else {
+                self.carry.push(input[i]);
+                i += 1;
+                match varint::read_u32(&self.carry) {
+                    Ok((v, _)) => {
+                        self.expected = Some(v as u64);
+                        self.carry.clear();
                     }
+                    Err(VarintError::Truncated) => {}
+                    Err(VarintError::Overflow) => return Err(SnappyError::BadPreamble),
                 }
+                continue;
+            };
+            if self.lit_left > 0 {
+                let take = self.lit_left.min((input.len() - i) as u64) as usize;
+                self.hist.sink().extend_from_slice(&input[i..i + take]);
+                i += take;
+                self.lit_left -= take as u64;
+                let produced = self.hist.produced();
+                if self.lit_left == 0 && produced > expected {
+                    return Err(SnappyError::LengthMismatch { expected, actual: produced });
+                }
+                continue;
             }
-            DecState::Tag => {
-                let tag = input[*i];
-                *i += 1;
-                match tag & 0b11 {
-                    0b00 => {
-                        let n6 = (tag >> 2) as usize;
-                        if n6 < 60 {
-                            self.enter_literal(n6 as u64 + 1);
-                        } else {
-                            self.state =
-                                DecState::LitExt { extra: n6 - 59, got: [0; 4], have: 0 };
-                        }
-                    }
-                    0b01 => {
-                        self.state = DecState::CopyOff { tag, need: 1, got: [0; 4], have: 0 }
-                    }
-                    0b10 => {
-                        self.state = DecState::CopyOff { tag, need: 2, got: [0; 4], have: 0 }
-                    }
-                    _ => self.state = DecState::CopyOff { tag, need: 4, got: [0; 4], have: 0 },
+            let base = self.base();
+            let high_water = self.hist.retained() + (HIGH_WATER - self.hist.undrained());
+            let Self { carry, hist, lit_left, .. } = self;
+            if carry.is_empty() {
+                let (used, owed) =
+                    decode_elements(&input[i..], hist.sink(), base, expected, high_water)?;
+                i += used;
+                *lit_left = owed;
+                if hist.retained() < high_water {
+                    // Cut off by the end of the input, not by the mark.
+                    carry.extend_from_slice(&input[i..]);
+                    i = input.len();
                 }
-            }
-            DecState::LitExt { extra, mut got, mut have } => {
-                while have < extra && *i < input.len() {
-                    got[have] = input[*i];
-                    have += 1;
-                    *i += 1;
-                }
-                if have == extra {
-                    let mut v = 0u64;
-                    for (k, &b) in got[..extra].iter().enumerate() {
-                        v |= (b as u64) << (8 * k);
-                    }
-                    self.enter_literal(v + 1);
-                } else {
-                    self.state = DecState::LitExt { extra, got, have };
-                }
-            }
-            DecState::LitBytes { remaining, swallow } => {
-                let take = remaining.min((input.len() - *i) as u64) as usize;
-                if !swallow {
-                    self.hist.sink().extend_from_slice(&input[*i..*i + take]);
-                }
-                *i += take;
-                let remaining = remaining - take as u64;
-                if remaining == 0 {
-                    if swallow {
-                        return Err(SnappyError::LengthMismatch {
-                            expected: self.expected,
-                            actual: self.pending_overrun.take().unwrap_or(0),
-                        });
-                    }
-                    self.state = DecState::Tag;
-                } else {
-                    self.state = DecState::LitBytes { remaining, swallow };
-                }
-            }
-            DecState::CopyOff { tag, need, mut got, mut have } => {
-                while have < need && *i < input.len() {
-                    got[have] = input[*i];
-                    have += 1;
-                    *i += 1;
-                }
-                if have == need {
-                    let (offset, len) = match tag & 0b11 {
-                        0b01 => (
-                            (((tag >> 5) as u32) << 8) | got[0] as u32,
-                            4 + ((tag >> 2) & 0b111) as u32,
-                        ),
-                        0b10 => (
-                            u16::from_le_bytes([got[0], got[1]]) as u32,
-                            1 + (tag >> 2) as u32,
-                        ),
-                        _ => (u32::from_le_bytes(got), 1 + (tag >> 2) as u32),
-                    };
-                    self.apply(offset, len)?;
-                    self.state = DecState::Tag;
-                } else {
-                    self.state = DecState::CopyOff { tag, need, got, have };
-                }
+            } else {
+                // A cut-off element takes one byte at a time until whole.
+                carry.push(input[i]);
+                i += 1;
+                let (used, owed) = decode_elements(carry, hist.sink(), base, expected, high_water)?;
+                carry.drain(..used);
+                *lit_left = owed;
             }
         }
-        Ok(())
+        Ok(i)
     }
 
     /// Declares end-of-input; identical to the trait `finish` but with
@@ -347,28 +250,13 @@ impl SnappyStreamDecoder {
             return Err(e);
         }
         if !self.finished {
-            let end_err = match self.state {
-                // One-shot: `read_u32` on a short buffer → BadPreamble.
-                DecState::Preamble => Some(SnappyError::BadPreamble),
-                DecState::Tag => None,
-                // One-shot: extra length bytes missing → Truncated.
-                DecState::LitExt { .. } => Some(SnappyError::Truncated),
-                // One-shot: literal payload overruns input → BadLiteral
-                // (checked before the extend, so it beats any overrun).
-                DecState::LitBytes { .. } => Some(SnappyError::BadLiteral),
-                // One-shot: offset bytes missing → Truncated.
-                DecState::CopyOff { .. } => Some(SnappyError::Truncated),
+            let end = match self.expected {
+                None => Err(SnappyError::BadPreamble),
+                Some(expected) => {
+                    end_of_input(self.carry.len(), self.lit_left, self.hist.produced(), expected)
+                }
             };
-            let end_err = end_err.or_else(|| {
-                (self.produced() != self.expected).then(|| SnappyError::LengthMismatch {
-                    expected: self.expected,
-                    actual: self.produced(),
-                })
-            });
-            if let Some(e) = end_err {
-                self.err = Some(e);
-                return Err(e);
-            }
+            end.inspect_err(|&e| self.err = Some(e))?;
             self.finished = true;
         }
         let n = self.hist.drain_into(out);
@@ -386,6 +274,6 @@ impl StreamDecoder for SnappyStreamDecoder {
     }
 
     fn scratch_bytes(&self) -> usize {
-        self.hist.capacity()
+        self.hist.capacity() + self.carry.capacity()
     }
 }

@@ -205,15 +205,18 @@ struct ShardHandle {
 
 impl Drop for ShardHandle {
     fn drop(&mut self) {
-        let drained: Vec<SpanEvent> = {
-            let mut buf = self.shard.buf.lock().expect("shard poisoned");
-            buf.drain(..).collect()
-        };
-        for ev in drained {
-            log().push(ev);
-        }
+        move_to_ring(&mut self.shard.buf.lock().expect("shard poisoned"));
         let mut list = shard_registry().lock().expect("shard registry poisoned");
         list.retain(|s| !Arc::ptr_eq(s, &self.shard));
+    }
+}
+
+/// Moves a shard's events into the central ring. The caller holds the
+/// shard's lock throughout, so a concurrent [`flush`] finds every event
+/// either still in the shard or already in the ring, never in between.
+fn move_to_ring(buf: &mut Vec<SpanEvent>) {
+    for ev in buf.drain(..) {
+        log().push(ev);
     }
 }
 
@@ -239,11 +242,7 @@ fn record(ev: SpanEvent) {
         let mut buf = h.shard.buf.lock().expect("shard poisoned");
         buf.push(ev);
         if buf.len() >= SHARD_FLUSH {
-            let drained: Vec<SpanEvent> = buf.drain(..).collect();
-            drop(buf);
-            for e in drained {
-                log().push(e);
-            }
+            move_to_ring(&mut buf);
         }
     });
     if ok.is_err() {
@@ -260,13 +259,7 @@ pub fn flush() {
         .expect("shard registry poisoned")
         .clone();
     for shard in shards {
-        let drained: Vec<SpanEvent> = {
-            let mut buf = shard.buf.lock().expect("shard poisoned");
-            buf.drain(..).collect()
-        };
-        for ev in drained {
-            log().push(ev);
-        }
+        move_to_ring(&mut shard.buf.lock().expect("shard poisoned"));
     }
 }
 

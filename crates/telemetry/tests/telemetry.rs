@@ -188,6 +188,32 @@ fn sharded_spans_merge_at_export() {
 }
 
 #[test]
+fn sharded_spans_survive_flush_during_thread_teardown() {
+    // `thread::scope` returns once the workers' closures are done, which
+    // can be before their thread-locals are torn down: the read below then
+    // races each worker's shard being emptied into the ring. Every event
+    // must be in the shard or in the ring whenever a reader looks.
+    let g = guard();
+    const THREADS: u64 = 4;
+    const PER_THREAD: u64 = 150; // one batch hand-off, then a remainder
+    for round in 0..200 {
+        span::log().clear();
+        std::thread::scope(|s| {
+            for _ in 0..THREADS {
+                s.spawn(|| {
+                    for _ in 0..PER_THREAD {
+                        let _sp = telemetry::span!("teardown");
+                    }
+                });
+            }
+        });
+        let seen = span::log().events().len();
+        assert_eq!(seen, (THREADS * PER_THREAD) as usize, "round {round}");
+    }
+    finish(g);
+}
+
+#[test]
 fn live_thread_shard_visible_before_batch_flush() {
     let g = guard();
     // Record fewer spans than one flush batch on the main thread: they sit
