@@ -53,7 +53,12 @@ for name in \
     copies_are_counted_once_each \
     decode_outcomes_are_pinned \
     gipfeli_literal_runs_cross_the_window_hand_over \
-    sharded_spans_survive_flush_during_thread_teardown; do
+    sharded_spans_survive_flush_during_thread_teardown \
+    zstd_decode_outcomes_are_pinned \
+    speculative_literal_lanes_match_serial \
+    baked_tables_match_the_fse_decode_table \
+    hostile_offset_code_is_an_error_not_a_panic \
+    literal_count_overflow_is_an_error_not_a_panic; do
     if ! grep -q "${name}: test\$" /tmp/cdpu_test_list.txt; then
         echo "FAIL: test $name is no longer in the workspace suite" >&2
         exit 1
@@ -82,6 +87,12 @@ fi
 echo "==> one decode loop per byte-aligned codec: no per-byte state machine beside the element loops"
 if grep -nwE 'CopyOff|LitExt|ShortOff|LongOff|MatchOff|MatchExt' crates/snappy/src/stream.rs crates/lite/src/stream.rs; then
     echo "FAIL: a streaming decoder grew its own element parser beside the one-shot element loop" >&2
+    exit 1
+fi
+
+echo "==> one sequence decode loop: no per-field FSE stepping beside the baked tables"
+if grep -nE 'transition_width|FseStreamDecoder' crates/zstd/src/block.rs; then
+    echo "FAIL: crates/zstd/src/block.rs steps FSE states field by field again" >&2
     exit 1
 fi
 

@@ -14,9 +14,7 @@
 //! The encoder walks sequences backward, the decoder emits them forward —
 //! the property that makes hardware FSE expanders single-pass.
 
-use cdpu_entropy::fse::{
-    self, FseDecodeTable, FseEncodeTable, FseStreamDecoder, FseStreamEncoder,
-};
+use cdpu_entropy::fse::{self, FseEncodeTable, FseError, FseStreamEncoder};
 use cdpu_entropy::huffman::HuffmanTable;
 use cdpu_entropy::{interleave, rans};
 use cdpu_lz77::{Parse, Seq};
@@ -84,8 +82,12 @@ fn write_fse_header(out: &mut Vec<u8>, norm: &[u32], table_log: u8) {
     }
 }
 
+/// Most codes a sequence-field table may carry (the 53 match-length codes
+/// fit).
+const MAX_SEQ_CODES: usize = 64;
+
 fn read_fse_header(input: &[u8], pos: &mut usize) -> Result<(Vec<u32>, u8), ZstdError> {
-    read_norm_header(input, pos, 64)
+    read_norm_header(input, pos, MAX_SEQ_CODES)
 }
 
 /// Reads a `write_fse_header`-format normalized-count table with a caller
@@ -489,17 +491,96 @@ fn encode_sequences(
     Ok(())
 }
 
+/// Marks a baked entry whose code has no value: its extra-bit count is at
+/// least this, so no sequence that reaches it fits the peeked window, and
+/// the per-field path reports the error where it always has.
+const NO_VALUE: u8 = 0x80;
+
+/// One state of a baked sequence table: what the state's code decodes to
+/// and where the state goes next. The value is `base` plus `extra` extra
+/// bits (`extra & !NO_VALUE` bits for a code with no value); the next state
+/// is `next` plus `nb_bits` transition bits.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct SeqEntry {
+    base: u32,
+    extra: u8,
+    nb_bits: u8,
+    next: u16,
+}
+
+/// The `(base, extra)` halves of one field's entries, by code.
+type CodeValue = fn(u16) -> (u32, u8);
+
+fn ll_code_value(code: u16) -> (u32, u8) {
+    codes::ll_value(code, 0).map_or((0, NO_VALUE), |base| (base, codes::ll_extra_bits(code)))
+}
+
+fn ml_code_value(code: u16) -> (u32, u8) {
+    codes::ml_value(code, 0).map_or((0, NO_VALUE), |base| (base, codes::ml_extra_bits(code)))
+}
+
+/// An offset code above 31 still reads `code` extra bits before it fails.
+fn of_code_value(code: u16) -> (u32, u8) {
+    let extra = codes::of_extra_bits(code);
+    codes::of_value(code, 0).map_or((0, NO_VALUE | extra), |base| (base, extra))
+}
+
+/// Bakes one field's FSE decode table from its normalized counts (at most
+/// [`MAX_SEQ_CODES`] codes): the state walk of `FseDecodeTable::new`,
+/// whose errors it returns, with each state's code replaced by its value
+/// base and extra-bit count. The spread is ZStd's, exactly as
+/// `cdpu_entropy::fse` lays it out for the encoder.
+fn bake(norm: &[u32], table_log: u8, value: CodeValue) -> Result<Vec<SeqEntry>, ZstdError> {
+    if table_log == 0 || table_log > fse::MAX_TABLE_LOG {
+        return Err(ZstdError::Fse(FseError::BadTableLog));
+    }
+    let size = 1usize << table_log;
+    if norm.iter().map(|&c| c as u64).sum::<u64>() != size as u64 {
+        return Err(ZstdError::Fse(FseError::BadNormalization));
+    }
+    // Spread each code over its states (parked in `next`), then give every
+    // state, in index order, its code's value and its transition.
+    let mut table = vec![SeqEntry::default(); size];
+    let step = ((size >> 1) + (size >> 3) + 3) | 1;
+    let mut pos = 0usize;
+    for (code, &count) in norm.iter().enumerate() {
+        for _ in 0..count {
+            table[pos].next = code as u16;
+            pos = (pos + step) & (size - 1);
+        }
+    }
+    let mut code_value = [(0u32, 0u8); MAX_SEQ_CODES];
+    let mut code_next = [0u32; MAX_SEQ_CODES];
+    for (code, &count) in norm.iter().enumerate() {
+        code_value[code] = value(code as u16);
+        code_next[code] = count;
+    }
+    for entry in &mut table {
+        let code = entry.next as usize;
+        let next = code_next[code];
+        code_next[code] += 1;
+        let nb_bits = table_log as u32 - cdpu_util::floor_log2(next as u64);
+        let (base, extra) = code_value[code];
+        *entry = SeqEntry {
+            base,
+            extra,
+            nb_bits: nb_bits as u8,
+            next: ((next << nb_bits) as usize - size) as u16,
+        };
+    }
+    Ok(table)
+}
+
 /// Decodes the sequences section, appending to `seqs` (cleared by the
 /// caller — same buffer-reuse contract as [`decode_literals_into`]).
 ///
-/// Batched: per sequence the three extra-bit fields and three FSE state
-/// transitions are all width-known before any bit is read, so when their
-/// total fits the reader's peeked 57-bit tail window they are extracted
-/// with shifts and consumed once, instead of six bounds-checked
-/// `read_bits` calls. Inside that guard no read can fail, and sequences
-/// whose fields exceed the window (or sit at the stream tail) take the
-/// original per-field path — output bytes and error behaviour stay
-/// bit-identical to the seed decoder.
+/// Each state of the LL, ML and OF tables is baked into one [`SeqEntry`],
+/// so a sequence is three entry loads, one peeked tail window, shifts and
+/// a push. When a sequence's extra bits and transitions fit the window they
+/// are sliced out of it and consumed at once; otherwise (the stream tail,
+/// wide fields, a code with no value) the fields are read one at a time in
+/// the same order, which is where every error is reported. One loop serves
+/// one stream and the N-way lanes: lane `i % ways` decodes sequence `i`.
 fn decode_sequences_into(
     input: &[u8],
     pos: &mut usize,
@@ -567,9 +648,9 @@ fn decode_sequences_into(
     let (ll_norm, ll_log) = read_fse_header(input, pos)?;
     let (ml_norm, ml_log) = read_fse_header(input, pos)?;
     let (of_norm, of_log) = read_fse_header(input, pos)?;
-    let ll_table = FseDecodeTable::new(&ll_norm, ll_log).map_err(ZstdError::Fse)?;
-    let ml_table = FseDecodeTable::new(&ml_norm, ml_log).map_err(ZstdError::Fse)?;
-    let of_table = FseDecodeTable::new(&of_norm, of_log).map_err(ZstdError::Fse)?;
+    let ll_table = bake(&ll_norm, ll_log, ll_code_value)?;
+    let ml_table = bake(&ml_norm, ml_log, ml_code_value)?;
+    let of_table = bake(&of_norm, of_log, of_code_value)?;
 
     let mut stream_lens = Vec::with_capacity(ways);
     for _ in 0..ways {
@@ -586,85 +667,85 @@ fn decode_sequences_into(
         return Err(ZstdError::Truncated);
     }
 
-    // Lane k: its own backward bitstream plus OF/ML/LL decoder states
-    // against the shared tables. States were flushed in order ll, ml, of ->
-    // read back of, ml, ll.
-    struct Lane<'a, 't> {
+    // Lane k: its own backward bitstream and OF/ML/LL states against the
+    // shared tables. States were flushed in order ll, ml, of -> read back
+    // of, ml, ll.
+    struct Lane<'a> {
         r: ReverseBitReader<'a>,
-        of_dec: FseStreamDecoder<'t>,
-        ml_dec: FseStreamDecoder<'t>,
-        ll_dec: FseStreamDecoder<'t>,
+        states: [usize; 3],
     }
-    let mut lanes: Vec<Lane<'_, '_>> = Vec::with_capacity(ways);
+    let mut lanes: Vec<Lane<'_>> = Vec::with_capacity(ways);
     for &stream_len in &stream_lens {
         let stream = &input[*pos..*pos + stream_len];
         *pos += stream_len;
         let mut r = ReverseBitReader::new(stream).map_err(|_| ZstdError::Truncated)?;
-        let of_dec = FseStreamDecoder::new(&of_table, &mut r).map_err(ZstdError::Fse)?;
-        let ml_dec = FseStreamDecoder::new(&ml_table, &mut r).map_err(ZstdError::Fse)?;
-        let ll_dec = FseStreamDecoder::new(&ll_table, &mut r).map_err(ZstdError::Fse)?;
-        lanes.push(Lane { r, of_dec, ml_dec, ll_dec });
+        let mut states = [0usize; 3];
+        for (state, log) in states.iter_mut().zip([of_log, ml_log, ll_log]) {
+            *state = r.read_bits(log as u32).map_err(|_| ZstdError::Fse(FseError::BadStream))? as usize;
+        }
+        lanes.push(Lane { r, states });
     }
 
     seqs.reserve(n);
     let mut batched = 0u64;
+    let mut k = 0;
     for i in 0..n {
-        let Lane { r, of_dec, ml_dec, ll_dec } = &mut lanes[i % ways];
-        let of_sym = of_dec.peek();
-        let ml_sym = ml_dec.peek();
-        let ll_sym = ll_dec.peek();
-        // Extras were written ll, ml, of -> read back of, ml, of... i.e.
-        // reverse: of first, then ml, then ll. State updates mirror the
-        // encoder's push order (ll, ml, of) -> reverse: of, ml, ll; a
-        // lane's final sequence pulls no transition bits.
-        let of_eb = codes::of_extra_bits(of_sym) as u32;
-        let ml_eb = codes::ml_extra_bits(ml_sym) as u32;
-        let ll_eb = codes::ll_extra_bits(ll_sym) as u32;
+        let Lane { r, states } = &mut lanes[k];
+        k = if k + 1 == ways { 0 } else { k + 1 };
+        let of = of_table[states[0]];
+        let ml = ml_table[states[1]];
+        let ll = ll_table[states[2]];
+        // Extras were written ll, ml, of -> read back of, ml, ll; then the
+        // transitions in the same order. A lane's final sequence pulls no
+        // transition bits.
         let last = i + ways >= n;
-        let trans = if last {
-            0
-        } else {
-            of_dec.transition_width() + ml_dec.transition_width() + ll_dec.transition_width()
-        };
-        let needed = of_eb + ml_eb + ll_eb + trans;
+        let trans = if last { 0 } else { of.nb_bits as u32 + ml.nb_bits as u32 + ll.nb_bits as u32 };
+        let needed = of.extra as u32 + ml.extra as u32 + ll.extra as u32 + trans;
         let (window, mut have) = r.peek_tail();
         let (of_extra, ml_extra, ll_extra);
         if needed <= have {
-            // Every field this sequence reads fits the peeked window, so no
-            // read below can fail: extract the six fields in the exact
-            // order the fallback reads them and consume the total once,
-            // instead of six bounds-checked `read_bits` calls.
-            let mut take = |nb: u32| {
-                have -= nb;
-                (window >> have) & ((1u64 << nb) - 1)
+            let mut take = |nb: u8| {
+                have -= nb as u32;
+                ((window >> have) & ((1u64 << nb) - 1)) as u32
             };
-            of_extra = take(of_eb) as u32;
-            ml_extra = take(ml_eb) as u32;
-            ll_extra = take(ll_eb) as u32;
+            of_extra = take(of.extra);
+            ml_extra = take(ml.extra);
+            ll_extra = take(ll.extra);
             if !last {
-                of_dec.advance(take(of_dec.transition_width()));
-                ml_dec.advance(take(ml_dec.transition_width()));
-                ll_dec.advance(take(ll_dec.transition_width()));
+                states[0] = of.next as usize + take(of.nb_bits) as usize;
+                states[1] = ml.next as usize + take(ml.nb_bits) as usize;
+                states[2] = ll.next as usize + take(ll.nb_bits) as usize;
             }
             r.consume(needed);
             batched += 1;
         } else {
-            of_extra = r.read_bits(of_eb).map_err(|_| ZstdError::Truncated)? as u32;
-            ml_extra = r.read_bits(ml_eb).map_err(|_| ZstdError::Truncated)? as u32;
-            ll_extra = r.read_bits(ll_eb).map_err(|_| ZstdError::Truncated)? as u32;
+            let mut extra = |e: SeqEntry| {
+                let nb = (e.extra & !NO_VALUE) as u32;
+                // Wider than one bit read: only an offset code above 57.
+                if nb > 57 {
+                    return Err(ZstdError::BadBlock("of code"));
+                }
+                r.read_bits(nb).map(|v| v as u32).map_err(|_| ZstdError::Truncated)
+            };
+            of_extra = extra(of)?;
+            ml_extra = extra(ml)?;
+            ll_extra = extra(ll)?;
             if !last {
-                of_dec.next(r).map_err(ZstdError::Fse)?;
-                ml_dec.next(r).map_err(ZstdError::Fse)?;
-                ll_dec.next(r).map_err(ZstdError::Fse)?;
+                for (state, e) in states.iter_mut().zip([of, ml, ll]) {
+                    let bits = r.read_bits(e.nb_bits as u32).map_err(|_| ZstdError::Fse(FseError::BadStream))?;
+                    *state = e.next as usize + bits as usize;
+                }
+            }
+            for (e, what) in [(ll, "ll code"), (ml, "ml code"), (of, "of code")] {
+                if e.extra & NO_VALUE != 0 {
+                    return Err(ZstdError::BadBlock(what));
+                }
             }
         }
         seqs.push(Seq {
-            lit_len: codes::ll_value(ll_sym, ll_extra)
-                .map_err(|_| ZstdError::BadBlock("ll code"))?,
-            match_len: codes::ml_value(ml_sym, ml_extra)
-                .map_err(|_| ZstdError::BadBlock("ml code"))?,
-            offset: codes::of_value(of_sym, of_extra)
-                .map_err(|_| ZstdError::BadBlock("of code"))?,
+            lit_len: ll.base + ll_extra,
+            match_len: ml.base + ml_extra,
+            offset: of.base + of_extra,
         });
     }
     if cdpu_telemetry::enabled() {
@@ -805,11 +886,10 @@ pub fn apply_block(
         cdpu_lz77::window::apply_copy(out, seq.offset, seq.match_len)
             .map_err(ZstdError::Lz77)?;
     }
-    let lit_end = lit_pos + last_literals as usize;
-    if lit_end != literals.len() {
+    if (literals.len() - lit_pos) as u64 != last_literals {
         return Err(ZstdError::BadBlock("literal accounting mismatch"));
     }
-    out.extend_from_slice(&literals[lit_pos..lit_end]);
+    out.extend_from_slice(&literals[lit_pos..]);
     if out.len() - start_len > max_len {
         return Err(ZstdError::BadBlock("block output overruns declared size"));
     }
@@ -965,6 +1045,50 @@ mod tests {
                 decode_block(&payload[..cut], &mut out, u32::MAX, data.len()).is_err(),
                 "cut {cut}"
             );
+        }
+    }
+
+    /// The baked tables walk the states exactly as `FseDecodeTable` does:
+    /// each state's transition, and its code's value base and extra bits.
+    #[test]
+    fn baked_tables_match_the_fse_decode_table() {
+        let mut rng = Xoshiro256::seed_from(27);
+        let fields: [(CodeValue, usize); 3] = [
+            (ll_code_value, codes::LL_CODES),
+            (ml_code_value, codes::ML_CODES),
+            (of_code_value, codes::OF_CODES),
+        ];
+        for trial in 0..300 {
+            // Alphabets run past each field's codes, up to the header's cap.
+            let hist: Vec<u32> = (0..1 + rng.index(MAX_SEQ_CODES)).map(|_| rng.index(50) as u32).collect();
+            if hist.iter().all(|&c| c == 0) {
+                continue;
+            }
+            let used = hist.iter().filter(|&&c| c > 0).count() as u64;
+            let fewest = cdpu_util::ceil_log2(used).max(1) as usize;
+            let log = (fewest + rng.index(fse::MAX_TABLE_LOG as usize + 1 - fewest)) as u8;
+            let norm = fse::normalize_counts(&hist, log).unwrap();
+            let table = cdpu_entropy::fse::FseDecodeTable::new(&norm, log).unwrap();
+            for (value, _) in fields {
+                let baked = bake(&norm, log, value).unwrap();
+                assert_eq!(baked.len(), 1 << log);
+                for (state, e) in baked.iter().enumerate() {
+                    let d = table.entry(state as u16);
+                    assert_eq!((e.nb_bits, e.next), (d.nb_bits, d.new_state_base), "trial {trial} state {state}");
+                    assert_eq!((e.base, e.extra), value(d.symbol), "trial {trial} state {state}");
+                }
+            }
+        }
+        for (value, codes) in fields {
+            assert_eq!(value(codes as u16 - 1).1 & NO_VALUE, 0);
+            assert_ne!(value(codes as u16).1 & NO_VALUE, 0);
+        }
+        for (norm, log, err) in [
+            (&[3u32, 4][..], 3, FseError::BadNormalization),
+            (&[1, 1], 0, FseError::BadTableLog),
+            (&[4096; 2], 13, FseError::BadTableLog),
+        ] {
+            assert_eq!(bake(norm, log, ll_code_value), Err(ZstdError::Fse(err)));
         }
     }
 

@@ -376,10 +376,13 @@ fn decode_sequences(input: &[u8], pos: &mut usize) -> Result<Vec<Seq>, ZstdError
         let of_sym = of_dec.peek();
         let ml_sym = ml_dec.peek();
         let ll_sym = ll_dec.peek();
-        // Extras were written ll, ml, of -> read back of, ml, ll.
-        let of_extra = r
-            .read_bits(codes::of_extra_bits(of_sym) as u32)
-            .map_err(|_| ZstdError::Truncated)? as u32;
+        // Extras were written ll, ml, of -> read back of, ml, ll. No field
+        // is wider than 57 bits; an offset code that claims one has no value.
+        let of_eb = codes::of_extra_bits(of_sym) as u32;
+        if of_eb > 57 {
+            return Err(ZstdError::BadBlock("of code"));
+        }
+        let of_extra = r.read_bits(of_eb).map_err(|_| ZstdError::Truncated)? as u32;
         let ml_extra = r
             .read_bits(codes::ml_extra_bits(ml_sym) as u32)
             .map_err(|_| ZstdError::Truncated)? as u32;
@@ -441,11 +444,10 @@ fn decode_block(
         }
         apply_copy(out, seq.offset, seq.match_len).map_err(ZstdError::Lz77)?;
     }
-    let lit_end = lit_pos + last_literals as usize;
-    if lit_end != literals.len() {
+    if (literals.len() - lit_pos) as u64 != last_literals {
         return Err(ZstdError::BadBlock("literal accounting mismatch"));
     }
-    out.extend_from_slice(&literals[lit_pos..lit_end]);
+    out.extend_from_slice(&literals[lit_pos..]);
     if out.len() - start_len > max_len {
         return Err(ZstdError::BadBlock("block output overruns declared size"));
     }

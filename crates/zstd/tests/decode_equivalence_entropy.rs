@@ -11,8 +11,10 @@ use cdpu_entropy::{byte_histogram, rans};
 use cdpu_lz77::window::DecoderScratch;
 use cdpu_util::rng::Xoshiro256;
 use cdpu_util::varint;
+use cdpu_zstd::stream::ZstdStreamDecoder;
 use cdpu_zstd::{
-    compress_with, compress_with_stats, decompress, decompress_into, reference, ZstdConfig, MAGIC,
+    compress_with, compress_with_stats, decompress, decompress_into, reference, ZstdConfig,
+    ZstdError, MAGIC,
 };
 
 fn configs() -> Vec<(&'static str, ZstdConfig)> {
@@ -296,6 +298,111 @@ fn scratch_reuse_is_bit_identical_on_new_formats() {
         for (label, data, frame) in &triples {
             let got = decompress_into(frame, &mut scratch).expect("valid frame");
             assert_eq!(got, &data[..], "{label} pass {pass}");
+        }
+    }
+}
+
+/// Every decode path's outcome for `frame`: one-shot, into scratch, the
+/// reference decoder, and the streaming decoder at 1-byte pushes and whole.
+fn every_path(frame: &[u8]) -> Vec<Result<Vec<u8>, ZstdError>> {
+    let streamed = |chunk: usize| -> Result<Vec<u8>, ZstdError> {
+        let mut dec = ZstdStreamDecoder::new();
+        let mut out = Vec::new();
+        let mut window = [0u8; 256];
+        for mut piece in frame.chunks(chunk) {
+            while !piece.is_empty() {
+                let p = dec.push_bytes(piece, &mut window)?;
+                out.extend_from_slice(&window[..p.written]);
+                piece = &piece[p.consumed..];
+            }
+        }
+        loop {
+            let (n, done) = dec.finish_bytes(&mut window)?;
+            out.extend_from_slice(&window[..n]);
+            if done {
+                return Ok(out);
+            }
+        }
+    };
+    let mut scratch = DecoderScratch::new();
+    vec![
+        decompress(frame),
+        decompress_into(frame, &mut scratch).map(<[u8]>::to_vec),
+        reference::decompress(frame),
+        streamed(1),
+        streamed(frame.len()),
+    ]
+}
+
+/// A one-block frame: raw literals `lits`, then one FSE-coded sequence
+/// (mode 1) over log-5 tables that map every state to the codes
+/// `[ll, ml, of]`, read from 100 zero bits, then `last_literals`.
+fn one_sequence_frame(lits: &[u8], codes: [u16; 3], last_literals: u64) -> Vec<u8> {
+    let mut p = vec![0u8];
+    varint::write_u64(&mut p, lits.len() as u64);
+    p.extend_from_slice(lits);
+    p.extend_from_slice(&[1, 1]); // one sequence, FSE mode
+    for code in codes {
+        p.push(5);
+        p.extend_from_slice(&(code + 1).to_le_bytes());
+        for c in 0..=code {
+            p.extend_from_slice(&(if c == code { 32u16 } else { 0 }).to_le_bytes());
+        }
+    }
+    let mut w = cdpu_util::bits::BitWriter::new();
+    w.write_bits(0, 50);
+    w.write_bits(0, 50);
+    let stream = w.finish_with_marker();
+    varint::write_u64(&mut p, stream.len() as u64);
+    p.extend_from_slice(&stream);
+    varint::write_u64(&mut p, last_literals);
+    frame_with_payload(64, &p)
+}
+
+#[test]
+fn hostile_offset_code_is_an_error_not_a_panic() {
+    // Offset code 63 claims 63 extra bits, more than a bit reader hands out
+    // at once; codes 32..=57 read their bits and then fail.
+    for of in [32u16, 40, 57, 58, 63] {
+        let frame = one_sequence_frame(b"abcd", [1, 1, of], 0);
+        for (path, outcome) in every_path(&frame).into_iter().enumerate() {
+            assert_eq!(outcome, Err(ZstdError::BadBlock("of code")), "offset code {of}, path {path}");
+        }
+    }
+    // Offset code 63 fails at its read, before a literal-length code with
+    // no value is looked at; a readable offset code leaves the
+    // literal-length error first, as before.
+    let frame = one_sequence_frame(b"abcd", [40, 1, 63], 0);
+    for outcome in every_path(&frame) {
+        assert_eq!(outcome, Err(ZstdError::BadBlock("of code")));
+    }
+    let frame = one_sequence_frame(b"abcd", [40, 1, 40], 0);
+    for outcome in every_path(&frame) {
+        assert_eq!(outcome, Err(ZstdError::BadBlock("ll code")));
+    }
+}
+
+#[test]
+fn literal_count_overflow_is_an_error_not_a_panic() {
+    // Trailing-literal counts near u64::MAX once overflowed the literal
+    // cursor (a panic in debug builds) before the accounting check.
+    for last_literals in [u64::MAX, u64::MAX - 2, 1 << 63, 5] {
+        let no_seqs = {
+            let mut p = vec![0u8, 4];
+            p.extend_from_slice(b"abcd");
+            p.push(0); // no sequences
+            varint::write_u64(&mut p, last_literals);
+            frame_with_payload(4, &p)
+        };
+        let one_seq = one_sequence_frame(b"abcdefgh", [4, 1, 1], last_literals);
+        for frame in [no_seqs, one_seq] {
+            for (path, outcome) in every_path(&frame).into_iter().enumerate() {
+                assert_eq!(
+                    outcome,
+                    Err(ZstdError::BadBlock("literal accounting mismatch")),
+                    "last_literals {last_literals}, path {path}"
+                );
+            }
         }
     }
 }
