@@ -58,7 +58,8 @@ for name in \
     speculative_literal_lanes_match_serial \
     baked_tables_match_the_fse_decode_table \
     hostile_offset_code_is_an_error_not_a_panic \
-    literal_count_overflow_is_an_error_not_a_panic; do
+    literal_count_overflow_is_an_error_not_a_panic \
+    block_payload_length_overflow_is_an_error_not_a_panic; do
     if ! grep -q "${name}: test\$" /tmp/cdpu_test_list.txt; then
         echo "FAIL: test $name is no longer in the workspace suite" >&2
         exit 1

@@ -477,7 +477,7 @@ fn decompress_impl(
                     varint::read_u64(&frame[pos..]).map_err(|_| FlateError::Truncated)?;
                 pos += n;
                 let payload_len = payload_len as usize;
-                if pos + payload_len > frame.len() {
+                if payload_len > frame.len() - pos {
                     return Err(FlateError::Truncated);
                 }
                 let before = out.len();

@@ -138,7 +138,7 @@ pub fn decompress_with_dict(frame: &[u8], dict: &[u8]) -> Result<Vec<u8>, ZstdEr
                     varint::read_u64(&frame[pos..]).map_err(|_| ZstdError::Truncated)?;
                 pos += n;
                 let payload_len = payload_len as usize;
-                if pos + payload_len > frame.len() {
+                if payload_len > frame.len() - pos {
                     return Err(ZstdError::Truncated);
                 }
                 let before = out.len();

@@ -79,7 +79,7 @@ pub fn decompress(frame: &[u8]) -> Result<Vec<u8>, ZstdError> {
                     varint::read_u64(&frame[pos..]).map_err(|_| ZstdError::Truncated)?;
                 pos += n;
                 let payload_len = payload_len as usize;
-                if pos + payload_len > frame.len() {
+                if payload_len > frame.len() - pos {
                     return Err(ZstdError::Truncated);
                 }
                 let before = out.len();

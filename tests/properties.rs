@@ -468,7 +468,8 @@ streamed!(
     cdpu::snappy::stream::SnappyStreamDecoder,
     cdpu::lite::stream::LzoStreamDecoder,
     cdpu::lite::stream::Lz4StreamDecoder,
-    cdpu::zstd::stream::ZstdStreamDecoder
+    cdpu::zstd::stream::ZstdStreamDecoder,
+    cdpu::flate::stream::FlateStreamDecoder
 );
 
 impl Streamed for cdpu::lite::stream::GipfeliStreamDecoder {
@@ -876,4 +877,66 @@ fn zstd_decode_outcomes_are_pinned() {
     assert_eq!(h, 0x4E58_80A5_42E1_29C7, "zstd decode outcomes moved: got {h:#018X}");
     let h = once_panicking.iter().fold(h, |h, case| fold_paths(h, case));
     assert_eq!(h, 0xE943_B170_F309_8F0B, "outcomes of the once-panicking frames moved: got {h:#018X}");
+}
+
+/// A compressed block whose payload length is a 10-byte varint near
+/// `u64::MAX` once overflowed `pos + payload_len` in the zstd and flate
+/// frame walks: an add overflow in debug builds, an inverted slice in
+/// release. Every entry (one-shot, `decompress_into`, dictionary,
+/// reference, streamed) now reports `Truncated`.
+#[test]
+fn block_payload_length_overflow_is_an_error_not_a_panic() {
+    use cdpu::lz77::window::DecoderScratch;
+    use cdpu::util::varint::write_u64;
+    let mut scratch = DecoderScratch::new();
+    for payload_len in [u64::MAX, u64::MAX - 7, 1 << 63] {
+        // `header`, then one last compressed block of 10 bytes whose
+        // payload length is `payload_len`, then a few stray bytes.
+        let frame = |header: &[u8], flags: u8| {
+            let mut f = header.to_vec();
+            f.push(flags);
+            write_u64(&mut f, 10);
+            write_u64(&mut f, payload_len);
+            f.extend_from_slice(&[0; 8]);
+            f
+        };
+        let mut zstd_header = cdpu::zstd::MAGIC.to_vec();
+        zstd_header.push(20);
+        write_u64(&mut zstd_header, 10);
+        let zstd = frame(&zstd_header, 0b101);
+        let dict = b"a dictionary";
+        let dict_empty = cdpu::zstd::dict::compress_with_dict(b"", &cdpu::zstd::ZstdConfig::default(), dict);
+        // The dictionary header ends where its one (empty raw) block begins.
+        let dict_frame = frame(&dict_empty[..dict_empty.len() - 2], 0b101);
+        let zstd_paths = [
+            cdpu::zstd::decompress(&zstd).map_err(|e| format!("{e:?}")),
+            cdpu::zstd::decompress_into(&zstd, &mut scratch)
+                .map(<[u8]>::to_vec)
+                .map_err(|e| format!("{e:?}")),
+            cdpu::zstd::reference::decompress(&zstd).map_err(|e| format!("{e:?}")),
+            cdpu::zstd::dict::decompress_with_dict(&dict_frame, dict).map_err(|e| format!("{e:?}")),
+            stream_decode(&mut cdpu::zstd::stream::ZstdStreamDecoder::new(), &zstd, 1),
+            stream_decode(&mut cdpu::zstd::stream::ZstdStreamDecoder::new(), &zstd, zstd.len()),
+        ];
+        for (path, outcome) in zstd_paths.iter().enumerate() {
+            assert_eq!(outcome, &Err("Truncated".to_string()), "zstd path {path}, payload length {payload_len}");
+        }
+
+        let mut flate_header = cdpu::flate::MAGIC.to_vec();
+        flate_header.push(15);
+        write_u64(&mut flate_header, 10);
+        let flate = frame(&flate_header, 0b011);
+        let flate_paths = [
+            cdpu::flate::decompress(&flate).map_err(|e| format!("{e:?}")),
+            cdpu::flate::decompress_into(&flate, &mut scratch)
+                .map(<[u8]>::to_vec)
+                .map_err(|e| format!("{e:?}")),
+            cdpu::flate::reference::decompress(&flate).map_err(|e| format!("{e:?}")),
+            stream_decode(&mut cdpu::flate::stream::FlateStreamDecoder::new(), &flate, 1),
+            stream_decode(&mut cdpu::flate::stream::FlateStreamDecoder::new(), &flate, flate.len()),
+        ];
+        for (path, outcome) in flate_paths.iter().enumerate() {
+            assert_eq!(outcome, &Err("Truncated".to_string()), "flate path {path}, payload length {payload_len}");
+        }
+    }
 }
