@@ -97,6 +97,18 @@ if grep -nE 'transition_width|FseStreamDecoder' crates/zstd/src/block.rs; then
     exit 1
 fi
 
+echo "==> one benchmark harness: no bench timing binary, regress gate or stage-pipelined codec paths"
+for f in crates/bench/src/bin/bench.rs crates/bench/src/regress.rs crates/par/src/pipeline.rs; do
+    if [ -e "$f" ]; then
+        echo "FAIL: $f is back; benchmark/ is the one timing harness" >&2
+        exit 1
+    fi
+done
+if grep -rnE '_pipelined|cdpu_par::pipeline' crates; then
+    echo "FAIL: a stage-pipelined codec path is back under crates/" >&2
+    exit 1
+fi
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -141,15 +153,6 @@ if ! grep -q 'deviation' /tmp/cdpu_served_serial_file.txt; then
     exit 1
 fi
 
-echo "==> serving-engine benchmark smoke (tiny)"
-./target/release/bench --served --tiny --out /tmp/cdpu_bench_served.json
-for key in '"served_batch_speedup"' '"served_drr_fairness_speedup"' '"closed_loop"' '"saturation"'; do
-    if ! grep -q "$key" /tmp/cdpu_bench_served.json; then
-        echo "FAIL: served benchmark missing $key" >&2
-        exit 1
-    fi
-done
-
 echo "==> observability determinism smoke (serial vs parallel at tiny scale)"
 rm -rf /tmp/cdpu_obs_serial /tmp/cdpu_obs_parallel
 ./target/release/figures --obs --tiny --jobs 1 --obs-dir /tmp/cdpu_obs_serial > /tmp/cdpu_obs_serial.txt
@@ -190,67 +193,6 @@ if ! grep -q '"type":"histogram"' "$TELEMETRY_TMP/results/telemetry/metrics.json
 fi
 rm -rf "$TELEMETRY_TMP"
 
-echo "==> perf-regression gate smoke (tiny, advisory)"
-./target/release/bench --regress --tiny --out /tmp/cdpu_regress_tiny.md
-if ! grep -q '^# Perf-regression gate' /tmp/cdpu_regress_tiny.md; then
-    echo "FAIL: regression gate wrote no report" >&2
-    exit 1
-fi
-
-echo "==> kernel microbenchmark smoke (tiny)"
-./target/release/bench --kernels --tiny --out /tmp/cdpu_bench_kernels.json
-if ! grep -q '"min_profile_speedup"' /tmp/cdpu_bench_kernels.json; then
-    echo "FAIL: kernels benchmark wrote no speedup summary" >&2
-    exit 1
-fi
-if ! grep -q '"entropy_encode"' /tmp/cdpu_bench_kernels.json; then
-    echo "FAIL: kernels benchmark wrote no entropy encode section" >&2
-    exit 1
-fi
-for key in '"lz4_class"' '"chunked_compress_speedup"'; do
-    if ! grep -q "$key" /tmp/cdpu_bench_kernels.json; then
-        echo "FAIL: kernels benchmark missing $key" >&2
-        exit 1
-    fi
-done
-
-echo "==> decompression kernel microbenchmark smoke (tiny)"
-./target/release/bench --dekernels --tiny --out /tmp/cdpu_bench_dekernels.json
-if ! grep -q '"min_decompress_speedup"' /tmp/cdpu_bench_dekernels.json; then
-    echo "FAIL: dekernels benchmark wrote no speedup summary" >&2
-    exit 1
-fi
-if ! grep -q '"entropy_interleave_speedup"' /tmp/cdpu_bench_dekernels.json; then
-    echo "FAIL: dekernels benchmark wrote no entropy interleave speedup" >&2
-    exit 1
-fi
-for key in '"lz4-class"' '"chunked_decode_speedup"'; do
-    if ! grep -q "$key" /tmp/cdpu_bench_dekernels.json; then
-        echo "FAIL: dekernels benchmark missing $key" >&2
-        exit 1
-    fi
-done
-
-echo "==> streaming benchmark smoke (tiny)"
-# The bench itself asserts pipelined output is bit-identical to serial
-# before timing anything; a divergence aborts the run here.
-./target/release/bench --streaming --tiny --out /tmp/cdpu_bench_streaming.json
-for key in '"streaming_pipeline_speedup"' '"stream_scratch_peak_bytes"' '"modeled"' '"wall_clock"' '"scratch"'; do
-    if ! grep -q "$key" /tmp/cdpu_bench_streaming.json; then
-        echo "FAIL: streaming benchmark missing $key" >&2
-        exit 1
-    fi
-done
-
-echo "==> streaming determinism smoke (two runs, deterministic fields identical)"
-./target/release/bench --streaming --tiny --out /tmp/cdpu_bench_streaming2.json
-grep -v 'mb_s' /tmp/cdpu_bench_streaming.json > /tmp/cdpu_bench_streaming.det
-grep -v 'mb_s' /tmp/cdpu_bench_streaming2.json > /tmp/cdpu_bench_streaming2.det
-if ! diff -q /tmp/cdpu_bench_streaming.det /tmp/cdpu_bench_streaming2.det; then
-    echo "FAIL: streaming benchmark deterministic fields differ between runs" >&2
-    exit 1
-fi
-
 echo "==> chunked figure determinism smoke (serial vs parallel at tiny scale)"
 ./target/release/figures chunked --tiny --jobs 1 > /tmp/cdpu_chunked_serial.txt
 ./target/release/figures chunked --tiny > /tmp/cdpu_chunked_parallel.txt
@@ -262,9 +204,6 @@ if ! grep -q 'bit-identical: 5/5' /tmp/cdpu_chunked_serial.txt; then
     echo "FAIL: chunked figure frame decode parity check did not pass" >&2
     exit 1
 fi
-
-echo "==> entropy codec smoke (rANS + interleaved roundtrips, reference parity)"
-./target/release/bench --entropy-smoke
 
 echo "==> entropy figure smoke (tiny)"
 ./target/release/figures entropy --tiny > /tmp/cdpu_entropy_fig.txt

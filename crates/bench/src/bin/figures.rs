@@ -143,8 +143,8 @@ fn main() {
             other => figures.push(other.to_string()),
         }
     }
-    // One shared validation pass for the worker/shard/batch knobs, before
-    // any expensive state is built (`bench` runs the same checker).
+    // One validation pass for the worker/shard/batch knobs, before any
+    // expensive state is built.
     if let Err(e) = cli::validate(jobs, &served_opts) {
         usage(&e);
     }

@@ -1,10 +1,7 @@
-//! Shared command-line validation for the `figures` and `bench` binaries.
-//!
-//! Both binaries accept the same engine-facing knobs (`--jobs`,
-//! `--shards`, `--batch-bytes`, `--batch-max`), and both used to validate
-//! them ad hoc — or not at all — so an impossible combination surfaced
-//! as a panic deep inside a run instead of a usage error up front. This
-//! module is the single checker both call immediately after argument
+//! Command-line validation for the `figures` binary's engine-facing
+//! knobs (`--jobs`, `--shards`, `--batch-bytes`, `--batch-max`), so an
+//! impossible combination is a usage error up front instead of a panic
+//! deep inside a run. [`validate`] runs immediately after argument
 //! parsing, before any expensive state is built.
 
 use cdpu_serve::BatchPolicy;
@@ -18,7 +15,7 @@ pub const MAX_WORKERS: usize = 256;
 /// batching stops being an offload-amortization story.
 pub const MAX_BATCH_BYTES: u64 = 16 * 1024 * 1024;
 
-/// Serving-engine knobs shared by `figures --served` and `bench --served`.
+/// Serving-engine knobs of `figures --served`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServedOpts {
     /// Worker shards executing engine dispatches.

@@ -24,7 +24,6 @@ pub mod dse_figures;
 pub mod entropy_figures;
 pub mod obs_figures;
 pub mod profile_figures;
-pub mod regress;
 pub mod serve_figures;
 pub mod served_figures;
 pub mod workbench;

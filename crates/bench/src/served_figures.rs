@@ -42,18 +42,18 @@ const TAG_FAIR: u64 = 0x5352_5644_4602;
 const TAG_BATCH: u64 = 0x5352_5644_4603;
 
 /// Offered loads of the closed-loop comparison.
-pub const LOOP_LOADS: [f64; 3] = [0.5, 0.75, 0.9];
+const LOOP_LOADS: [f64; 3] = [0.5, 0.75, 0.9];
 
 /// Calls injected per engine run. Real execution makes engine calls ~100×
 /// costlier than simulated ones, so this is a tenth of the simulator
 /// figures' budget (default scale: 2,400 calls per point; tiny: 200).
-pub fn served_calls(scale: Scale) -> u64 {
+fn served_calls(scale: Scale) -> u64 {
     (scale.files_per_suite as u64).max(1) * 25
 }
 
 /// Builds the payload workload for `scale`: one bank-kind's worth of tape
 /// per corpus kind, calls capped like every other figure at this scale.
-pub fn workload(scale: Scale) -> Arc<Workload> {
+fn workload(scale: Scale) -> Arc<Workload> {
     Arc::new(Workload::build(&WorkloadConfig {
         seed: scale.seed,
         tape_bytes: scale.bank_bytes_per_kind * cdpu_corpus::ALL_KINDS.len(),
@@ -109,25 +109,25 @@ fn comparison_cfg(seed: u64, tenants: Vec<TenantSpec>, shards: u32, load: f64) -
 
 /// One closed-loop comparison point: simulator and engine reports for the
 /// identical workload at one offered load.
-pub struct LoopPoint {
+struct LoopPoint {
     /// Offered load ρ.
-    pub load: f64,
+    load: f64,
     /// The analytic simulator's report.
-    pub sim: ServeReport,
+    sim: ServeReport,
     /// The execution engine's report.
-    pub engine: ServedReport,
+    engine: ServedReport,
 }
 
 impl LoopPoint {
     /// Engine-vs-simulator p99-wait deviation, percent (signed).
-    pub fn deviation_pct(&self) -> f64 {
+    fn deviation_pct(&self) -> f64 {
         let s = self.sim.wait.p99_ns.max(1.0);
         (self.engine.wait.p99_ns - s) / s * 100.0
     }
 }
 
 /// Runs the closed-loop sweep over [`LOOP_LOADS`].
-pub fn loop_points(scale: Scale, opts: &ServedOpts, wl: &Arc<Workload>) -> Vec<LoopPoint> {
+fn loop_points(scale: Scale, opts: &ServedOpts, wl: &Arc<Workload>) -> Vec<LoopPoint> {
     let calls = served_calls(scale);
     cdpu_par::par_map(&LOOP_LOADS, |&load| {
         let mut cfg = comparison_cfg(
@@ -159,7 +159,7 @@ fn fairness_tenants(wl: &Workload) -> Vec<TenantSpec> {
 
 /// Runs the fairness surge under all three schedulers in both tiers
 /// (ρ=0.9, two shards), in [`SchedKind::ALL`] order.
-pub fn fairness_points(
+fn fairness_points(
     scale: Scale,
     wl: &Arc<Workload>,
 ) -> Vec<(SchedKind, ServeReport, ServedReport)> {
@@ -173,8 +173,8 @@ pub fn fairness_points(
 }
 
 /// Small-tenant p99 wait improvement, FCFS over DRR, from a fairness
-/// sweep — the deterministic ratio `bench --regress` gates.
-pub fn small_tenant_drr_speedup(points: &[(SchedKind, ServeReport, ServedReport)]) -> f64 {
+/// sweep.
+fn small_tenant_drr_speedup(points: &[(SchedKind, ServeReport, ServedReport)]) -> f64 {
     let p99 = |k: SchedKind| {
         points
             .iter()
@@ -189,8 +189,8 @@ pub fn small_tenant_drr_speedup(points: &[(SchedKind, ServeReport, ServedReport)
 /// ρ=0.9 on one shard under **Chiplet** placement (nonzero per-dispatch
 /// offload — under RoCC's zero overhead, coalescing changes nothing).
 /// Returns `(batch-off report, batch-on report)`; the p99-wait ratio
-/// off/on is the second gated metric.
-pub fn batch_points(
+/// off/on is the figure's "offload amortization" line.
+fn batch_points(
     scale: Scale,
     opts: &ServedOpts,
     wl: &Arc<Workload>,
@@ -216,7 +216,7 @@ pub fn batch_points(
 }
 
 /// Batch-off over batch-on p99 wait (>1 when coalescing helps).
-pub fn batch_speedup(off: &ServedReport, on: &ServedReport) -> f64 {
+fn batch_speedup(off: &ServedReport, on: &ServedReport) -> f64 {
     off.wait.p99_ns / on.wait.p99_ns.max(1.0)
 }
 

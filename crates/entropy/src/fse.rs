@@ -279,21 +279,7 @@ impl FseDecodeTable {
     /// [`FseError::BadNormalization`] / [`FseError::BadTableLog`] if the
     /// counts are not a valid normalization.
     pub fn new(norm: &[u32], table_log: u8) -> Result<Self, FseError> {
-        check_norm(norm, table_log)?;
-        let size = 1usize << table_log;
-        let spread = spread_symbols(norm, table_log);
-        let mut symbol_next: Vec<u32> = norm.to_vec();
-        let mut entries = vec![FseDecodeEntry::default(); size];
-        for (u, &s) in spread.iter().enumerate() {
-            let next = symbol_next[s as usize];
-            symbol_next[s as usize] += 1;
-            let nb_bits = table_log as u32 - floor_log2(next as u64);
-            entries[u] = FseDecodeEntry {
-                symbol: s,
-                nb_bits: nb_bits as u8,
-                new_state_base: ((next << nb_bits) as usize - size) as u16,
-            };
-        }
+        let entries = build_decode_table(norm, table_log, |e| e)?;
         Ok(FseDecodeTable { table_log, entries })
     }
 
@@ -306,6 +292,40 @@ impl FseDecodeTable {
     pub fn entry(&self, state: u16) -> FseDecodeEntry {
         self.entries[state as usize]
     }
+}
+
+/// Builds a decode table of `1 << table_log` states from normalized
+/// counts, each state mapped through `entry`: the symbols are spread with
+/// ZStd's step (the layout [`FseEncodeTable`] encodes against) and the
+/// states walked in index order, each handed its symbol and transition.
+/// [`FseDecodeTable::new`] keeps the entries as they are; a codec can map
+/// each symbol to what its own decode loop wants in the same walk.
+///
+/// # Errors
+///
+/// [`FseError::BadTableLog`] / [`FseError::BadNormalization`] if the
+/// counts are not a valid normalization.
+pub fn build_decode_table<E>(
+    norm: &[u32],
+    table_log: u8,
+    mut entry: impl FnMut(FseDecodeEntry) -> E,
+) -> Result<Vec<E>, FseError> {
+    check_norm(norm, table_log)?;
+    let size = 1usize << table_log;
+    let mut symbol_next: Vec<u32> = norm.to_vec();
+    Ok(spread_symbols(norm, table_log)
+        .into_iter()
+        .map(|s| {
+            let next = symbol_next[s as usize];
+            symbol_next[s as usize] += 1;
+            let nb_bits = table_log as u32 - floor_log2(next as u64);
+            entry(FseDecodeEntry {
+                symbol: s,
+                nb_bits: nb_bits as u8,
+                new_state_base: ((next << nb_bits) as usize - size) as u16,
+            })
+        })
+        .collect())
 }
 
 /// Streaming FSE encoder over one table. Symbols must be pushed in

@@ -18,8 +18,7 @@
 //!   state transitions from per-stream cached tail windows.
 //!
 //! Stream framing (per-stream lengths) is the caller's job — the ZStd-class
-//! block format writes varint lengths, the standalone kernels in
-//! `cdpu-bench` do the same — so these functions take/return streams
+//! block format writes varint lengths — so these functions take/return streams
 //! explicitly. Symbol distribution is fixed by `i % K`, making stream
 //! symbol counts `ceil((count - k) / K)` — derivable from `count`, never
 //! transmitted.

@@ -1,8 +1,7 @@
 //! Huffman-block decode: packed tables, the symbol loop, the applier.
 //!
-//! A block is decoded in two halves that every decoder in the crate
-//! shares — the one-shot entries, the streaming decoder and the
-//! stage-pipelined decode. [`decode_huff_entropy`] turns the payload into
+//! A block is decoded in two halves that the one-shot entries and the
+//! streaming decoder share. [`decode_huff_entropy`] turns the payload into
 //! staged literals and copy operations without touching the output window;
 //! [`apply_huff_ops`] replays them against the window. Errors keep the
 //! order the interleaved [`crate::reference`] decoder reports them in: the

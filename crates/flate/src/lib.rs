@@ -427,7 +427,7 @@ pub fn decompress_into<'a>(
 
 /// The frame walk behind both one-shot entries; each Huffman block goes
 /// through the [`decode_huff_entropy`] / [`apply_huff_ops`] pair the
-/// streaming and pipelined decoders use, staged in `lits`/`seqs`.
+/// streaming decoder uses, staged in `lits`/`seqs`.
 fn decompress_impl(
     frame: &[u8],
     out: &mut Vec<u8>,

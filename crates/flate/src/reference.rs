@@ -6,8 +6,7 @@
 //! optimized [`crate::decompress`] / [`crate::decompress_into`] must
 //! produce the **identical** output bytes and error variants on every
 //! input — the `decode_equivalence` test suite asserts exactly that across
-//! random roundtrips and hostile streams, and `bench --dekernels` times
-//! this decoder as the speedup baseline.
+//! random roundtrips and hostile streams.
 //!
 //! Not for production use: it runs slower than the fast path and allocates
 //! a fresh output vector for every call.

@@ -1,5 +1,5 @@
 //! Streaming Flate-class coding: bounded-memory, chunk-resumable
-//! encode/decode plus the stage-pipelined single-call entry points.
+//! encode/decode.
 //!
 //! Mirrors `cdpu_zstd::stream` with DEFLATE's constraints: a ≤ 32 KiB
 //! window, no RLE blocks, and a Huffman-only entropy stage. The encoder
@@ -11,12 +11,6 @@
 //! one-shot error value; block decode goes through the
 //! [`decode_huff_entropy`]/[`apply_huff_ops`] split, whose deferred-error
 //! contract reproduces the interleaved decoder's first-error ordering.
-//!
-//! [`compress_pipelined`]/[`decompress_pipelined`] overlap parse/split
-//! with block entropy coding (compress) and entropy decode with LZ77
-//! application (decode) through [`cdpu_par::pipeline`]'s bounded
-//! two-slot handoff — same bytes, same errors, stage concurrency on one
-//! large call.
 
 use crate::{
     apply_huff_ops, decode_huff_entropy, emit_block, FlateConfig, FlateError, Splitter,
@@ -414,219 +408,5 @@ impl StreamDecoder for FlateStreamDecoder {
             + self.payload.capacity()
             + self.lits.capacity()
             + self.seqs.capacity() * std::mem::size_of::<Seq>()
-    }
-}
-
-/// One unit of decode work handed from the entropy stage to the LZ77
-/// stage by [`decompress_pipelined`].
-enum BlockWork<'a> {
-    /// Raw stored bytes, passed through.
-    Raw { bytes: &'a [u8], last: bool },
-    /// Entropy-staged Huffman block awaiting application. `deferred`
-    /// carries an entropy error to surface only if the staged operations
-    /// apply cleanly (the interleaved decoder's precedence).
-    Staged {
-        lits: Vec<u8>,
-        seqs: Vec<Seq>,
-        tail: usize,
-        deferred: Option<FlateError>,
-        block_len: usize,
-        last: bool,
-    },
-}
-
-/// Compresses one call with parse/split and block entropy coding
-/// overlapped as pipeline stages. Byte-identical to
-/// [`compress_with`](crate::compress_with).
-///
-/// # Panics
-///
-/// Panics if `data.len()` is not less than `u32::MAX`.
-pub fn compress_pipelined(data: &[u8], cfg: &FlateConfig) -> Vec<u8> {
-    let mut out = Vec::with_capacity(data.len() / 2 + 64);
-    out.extend_from_slice(&MAGIC);
-    out.push(cfg.window_log.min(MAX_WINDOW_LOG) as u8);
-    varint::write_u64(&mut out, data.len() as u64);
-
-    cdpu_par::pipeline::run(
-        cdpu_par::pipeline::DEFAULT_DEPTH,
-        |tx| {
-            let mut parser = StreamParser::chain(cfg.chain_config(), data.len(), None);
-            let mut splitter = Splitter::new(MAX_BLOCK_SIZE);
-            let mut start = 0usize;
-            let flush = |splitter: &mut Splitter, start: &mut usize| {
-                for chunk in splitter.chunks.drain(..) {
-                    let len = chunk.total_len();
-                    let _ = tx.send((*start, chunk));
-                    *start += len;
-                }
-            };
-            for piece in data.chunks(FEED_PIECE.max(1)) {
-                parser.feed(piece, &mut |ev| match ev {
-                    ParseEvent::Literals(b) => splitter.add_literals(b.len()),
-                    ParseEvent::Match { offset, len } => splitter.add_match(len, offset),
-                });
-                flush(&mut splitter, &mut start);
-            }
-            parser.finish(&mut |ev| match ev {
-                ParseEvent::Literals(b) => splitter.add_literals(b.len()),
-                ParseEvent::Match { offset, len } => splitter.add_match(len, offset),
-            });
-            splitter.close();
-            flush(&mut splitter, &mut start);
-        },
-        |rx| {
-            let mut payload = Vec::new();
-            let mut any = false;
-            for (start, chunk) in rx {
-                let chunk: Parse = chunk;
-                let len = chunk.total_len();
-                let last = start + len == data.len();
-                emit_block(&data[start..start + len], &chunk, last, &mut out, &mut payload);
-                any = true;
-            }
-            if !any {
-                emit_block(b"", &Parse::default(), true, &mut out, &mut payload);
-            }
-        },
-    );
-    out
-}
-
-/// Decompresses one frame with Huffman entropy decode and LZ77 sequence
-/// application overlapped as pipeline stages. Output bytes and error
-/// values are identical to [`decompress`](crate::decompress): the channel
-/// preserves block order, the deferred-error contract of
-/// [`decode_huff_entropy`]/[`apply_huff_ops`] reproduces the interleaved
-/// decoder's within-block error precedence, and a consumer-side error at
-/// an earlier block always wins over a producer-side error at a later
-/// position.
-///
-/// # Errors
-///
-/// Any [`FlateError`], exactly as [`decompress`](crate::decompress)
-/// reports it.
-pub fn decompress_pipelined(frame: &[u8]) -> Result<Vec<u8>, FlateError> {
-    if frame.len() < 5 || frame[..4] != MAGIC {
-        return Err(FlateError::BadMagic);
-    }
-    let window_log = frame[4] as u32;
-    if window_log > MAX_WINDOW_LOG {
-        return Err(FlateError::BadHeader);
-    }
-    let mut pos = 5usize;
-    let (expected, n) = varint::read_u64(&frame[pos..]).map_err(|_| FlateError::BadHeader)?;
-    pos += n;
-    let window = 1u32 << window_log;
-
-    let (trailing_err, result) = cdpu_par::pipeline::run(
-        cdpu_par::pipeline::DEFAULT_DEPTH,
-        move |tx| -> Option<FlateError> {
-            let mut saw_last = false;
-            while !saw_last {
-                if pos >= frame.len() {
-                    return Some(FlateError::Truncated);
-                }
-                let flags = frame[pos];
-                pos += 1;
-                saw_last = flags & 1 != 0;
-                let Ok((v, n)) = varint::read_u64(&frame[pos..]) else {
-                    return Some(FlateError::Truncated);
-                };
-                pos += n;
-                if v > MAX_BLOCK_SIZE as u64 {
-                    return Some(FlateError::BadBlock("block exceeds size limit"));
-                }
-                let block_len = v as usize;
-                let work = match (flags >> 1) & 0b11 {
-                    crate::BLOCK_RAW => {
-                        if pos + block_len > frame.len() {
-                            return Some(FlateError::Truncated);
-                        }
-                        let bytes = &frame[pos..pos + block_len];
-                        pos += block_len;
-                        BlockWork::Raw { bytes, last: saw_last }
-                    }
-                    crate::BLOCK_HUFF => {
-                        let Ok((payload_len, n)) = varint::read_u64(&frame[pos..]) else {
-                            return Some(FlateError::Truncated);
-                        };
-                        pos += n;
-                        let payload_len = payload_len as usize;
-                        if payload_len > frame.len() || pos + payload_len > frame.len() {
-                            return Some(FlateError::Truncated);
-                        }
-                        let mut lits = Vec::new();
-                        let mut seqs = Vec::new();
-                        let (tail, deferred) = decode_huff_entropy(
-                            &frame[pos..pos + payload_len],
-                            block_len,
-                            &mut lits,
-                            &mut seqs,
-                        );
-                        pos += payload_len;
-                        // On a deferred entropy error the serial walk stops
-                        // inside this block: ship the partial operations
-                        // (application errors take precedence) and halt.
-                        let halt = deferred.is_some();
-                        let work = BlockWork::Staged {
-                            lits,
-                            seqs,
-                            tail,
-                            deferred,
-                            block_len,
-                            last: saw_last,
-                        };
-                        if halt {
-                            let _ = tx.send(work);
-                            return None;
-                        }
-                        work
-                    }
-                    _ => return Some(FlateError::BadBlock("unknown block type")),
-                };
-                if !tx.send(work) {
-                    return None;
-                }
-            }
-            None
-        },
-        |rx| -> Result<Vec<u8>, FlateError> {
-            let mut out = Vec::with_capacity((expected as usize).min(MAX_BLOCK_SIZE));
-            for work in rx {
-                let last = match work {
-                    BlockWork::Raw { bytes, last } => {
-                        out.extend_from_slice(bytes);
-                        last
-                    }
-                    BlockWork::Staged { lits, seqs, tail, deferred, block_len, last } => {
-                        let before = out.len();
-                        apply_huff_ops(&lits, &seqs, tail, deferred, &mut out, window, block_len)?;
-                        if out.len() - before != block_len {
-                            return Err(FlateError::BadBlock("block length mismatch"));
-                        }
-                        last
-                    }
-                };
-                if out.len() as u64 > expected {
-                    return Err(FlateError::LengthMismatch {
-                        expected,
-                        actual: out.len() as u64,
-                    });
-                }
-                if last && out.len() as u64 != expected {
-                    return Err(FlateError::LengthMismatch {
-                        expected,
-                        actual: out.len() as u64,
-                    });
-                }
-            }
-            Ok(out)
-        },
-    );
-    let out = result?;
-    match trailing_err {
-        Some(e) => Err(e),
-        None => Ok(out),
     }
 }

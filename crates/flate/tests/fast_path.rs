@@ -4,11 +4,11 @@
 //! declared length at every position of a literal run, and symbols outside
 //! DEFLATE's alphabets. Every frame — and every truncation and `^0x40` flip
 //! of it — must decode to the same bytes or the same error through
-//! `decompress`, `decompress_into`, `reference::decompress`, the pipelined
-//! decoder and the streaming decoder at 1-byte and random chunkings.
+//! `decompress`, `decompress_into`, `reference::decompress` and the
+//! streaming decoder at 1-byte and random chunkings.
 
 use cdpu_entropy::huffman::{package_merge_lengths, HuffmanTable};
-use cdpu_flate::stream::{decompress_pipelined, FlateStreamDecoder};
+use cdpu_flate::stream::FlateStreamDecoder;
 use cdpu_flate::{codes, decompress, decompress_into, reference, FlateError, MAGIC};
 use cdpu_lz77::window::DecoderScratch;
 use cdpu_util::bits::MsbBitWriter;
@@ -135,7 +135,6 @@ fn assert_all_agree(
     let want = reference::decompress(frame);
     assert_eq!(decompress(frame), want, "{what}: decompress");
     assert_eq!(decompress_into(frame, scratch).map(<[u8]>::to_vec), want, "{what}: decompress_into");
-    assert_eq!(decompress_pipelined(frame), want, "{what}: pipelined");
     assert_eq!(stream_decode(frame, || 1), want, "{what}: 1-byte chunks");
     assert_eq!(stream_decode(frame, || 1 + rng.index(97)), want, "{what}: random chunks");
     want
@@ -320,7 +319,6 @@ fn hostile_literal_flood_is_cut_off_at_the_declared_length() {
     let overrun = FlateError::BadBlock("block output overruns declared size");
     assert_eq!(reference::decompress(&f), Err(overrun));
     assert_eq!(decompress(&f), Err(overrun));
-    assert_eq!(decompress_pipelined(&f), Err(overrun));
     assert_eq!(decompress_into(&f, &mut DecoderScratch::new()), Err(overrun));
 
     // The streaming decoder holds the payload it was fed (2 bits a

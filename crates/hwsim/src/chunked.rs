@@ -190,6 +190,27 @@ mod tests {
         assert!(r.speedup() >= 2.0, "compress {:.2}x", r.speedup());
     }
 
+    /// The chunked-frame ratios of a 1 MiB Snappy call at 64 KiB chunks
+    /// on 4 lanes, exactly: `chunked_compress_speedup` 3.950 and
+    /// `chunked_decode_speedup` 3.896. A change to the per-call pipeline
+    /// models or the frame overheads moves them.
+    #[test]
+    fn one_mib_snappy_call_on_four_lanes_is_pinned() {
+        let p = CdpuParams::default();
+        let mem = MemParams::default();
+        for (dir, serial, chunked, speedup) in [
+            (Direction::Compress, 353_954, 89_608, "3.950"),
+            (Direction::Decompress, 167_832, 43_076, "3.896"),
+        ] {
+            let c = call(Algorithm::Snappy, dir, 1 << 20, None);
+            let r = chunked_cycles(&c, 64 * 1024, 4, &p, &mem);
+            assert_eq!(r.chunks, 16, "{dir:?}");
+            assert_eq!(r.serial_cycles, serial, "{dir:?}");
+            assert_eq!(r.chunked_cycles, chunked, "{dir:?}");
+            assert_eq!(format!("{:.3}", r.speedup()), speedup, "{dir:?}");
+        }
+    }
+
     #[test]
     fn deterministic() {
         let p = CdpuParams::default();

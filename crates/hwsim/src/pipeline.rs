@@ -4,11 +4,11 @@
 //! module) processes one large call as a sequence of ≤ 128 KiB blocks.
 //! Executed naively, each block runs its three streaming stages — input
 //! streaming, compute, output streaming — back to back, so the call costs
-//! the *sum* of every stage of every block. The stage-pipelined execution
-//! (`compress_pipelined`/`decompress_pipelined` over
-//! `cdpu_par::pipeline`'s bounded handoff) overlaps the stages of
-//! consecutive blocks instead: while block *i* entropy-codes, block
-//! *i + 1* is already being parsed and block *i − 1* written out.
+//! the *sum* of every stage of every block. A stage-pipelined execution
+//! overlaps the stages of consecutive blocks instead: while block *i*
+//! entropy-codes, block *i + 1* is already being parsed and block
+//! *i − 1* written out. No software path runs this overlap; it is a
+//! model result.
 //!
 //! This module prices both executions with the same per-block
 //! [`StageCycles`] the rest of the simulator uses
@@ -22,8 +22,9 @@
 //!   plus the bottleneck stage per steady-state block.
 //!
 //! Like [`crate::chunked`], the model is a pure function of its inputs —
-//! no RNG, no wall clocks — so the benchmark's gated
-//! `streaming_pipeline_speedup` is deterministic and host-independent.
+//! no RNG, no wall clocks — so its `streaming_pipeline_speedup` (the
+//! minimum over classes and directions of a 4 MiB call) is deterministic
+//! and host-independent.
 
 use crate::params::{CdpuParams, MemParams};
 use crate::service::service_stages;
@@ -186,6 +187,37 @@ mod tests {
         let many = pipelined_cycles(&call(Algorithm::Zstd, Direction::Decompress, 16 << 20), 128 * 1024, &p, &mem);
         assert!(many.speedup() >= few.speedup());
         assert!(many.speedup() <= 3.0 + f64::EPSILON);
+    }
+
+    /// Every class and direction of a 4 MiB call in 128 KiB blocks,
+    /// exactly. The minimum over them, flate-class decompress at 1.091, is
+    /// `streaming_pipeline_speedup`.
+    #[test]
+    fn four_mib_call_in_128_kib_blocks_is_pinned() {
+        use Algorithm::{Flate, Snappy, Zstd};
+        use Direction::{Compress, Decompress};
+        let (p, mem) = params();
+        let mut min = f64::INFINITY;
+        for (algo, level, dir, serial, pipelined, speedup) in [
+            (Snappy, None, Compress, 1_901_948, 1_430_841, "1.329"),
+            (Snappy, None, Decompress, 1_157_468, 686_361, "1.686"),
+            (Zstd, Some(3), Compress, 2_441_244, 2_017_908, "1.210"),
+            (Zstd, Some(3), Decompress, 3_601_084, 3_177_748, "1.133"),
+            (Flate, Some(6), Compress, 2_734_140, 2_308_386, "1.184"),
+            (Flate, Some(6), Decompress, 5_093_660, 4_667_906, "1.091"),
+        ] {
+            let c = CallRecord {
+                level,
+                ..call(algo, dir, 4 << 20)
+            };
+            let res = pipelined_cycles(&c, 128 * 1024, &p, &mem);
+            let what = format!("{algo:?} {dir:?}");
+            assert_eq!(res.serial_cycles, serial, "{what}");
+            assert_eq!(res.pipelined_cycles, pipelined, "{what}");
+            assert_eq!(format!("{:.3}", res.speedup()), speedup, "{what}");
+            min = min.min(res.speedup());
+        }
+        assert_eq!(format!("{min:.3}"), "1.091");
     }
 
     #[test]

@@ -5,8 +5,7 @@
 //! [`cdpu_lz77::reference::apply_copy`]. The optimized crate decoders
 //! must produce the **identical** output bytes and error variants on
 //! every input — the `decode_equivalence` test suite asserts exactly
-//! that across random roundtrips and hostile streams, and
-//! `bench --dekernels` times these decoders as the speedup baseline.
+//! that across random roundtrips and hostile streams.
 //!
 //! Not for production use: they run slower than the fast paths and
 //! allocate a fresh output vector for every call.

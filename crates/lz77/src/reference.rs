@@ -12,9 +12,7 @@
 //! byte fails there first.
 //!
 //! Not for production use: these run several times slower than the
-//! optimized versions and exist only as a comparison oracle and a
-//! benchmark baseline (`bench --dekernels` times the codecs' `reference`
-//! decoders against the fast paths).
+//! optimized versions and exist only as a comparison oracle.
 
 use crate::hash::hash_at;
 use crate::matcher::{ChainConfig, MatcherConfig};

@@ -34,7 +34,6 @@
 //! A count of 1 (or a single-item input) runs inline with no spawning.
 
 pub mod notify;
-pub mod pipeline;
 
 pub use notify::NotifyPool;
 

@@ -31,7 +31,7 @@
 //! - [`Timing::Measured`]: the dispatch's wall-clock execution time on
 //!   the shard becomes its virtual service time. Reports then reflect
 //!   this host's real codec throughput (and are *not* reproducible
-//!   bit-for-bit; `bench --served` uses this mode).
+//!   bit-for-bit).
 //!
 //! Batching (see [`crate::batch`]) amortizes the per-dispatch offload
 //! overhead over coalesced small calls; admission (see

@@ -1,18 +1,11 @@
 //! A minimal JSON reader for the framework's own artifacts.
 //!
-//! The workspace is dependency-free, yet two subsystems need to *read*
-//! JSON the framework itself wrote: the perf-regression gate
-//! (`bench --regress`) parses the committed `results/BENCH_*.json`
-//! baselines, and the telemetry exporter tests structurally validate
-//! `trace.json` / `metrics.jsonl`. This is a straightforward recursive-
-//! descent parser for RFC 8259 JSON — numbers land in `f64`, which is
-//! exact for every integer the benchmark reports emit (< 2^53).
-//!
-//! [`render`] / [`render_pretty`] are the writer twins of the parser:
-//! artifacts built as [`Json`] values serialize through them (object keys
-//! come out sorted — the `BTreeMap` order), and `parse(render(v)) == v`
-//! for every value without non-finite numbers. Exporters that still emit
-//! JSON by hand are checked by the parser side.
+//! The workspace is dependency-free, yet the telemetry exporter tests and
+//! the repository benchmark need to *read* JSON the framework itself
+//! wrote: `trace.json` / `metrics.jsonl` and `BENCHMARK.json`. This is a
+//! straightforward recursive-descent parser for RFC 8259 JSON — numbers
+//! land in `f64`, which is exact for every integer those documents carry
+//! (< 2^53).
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -84,183 +77,6 @@ impl Json {
             _ => None,
         }
     }
-
-    /// An empty object (builder entry point; see [`Json::set`]).
-    pub fn obj() -> Json {
-        Json::Obj(BTreeMap::new())
-    }
-
-    /// Inserts `key` into an object, builder-style.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self` is not an object.
-    pub fn set(mut self, key: &str, value: impl Into<Json>) -> Json {
-        match &mut self {
-            Json::Obj(m) => {
-                m.insert(key.to_string(), value.into());
-            }
-            _ => panic!("set() on a non-object"),
-        }
-        self
-    }
-}
-
-impl From<bool> for Json {
-    fn from(b: bool) -> Json {
-        Json::Bool(b)
-    }
-}
-
-impl From<f64> for Json {
-    fn from(n: f64) -> Json {
-        Json::Num(n)
-    }
-}
-
-impl From<u64> for Json {
-    fn from(n: u64) -> Json {
-        Json::Num(n as f64)
-    }
-}
-
-impl From<u32> for Json {
-    fn from(n: u32) -> Json {
-        Json::Num(n as f64)
-    }
-}
-
-impl From<usize> for Json {
-    fn from(n: usize) -> Json {
-        Json::Num(n as f64)
-    }
-}
-
-impl From<i64> for Json {
-    fn from(n: i64) -> Json {
-        Json::Num(n as f64)
-    }
-}
-
-impl From<&str> for Json {
-    fn from(s: &str) -> Json {
-        Json::Str(s.to_string())
-    }
-}
-
-impl From<String> for Json {
-    fn from(s: String) -> Json {
-        Json::Str(s)
-    }
-}
-
-impl From<Vec<Json>> for Json {
-    fn from(v: Vec<Json>) -> Json {
-        Json::Arr(v)
-    }
-}
-
-/// Serializes a value compactly (no whitespace). Object keys come out in
-/// `BTreeMap` (sorted) order; `parse(render(v)) == v` holds for every
-/// value this can serialize.
-///
-/// # Panics
-///
-/// Panics on a non-finite number — JSON has no encoding for NaN or
-/// infinity, and silently writing `null` would corrupt the regression
-/// baselines this writer exists for.
-pub fn render(value: &Json) -> String {
-    let mut out = String::new();
-    write_value(&mut out, value, None, 0);
-    out
-}
-
-/// Serializes a value with newlines and two-space indentation — the
-/// committed-artifact format (diffs stay reviewable).
-pub fn render_pretty(value: &Json) -> String {
-    let mut out = String::new();
-    write_value(&mut out, value, Some(2), 0);
-    out.push('\n');
-    out
-}
-
-fn write_value(out: &mut String, value: &Json, indent: Option<usize>, depth: usize) {
-    match value {
-        Json::Null => out.push_str("null"),
-        Json::Bool(true) => out.push_str("true"),
-        Json::Bool(false) => out.push_str("false"),
-        Json::Num(n) => write_number(out, *n),
-        Json::Str(s) => write_string(out, s),
-        Json::Arr(v) => write_seq(out, v.iter(), indent, depth, ('[', ']'), |out, item, d| {
-            write_value(out, item, indent, d)
-        }),
-        Json::Obj(m) => write_seq(out, m.iter(), indent, depth, ('{', '}'), |out, (k, v), d| {
-            write_string(out, k);
-            out.push(':');
-            if indent.is_some() {
-                out.push(' ');
-            }
-            write_value(out, v, indent, d);
-        }),
-    }
-}
-
-fn write_seq<I: ExactSizeIterator>(
-    out: &mut String,
-    items: I,
-    indent: Option<usize>,
-    depth: usize,
-    brackets: (char, char),
-    mut write_item: impl FnMut(&mut String, I::Item, usize),
-) {
-    out.push(brackets.0);
-    let len = items.len();
-    for (i, item) in items.enumerate() {
-        if let Some(step) = indent {
-            out.push('\n');
-            out.extend(std::iter::repeat_n(' ', step * (depth + 1)));
-        }
-        write_item(out, item, depth + 1);
-        if i + 1 < len {
-            out.push(',');
-        }
-    }
-    if len > 0 {
-        if let Some(step) = indent {
-            out.push('\n');
-            out.extend(std::iter::repeat_n(' ', step * depth));
-        }
-    }
-    out.push(brackets.1);
-}
-
-fn write_number(out: &mut String, n: f64) {
-    assert!(n.is_finite(), "JSON cannot encode {n}");
-    if n == n.trunc() && n.abs() < 9.0e15 {
-        // Integral values print without a fraction — exact below 2^53.
-        out.push_str(&format!("{}", n as i64));
-    } else {
-        // Rust's f64 Display is the shortest round-tripping decimal.
-        out.push_str(&format!("{n}"));
-    }
-}
-
-fn write_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{8}' => out.push_str("\\b"),
-            '\u{c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// A parse failure: what went wrong and the byte offset it happened at.
@@ -542,66 +358,8 @@ mod tests {
     }
 
     #[test]
-    fn render_roundtrips_through_parse() {
-        let v = Json::obj()
-            .set("bench", "served engine")
-            .set("iters", 3u64)
-            .set("ratio", 1.25)
-            .set("neg", -17i64)
-            .set("flag", true)
-            .set("nothing", Json::Null)
-            .set(
-                "algorithms",
-                vec![
-                    Json::obj().set("name", "snappy").set("speedup", 2.249),
-                    Json::obj().set("name", "zstd").set("speedup", 1.01),
-                ],
-            );
-        for rendered in [render(&v), render_pretty(&v)] {
-            assert_eq!(parse(&rendered).unwrap(), v, "{rendered}");
-        }
-        assert!(render_pretty(&v).ends_with('\n'));
-        assert!(!render(&v).contains('\n'));
-    }
-
-    #[test]
-    fn render_escapes_and_sorts_keys() {
-        let v = Json::obj()
-            .set("z", 1u64)
-            .set("a", "line\nbreak \"quoted\" \\slash\u{1}");
-        let s = render(&v);
-        assert!(s.find("\"a\"").unwrap() < s.find("\"z\"").unwrap(), "sorted keys: {s}");
-        assert!(s.contains(r#"\n"#) && s.contains(r#"\""#) && s.contains(r#"\\"#));
-        assert!(s.contains(r#"\u0001"#));
-        assert_eq!(parse(&s).unwrap(), v);
-    }
-
-    #[test]
-    fn render_numbers_stay_exact() {
-        // Integers print without fractions; floats round-trip shortest.
-        assert_eq!(render(&Json::Num(9007199254740992.0)), "9007199254740992");
-        assert_eq!(render(&Json::Num(0.1)), "0.1");
-        assert_eq!(render(&Json::Num(-3.0)), "-3");
-        let v = parse(&render(&Json::Num(1.213))).unwrap();
-        assert_eq!(v.as_f64(), Some(1.213));
-    }
-
-    #[test]
-    #[should_panic(expected = "JSON cannot encode")]
-    fn render_rejects_non_finite() {
-        render(&Json::Num(f64::NAN));
-    }
-
-    #[test]
-    fn empty_containers_render_compactly() {
-        assert_eq!(render(&Json::obj()), "{}");
-        assert_eq!(render(&Json::Arr(vec![])), "[]");
-        assert_eq!(render_pretty(&Json::obj()), "{}\n");
-    }
-
-    #[test]
     fn parses_own_bench_shape() {
-        // The shape `bench --kernels` emits.
+        // An object holding an array of objects, numbers and strings.
         let doc = r#"{
           "bench": "cdpu kernel microbenchmarks",
           "iters": 3,

@@ -6,9 +6,7 @@
 //! chunked, resumable [`StreamEncoder`]/[`StreamDecoder`] trait pair with
 //! zero-copy `&[u8]` input windows, caller-owned `&mut [u8]` output
 //! windows, and an explicit, repeatable `finish`. Each codec crate
-//! implements the pair on top of its existing scratch-backed fast paths,
-//! and the stage pipeline in `cdpu-par` + the serving engine's
-//! large-call path both drive codecs purely through it.
+//! implements the pair on top of its existing scratch-backed fast paths.
 //!
 //! The contract every implementation upholds:
 //!

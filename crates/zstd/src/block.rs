@@ -526,49 +526,23 @@ fn of_code_value(code: u16) -> (u32, u8) {
 }
 
 /// Bakes one field's FSE decode table from its normalized counts (at most
-/// [`MAX_SEQ_CODES`] codes): the state walk of `FseDecodeTable::new`,
-/// whose errors it returns, with each state's code replaced by its value
-/// base and extra-bit count. The spread is ZStd's, exactly as
-/// `cdpu_entropy::fse` lays it out for the encoder.
+/// [`MAX_SEQ_CODES`] codes): the shared decode-table walk, with each
+/// state's code replaced by its value base and extra-bit count.
 fn bake(norm: &[u32], table_log: u8, value: CodeValue) -> Result<Vec<SeqEntry>, ZstdError> {
-    if table_log == 0 || table_log > fse::MAX_TABLE_LOG {
-        return Err(ZstdError::Fse(FseError::BadTableLog));
-    }
-    let size = 1usize << table_log;
-    if norm.iter().map(|&c| c as u64).sum::<u64>() != size as u64 {
-        return Err(ZstdError::Fse(FseError::BadNormalization));
-    }
-    // Spread each code over its states (parked in `next`), then give every
-    // state, in index order, its code's value and its transition.
-    let mut table = vec![SeqEntry::default(); size];
-    let step = ((size >> 1) + (size >> 3) + 3) | 1;
-    let mut pos = 0usize;
-    for (code, &count) in norm.iter().enumerate() {
-        for _ in 0..count {
-            table[pos].next = code as u16;
-            pos = (pos + step) & (size - 1);
-        }
-    }
     let mut code_value = [(0u32, 0u8); MAX_SEQ_CODES];
-    let mut code_next = [0u32; MAX_SEQ_CODES];
-    for (code, &count) in norm.iter().enumerate() {
-        code_value[code] = value(code as u16);
-        code_next[code] = count;
+    for (code, slot) in code_value.iter_mut().enumerate().take(norm.len()) {
+        *slot = value(code as u16);
     }
-    for entry in &mut table {
-        let code = entry.next as usize;
-        let next = code_next[code];
-        code_next[code] += 1;
-        let nb_bits = table_log as u32 - cdpu_util::floor_log2(next as u64);
-        let (base, extra) = code_value[code];
-        *entry = SeqEntry {
+    fse::build_decode_table(norm, table_log, |e| {
+        let (base, extra) = code_value[e.symbol as usize];
+        SeqEntry {
             base,
             extra,
-            nb_bits: nb_bits as u8,
-            next: ((next << nb_bits) as usize - size) as u16,
-        };
-    }
-    Ok(table)
+            nb_bits: e.nb_bits,
+            next: e.new_state_base,
+        }
+    })
+    .map_err(ZstdError::Fse)
 }
 
 /// Decodes the sequences section, appending to `seqs` (cleared by the
@@ -810,6 +784,10 @@ pub fn decode_block(
 /// multi-block frame (or a long-lived decoder scratch) pays for those
 /// allocations once instead of per block. `lits`/`seqs` are cleared here;
 /// their contents afterwards are an implementation detail.
+///
+/// The payload's literal and sequence sections decode in full before the
+/// first output byte is written, so every entropy-side error (malformed
+/// section, trailing payload bytes) precedes every application error.
 pub fn decode_block_with(
     payload: &[u8],
     out: &mut Vec<u8>,
@@ -818,23 +796,6 @@ pub fn decode_block_with(
     lits: &mut Vec<u8>,
     seqs: &mut Vec<Seq>,
 ) -> Result<(), ZstdError> {
-    let last_literals = decode_block_entropy(payload, lits, seqs)?;
-    apply_block(lits, seqs, last_literals, out, window, max_len)
-}
-
-/// The entropy half of [`decode_block_with`]: decodes the payload's
-/// literal and sequence sections into `lits`/`seqs` and returns the
-/// trailing-literal count. Every entropy-side error (malformed section,
-/// trailing payload bytes) is reported here, before a single output byte
-/// exists; [`decode_block_with`] is exactly this followed by
-/// [`apply_block`]. That clean split is what lets the stage-pipelined
-/// frame decoder run the two halves on *different* blocks concurrently
-/// while reproducing the serial decoder's error order.
-pub fn decode_block_entropy(
-    payload: &[u8],
-    lits: &mut Vec<u8>,
-    seqs: &mut Vec<Seq>,
-) -> Result<u64, ZstdError> {
     lits.clear();
     seqs.clear();
     let mut pos = 0usize;
@@ -846,31 +807,21 @@ pub fn decode_block_entropy(
     if pos != payload.len() {
         return Err(ZstdError::BadBlock("trailing bytes in block"));
     }
-    Ok(last_literals)
-}
 
-/// The LZ77-writer half of [`decode_block_with`]: interleaves the decoded
-/// literals and sequences into `out` against the history window already
-/// in it, enforcing the window bound and the declared block size.
-pub fn apply_block(
-    literals: &[u8],
-    seqs: &[Seq],
-    last_literals: u64,
-    out: &mut Vec<u8>,
-    window: u32,
-    max_len: usize,
-) -> Result<(), ZstdError> {
+    // Interleave the literals and sequences into `out` against the history
+    // window already in it, enforcing the window bound and the declared
+    // block size.
     let start_len = out.len();
     // The chunked executor takes every sequence that is valid with room to
     // spare; the loop below owns the rest, and with it every error.
     let (applied, mut lit_pos) =
-        cdpu_lz77::window::apply_sequences_prefix(out, literals, seqs, window, max_len);
+        cdpu_lz77::window::apply_sequences_prefix(out, lits, seqs, window, max_len);
     for seq in &seqs[applied..] {
         let lit_end = lit_pos + seq.lit_len as usize;
-        if lit_end > literals.len() {
+        if lit_end > lits.len() {
             return Err(ZstdError::BadBlock("literals exhausted"));
         }
-        out.extend_from_slice(&literals[lit_pos..lit_end]);
+        out.extend_from_slice(&lits[lit_pos..lit_end]);
         lit_pos = lit_end;
         if seq.offset > window {
             return Err(ZstdError::WindowViolation {
@@ -886,10 +837,10 @@ pub fn apply_block(
         cdpu_lz77::window::apply_copy(out, seq.offset, seq.match_len)
             .map_err(ZstdError::Lz77)?;
     }
-    if (literals.len() - lit_pos) as u64 != last_literals {
+    if (lits.len() - lit_pos) as u64 != last_literals {
         return Err(ZstdError::BadBlock("literal accounting mismatch"));
     }
-    out.extend_from_slice(&literals[lit_pos..]);
+    out.extend_from_slice(&lits[lit_pos..]);
     if out.len() - start_len > max_len {
         return Err(ZstdError::BadBlock("block output overruns declared size"));
     }

@@ -8,8 +8,7 @@
 //! optimized [`crate::decompress`] / [`crate::decompress_into`] must
 //! produce the **identical** output bytes and error variants on every
 //! input — the `decode_equivalence` test suite asserts exactly that
-//! across random roundtrips and hostile streams, and `bench --dekernels`
-//! times this decoder as the speedup baseline.
+//! across random roundtrips and hostile streams.
 //!
 //! The interleaved and rANS literal modes (3/4) and the N-way sequence
 //! mode decode here through the per-symbol oracles in

@@ -1,5 +1,5 @@
 //! Streaming ZStd-class coding: bounded-memory, chunk-resumable
-//! encode/decode plus the stage-pipelined single-call entry points.
+//! encode/decode.
 //!
 //! The encoder feeds input windows through
 //! [`StreamParser`](cdpu_lz77::stream::StreamParser) (bit-identical to
@@ -16,16 +16,7 @@
 //! `produced` field of [`Lz77Error::BadOffset`](cdpu_lz77::Lz77Error)
 //! counts compacted-away history back in, so even that diagnostic field
 //! agrees with the one-shot decoder's).
-//!
-//! [`compress_pipelined`]/[`decompress_pipelined`] exploit the same block
-//! split for *stage overlap* on one large call: parse/split feeds block
-//! entropy coding (compress), and entropy decode feeds LZ77 application
-//! (decompress) through a bounded two-slot queue
-//! ([`cdpu_par::pipeline`]), double-buffered with no per-block barrier.
-//! Output bytes and error values are identical to the serial paths; see
-//! the proof sketch on [`decompress_pipelined`].
 
-use crate::block::{apply_block, decode_block_entropy};
 use crate::{
     block, emit_block, Splitter, ZstdConfig, ZstdError, ZstdStats, MAGIC, MAX_BLOCK_SIZE,
 };
@@ -480,231 +471,5 @@ impl StreamDecoder for ZstdStreamDecoder {
             + self.payload.capacity()
             + self.lits.capacity()
             + self.seqs.capacity() * std::mem::size_of::<Seq>()
-    }
-}
-
-/// One unit of decode work handed from the entropy stage to the LZ77
-/// stage by [`decompress_pipelined`].
-enum BlockWork<'a> {
-    /// Raw stored bytes, passed through.
-    Raw { bytes: &'a [u8], last: bool },
-    /// RLE fill.
-    Rle { byte: u8, len: usize, last: bool },
-    /// Entropy-decoded block awaiting sequence application.
-    Decoded { lits: Vec<u8>, seqs: Vec<Seq>, last_literals: u64, block_len: usize, last: bool },
-}
-
-/// Compresses one call with parse/split and block entropy coding
-/// overlapped as pipeline stages (bounded two-slot handoff, no per-block
-/// barrier). Byte-identical to [`compress_with`](crate::compress_with).
-///
-/// # Panics
-///
-/// Panics if `data.len()` is not less than `u32::MAX`.
-pub fn compress_pipelined(data: &[u8], cfg: &ZstdConfig) -> Vec<u8> {
-    let mut out = Vec::with_capacity(data.len() / 2 + 64);
-    out.extend_from_slice(&MAGIC);
-    out.push(cfg.effective_window_log() as u8);
-    varint::write_u64(&mut out, data.len() as u64);
-
-    let entropy = cfg.entropy;
-    cdpu_par::pipeline::run(
-        cdpu_par::pipeline::DEFAULT_DEPTH,
-        |tx| {
-            // Stage A: match-find and split. Sends (start, parse) per
-            // closed block; the consumer never hangs up early (encoding
-            // is infallible), so a failed send only means panic-unwind.
-            let mut parser = stream_parser(cfg, data.len());
-            let mut splitter = Splitter::new(MAX_BLOCK_SIZE);
-            let mut start = 0usize;
-            let flush = |splitter: &mut Splitter, start: &mut usize| {
-                for chunk in splitter.chunks.drain(..) {
-                    let len = chunk.total_len();
-                    let _ = tx.send((*start, chunk));
-                    *start += len;
-                }
-            };
-            for piece in data.chunks(FEED_PIECE.max(1)) {
-                parser.feed(piece, &mut |ev| match ev {
-                    ParseEvent::Literals(b) => splitter.add_literals(b.len()),
-                    ParseEvent::Match { offset, len } => {
-                        splitter.add_match(len as usize, offset);
-                    }
-                });
-                flush(&mut splitter, &mut start);
-            }
-            parser.finish(&mut |ev| match ev {
-                ParseEvent::Literals(b) => splitter.add_literals(b.len()),
-                ParseEvent::Match { offset, len } => splitter.add_match(len as usize, offset),
-            });
-            splitter.close();
-            flush(&mut splitter, &mut start);
-        },
-        |rx| {
-            // Stage B: entropy-encode and assemble, in block order.
-            let mut stats = ZstdStats::default();
-            let mut payload = Vec::new();
-            let mut any = false;
-            for (start, chunk) in rx {
-                let chunk: Parse = chunk;
-                let len = chunk.total_len();
-                let last = start + len == data.len();
-                emit_block(
-                    &data[start..start + len],
-                    &chunk,
-                    last,
-                    &mut out,
-                    &mut stats,
-                    &mut payload,
-                    &entropy,
-                );
-                any = true;
-            }
-            if !any {
-                emit_block(b"", &Parse::default(), true, &mut out, &mut stats, &mut payload, &entropy);
-            }
-        },
-    );
-    out
-}
-
-/// Decompresses one frame with block entropy decode and LZ77 sequence
-/// application overlapped as pipeline stages. Output bytes and error
-/// values are identical to [`decompress`](crate::decompress):
-///
-/// - the channel preserves block order, and within a block every
-///   entropy-side error precedes every apply-side error (the
-///   [`decode_block_entropy`]/[`apply_block`] split), so the first error
-///   encountered along the merged order is the serial decoder's error;
-/// - a consumer-side error at block `j` wins over any producer-side error
-///   (necessarily at a block > `j`, whose entropy decode the serial path
-///   would never have reached);
-/// - if the consumer drains every block cleanly, the producer's trailing
-///   error (if any) is exactly where the serial walk would have stopped.
-///
-/// # Errors
-///
-/// Any [`ZstdError`], exactly as [`decompress`](crate::decompress)
-/// reports it.
-pub fn decompress_pipelined(frame: &[u8]) -> Result<Vec<u8>, ZstdError> {
-    let info = crate::frame_info(frame)?;
-    let mut pos = 4 + 1;
-    let (_, n) = varint::read_u64(&frame[pos..]).map_err(|_| ZstdError::BadHeader)?;
-    pos += n;
-    let window = 1u64.checked_shl(info.window_log).unwrap_or(u64::MAX) as u32;
-
-    let (trailing_err, result) = cdpu_par::pipeline::run(
-        cdpu_par::pipeline::DEFAULT_DEPTH,
-        move |tx| -> Option<ZstdError> {
-            // Stage A: frame walk + entropy decode. Errors here occur
-            // strictly after every block already sent.
-            let mut saw_last = false;
-            while !saw_last {
-                if pos >= frame.len() {
-                    return Some(ZstdError::Truncated);
-                }
-                let flags = frame[pos];
-                pos += 1;
-                saw_last = flags & 1 != 0;
-                let btype = (flags >> 1) & 0b11;
-                let Ok((v, n)) = varint::read_u64(&frame[pos..]) else {
-                    return Some(ZstdError::Truncated);
-                };
-                pos += n;
-                if v > BLOCK_LEN_CAP as u64 {
-                    return Some(ZstdError::BadBlock("block exceeds size limit"));
-                }
-                let block_len = v as usize;
-                let work = match btype {
-                    0 => {
-                        if pos + block_len > frame.len() {
-                            return Some(ZstdError::Truncated);
-                        }
-                        let bytes = &frame[pos..pos + block_len];
-                        pos += block_len;
-                        BlockWork::Raw { bytes, last: saw_last }
-                    }
-                    1 => {
-                        if pos >= frame.len() {
-                            return Some(ZstdError::Truncated);
-                        }
-                        let byte = frame[pos];
-                        pos += 1;
-                        BlockWork::Rle { byte, len: block_len, last: saw_last }
-                    }
-                    2 => {
-                        let Ok((payload_len, n)) = varint::read_u64(&frame[pos..]) else {
-                            return Some(ZstdError::Truncated);
-                        };
-                        pos += n;
-                        let payload_len = payload_len as usize;
-                        if payload_len > frame.len() || pos + payload_len > frame.len() {
-                            return Some(ZstdError::Truncated);
-                        }
-                        let mut lits = Vec::new();
-                        let mut seqs = Vec::new();
-                        let last_literals = match decode_block_entropy(
-                            &frame[pos..pos + payload_len],
-                            &mut lits,
-                            &mut seqs,
-                        ) {
-                            Ok(ll) => ll,
-                            Err(e) => return Some(e),
-                        };
-                        pos += payload_len;
-                        BlockWork::Decoded { lits, seqs, last_literals, block_len, last: saw_last }
-                    }
-                    _ => return Some(ZstdError::BadBlock("unknown block type")),
-                };
-                if !tx.send(work) {
-                    // Consumer stopped on its own (earlier) error.
-                    return None;
-                }
-            }
-            None
-        },
-        |rx| -> Result<Vec<u8>, ZstdError> {
-            // Stage B: sequence application + length accounting.
-            let mut out =
-                Vec::with_capacity((info.content_size as usize).min(MAX_BLOCK_SIZE));
-            for work in rx {
-                let last = match work {
-                    BlockWork::Raw { bytes, last } => {
-                        out.extend_from_slice(bytes);
-                        last
-                    }
-                    BlockWork::Rle { byte, len, last } => {
-                        out.extend(std::iter::repeat_n(byte, len));
-                        last
-                    }
-                    BlockWork::Decoded { lits, seqs, last_literals, block_len, last } => {
-                        let before = out.len();
-                        apply_block(&lits, &seqs, last_literals, &mut out, window, block_len)?;
-                        if out.len() - before != block_len {
-                            return Err(ZstdError::BadBlock("block length mismatch"));
-                        }
-                        last
-                    }
-                };
-                if out.len() as u64 > info.content_size {
-                    return Err(ZstdError::LengthMismatch {
-                        expected: info.content_size,
-                        actual: out.len() as u64,
-                    });
-                }
-                if last && out.len() as u64 != info.content_size {
-                    return Err(ZstdError::LengthMismatch {
-                        expected: info.content_size,
-                        actual: out.len() as u64,
-                    });
-                }
-            }
-            Ok(out)
-        },
-    );
-    let out = result?;
-    match trailing_err {
-        Some(e) => Err(e),
-        None => Ok(out),
     }
 }

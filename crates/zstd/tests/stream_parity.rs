@@ -1,13 +1,10 @@
 //! Streaming-vs-one-shot parity for the ZStd-class codec: every output
-//! byte, every error value, at hostile chunk sizes — plus the
-//! stage-pipelined entry points against the serial ones.
+//! byte, every error value, at hostile chunk sizes.
 
 use cdpu_util::rng::Xoshiro256;
 use cdpu_util::stream::{drive_decoder, drive_encoder, StreamProgress};
 use cdpu_util::varint;
-use cdpu_zstd::stream::{
-    compress_pipelined, decompress_pipelined, ZstdStreamDecoder, ZstdStreamEncoder,
-};
+use cdpu_zstd::stream::{ZstdStreamDecoder, ZstdStreamEncoder};
 use cdpu_zstd::{ZstdConfig, ZstdError, MAGIC};
 
 const CHUNKS: &[usize] = &[1, 3, 7, 64, 251, 4096, usize::MAX];
@@ -255,55 +252,4 @@ fn encoder_api_misuse_is_rejected() {
     enc.push(b"a", &mut w).unwrap();
     enc.finish(&mut w).unwrap();
     assert!(matches!(enc.push(b"x", &mut w), Err(StreamError::Api(_))));
-}
-
-#[test]
-fn pipelined_compress_matches_serial() {
-    let mut rng = Xoshiro256::seed_from(104);
-    let configs = sample_configs();
-    for data in sample_inputs(&mut rng) {
-        for cfg in &configs {
-            let want = cdpu_zstd::compress_with(&data, cfg);
-            let got = compress_pipelined(&data, cfg);
-            assert_eq!(got, want, "level {} len {}", cfg.level, data.len());
-        }
-    }
-}
-
-#[test]
-fn pipelined_decompress_matches_serial() {
-    let mut rng = Xoshiro256::seed_from(105);
-    for data in sample_inputs(&mut rng) {
-        for cfg in
-            [ZstdConfig::with_level(3), ZstdConfig::with_level(3).lit_streams(4).rans_literals()]
-        {
-            let frame = cdpu_zstd::compress_with(&data, &cfg);
-            assert_eq!(decompress_pipelined(&frame).unwrap(), data, "len {}", data.len());
-        }
-    }
-}
-
-#[test]
-fn pipelined_decompress_error_parity() {
-    for s in &hostile_streams() {
-        let want = cdpu_zstd::decompress(s);
-        let got = decompress_pipelined(s);
-        assert_eq!(want.is_ok(), got.is_ok(), "stream {s:?}");
-        match (&want, &got) {
-            (Err(w), Err(g)) => assert_eq!(w, g, "stream {s:?}"),
-            (Ok(w), Ok(g)) => assert_eq!(w, g),
-            _ => unreachable!(),
-        }
-    }
-    // Truncation at every cut of a multi-block frame.
-    let data: Vec<u8> = (0..200_000u32).flat_map(|i| [(i % 7) as u8, (i % 13) as u8]).collect();
-    let frame = cdpu_zstd::compress(&data);
-    for cut in (0..frame.len()).step_by(97) {
-        let want = cdpu_zstd::decompress(&frame[..cut]);
-        let got = decompress_pipelined(&frame[..cut]);
-        match (&want, &got) {
-            (Err(w), Err(g)) => assert_eq!(w, g, "cut {cut}"),
-            _ => panic!("cut {cut}: one-shot {want:?} vs pipelined {got:?}"),
-        }
-    }
 }

@@ -886,8 +886,15 @@ fn zstd_decode_outcomes_are_pinned() {
 /// reference, streamed) now reports `Truncated`.
 #[test]
 fn block_payload_length_overflow_is_an_error_not_a_panic() {
+    use cdpu::flate::stream::FlateStreamDecoder;
     use cdpu::lz77::window::DecoderScratch;
     use cdpu::util::varint::write_u64;
+    use cdpu::zstd::stream::ZstdStreamDecoder;
+    use cdpu::{flate, zstd};
+    fn debug<T: AsRef<[u8]>, E: std::fmt::Debug>(r: Result<T, E>) -> Result<Vec<u8>, String> {
+        r.map(|v| v.as_ref().to_vec()).map_err(|e| format!("{e:?}"))
+    }
+    let truncated = Err("Truncated".to_string());
     let mut scratch = DecoderScratch::new();
     for payload_len in [u64::MAX, u64::MAX - 7, 1 << 63] {
         // `header`, then one last compressed block of 10 bytes whose
@@ -900,43 +907,39 @@ fn block_payload_length_overflow_is_an_error_not_a_panic() {
             f.extend_from_slice(&[0; 8]);
             f
         };
-        let mut zstd_header = cdpu::zstd::MAGIC.to_vec();
+        let mut zstd_header = zstd::MAGIC.to_vec();
         zstd_header.push(20);
         write_u64(&mut zstd_header, 10);
-        let zstd = frame(&zstd_header, 0b101);
+        let z = frame(&zstd_header, 0b101);
         let dict = b"a dictionary";
-        let dict_empty = cdpu::zstd::dict::compress_with_dict(b"", &cdpu::zstd::ZstdConfig::default(), dict);
+        let empty = zstd::dict::compress_with_dict(b"", &zstd::ZstdConfig::default(), dict);
         // The dictionary header ends where its one (empty raw) block begins.
-        let dict_frame = frame(&dict_empty[..dict_empty.len() - 2], 0b101);
-        let zstd_paths = [
-            cdpu::zstd::decompress(&zstd).map_err(|e| format!("{e:?}")),
-            cdpu::zstd::decompress_into(&zstd, &mut scratch)
-                .map(<[u8]>::to_vec)
-                .map_err(|e| format!("{e:?}")),
-            cdpu::zstd::reference::decompress(&zstd).map_err(|e| format!("{e:?}")),
-            cdpu::zstd::dict::decompress_with_dict(&dict_frame, dict).map_err(|e| format!("{e:?}")),
-            stream_decode(&mut cdpu::zstd::stream::ZstdStreamDecoder::new(), &zstd, 1),
-            stream_decode(&mut cdpu::zstd::stream::ZstdStreamDecoder::new(), &zstd, zstd.len()),
+        let z_dict = frame(&empty[..empty.len() - 2], 0b101);
+        let zstd_paths = vec![
+            debug(zstd::decompress(&z)),
+            debug(zstd::decompress_into(&z, &mut scratch)),
+            debug(zstd::reference::decompress(&z)),
+            debug(zstd::dict::decompress_with_dict(&z_dict, dict)),
+            stream_decode(&mut ZstdStreamDecoder::new(), &z, 1),
+            stream_decode(&mut ZstdStreamDecoder::new(), &z, z.len()),
         ];
-        for (path, outcome) in zstd_paths.iter().enumerate() {
-            assert_eq!(outcome, &Err("Truncated".to_string()), "zstd path {path}, payload length {payload_len}");
-        }
 
-        let mut flate_header = cdpu::flate::MAGIC.to_vec();
+        let mut flate_header = flate::MAGIC.to_vec();
         flate_header.push(15);
         write_u64(&mut flate_header, 10);
-        let flate = frame(&flate_header, 0b011);
-        let flate_paths = [
-            cdpu::flate::decompress(&flate).map_err(|e| format!("{e:?}")),
-            cdpu::flate::decompress_into(&flate, &mut scratch)
-                .map(<[u8]>::to_vec)
-                .map_err(|e| format!("{e:?}")),
-            cdpu::flate::reference::decompress(&flate).map_err(|e| format!("{e:?}")),
-            stream_decode(&mut cdpu::flate::stream::FlateStreamDecoder::new(), &flate, 1),
-            stream_decode(&mut cdpu::flate::stream::FlateStreamDecoder::new(), &flate, flate.len()),
+        let f = frame(&flate_header, 0b011);
+        let flate_paths = vec![
+            debug(flate::decompress(&f)),
+            debug(flate::decompress_into(&f, &mut scratch)),
+            debug(flate::reference::decompress(&f)),
+            stream_decode(&mut FlateStreamDecoder::new(), &f, 1),
+            stream_decode(&mut FlateStreamDecoder::new(), &f, f.len()),
         ];
-        for (path, outcome) in flate_paths.iter().enumerate() {
-            assert_eq!(outcome, &Err("Truncated".to_string()), "flate path {path}, payload length {payload_len}");
+        for (codec, paths) in [("zstd", zstd_paths), ("flate", flate_paths)] {
+            for (path, outcome) in paths.iter().enumerate() {
+                let what = format!("{codec} path {path}, payload length {payload_len}");
+                assert_eq!(outcome, &truncated, "{what}");
+            }
         }
     }
 }
