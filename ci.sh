@@ -55,6 +55,8 @@ for name in \
     gipfeli_literal_runs_cross_the_window_hand_over \
     sharded_spans_survive_flush_during_thread_teardown \
     zstd_decode_outcomes_are_pinned \
+    flate_decode_outcomes_are_pinned \
+    zstd_dict_decode_outcomes_are_pinned \
     speculative_literal_lanes_match_serial \
     baked_tables_match_the_fse_decode_table \
     hostile_offset_code_is_an_error_not_a_panic \

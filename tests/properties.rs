@@ -879,6 +879,163 @@ fn zstd_decode_outcomes_are_pinned() {
     assert_eq!(h, 0xE943_B170_F309_8F0B, "outcomes of the once-panicking frames moved: got {h:#018X}");
 }
 
+/// Hand-built hostile flate frames: the header and block cases of
+/// `cdpu-flate`'s `stream_parity` suite, blocks of the two undefined types
+/// with a length, then each byte of a small level-6 frame XOR 0x40 (a
+/// flip that keeps varint byte lengths, so corrupt length fields stay
+/// small).
+fn flate_hostile_frames() -> Vec<Vec<u8>> {
+    use cdpu::util::varint::write_u64;
+    let frame_with = |blocks: &[u8], content_size: u64| {
+        let mut f = cdpu::flate::MAGIC.to_vec();
+        f.push(15);
+        write_u64(&mut f, content_size);
+        f.extend_from_slice(blocks);
+        f
+    };
+    let mut oversized = vec![0b001];
+    write_u64(&mut oversized, 1 << 20);
+    let mut frames = vec![
+        vec![],
+        b"CDP".to_vec(),
+        b"XDPF\x0F\x00".to_vec(),
+        b"CDPF\x20\x00".to_vec(),
+        b"CDPF\x0F".to_vec(),
+        b"CDPF\x0F\x80".to_vec(),
+        frame_with(&[], 0),
+        frame_with(&[0b101], 0),
+        frame_with(&[0b111], 0),
+        frame_with(&[0b001, 0x80], 0),
+        frame_with(&oversized, 1 << 20),
+        frame_with(&[0b001, 5, b'a', b'b'], 5),
+        frame_with(&[0b011, 4], 4),
+        frame_with(&[0b011, 4, 7, b'x'], 4),
+        frame_with(&[0b011, 4, 0], 4),
+        frame_with(&[0b001, 3, b'a', b'b', b'c'], 9),
+        frame_with(&[0b001, 3, b'a', b'b', b'c'], 2),
+        frame_with(&[0b000, 3, b'a', b'b', b'c', 0b001, 1, b'd'], 2),
+        frame_with(&[0b001, 3, b'a', b'b', b'c', 0xEE], 3),
+        // Block types 2 and 3 with a length: no RLE block in flate.
+        frame_with(&[0b101, 3, b'a', b'b', b'c'], 3),
+        frame_with(&[0b111, 3, b'a', b'b', b'c'], 3),
+    ];
+    let data = b"huffman coded block payload with matches ".repeat(40);
+    let base = cdpu::flate::compress_with(&data, &cdpu::flate::FlateConfig::with_level(6));
+    for i in 0..base.len() {
+        let mut bad = base.clone();
+        bad[i] ^= 0x40;
+        frames.push(bad);
+    }
+    frames
+}
+
+/// Pins what the flate decoder returns — output bytes or error value —
+/// through `decompress`, `decompress_into` and `FlateStreamDecoder` at 1-,
+/// 7- and 4096-byte pushes and whole, over every 97th cut and 64
+/// single-bit flips of a three-block frame (two Huffman blocks of database
+/// pages, then a random tail stored raw) and the hand-built hostile
+/// frames. The stream parity suite checks only that the paths agree; this
+/// pins what they agree on.
+#[test]
+fn flate_decode_outcomes_are_pinned() {
+    use cdpu::flate::stream::FlateStreamDecoder;
+    use cdpu::lz77::window::DecoderScratch;
+    let mut data = cdpu::corpus::generate(cdpu::corpus::CorpusKind::DbPages, 256 * 1024, 0xF1A7);
+    let mut tail = vec![0u8; 3000];
+    Xoshiro256::seed_from(0xF1A8).fill_bytes(&mut tail);
+    data.extend_from_slice(&tail);
+    let frame = cdpu::flate::compress(&data);
+    assert!(
+        frame.ends_with(&tail) && frame.len() < data.len() / 2,
+        "Huffman blocks, then the random tail as a raw block"
+    );
+    let mut rng = Xoshiro256::seed_from(0xF1A9);
+    let mut cases: Vec<Vec<u8>> = (0..=frame.len()).step_by(97).map(|cut| frame[..cut].to_vec()).collect();
+    cases.push(frame.clone());
+    for _ in 0..64 {
+        let mut bad = frame.clone();
+        bad[rng.index(frame.len())] ^= 1 << rng.index(8);
+        cases.push(bad);
+    }
+    cases.extend(flate_hostile_frames());
+    let mut scratch = DecoderScratch::new();
+    let h = cases.iter().fold(0xCBF2_9CE4_8422_2325u64, |h, case| {
+        let mut h = fold_outcome(h, &cdpu::flate::decompress(case).map_err(|e| format!("{e:?}")));
+        let into = cdpu::flate::decompress_into(case, &mut scratch).map(<[u8]>::to_vec);
+        h = fold_outcome(h, &into.map_err(|e| format!("{e:?}")));
+        for chunk in [1, 7, 4096, usize::MAX] {
+            let mut dec = FlateStreamDecoder::new();
+            h = fold_outcome(h, &stream_decode(&mut dec, case, chunk.min(case.len().max(1))));
+        }
+        h
+    });
+    assert_eq!(cdpu::flate::decompress(&frame).unwrap(), data);
+    assert_eq!(h, 0x08D3_1FE5_B6A7_34A5, "flate decode outcomes moved: got {h:#018X}");
+}
+
+/// Pins what `decompress_with_dict` returns over every 97th cut, every
+/// header cut and 64 single-bit flips of a two-block dictionary frame; the
+/// frame with a dictionary one byte short and one with a flipped byte
+/// (length and checksum mismatches); and, behind a dictionary header, the
+/// hostile zstd block sequences of `zstd_hostile_frames` (where the seeded
+/// window turns some bad offsets into good ones), RLE blocks and a block
+/// of unknown type.
+#[test]
+fn zstd_dict_decode_outcomes_are_pinned() {
+    use cdpu::util::crc32c::crc32c;
+    use cdpu::util::varint::{read_u64, write_u64};
+    use cdpu::zstd::dict::{compress_with_dict, decompress_with_dict, DICT_MAGIC};
+    let dict = cdpu::corpus::generate(cdpu::corpus::CorpusKind::JsonLogs, 16 * 1024, 0xD1C7);
+    let data = cdpu::corpus::generate(cdpu::corpus::CorpusKind::JsonLogs, 200 * 1024, 0xD1C8);
+    let frame = compress_with_dict(&data, &cdpu::zstd::ZstdConfig::default(), &dict);
+    let mut rng = Xoshiro256::seed_from(0xD1C9);
+    let mut cases: Vec<Vec<u8>> = (0..=frame.len()).step_by(97).map(|cut| frame[..cut].to_vec()).collect();
+    cases.extend((1..24).map(|cut| frame[..cut].to_vec()));
+    cases.push(frame.clone());
+    for _ in 0..64 {
+        let mut bad = frame.clone();
+        bad[rng.index(frame.len())] ^= 1 << rng.index(8);
+        cases.push(bad);
+    }
+    let dict_frame = |content_size: u64, blocks: &[u8]| {
+        let mut d = DICT_MAGIC.to_vec();
+        d.push(16);
+        write_u64(&mut d, content_size);
+        write_u64(&mut d, dict.len() as u64);
+        d.extend_from_slice(&crc32c(&dict).to_le_bytes());
+        d.extend_from_slice(blocks);
+        d
+    };
+    // The hostile frames' blocks behind a dictionary header: every frame
+    // past the header cases starts with the magic, window log 16 and its
+    // content size.
+    let (hostile, once_panicking) = zstd_hostile_frames();
+    let before = cases.len();
+    for f in hostile.iter().chain(&once_panicking) {
+        let Some(rest) = f.strip_prefix(&[&cdpu::zstd::MAGIC[..], &[16]].concat()[..]) else {
+            continue;
+        };
+        let Ok((content_size, n)) = read_u64(rest) else { continue };
+        cases.push(dict_frame(content_size, &rest[n..]));
+    }
+    assert_eq!(cases.len() - before, hostile.len() + once_panicking.len() - 6, "all but the six header cases");
+    // RLE blocks, one overshooting the content size, and a block of type 3
+    // with a length.
+    cases.push(dict_frame(5, &[0b011, 5, b'r']));
+    cases.push(dict_frame(6, &[0b010, 5, b'r', 0b011, 2, b's']));
+    cases.push(dict_frame(3, &[0b111, 3, b'a', b'b', b'c']));
+    let mut tampered = dict.clone();
+    tampered[100] ^= 1;
+    let mut h = cases.iter().fold(0xCBF2_9CE4_8422_2325u64, |h, case| {
+        fold_outcome(h, &decompress_with_dict(case, &dict).map_err(|e| format!("{e:?}")))
+    });
+    for wrong in [&dict[1..], &tampered[..]] {
+        h = fold_outcome(h, &decompress_with_dict(&frame, wrong).map_err(|e| format!("{e:?}")));
+    }
+    assert_eq!(decompress_with_dict(&frame, &dict).unwrap(), data);
+    assert_eq!(h, 0xBC9B_8ED1_CB0E_BE2A, "dictionary decode outcomes moved: got {h:#018X}");
+}
+
 /// A compressed block whose payload length is a 10-byte varint near
 /// `u64::MAX` once overflowed `pos + payload_len` in the zstd and flate
 /// frame walks: an add overflow in debug builds, an inverted slice in
