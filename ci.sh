@@ -99,6 +99,14 @@ if grep -nE 'transition_width|FseStreamDecoder' crates/zstd/src/block.rs; then
     exit 1
 fi
 
+echo "==> one block-frame reader: no frame state machine or slice block walk in the zstd/flate decoders"
+if grep -nE 'enum DecState|read_u64\(&frame\[pos\.\.\]\)' \
+    crates/zstd/src/lib.rs crates/zstd/src/dict.rs crates/zstd/src/stream.rs \
+    crates/flate/src/lib.rs crates/flate/src/stream.rs; then
+    echo "FAIL: a zstd or flate decoder walks the block frame beside cdpu_util::stream::BlockFrameReader" >&2
+    exit 1
+fi
+
 echo "==> one benchmark harness: no bench timing binary, regress gate or stage-pipelined codec paths"
 for f in crates/bench/src/bin/bench.rs crates/bench/src/regress.rs crates/par/src/pipeline.rs; do
     if [ -e "$f" ]; then

@@ -29,6 +29,7 @@ use cdpu_lz77::matcher::{ChainConfig, HashChainMatcher};
 use cdpu_lz77::window::DecoderScratch;
 use cdpu_lz77::{Parse, Seq};
 use cdpu_util::bits::MsbBitWriter;
+use cdpu_util::stream::{BlockFrameReader, BlockFrameSpec, HistBuf};
 use cdpu_util::varint;
 
 pub mod codes;
@@ -36,7 +37,7 @@ mod decode;
 pub mod reference;
 pub mod stream;
 
-pub(crate) use decode::{apply_huff_ops, decode_huff_entropy};
+use decode::{apply_huff_ops, decode_huff_entropy};
 
 /// Frame magic (`CDPF`): deliberately distinct from gzip/zlib headers.
 pub const MAGIC: [u8; 4] = *b"CDPF";
@@ -49,6 +50,25 @@ pub const MAX_BLOCK_SIZE: usize = 128 * 1024;
 pub const MAX_MATCH: u32 = 258;
 /// DEFLATE's window ceiling (32 KiB).
 pub const MAX_WINDOW_LOG: u32 = 15;
+
+/// Block types, bits 1–2 of a block's flags byte.
+const BLOCK_RAW: u8 = 0;
+const BLOCK_HUFF: u8 = 1;
+
+/// This codec's block-frame container, read by every decoder entry.
+pub(crate) static FRAME: BlockFrameSpec<FlateError> = BlockFrameSpec {
+    magic: MAGIC,
+    window_logs: 0..=MAX_WINDOW_LOG,
+    block_cap: MAX_BLOCK_SIZE,
+    raw: BLOCK_RAW,
+    rle: None,
+    coded: BLOCK_HUFF,
+    bad_magic: FlateError::BadMagic,
+    bad_header: FlateError::BadHeader,
+    truncated: FlateError::Truncated,
+    bad_block: FlateError::BadBlock,
+    length_mismatch: |expected, actual| FlateError::LengthMismatch { expected, actual },
+};
 
 /// Errors from Flate decompression.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -297,9 +317,6 @@ impl Splitter {
     }
 }
 
-const BLOCK_RAW: u8 = 0;
-const BLOCK_HUFF: u8 = 1;
-
 pub(crate) fn emit_block(
     data: &[u8],
     parse: &Parse,
@@ -425,86 +442,31 @@ pub fn decompress_into<'a>(
     Ok(out)
 }
 
-/// The frame walk behind both one-shot entries; each Huffman block goes
-/// through the [`decode_huff_entropy`] / [`apply_huff_ops`] pair the
-/// streaming decoder uses, staged in `lits`/`seqs`.
 fn decompress_impl(
     frame: &[u8],
     out: &mut Vec<u8>,
     lits: &mut Vec<u8>,
     seqs: &mut Vec<Seq>,
 ) -> Result<(), FlateError> {
-    if frame.len() < 5 || frame[..4] != MAGIC {
-        return Err(FlateError::BadMagic);
-    }
-    let window_log = frame[4] as u32;
-    if window_log > MAX_WINDOW_LOG {
-        return Err(FlateError::BadHeader);
-    }
-    let mut pos = 5usize;
-    let (expected, n) = varint::read_u64(&frame[pos..]).map_err(|_| FlateError::BadHeader)?;
-    pos += n;
-    let window = 1u32 << window_log;
+    BlockFrameReader::new(&FRAME).decode_whole(frame, out, |payload, hist, window, len| {
+        decode_huff_block(payload, hist, window, len, lits, seqs)
+    })
+}
 
-    // Reserve conservatively: the declared size is untrusted input, so cap
-    // the up-front allocation and let the vector grow if the data is real.
-    out.reserve((expected as usize).min(MAX_BLOCK_SIZE));
-    let mut saw_last = false;
-    while !saw_last {
-        if pos >= frame.len() {
-            return Err(FlateError::Truncated);
-        }
-        let flags = frame[pos];
-        pos += 1;
-        saw_last = flags & 1 != 0;
-        let (block_len, n) =
-            varint::read_u64(&frame[pos..]).map_err(|_| FlateError::Truncated)?;
-        pos += n;
-        let block_len = block_len as usize;
-        if block_len > MAX_BLOCK_SIZE {
-            return Err(FlateError::BadBlock("block exceeds size limit"));
-        }
-        match (flags >> 1) & 0b11 {
-            BLOCK_RAW => {
-                if pos + block_len > frame.len() {
-                    return Err(FlateError::Truncated);
-                }
-                out.extend_from_slice(&frame[pos..pos + block_len]);
-                pos += block_len;
-            }
-            BLOCK_HUFF => {
-                let (payload_len, n) =
-                    varint::read_u64(&frame[pos..]).map_err(|_| FlateError::Truncated)?;
-                pos += n;
-                let payload_len = payload_len as usize;
-                if payload_len > frame.len() - pos {
-                    return Err(FlateError::Truncated);
-                }
-                let before = out.len();
-                let (tail, deferred) =
-                    decode_huff_entropy(&frame[pos..pos + payload_len], block_len, lits, seqs);
-                apply_huff_ops(lits, seqs, tail, deferred, out, window, block_len)?;
-                if out.len() - before != block_len {
-                    return Err(FlateError::BadBlock("block length mismatch"));
-                }
-                pos += payload_len;
-            }
-            _ => return Err(FlateError::BadBlock("unknown block type")),
-        }
-        if out.len() as u64 > expected {
-            return Err(FlateError::LengthMismatch {
-                expected,
-                actual: out.len() as u64,
-            });
-        }
-    }
-    if out.len() as u64 != expected {
-        return Err(FlateError::LengthMismatch {
-            expected,
-            actual: out.len() as u64,
-        });
-    }
-    Ok(())
+/// Decodes one Huffman block onto `hist`, staged in `lits`/`seqs`: the
+/// per-block call every decoder entry hands the frame reader. The
+/// [`decode_huff_entropy`] / [`apply_huff_ops`] split keeps the
+/// interleaved reference decoder's first-error order.
+pub(crate) fn decode_huff_block(
+    payload: &[u8],
+    hist: &mut HistBuf,
+    window: u32,
+    block_len: usize,
+    lits: &mut Vec<u8>,
+    seqs: &mut Vec<Seq>,
+) -> Result<(), FlateError> {
+    let (tail, deferred) = decode_huff_entropy(payload, block_len, lits, seqs);
+    apply_huff_ops(lits, seqs, tail, deferred, hist.sink(), window, block_len)
 }
 
 #[cfg(test)]

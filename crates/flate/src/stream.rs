@@ -1,25 +1,30 @@
 //! Streaming Flate-class coding: bounded-memory, chunk-resumable
 //! encode/decode.
 //!
-//! Mirrors `cdpu_zstd::stream` with DEFLATE's constraints: a ≤ 32 KiB
-//! window, no RLE blocks, and a Huffman-only entropy stage. The encoder
-//! drives the incremental [`Splitter`](crate::Splitter) off
+//! The encoder drives the incremental [`Splitter`](crate::Splitter) off
 //! [`StreamParser`](cdpu_lz77::stream::StreamParser) events and emits
 //! closed blocks with [`emit_block`](crate::emit_block), byte-identical
-//! to [`compress_with`](crate::compress_with) for any chunking. The
-//! decoder holds a sliding [`HistBuf`] window and reproduces every
-//! one-shot error value; block decode goes through the
-//! [`decode_huff_entropy`]/[`apply_huff_ops`] split, whose deferred-error
-//! contract reproduces the interleaved decoder's first-error ordering.
+//! to [`compress_with`](crate::compress_with) for any chunking, while only
+//! the current block (≤ 128 KiB) plus the parser's ≤ 32 KiB window is
+//! resident.
+//!
+//! The decoder is the same [`BlockFrameReader`] the one-shot
+//! [`decompress`](crate::decompress) runs, fed one push at a time, with
+//! the same per-block Huffman decode: it keeps a sliding history window
+//! instead of the whole output and stages only a block payload that
+//! arrives split across pushes, so every output byte and error value
+//! matches the one-shot decoder's. A hostile payload length is the one
+//! input whose staging is not bounded by the block size: see
+//! [`BlockFrameReader`].
 
 use crate::{
-    apply_huff_ops, decode_huff_entropy, emit_block, FlateConfig, FlateError, Splitter,
-    MAGIC, MAX_BLOCK_SIZE, MAX_WINDOW_LOG,
+    decode_huff_block, emit_block, FlateConfig, FlateError, Splitter, FRAME, MAGIC,
+    MAX_BLOCK_SIZE, MAX_WINDOW_LOG,
 };
 use cdpu_lz77::stream::{ParseEvent, StreamParser};
 use cdpu_lz77::{Parse, Seq};
 use cdpu_util::stream::{
-    HistBuf, OutBuf, StreamDecoder, StreamEncoder, StreamError, StreamProgress, VarintAccum,
+    BlockFrameReader, OutBuf, StreamDecoder, StreamEncoder, StreamError, StreamProgress,
 };
 use cdpu_util::varint;
 
@@ -139,41 +144,12 @@ impl StreamEncoder for FlateStreamEncoder {
     }
 }
 
-/// Where the decoder's frame cursor sits between pushes.
-enum DecState {
-    /// Matching the 4-byte magic.
-    Magic { have: usize },
-    /// Expecting the window-log byte.
-    Wlog,
-    /// Reading the content-size varint.
-    ContentSize,
-    /// At a block boundary, expecting the flags byte.
-    BlockFlags,
-    /// Reading the block-length varint.
-    BlockLen { flags: u8 },
-    /// Passing a raw block's bytes through.
-    RawBytes { remaining: usize, last: bool },
-    /// Reading a Huffman block's payload-length varint.
-    PayloadLen { block_len: usize, last: bool },
-    /// Collecting a Huffman block's payload.
-    Payload { need: usize, block_len: usize, last: bool },
-    /// Past the last block; trailing bytes are ignored (as one-shot).
-    Done,
-}
-
-/// Streaming Flate-class decompressor. See the module docs for the
-/// contract.
+/// Streaming Flate-class decompressor: the codec's frame reader fed one
+/// push at a time. See the module docs for the contract.
 pub struct FlateStreamDecoder {
-    state: DecState,
-    pre: VarintAccum,
-    expected: u64,
-    window: u32,
-    hist: HistBuf,
-    payload: Vec<u8>,
+    frame: BlockFrameReader<FlateError>,
     lits: Vec<u8>,
     seqs: Vec<Seq>,
-    err: Option<FlateError>,
-    finished: bool,
 }
 
 impl Default for FlateStreamDecoder {
@@ -185,212 +161,33 @@ impl Default for FlateStreamDecoder {
 impl FlateStreamDecoder {
     /// Creates a decoder positioned at the frame magic.
     pub fn new() -> Self {
-        FlateStreamDecoder {
-            state: DecState::Magic { have: 0 },
-            pre: VarintAccum::new(),
-            expected: 0,
-            window: 0,
-            hist: HistBuf::new(0),
-            payload: Vec::new(),
-            lits: Vec::new(),
-            seqs: Vec::new(),
-            err: None,
-            finished: false,
-        }
+        Self { frame: BlockFrameReader::new(&FRAME), lits: Vec::new(), seqs: Vec::new() }
     }
 
-    /// Post-block accounting, in the one-shot decoder's order.
-    fn post_block(&mut self, last: bool) -> Result<(), FlateError> {
-        let produced = self.hist.produced();
-        if produced > self.expected {
-            return Err(FlateError::LengthMismatch { expected: self.expected, actual: produced });
-        }
-        if last {
-            if produced != self.expected {
-                return Err(FlateError::LengthMismatch {
-                    expected: self.expected,
-                    actual: produced,
-                });
-            }
-            self.state = DecState::Done;
-        } else {
-            self.state = DecState::BlockFlags;
-        }
-        Ok(())
-    }
-
-    /// Decodes one complete Huffman-block payload against the history.
-    fn run_payload(&mut self, block_len: usize, last: bool) -> Result<(), FlateError> {
-        let before = self.hist.produced();
-        let Self { hist, payload, lits, seqs, window, .. } = self;
-        let (tail, deferred) = decode_huff_entropy(payload, block_len, lits, seqs);
-        apply_huff_ops(lits, seqs, tail, deferred, hist.sink(), *window, block_len)?;
-        if self.hist.produced() - before != block_len as u64 {
-            return Err(FlateError::BadBlock("block length mismatch"));
-        }
-        self.post_block(last)
-    }
-
-    /// Advances the state machine over `input[*i..]`.
-    fn step(&mut self, input: &[u8], i: &mut usize) -> Result<(), FlateError> {
-        match self.state {
-            DecState::Magic { mut have } => {
-                while have < 4 && *i < input.len() {
-                    if input[*i] != MAGIC[have] {
-                        return Err(FlateError::BadMagic);
-                    }
-                    have += 1;
-                    *i += 1;
-                }
-                self.state = if have == 4 { DecState::Wlog } else { DecState::Magic { have } };
-            }
-            DecState::Wlog => {
-                let wlog = input[*i] as u32;
-                *i += 1;
-                if wlog > MAX_WINDOW_LOG {
-                    return Err(FlateError::BadHeader);
-                }
-                self.window = 1u32 << wlog;
-                self.hist = HistBuf::new(self.window as usize);
-                self.pre = VarintAccum::new();
-                self.state = DecState::ContentSize;
-            }
-            DecState::ContentSize => {
-                let (used, done) = self.pre.feed(&input[*i..]);
-                *i += used;
-                if let Some(res) = done {
-                    self.expected = res.map_err(|_| FlateError::BadHeader)?;
-                    self.state = DecState::BlockFlags;
-                }
-            }
-            DecState::BlockFlags => {
-                let flags = input[*i];
-                *i += 1;
-                self.pre = VarintAccum::new();
-                self.state = DecState::BlockLen { flags };
-            }
-            DecState::BlockLen { flags } => {
-                let (used, done) = self.pre.feed(&input[*i..]);
-                *i += used;
-                if let Some(res) = done {
-                    let v = res.map_err(|_| FlateError::Truncated)?;
-                    if v > MAX_BLOCK_SIZE as u64 {
-                        return Err(FlateError::BadBlock("block exceeds size limit"));
-                    }
-                    let block_len = v as usize;
-                    let last = flags & 1 != 0;
-                    match (flags >> 1) & 0b11 {
-                        crate::BLOCK_RAW => {
-                            if block_len == 0 {
-                                self.post_block(last)?;
-                            } else {
-                                self.state = DecState::RawBytes { remaining: block_len, last };
-                            }
-                        }
-                        crate::BLOCK_HUFF => {
-                            self.pre = VarintAccum::new();
-                            self.state = DecState::PayloadLen { block_len, last };
-                        }
-                        _ => return Err(FlateError::BadBlock("unknown block type")),
-                    }
-                }
-            }
-            DecState::RawBytes { remaining, last } => {
-                let take = remaining.min(input.len() - *i);
-                self.hist.sink().extend_from_slice(&input[*i..*i + take]);
-                *i += take;
-                if remaining == take {
-                    self.post_block(last)?;
-                } else {
-                    self.state = DecState::RawBytes { remaining: remaining - take, last };
-                }
-            }
-            DecState::PayloadLen { block_len, last } => {
-                let (used, done) = self.pre.feed(&input[*i..]);
-                *i += used;
-                if let Some(res) = done {
-                    let need = res.map_err(|_| FlateError::Truncated)? as usize;
-                    self.payload.clear();
-                    if need == 0 {
-                        self.run_payload(block_len, last)?;
-                    } else {
-                        self.state = DecState::Payload { need, block_len, last };
-                    }
-                }
-            }
-            DecState::Payload { need, block_len, last } => {
-                let take = (need - self.payload.len()).min(input.len() - *i);
-                self.payload.extend_from_slice(&input[*i..*i + take]);
-                *i += take;
-                if self.payload.len() == need {
-                    self.run_payload(block_len, last)?;
-                }
-            }
-            DecState::Done => {
-                *i = input.len();
-            }
-        }
-        Ok(())
-    }
-
-    /// Feeds compressed bytes; identical to the trait `push` but with the
-    /// codec's precise error type. Errors are sticky.
+    /// The trait `push` with the codec's error type.
     ///
     /// # Errors
     ///
-    /// The same [`FlateError`] values the one-shot decoder reports at the
-    /// equivalent point in the frame.
+    /// The [`FlateError`] the one-shot decoder reports at the same point in
+    /// the frame; errors are sticky.
     pub fn push_bytes(
         &mut self,
         input: &[u8],
         out: &mut [u8],
     ) -> Result<StreamProgress, FlateError> {
-        if let Some(e) = self.err {
-            return Err(e);
-        }
-        let mut i = 0;
-        while i < input.len() && self.hist.undrained() < HIGH_WATER {
-            if let Err(e) = self.step(input, &mut i) {
-                self.err = Some(e);
-                return Err(e);
-            }
-        }
-        let written = self.hist.drain_into(out);
-        Ok(StreamProgress { consumed: i, written })
+        let Self { frame, lits, seqs } = self;
+        frame.push(input, out, |payload, hist, window, len| {
+            decode_huff_block(payload, hist, window, len, lits, seqs)
+        })
     }
 
-    /// Declares end-of-input; identical to the trait `finish` but with
-    /// the codec's precise error type.
+    /// The trait `finish` with the codec's error type.
     ///
     /// # Errors
     ///
-    /// The same [`FlateError`] the one-shot decoder reports for the
-    /// equivalent truncated frame.
+    /// The [`FlateError`] the one-shot decoder reports for the same frame.
     pub fn finish_bytes(&mut self, out: &mut [u8]) -> Result<(usize, bool), FlateError> {
-        if let Some(e) = self.err {
-            return Err(e);
-        }
-        if !self.finished {
-            let end_err = match self.state {
-                // One-shot: frames shorter than magic + window log are
-                // rejected as BadMagic before anything else is looked at.
-                DecState::Magic { .. } | DecState::Wlog => Some(FlateError::BadMagic),
-                DecState::ContentSize => Some(FlateError::BadHeader),
-                DecState::BlockFlags
-                | DecState::BlockLen { .. }
-                | DecState::RawBytes { .. }
-                | DecState::PayloadLen { .. }
-                | DecState::Payload { .. } => Some(FlateError::Truncated),
-                DecState::Done => None,
-            };
-            if let Some(e) = end_err {
-                self.err = Some(e);
-                return Err(e);
-            }
-            self.finished = true;
-        }
-        let n = self.hist.drain_into(out);
-        Ok((n, self.hist.undrained() == 0))
+        self.frame.finish(out)
     }
 }
 
@@ -404,8 +201,7 @@ impl StreamDecoder for FlateStreamDecoder {
     }
 
     fn scratch_bytes(&self) -> usize {
-        self.hist.capacity()
-            + self.payload.capacity()
+        self.frame.scratch_bytes()
             + self.lits.capacity()
             + self.seqs.capacity() * std::mem::size_of::<Seq>()
     }

@@ -31,8 +31,17 @@
 //! streamer in fixed-size windows — the reference harness the
 //! equivalence suites and the constant-memory tests use — and record the
 //! observed high-watermark in the `stream.scratch.peak_bytes` gauge.
+//!
+//! [`BlockFrameReader`] reads the block-frame container the ZStd-class and
+//! Flate-class codecs share, for their one-shot and streaming decoders
+//! alike; each codec supplies a [`BlockFrameSpec`] and a per-block decode
+//! call.
+
+use std::ops::RangeInclusive;
 
 use cdpu_telemetry::gauge;
+
+use crate::varint::{read_u64, VarintError};
 
 /// What one [`StreamEncoder::push`]/[`StreamDecoder::push`] call did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -234,46 +243,301 @@ impl HistBuf {
     }
 }
 
-/// Accumulates a LEB128 varint that may arrive split across pushes.
+/// Stop stepping a streamed frame while this much output sits undrained.
+const HIGH_WATER: usize = 256 * 1024;
+/// Cap on the output reserved for a frame's declared (untrusted) size.
+const RESERVE_CAP: usize = 128 * 1024;
+
+/// A codec's per-block call: `(payload, history, window, block_len)`.
+type Decode<'a, E> = dyn FnMut(&[u8], &mut HistBuf, u32, usize) -> Result<(), E> + 'a;
+
+/// The constants of one block-frame codec, for [`BlockFrameReader`].
 ///
-/// Feed it input windows; once the terminator byte (or a provably
-/// overlong encoding) arrives it yields exactly what
-/// [`varint::read_u64`](crate::varint::read_u64) would return on the
-/// whole buffer, so streaming decoders report the same preamble errors
-/// as their one-shot counterparts.
-#[derive(Debug, Default)]
-pub struct VarintAccum {
-    buf: [u8; 11],
-    n: usize,
+/// The container is `magic`, a window-log byte, a content-size varint,
+/// then blocks: a flags byte (bit 0: last; bits 1–2: type), a
+/// block-length varint and a body — a raw block's bytes, an RLE block's
+/// fill byte, or a coded block's payload-length varint and payload.
+#[derive(Debug)]
+pub struct BlockFrameSpec<E> {
+    /// Frame magic.
+    pub magic: [u8; 4],
+    /// Window logs the header may declare (at most 31).
+    pub window_logs: RangeInclusive<u32>,
+    /// Largest block length a decoder accepts.
+    pub block_cap: usize,
+    /// Block types: raw, RLE (if the codec has it) and coded.
+    pub raw: u8,
+    pub rle: Option<u8>,
+    pub coded: u8,
+    /// Wrong magic, or input that ends before the window-log byte.
+    pub bad_magic: E,
+    /// Window log out of range, or a malformed content-size varint.
+    pub bad_header: E,
+    /// Input ends inside a block, or a block varint is malformed.
+    pub truncated: E,
+    /// A block over the cap, of unknown type, or of the wrong length.
+    pub bad_block: fn(&'static str) -> E,
+    /// Output length off the content size: `(expected, produced)`.
+    pub length_mismatch: fn(u64, u64) -> E,
 }
 
-impl VarintAccum {
-    /// A fresh accumulator.
-    pub const fn new() -> Self {
-        VarintAccum { buf: [0; 11], n: 0 }
+/// Where the frame cursor sits between steps.
+#[derive(Debug, Clone, Copy)]
+enum At {
+    /// Magic bytes matched so far; at 4, the window-log byte is next.
+    Magic(usize),
+    ContentSize,
+    Flags,
+    BlockLen { flags: u8 },
+    Raw { left: usize, last: bool },
+    RleByte { len: usize, last: bool },
+    PayloadLen { len: usize, last: bool },
+    Payload { need: usize, len: usize, last: bool },
+    /// Past the last block; trailing bytes are ignored.
+    Done,
+}
+
+/// The one reader of the block-frame container ([`BlockFrameSpec`]),
+/// which every one-shot and streaming decoder entry of a block-frame codec
+/// steps over its input. It owns all of the frame but the decode of a
+/// coded block's payload, `decode(payload, history, window, block_len)`.
+///
+/// A payload wholly inside one step's input reaches `decode` as a
+/// sub-slice of it, so a one-shot [`decode_whole`](Self::decode_whole)
+/// copies nothing. Only a payload split across pushes is staged, until its
+/// declared length arrives. So a hostile payload length split across
+/// pushes is buffered until the input ends: the one exception to bounded
+/// scratch, kept because the one-shot decode reports `truncated` there.
+#[derive(Debug)]
+pub struct BlockFrameReader<E: 'static> {
+    spec: &'static BlockFrameSpec<E>,
+    at: At,
+    expected: u64,
+    /// Output bytes ahead of the frame's own (a dictionary seed).
+    seed: u64,
+    hist: HistBuf,
+    /// The varint or payload under the cursor, when it spans pushes.
+    staged: Vec<u8>,
+    err: Option<E>,
+}
+
+impl<E: Copy + 'static> BlockFrameReader<E> {
+    /// A reader positioned at the frame magic.
+    pub fn new(spec: &'static BlockFrameSpec<E>) -> Self {
+        let (at, hist) = (At::Magic(0), HistBuf::new(0));
+        BlockFrameReader { spec, at, expected: 0, seed: 0, hist, staged: Vec::new(), err: None }
     }
 
-    /// True once at least one byte has been fed.
-    pub fn started(&self) -> bool {
-        self.n > 0
+    /// A reader positioned at the first block, for a codec that parsed a
+    /// header of its own. `window_log` must be at most 31.
+    pub fn at_blocks(spec: &'static BlockFrameSpec<E>, window_log: u32, expected: u64) -> Self {
+        let mut r = BlockFrameReader { at: At::Flags, expected, ..Self::new(spec) };
+        r.hist.window = 1 << window_log;
+        r
     }
 
-    /// Consumes bytes from `input` until the varint completes. Returns
-    /// the bytes consumed and, when complete, the decode result.
-    pub fn feed(
+    /// One-shot decode of all of `input`, appending to `out`. Bytes
+    /// already in `out` are a window seed that copies may reach into and
+    /// the content size does not count.
+    ///
+    /// # Errors
+    ///
+    /// The spec's error for the first defect, or the decode call's.
+    pub fn decode_whole(
+        mut self,
+        input: &[u8],
+        out: &mut Vec<u8>,
+        mut decode: impl FnMut(&[u8], &mut HistBuf, u32, usize) -> Result<(), E>,
+    ) -> Result<(), E> {
+        self.seed = out.len() as u64;
+        self.hist.buf = std::mem::take(out);
+        let res = self.run(input, usize::MAX, &mut decode).and_then(|_| self.end_of_input());
+        *out = std::mem::take(&mut self.hist.buf);
+        res
+    }
+
+    /// Feeds frame bytes and drains output into `out`, consuming nothing
+    /// more while 256 KiB of output waits to be drained.
+    ///
+    /// # Errors
+    ///
+    /// The one-shot decode's error at the same point; errors are sticky.
+    pub fn push(
         &mut self,
         input: &[u8],
-    ) -> (usize, Option<Result<u64, crate::varint::VarintError>>) {
-        let mut used = 0;
-        for &b in input {
-            self.buf[self.n] = b;
-            self.n += 1;
-            used += 1;
-            if b & 0x80 == 0 || self.n == self.buf.len() {
-                return (used, Some(crate::varint::read_u64(&self.buf[..self.n]).map(|(v, _)| v)));
-            }
+        out: &mut [u8],
+        mut decode: impl FnMut(&[u8], &mut HistBuf, u32, usize) -> Result<(), E>,
+    ) -> Result<StreamProgress, E> {
+        let consumed = self.run(input, HIGH_WATER, &mut decode)?;
+        Ok(StreamProgress { consumed, written: self.hist.drain_into(out) })
+    }
+
+    /// Declares end of input and drains output; call until `done`.
+    ///
+    /// # Errors
+    ///
+    /// The one-shot decode's error for a frame that ends here.
+    pub fn finish(&mut self, out: &mut [u8]) -> Result<(usize, bool), E> {
+        match self.err {
+            Some(e) => return Err(e),
+            None => self.end_of_input().inspect_err(|&e| self.err = Some(e))?,
         }
-        (used, None)
+        let n = self.hist.drain_into(out);
+        Ok((n, self.hist.undrained() == 0))
+    }
+
+    /// Bytes held: output history plus the staging buffer.
+    pub fn scratch_bytes(&self) -> usize {
+        self.hist.capacity() + self.staged.capacity()
+    }
+
+    fn run(&mut self, input: &[u8], high_water: usize, decode: &mut Decode<E>) -> Result<usize, E> {
+        let mut i = 0;
+        while self.err.is_none() && i < input.len() && self.hist.undrained() < high_water {
+            self.err = self.step(input, &mut i, decode).err();
+        }
+        self.err.map_or(Ok(i), Err)
+    }
+
+    /// Advances the cursor over `input[*i..]` (non-empty).
+    fn step(&mut self, input: &[u8], i: &mut usize, decode: &mut Decode<E>) -> Result<(), E> {
+        let (spec, rest) = (self.spec, &input[*i..]);
+        match self.at {
+            At::Magic(4) => {
+                *i += 1;
+                if !spec.window_logs.contains(&(rest[0] as u32)) {
+                    return Err(spec.bad_header);
+                }
+                self.hist.window = 1 << rest[0];
+                self.at = At::ContentSize;
+            }
+            At::Magic(have) => {
+                if rest[0] != spec.magic[have] {
+                    return Err(spec.bad_magic);
+                }
+                *i += 1;
+                self.at = At::Magic(have + 1);
+            }
+            At::ContentSize => {
+                if let Some(v) = self.varint(rest, i) {
+                    self.expected = v.map_err(|_| spec.bad_header)?;
+                    self.hist.buf.reserve((self.expected as usize).min(RESERVE_CAP));
+                    self.at = At::Flags;
+                }
+            }
+            At::Flags => {
+                *i += 1;
+                self.at = At::BlockLen { flags: rest[0] };
+            }
+            At::BlockLen { flags } => {
+                let Some(v) = self.varint(rest, i) else { return Ok(()) };
+                let len = v.map_err(|_| spec.truncated)?;
+                if len > spec.block_cap as u64 {
+                    return Err((spec.bad_block)("block exceeds size limit"));
+                }
+                let (len, last, kind) = (len as usize, flags & 1 != 0, (flags >> 1) & 0b11);
+                self.at = match kind {
+                    _ if kind == spec.raw && len == 0 => return self.end_block(last),
+                    _ if kind == spec.raw => At::Raw { left: len, last },
+                    _ if Some(kind) == spec.rle => At::RleByte { len, last },
+                    _ if kind == spec.coded => At::PayloadLen { len, last },
+                    _ => return Err((spec.bad_block)("unknown block type")),
+                };
+            }
+            At::Raw { left, last } => {
+                let take = left.min(rest.len());
+                self.hist.sink().extend_from_slice(&rest[..take]);
+                *i += take;
+                self.at = At::Raw { left: left - take, last };
+                if take == left {
+                    self.end_block(last)?;
+                }
+            }
+            At::RleByte { len, last } => {
+                *i += 1;
+                self.hist.sink().extend(std::iter::repeat_n(rest[0], len));
+                self.end_block(last)?;
+            }
+            At::PayloadLen { len, last } => {
+                let Some(v) = self.varint(rest, i) else { return Ok(()) };
+                let need = v.map_err(|_| spec.truncated)? as usize;
+                let rest = &input[*i..];
+                if need <= rest.len() {
+                    // Wholly inside this input: decode it where it lies.
+                    *i += need;
+                    self.coded(&rest[..need], len, last, decode)?;
+                } else {
+                    self.at = At::Payload { need, len, last };
+                }
+            }
+            At::Payload { need, len, last } => {
+                let take = (need - self.staged.len()).min(rest.len());
+                self.staged.extend_from_slice(&rest[..take]);
+                *i += take;
+                if self.staged.len() == need {
+                    let mut staged = std::mem::take(&mut self.staged);
+                    let res = self.coded(&staged, len, last, decode);
+                    staged.clear();
+                    self.staged = staged;
+                    res?;
+                }
+            }
+            At::Done => *i = input.len(),
+        }
+        Ok(())
+    }
+
+    /// Reads the varint under the cursor: where it lies if it ends inside
+    /// `rest`, else from `staged`, which collects it across pushes.
+    fn varint(&mut self, rest: &[u8], i: &mut usize) -> Option<Result<u64, VarintError>> {
+        // Through the terminator, or through an 11th byte, which no valid
+        // varint has.
+        let have = self.staged.len();
+        let end = rest.iter().position(|&b| b & 0x80 == 0).map_or(rest.len(), |p| p + 1);
+        let take = end.min(11 - have);
+        *i += take;
+        let complete = rest[take - 1] & 0x80 == 0 || have + take == 11;
+        if have == 0 && complete {
+            return Some(read_u64(&rest[..take]).map(|(v, _)| v));
+        }
+        self.staged.extend_from_slice(&rest[..take]);
+        if !complete {
+            return None;
+        }
+        let v = read_u64(&self.staged).map(|(v, _)| v);
+        self.staged.clear();
+        Some(v)
+    }
+
+    /// Decodes one coded block and checks it produced its block length.
+    fn coded(&mut self, block: &[u8], len: usize, last: bool, f: &mut Decode<E>) -> Result<(), E> {
+        let (before, window) = (self.hist.retained(), self.hist.window as u32);
+        f(block, &mut self.hist, window, len)?;
+        if self.hist.retained() - before != len {
+            return Err((self.spec.bad_block)("block length mismatch"));
+        }
+        self.end_block(last)
+    }
+
+    /// Content-size accounting after a block: no overshoot after any
+    /// block, an exact match after the last.
+    fn end_block(&mut self, last: bool) -> Result<(), E> {
+        let produced = self.hist.produced() - self.seed;
+        if produced > self.expected || (last && produced != self.expected) {
+            return Err((self.spec.length_mismatch)(self.expected, produced));
+        }
+        self.at = if last { At::Done } else { At::Flags };
+        Ok(())
+    }
+
+    /// The error for input that ends with the cursor where it is.
+    fn end_of_input(&self) -> Result<(), E> {
+        match self.at {
+            At::Magic(_) => Err(self.spec.bad_magic),
+            At::ContentSize => Err(self.spec.bad_header),
+            At::Done => Ok(()),
+            _ => Err(self.spec.truncated),
+        }
     }
 }
 
@@ -445,6 +709,106 @@ mod tests {
         }
         assert_eq!(got, b"hello world");
         assert!(ob.is_empty());
+    }
+
+    static TOY: BlockFrameSpec<&str> = BlockFrameSpec {
+        magic: *b"TOYF",
+        window_logs: 10..=20,
+        block_cap: 1000,
+        raw: 0,
+        rle: Some(1),
+        coded: 2,
+        bad_magic: "magic",
+        bad_header: "header",
+        truncated: "truncated",
+        bad_block: |why| why,
+        length_mismatch: |_, _| "length",
+    };
+
+    /// The toy block decode: inverts every payload byte, fails on a
+    /// payload that starts with 0xEE, and records whether each payload
+    /// lay inside `span`, the input of its step.
+    fn toy_decode<'a>(
+        span: std::ops::Range<*const u8>,
+        inside: &'a mut Vec<bool>,
+    ) -> impl FnMut(&[u8], &mut HistBuf, u32, usize) -> Result<(), &'static str> + 'a {
+        move |payload, hist, window, len| {
+            assert_eq!((window, len), (1 << 12, payload.len()));
+            let range = payload.as_ptr_range();
+            inside.push(span.start <= range.start && range.end <= span.end);
+            if payload[0] == 0xEE {
+                return Err("payload");
+            }
+            hist.sink().extend(payload.iter().map(|b| !b));
+            Ok(())
+        }
+    }
+
+    /// Streams `frame` in `chunk`-byte pushes; returns the outcome and, per
+    /// coded block, whether its payload lay inside its push's input.
+    fn toy_stream(frame: &[u8], chunk: usize) -> (Result<Vec<u8>, &str>, Vec<bool>) {
+        let mut r = BlockFrameReader::new(&TOY);
+        let (mut got, mut inside, mut w) = (Vec::new(), Vec::new(), [0u8; 64]);
+        let mut run = || {
+            for mut piece in frame.chunks(chunk) {
+                while !piece.is_empty() {
+                    let p = r.push(piece, &mut w, toy_decode(piece.as_ptr_range(), &mut inside))?;
+                    got.extend_from_slice(&w[..p.written]);
+                    piece = &piece[p.consumed..];
+                }
+            }
+            loop {
+                let (n, done) = r.finish(&mut w)?;
+                got.extend_from_slice(&w[..n]);
+                if done {
+                    return Ok(());
+                }
+            }
+        };
+        (run().map(|()| got), inside)
+    }
+
+    #[test]
+    fn payloads_inside_one_push_decode_in_place_and_split_ones_from_staging() {
+        for (first, whole) in [(0x11, None), (0xEE, Some("payload"))] {
+            // A 200-byte coded block, a raw and an RLE block, and a last
+            // 41-byte coded block whose payload starts with `first`.
+            let coded: Vec<u8> = (0..200).collect();
+            let tail: Vec<u8> = [first].into_iter().chain(50..90).collect();
+            let mut frame = b"TOYF\x0c".to_vec();
+            crate::varint::write_u64(&mut frame, 275);
+            frame.extend_from_slice(&[2 << 1, 200, 1, 200, 1]);
+            frame.extend_from_slice(&coded);
+            frame.extend_from_slice(&[0, 4, b'r', b'a', b'w', b'!', 1 << 1, 30, 7]);
+            frame.extend_from_slice(&[2 << 1 | 1, 41, 41]);
+            frame.extend_from_slice(&tail);
+            let mut content: Vec<u8> = coded.iter().map(|b| !b).collect();
+            content.extend_from_slice(b"raw!");
+            content.extend_from_slice(&[7; 30]);
+            content.extend(tail.iter().map(|b| !b));
+            for cut in 0..=frame.len() {
+                let case = &frame[..cut];
+                let (mut out, mut inside) = (Vec::new(), Vec::new());
+                let decode = toy_decode(case.as_ptr_range(), &mut inside);
+                let one_shot = BlockFrameReader::new(&TOY).decode_whole(case, &mut out, decode);
+                let one_shot = one_shot.map(|()| out);
+                assert!(inside.iter().all(|&x| x), "cut {cut}: one-shot payloads are borrowed");
+                let (pushed, inside) = toy_stream(case, cut.max(1));
+                assert_eq!(pushed, one_shot, "cut {cut}, one push");
+                assert!(inside.iter().all(|&x| x), "cut {cut}: one push stages nothing");
+                // Both payloads are longer than a push: they come from staging.
+                let (split, inside) = toy_stream(case, 7);
+                assert_eq!(split, one_shot, "cut {cut}, 7-byte pushes");
+                assert!(inside.iter().all(|&x| !x), "cut {cut}: split payloads are staged");
+                let want = match cut {
+                    0..=4 => Err("magic"),
+                    5 | 6 => Err("header"),
+                    _ if cut < frame.len() => Err("truncated"),
+                    _ => whole.map_or(Ok(content.clone()), Err),
+                };
+                assert_eq!(one_shot, want, "cut {cut}");
+            }
+        }
     }
 
     #[test]

@@ -768,22 +768,10 @@ pub fn encode_block_with(
 /// previously decoded frame data — the history window).
 ///
 /// `window` bounds how far back copies may reach; `max_len` bounds this
-/// block's output size.
-pub fn decode_block(
-    payload: &[u8],
-    out: &mut Vec<u8>,
-    window: u32,
-    max_len: usize,
-) -> Result<(), ZstdError> {
-    let mut lits = Vec::new();
-    let mut seqs = Vec::new();
-    decode_block_with(payload, out, window, max_len, &mut lits, &mut seqs)
-}
-
-/// [`decode_block`] with caller-held literal/sequence staging buffers, so a
+/// block's output size. `lits`/`seqs` are caller-held staging, so a
 /// multi-block frame (or a long-lived decoder scratch) pays for those
-/// allocations once instead of per block. `lits`/`seqs` are cleared here;
-/// their contents afterwards are an implementation detail.
+/// allocations once instead of per block; they are cleared here and their
+/// contents afterwards are an implementation detail.
 ///
 /// The payload's literal and sequence sections decode in full before the
 /// first output byte is written, so every entropy-side error (malformed
@@ -858,7 +846,8 @@ mod tests {
         let mut payload = Vec::new();
         let stats = encode_block(data, &parse, &mut payload).unwrap();
         let mut out = Vec::new();
-        decode_block(&payload, &mut out, u32::MAX, data.len()).unwrap();
+        let (mut lits, mut seqs) = (Vec::new(), Vec::new());
+        decode_block_with(&payload, &mut out, u32::MAX, data.len(), &mut lits, &mut seqs).unwrap();
         assert_eq!(out, data);
         stats
     }
@@ -980,7 +969,8 @@ mod tests {
         encode_block(&data[..12], &Parse { seqs: parse.seqs.clone(), last_literals: 0 }, &mut payload)
             .unwrap();
         let mut out = Vec::new();
-        let err = decode_block(&payload, &mut out, 4, 100).unwrap_err();
+        let err = decode_block_with(&payload, &mut out, 4, 100, &mut Vec::new(), &mut Vec::new())
+            .unwrap_err();
         assert!(matches!(err, ZstdError::WindowViolation { offset: 8, window: 4 }));
     }
 
@@ -993,7 +983,15 @@ mod tests {
         for cut in [0, 1, payload.len() / 3, payload.len() - 1] {
             let mut out = Vec::new();
             assert!(
-                decode_block(&payload[..cut], &mut out, u32::MAX, data.len()).is_err(),
+                decode_block_with(
+                    &payload[..cut],
+                    &mut out,
+                    u32::MAX,
+                    data.len(),
+                    &mut Vec::new(),
+                    &mut Vec::new()
+                )
+                .is_err(),
                 "cut {cut}"
             );
         }
@@ -1045,7 +1043,7 @@ mod tests {
 
     #[test]
     fn cross_block_history_copies() {
-        // decode_block appends to existing output; offsets may reach into it.
+        // decode_block_with appends to existing output; offsets may reach into it.
         let mut out = b"0123456789".to_vec();
         let parse = Parse {
             seqs: vec![Seq { lit_len: 0, match_len: 5, offset: 10 }],
@@ -1054,7 +1052,7 @@ mod tests {
         let mut payload = Vec::new();
         // The data arg is only read for literals; none here.
         encode_block(b"XXXXX", &parse, &mut payload).unwrap();
-        decode_block(&payload, &mut out, 64, 5).unwrap();
+        decode_block_with(&payload, &mut out, 64, 5, &mut Vec::new(), &mut Vec::new()).unwrap();
         assert_eq!(out, b"012345678901234");
     }
 }

@@ -15,9 +15,10 @@
 
 use cdpu_lz77::{Parse, Seq};
 use cdpu_util::crc32c::crc32c;
+use cdpu_util::stream::BlockFrameReader;
 use cdpu_util::varint;
 
-use crate::{parse_with, ZstdConfig, ZstdError};
+use crate::{decode_compressed, parse_with, ZstdConfig, ZstdError, FRAME};
 
 /// Magic for dictionary frames (`CDPD`).
 pub const DICT_MAGIC: [u8; 4] = *b"CDPD";
@@ -47,19 +48,7 @@ pub fn compress_with_dict(data: &[u8], cfg: &ZstdConfig, dict: &[u8]) -> Vec<u8>
     varint::write_u64(&mut out, dict.len() as u64);
     out.extend_from_slice(&crc32c(dict).to_le_bytes());
 
-    let chunks = crate::split_parse(&parse, crate::MAX_BLOCK_SIZE);
-    let mut stats = crate::ZstdStats::default();
-    let mut payload = Vec::new();
-    let mut pos = 0usize;
-    for (i, chunk) in chunks.iter().enumerate() {
-        let last = i + 1 == chunks.len();
-        let len = chunk.total_len();
-        crate::emit_block(&data[pos..pos + len], chunk, last, &mut out, &mut stats, &mut payload, &cfg.entropy);
-        pos += len;
-    }
-    if chunks.is_empty() {
-        crate::emit_block(b"", &Parse::default(), true, &mut out, &mut stats, &mut payload, &cfg.entropy);
-    }
+    crate::emit_blocks(data, &parse, &mut out, &mut Default::default(), &cfg.entropy);
     out
 }
 
@@ -76,25 +65,19 @@ pub fn decompress_with_dict(frame: &[u8], dict: &[u8]) -> Result<Vec<u8>, ZstdEr
         return Err(ZstdError::BadMagic);
     }
     let window_log = frame[4] as u32;
-    if !(10..=31).contains(&window_log) {
+    if !FRAME.window_logs.contains(&window_log) {
         return Err(ZstdError::BadHeader);
     }
-    let mut pos = 5usize;
-    let (content_size, n) = varint::read_u64(&frame[pos..]).map_err(|_| ZstdError::BadHeader)?;
-    pos += n;
-    let (dict_len, n) = varint::read_u64(&frame[pos..]).map_err(|_| ZstdError::BadHeader)?;
-    pos += n;
-    if pos + 4 > frame.len() {
+    let header = &frame[5..];
+    let (content_size, n) = varint::read_u64(header).map_err(|_| ZstdError::BadHeader)?;
+    let (dict_len, m) = varint::read_u64(&header[n..]).map_err(|_| ZstdError::BadHeader)?;
+    let Some(&dict_crc) = header[n + m..].first_chunk::<4>() else {
         return Err(ZstdError::Truncated);
-    }
-    let dict_crc = u32::from_le_bytes([frame[pos], frame[pos + 1], frame[pos + 2], frame[pos + 3]]);
-    pos += 4;
-    if dict.len() as u64 != dict_len || crc32c(dict) != dict_crc {
+    };
+    if dict.len() as u64 != dict_len || crc32c(dict) != u32::from_le_bytes(dict_crc) {
         return Err(ZstdError::BadHeader);
     }
-
-    let window = 1u64.checked_shl(window_log).unwrap_or(u64::MAX) as u32;
-    let dict_tail = &dict[dict.len().saturating_sub(window as usize)..];
+    let dict_tail = &dict[dict.len().saturating_sub(1 << window_log)..];
 
     // Seed the output window with the dictionary, decode, strip the seed.
     // Reserve conservatively: the declared size is untrusted input, so cap
@@ -102,72 +85,11 @@ pub fn decompress_with_dict(frame: &[u8], dict: &[u8]) -> Result<Vec<u8>, ZstdEr
     let mut out =
         Vec::with_capacity(dict_tail.len() + (content_size as usize).min(crate::MAX_BLOCK_SIZE));
     out.extend_from_slice(dict_tail);
-    let mut saw_last = false;
-    while !saw_last {
-        if pos >= frame.len() {
-            return Err(ZstdError::Truncated);
-        }
-        let flags = frame[pos];
-        pos += 1;
-        saw_last = flags & 1 != 0;
-        let btype = (flags >> 1) & 0b11;
-        let (len, n) = varint::read_u64(&frame[pos..]).map_err(|_| ZstdError::Truncated)?;
-        pos += n;
-        let block_len = len as usize;
-        if block_len > crate::MAX_BLOCK_SIZE + crate::MAX_BLOCK_SIZE / 2 {
-            return Err(ZstdError::BadBlock("block exceeds size limit"));
-        }
-        match btype {
-            0 => {
-                if pos + block_len > frame.len() {
-                    return Err(ZstdError::Truncated);
-                }
-                out.extend_from_slice(&frame[pos..pos + block_len]);
-                pos += block_len;
-            }
-            1 => {
-                if pos >= frame.len() {
-                    return Err(ZstdError::Truncated);
-                }
-                let b = frame[pos];
-                pos += 1;
-                out.extend(std::iter::repeat_n(b, block_len));
-            }
-            2 => {
-                let (payload_len, n) =
-                    varint::read_u64(&frame[pos..]).map_err(|_| ZstdError::Truncated)?;
-                pos += n;
-                let payload_len = payload_len as usize;
-                if payload_len > frame.len() - pos {
-                    return Err(ZstdError::Truncated);
-                }
-                let before = out.len();
-                crate::block::decode_block(
-                    &frame[pos..pos + payload_len],
-                    &mut out,
-                    window,
-                    block_len,
-                )?;
-                if out.len() - before != block_len {
-                    return Err(ZstdError::BadBlock("block length mismatch"));
-                }
-                pos += payload_len;
-            }
-            _ => return Err(ZstdError::BadBlock("unknown block type")),
-        }
-        if (out.len() - dict_tail.len()) as u64 > content_size {
-            return Err(ZstdError::LengthMismatch {
-                expected: content_size,
-                actual: (out.len() - dict_tail.len()) as u64,
-            });
-        }
-    }
-    if (out.len() - dict_tail.len()) as u64 != content_size {
-        return Err(ZstdError::LengthMismatch {
-            expected: content_size,
-            actual: (out.len() - dict_tail.len()) as u64,
-        });
-    }
+    let (mut lits, mut seqs) = (Vec::new(), Vec::new());
+    let reader = BlockFrameReader::at_blocks(&FRAME, window_log, content_size);
+    reader.decode_whole(&header[n + m + 4..], &mut out, |payload, hist, window, len| {
+        decode_compressed(payload, hist, window, len, &mut lits, &mut seqs)
+    })?;
     Ok(out.split_off(dict_tail.len()))
 }
 

@@ -29,7 +29,8 @@
 //! ```
 
 use cdpu_lz77::matcher::{ChainConfig, HashChainMatcher, HashTableMatcher, MatcherConfig};
-use cdpu_lz77::{Parse, Seq};
+use cdpu_lz77::{Lz77Error, Parse, Seq};
+use cdpu_util::stream::{BlockFrameReader, BlockFrameSpec, HistBuf};
 use cdpu_util::varint;
 
 pub mod block;
@@ -46,6 +47,30 @@ pub const MAGIC: [u8; 4] = *b"CDPU";
 
 /// Maximum uncompressed bytes per block (ZStd's 128 KiB).
 pub const MAX_BLOCK_SIZE: usize = 128 * 1024;
+
+/// Largest block length the decoders accept: half again
+/// [`MAX_BLOCK_SIZE`].
+const BLOCK_CAP: usize = MAX_BLOCK_SIZE + MAX_BLOCK_SIZE / 2;
+
+/// Block types, bits 1–2 of a block's flags byte.
+const BLOCK_RAW: u8 = 0;
+const BLOCK_RLE: u8 = 1;
+const BLOCK_COMPRESSED: u8 = 2;
+
+/// This codec's block-frame container, read by every decoder entry.
+pub(crate) static FRAME: BlockFrameSpec<ZstdError> = BlockFrameSpec {
+    magic: MAGIC,
+    window_logs: 10..=31,
+    block_cap: BLOCK_CAP,
+    raw: BLOCK_RAW,
+    rle: Some(BLOCK_RLE),
+    coded: BLOCK_COMPRESSED,
+    bad_magic: ZstdError::BadMagic,
+    bad_header: ZstdError::BadHeader,
+    truncated: ZstdError::Truncated,
+    bad_block: ZstdError::BadBlock,
+    length_mismatch: |expected, actual| ZstdError::LengthMismatch { expected, actual },
+};
 
 /// Fastest negative level accepted (ZStd advertises down to −infinity but
 /// implements a small finite set; fleet data in Figure 2b bins at −5).
@@ -411,25 +436,34 @@ pub fn compress_parse_with_stats(
         ..Default::default()
     };
 
-    // Split at sequence granularity into <= 128 KiB blocks; one payload
-    // scratch buffer serves every block of the frame.
+    emit_blocks(data, parse, &mut out, &mut stats, &cfg.entropy);
+    stats.compressed_size = out.len();
+    (out, stats)
+}
+
+/// Writes the blocks of `data`, whose whole-input parse is `parse`: split
+/// at sequence granularity into <= 128 KiB blocks, with one payload
+/// scratch buffer serving every block of the frame.
+fn emit_blocks(
+    data: &[u8],
+    parse: &Parse,
+    out: &mut Vec<u8>,
+    stats: &mut ZstdStats,
+    entropy: &EntropyConfig,
+) {
     let chunks = split_parse(parse, MAX_BLOCK_SIZE);
     let mut payload = Vec::new();
-
     let mut pos = 0usize;
     for (i, chunk) in chunks.iter().enumerate() {
-        let last = i + 1 == chunks.len();
         let len = chunk.total_len();
-        let data_slice = &data[pos..pos + len];
-        emit_block(data_slice, chunk, last, &mut out, &mut stats, &mut payload, &cfg.entropy);
+        let last = i + 1 == chunks.len();
+        emit_block(&data[pos..pos + len], chunk, last, out, stats, &mut payload, entropy);
         pos += len;
     }
     if chunks.is_empty() {
         // Zero-length content still needs a terminating block.
-        emit_block(b"", &Parse::default(), true, &mut out, &mut stats, &mut payload, &cfg.entropy);
+        emit_block(b"", &Parse::default(), true, out, stats, &mut payload, entropy);
     }
-    stats.compressed_size = out.len();
-    (out, stats)
 }
 
 /// Splits a whole-input parse into per-block parses of at most
@@ -542,7 +576,7 @@ pub(crate) fn emit_block(
     let last_bit = if last { 1u8 } else { 0 };
     // RLE block: uniform content.
     if data.len() >= 16 && data.iter().all(|&b| b == data[0]) {
-        out.push(last_bit | (1 << 1));
+        out.push(last_bit | (BLOCK_RLE << 1));
         varint::write_u64(out, data.len() as u64);
         out.push(data[0]);
         stats.rle_blocks += 1;
@@ -553,14 +587,14 @@ pub(crate) fn emit_block(
     payload.clear();
     match block::encode_block_with(data, parse, payload, entropy) {
         Ok(bstats) if payload.len() < data.len() => {
-            out.push(last_bit | (2 << 1));
+            out.push(last_bit | (BLOCK_COMPRESSED << 1));
             varint::write_u64(out, data.len() as u64);
             varint::write_u64(out, payload.len() as u64);
             out.extend_from_slice(payload);
             stats.blocks.push(bstats);
         }
         _ => {
-            out.push(last_bit);
+            out.push(last_bit | (BLOCK_RAW << 1));
             varint::write_u64(out, data.len() as u64);
             out.extend_from_slice(data);
             stats.raw_blocks += 1;
@@ -581,7 +615,7 @@ pub fn frame_info(frame: &[u8]) -> Result<FrameInfo, ZstdError> {
         return Err(ZstdError::BadMagic);
     }
     let window_log = frame[4] as u32;
-    if !(10..=31).contains(&window_log) {
+    if !FRAME.window_logs.contains(&window_log) {
         return Err(ZstdError::BadHeader);
     }
     let (content_size, _) = varint::read_u64(&frame[5..]).map_err(|_| ZstdError::BadHeader)?;
@@ -627,86 +661,34 @@ fn decompress_impl(
     frame: &[u8],
     out: &mut Vec<u8>,
     lits: &mut Vec<u8>,
-    seqs: &mut Vec<cdpu_lz77::Seq>,
+    seqs: &mut Vec<Seq>,
 ) -> Result<(), ZstdError> {
-    let info = frame_info(frame)?;
-    let mut pos = 4 + 1;
-    let (_, n) = varint::read_u64(&frame[pos..]).map_err(|_| ZstdError::BadHeader)?;
-    pos += n;
+    BlockFrameReader::new(&FRAME).decode_whole(frame, out, |payload, hist, window, len| {
+        decode_compressed(payload, hist, window, len, lits, seqs)
+    })
+}
 
-    let window = 1u64.checked_shl(info.window_log).unwrap_or(u64::MAX) as u32;
-    // Reserve conservatively: the declared size is untrusted input, so cap
-    // the up-front allocation and let the vector grow if the data is real.
-    out.reserve((info.content_size as usize).min(MAX_BLOCK_SIZE));
-    let mut saw_last = false;
-    while !saw_last {
-        if pos >= frame.len() {
-            return Err(ZstdError::Truncated);
+/// Decodes one compressed block onto `hist`: the per-block call every
+/// decoder entry hands the frame reader. A `BadOffset` counts the history
+/// compacted away before the block back in, so its `produced` field is the
+/// one-shot decoder's whatever the push sizes.
+pub(crate) fn decode_compressed(
+    payload: &[u8],
+    hist: &mut HistBuf,
+    window: u32,
+    block_len: usize,
+    lits: &mut Vec<u8>,
+    seqs: &mut Vec<Seq>,
+) -> Result<(), ZstdError> {
+    // Constant while the block decodes: nothing drains mid-block.
+    let dropped = (hist.produced() - hist.retained() as u64) as usize;
+    let res = block::decode_block_with(payload, hist.sink(), window, block_len, lits, seqs);
+    res.map_err(|e| match e {
+        ZstdError::Lz77(Lz77Error::BadOffset { offset, produced }) => {
+            ZstdError::Lz77(Lz77Error::BadOffset { offset, produced: produced + dropped })
         }
-        let flags = frame[pos];
-        pos += 1;
-        saw_last = flags & 1 != 0;
-        let btype = (flags >> 1) & 0b11;
-        let (usize_, n) = varint::read_u64(&frame[pos..]).map_err(|_| ZstdError::Truncated)?;
-        pos += n;
-        let block_len = usize_ as usize;
-        if block_len > MAX_BLOCK_SIZE + MAX_BLOCK_SIZE / 2 {
-            return Err(ZstdError::BadBlock("block exceeds size limit"));
-        }
-        match btype {
-            0 => {
-                if pos + block_len > frame.len() {
-                    return Err(ZstdError::Truncated);
-                }
-                out.extend_from_slice(&frame[pos..pos + block_len]);
-                pos += block_len;
-            }
-            1 => {
-                if pos >= frame.len() {
-                    return Err(ZstdError::Truncated);
-                }
-                let b = frame[pos];
-                pos += 1;
-                out.extend(std::iter::repeat_n(b, block_len));
-            }
-            2 => {
-                let (payload_len, n) =
-                    varint::read_u64(&frame[pos..]).map_err(|_| ZstdError::Truncated)?;
-                pos += n;
-                let payload_len = payload_len as usize;
-                if payload_len > frame.len() - pos {
-                    return Err(ZstdError::Truncated);
-                }
-                let before = out.len();
-                block::decode_block_with(
-                    &frame[pos..pos + payload_len],
-                    out,
-                    window,
-                    block_len,
-                    lits,
-                    seqs,
-                )?;
-                if out.len() - before != block_len {
-                    return Err(ZstdError::BadBlock("block length mismatch"));
-                }
-                pos += payload_len;
-            }
-            _ => return Err(ZstdError::BadBlock("unknown block type")),
-        }
-        if out.len() as u64 > info.content_size {
-            return Err(ZstdError::LengthMismatch {
-                expected: info.content_size,
-                actual: out.len() as u64,
-            });
-        }
-    }
-    if out.len() as u64 != info.content_size {
-        return Err(ZstdError::LengthMismatch {
-            expected: info.content_size,
-            actual: out.len() as u64,
-        });
-    }
-    Ok(())
+        other => other,
+    })
 }
 
 #[cfg(test)]

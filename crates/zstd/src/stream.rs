@@ -10,20 +10,24 @@
 //! any chunking, while only the current block (≤ 128 KiB) plus the
 //! parser's sliding state is resident.
 //!
-//! The decoder is a resumable frame state machine holding a sliding
-//! history window ([`HistBuf`]) instead of the whole output; every error
-//! value matches [`decompress`](crate::decompress) (one caveat: the
-//! `produced` field of [`Lz77Error::BadOffset`](cdpu_lz77::Lz77Error)
-//! counts compacted-away history back in, so even that diagnostic field
-//! agrees with the one-shot decoder's).
+//! The decoder is the same [`BlockFrameReader`] the one-shot
+//! [`decompress`](crate::decompress) runs, fed one push at a time: it
+//! keeps a sliding history window instead of the whole output and stages
+//! only a block payload that arrives split across pushes. Every output
+//! byte and error value matches the one-shot decoder's, including the
+//! `produced` field of [`Lz77Error::BadOffset`](cdpu_lz77::Lz77Error),
+//! which counts compacted-away history back in. A hostile payload length
+//! is the one input whose staging is not bounded by the block size: see
+//! [`BlockFrameReader`].
 
 use crate::{
-    block, emit_block, Splitter, ZstdConfig, ZstdError, ZstdStats, MAGIC, MAX_BLOCK_SIZE,
+    decode_compressed, emit_block, Splitter, ZstdConfig, ZstdError, ZstdStats, FRAME, MAGIC,
+    MAX_BLOCK_SIZE,
 };
 use cdpu_lz77::stream::{ParseEvent, StreamParser};
 use cdpu_lz77::{Parse, Seq};
 use cdpu_util::stream::{
-    HistBuf, OutBuf, StreamDecoder, StreamEncoder, StreamError, StreamProgress, VarintAccum,
+    BlockFrameReader, OutBuf, StreamDecoder, StreamEncoder, StreamError, StreamProgress,
 };
 use cdpu_util::varint;
 
@@ -31,9 +35,6 @@ use cdpu_util::varint;
 const HIGH_WATER: usize = 256 * 1024;
 /// Largest slice handed to the parser per push (bounds per-call latency).
 const FEED_PIECE: usize = 64 * 1024;
-
-/// The one-shot decoder's block-length sanity cap.
-const BLOCK_LEN_CAP: usize = MAX_BLOCK_SIZE + MAX_BLOCK_SIZE / 2;
 
 fn stream_parser(cfg: &ZstdConfig, total: usize) -> StreamParser {
     match cfg.search_params() {
@@ -173,43 +174,12 @@ impl StreamEncoder for ZstdStreamEncoder {
     }
 }
 
-/// Where the decoder's frame cursor sits between pushes.
-enum DecState {
-    /// Matching the 4-byte magic.
-    Magic { have: usize },
-    /// Expecting the window-log byte.
-    Wlog,
-    /// Reading the content-size varint.
-    ContentSize,
-    /// At a block boundary, expecting the flags byte.
-    BlockFlags,
-    /// Reading the block-length varint.
-    BlockLen { flags: u8 },
-    /// Passing a raw block's bytes through.
-    RawBytes { remaining: usize, last: bool },
-    /// Expecting an RLE block's fill byte.
-    RleByte { block_len: usize, last: bool },
-    /// Reading a compressed block's payload-length varint.
-    PayloadLen { block_len: usize, last: bool },
-    /// Collecting a compressed block's payload.
-    Payload { need: usize, block_len: usize, last: bool },
-    /// Past the last block; trailing bytes are ignored (as one-shot).
-    Done,
-}
-
-/// Streaming ZStd-class decompressor. See the module docs for the
-/// contract.
+/// Streaming ZStd-class decompressor: the codec's frame reader fed one
+/// push at a time. See the module docs for the contract.
 pub struct ZstdStreamDecoder {
-    state: DecState,
-    pre: VarintAccum,
-    expected: u64,
-    window: u32,
-    hist: HistBuf,
-    payload: Vec<u8>,
+    frame: BlockFrameReader<ZstdError>,
     lits: Vec<u8>,
     seqs: Vec<Seq>,
-    err: Option<ZstdError>,
-    finished: bool,
 }
 
 impl Default for ZstdStreamDecoder {
@@ -221,239 +191,33 @@ impl Default for ZstdStreamDecoder {
 impl ZstdStreamDecoder {
     /// Creates a decoder positioned at the frame magic.
     pub fn new() -> Self {
-        ZstdStreamDecoder {
-            state: DecState::Magic { have: 0 },
-            pre: VarintAccum::new(),
-            expected: 0,
-            window: 0,
-            hist: HistBuf::new(0),
-            payload: Vec::new(),
-            lits: Vec::new(),
-            seqs: Vec::new(),
-            err: None,
-            finished: false,
-        }
+        Self { frame: BlockFrameReader::new(&FRAME), lits: Vec::new(), seqs: Vec::new() }
     }
 
-    /// Post-block accounting, in the one-shot decoder's order: overshoot
-    /// after every block, exact match after the last.
-    fn post_block(&mut self, last: bool) -> Result<(), ZstdError> {
-        let produced = self.hist.produced();
-        if produced > self.expected {
-            return Err(ZstdError::LengthMismatch { expected: self.expected, actual: produced });
-        }
-        if last {
-            if produced != self.expected {
-                return Err(ZstdError::LengthMismatch {
-                    expected: self.expected,
-                    actual: produced,
-                });
-            }
-            self.state = DecState::Done;
-        } else {
-            self.state = DecState::BlockFlags;
-        }
-        Ok(())
-    }
-
-    /// Decodes one complete compressed-block payload against the history.
-    fn run_payload(&mut self, block_len: usize, last: bool) -> Result<(), ZstdError> {
-        // History compacted away before this block; constant while the
-        // block decodes (nothing drains mid-block), so it rebases the
-        // `produced` diagnostic of any BadOffset to the one-shot value.
-        let dropped = (self.hist.produced() - self.hist.retained() as u64) as usize;
-        let before = self.hist.produced();
-        let Self { hist, payload, lits, seqs, window, .. } = self;
-        block::decode_block_with(payload, hist.sink(), *window, block_len, lits, seqs).map_err(
-            |e| match e {
-                ZstdError::Lz77(cdpu_lz77::Lz77Error::BadOffset { offset, produced }) => {
-                    ZstdError::Lz77(cdpu_lz77::Lz77Error::BadOffset {
-                        offset,
-                        produced: produced + dropped,
-                    })
-                }
-                other => other,
-            },
-        )?;
-        if self.hist.produced() - before != block_len as u64 {
-            return Err(ZstdError::BadBlock("block length mismatch"));
-        }
-        self.post_block(last)
-    }
-
-    /// Advances the state machine, consuming at least one byte from
-    /// `input[*i..]` (non-empty) unless a zero-byte transition applies.
-    fn step(&mut self, input: &[u8], i: &mut usize) -> Result<(), ZstdError> {
-        match self.state {
-            DecState::Magic { mut have } => {
-                while have < 4 && *i < input.len() {
-                    if input[*i] != MAGIC[have] {
-                        return Err(ZstdError::BadMagic);
-                    }
-                    have += 1;
-                    *i += 1;
-                }
-                self.state = if have == 4 { DecState::Wlog } else { DecState::Magic { have } };
-            }
-            DecState::Wlog => {
-                let wlog = input[*i] as u32;
-                *i += 1;
-                if !(10..=31).contains(&wlog) {
-                    return Err(ZstdError::BadHeader);
-                }
-                self.window = 1u64.checked_shl(wlog).unwrap_or(u64::MAX) as u32;
-                self.hist = HistBuf::new(self.window as usize);
-                self.pre = VarintAccum::new();
-                self.state = DecState::ContentSize;
-            }
-            DecState::ContentSize => {
-                let (used, done) = self.pre.feed(&input[*i..]);
-                *i += used;
-                if let Some(res) = done {
-                    self.expected = res.map_err(|_| ZstdError::BadHeader)?;
-                    self.state = DecState::BlockFlags;
-                }
-            }
-            DecState::BlockFlags => {
-                let flags = input[*i];
-                *i += 1;
-                self.pre = VarintAccum::new();
-                self.state = DecState::BlockLen { flags };
-            }
-            DecState::BlockLen { flags } => {
-                let (used, done) = self.pre.feed(&input[*i..]);
-                *i += used;
-                if let Some(res) = done {
-                    let v = res.map_err(|_| ZstdError::Truncated)?;
-                    if v > BLOCK_LEN_CAP as u64 {
-                        return Err(ZstdError::BadBlock("block exceeds size limit"));
-                    }
-                    let block_len = v as usize;
-                    let last = flags & 1 != 0;
-                    match (flags >> 1) & 0b11 {
-                        0 => {
-                            if block_len == 0 {
-                                self.post_block(last)?;
-                            } else {
-                                self.state = DecState::RawBytes { remaining: block_len, last };
-                            }
-                        }
-                        1 => self.state = DecState::RleByte { block_len, last },
-                        2 => {
-                            self.pre = VarintAccum::new();
-                            self.state = DecState::PayloadLen { block_len, last };
-                        }
-                        _ => return Err(ZstdError::BadBlock("unknown block type")),
-                    }
-                }
-            }
-            DecState::RawBytes { remaining, last } => {
-                let take = remaining.min(input.len() - *i);
-                self.hist.sink().extend_from_slice(&input[*i..*i + take]);
-                *i += take;
-                if remaining == take {
-                    self.post_block(last)?;
-                } else {
-                    self.state = DecState::RawBytes { remaining: remaining - take, last };
-                }
-            }
-            DecState::RleByte { block_len, last } => {
-                let b = input[*i];
-                *i += 1;
-                self.hist.sink().extend(std::iter::repeat_n(b, block_len));
-                self.post_block(last)?;
-            }
-            DecState::PayloadLen { block_len, last } => {
-                let (used, done) = self.pre.feed(&input[*i..]);
-                *i += used;
-                if let Some(res) = done {
-                    let need = res.map_err(|_| ZstdError::Truncated)? as usize;
-                    self.payload.clear();
-                    if need == 0 {
-                        self.run_payload(block_len, last)?;
-                    } else {
-                        self.state = DecState::Payload { need, block_len, last };
-                    }
-                }
-            }
-            DecState::Payload { need, block_len, last } => {
-                let take = (need - self.payload.len()).min(input.len() - *i);
-                self.payload.extend_from_slice(&input[*i..*i + take]);
-                *i += take;
-                if self.payload.len() == need {
-                    self.run_payload(block_len, last)?;
-                }
-            }
-            DecState::Done => {
-                // Trailing bytes after the last block are ignored, exactly
-                // as the one-shot decoder never reads past it.
-                *i = input.len();
-            }
-        }
-        Ok(())
-    }
-
-    /// Feeds compressed bytes; identical to the trait `push` but with the
-    /// codec's precise error type. Errors are sticky.
+    /// The trait `push` with the codec's error type.
     ///
     /// # Errors
     ///
-    /// The same [`ZstdError`] values the one-shot decoder reports at the
-    /// equivalent point in the frame.
+    /// The [`ZstdError`] the one-shot decoder reports at the same point in
+    /// the frame; errors are sticky.
     pub fn push_bytes(
         &mut self,
         input: &[u8],
         out: &mut [u8],
     ) -> Result<StreamProgress, ZstdError> {
-        if let Some(e) = self.err {
-            return Err(e);
-        }
-        let mut i = 0;
-        while i < input.len() && self.hist.undrained() < HIGH_WATER {
-            if let Err(e) = self.step(input, &mut i) {
-                self.err = Some(e);
-                return Err(e);
-            }
-        }
-        let written = self.hist.drain_into(out);
-        Ok(StreamProgress { consumed: i, written })
+        let Self { frame, lits, seqs } = self;
+        frame.push(input, out, |payload, hist, window, len| {
+            decode_compressed(payload, hist, window, len, lits, seqs)
+        })
     }
 
-    /// Declares end-of-input; identical to the trait `finish` but with
-    /// the codec's precise error type.
+    /// The trait `finish` with the codec's error type.
     ///
     /// # Errors
     ///
-    /// The same [`ZstdError`] the one-shot decoder reports for the
-    /// equivalent truncated frame.
+    /// The [`ZstdError`] the one-shot decoder reports for the same frame.
     pub fn finish_bytes(&mut self, out: &mut [u8]) -> Result<(usize, bool), ZstdError> {
-        if let Some(e) = self.err {
-            return Err(e);
-        }
-        if !self.finished {
-            let end_err = match self.state {
-                // One-shot: frames shorter than magic + window log are
-                // rejected as BadMagic before anything else is looked at.
-                DecState::Magic { .. } | DecState::Wlog => Some(ZstdError::BadMagic),
-                // One-shot: truncated content-size varint → BadHeader.
-                DecState::ContentSize => Some(ZstdError::BadHeader),
-                // One-shot: every mid-block truncation → Truncated.
-                DecState::BlockFlags
-                | DecState::BlockLen { .. }
-                | DecState::RawBytes { .. }
-                | DecState::RleByte { .. }
-                | DecState::PayloadLen { .. }
-                | DecState::Payload { .. } => Some(ZstdError::Truncated),
-                DecState::Done => None,
-            };
-            if let Some(e) = end_err {
-                self.err = Some(e);
-                return Err(e);
-            }
-            self.finished = true;
-        }
-        let n = self.hist.drain_into(out);
-        Ok((n, self.hist.undrained() == 0))
+        self.frame.finish(out)
     }
 }
 
@@ -467,8 +231,7 @@ impl StreamDecoder for ZstdStreamDecoder {
     }
 
     fn scratch_bytes(&self) -> usize {
-        self.hist.capacity()
-            + self.payload.capacity()
+        self.frame.scratch_bytes()
             + self.lits.capacity()
             + self.seqs.capacity() * std::mem::size_of::<Seq>()
     }
