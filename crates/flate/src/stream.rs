@@ -11,7 +11,7 @@
 //! The decoder is the same [`BlockFrameReader`] the one-shot
 //! [`decompress`](crate::decompress) runs, fed one push at a time, with
 //! the same per-block Huffman decode: it keeps a sliding history window
-//! instead of the whole output and stages only a block payload that
+//! instead of the whole output and stages only a varint or payload that
 //! arrives split across pushes, so every output byte and error value
 //! matches the one-shot decoder's. A hostile payload length is the one
 //! input whose staging is not bounded by the block size: see

@@ -13,7 +13,7 @@
 //! The decoder is the same [`BlockFrameReader`] the one-shot
 //! [`decompress`](crate::decompress) runs, fed one push at a time: it
 //! keeps a sliding history window instead of the whole output and stages
-//! only a block payload that arrives split across pushes. Every output
+//! only a varint or payload that arrives split across pushes. Every output
 //! byte and error value matches the one-shot decoder's, including the
 //! `produced` field of [`Lz77Error::BadOffset`](cdpu_lz77::Lz77Error),
 //! which counts compacted-away history back in. A hostile payload length
