@@ -28,6 +28,7 @@ for name in \
     hash_table_parses_are_pinned \
     chain_parses_are_pinned \
     entropy_modes_are_pinned \
+    hand_built_parse_frames_are_pinned \
     hash_table_grid_matches_reference \
     table_matcher_grid_equivalence \
     hash_chain_grid_matches_reference \

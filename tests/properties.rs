@@ -359,6 +359,66 @@ fn entropy_modes_are_pinned() {
     }
 }
 
+/// Pins the zstd and flate frames written from hand-built parses at the
+/// block splitter's edges: matches of 1–4 bytes, around flate's 258-byte
+/// cap and longer than a block, a match ending on a block boundary,
+/// literal runs around one block, every cut of a match 1–5 bytes before a
+/// boundary leaving 1–5 bytes after it, uniform inputs (zstd's RLE blocks,
+/// with a last block of 16 and of 15 bytes) and empty input. One digest over every frame, and for zstd its
+/// statistics too; every frame also decodes to its input.
+#[test]
+fn hand_built_parse_frames_are_pinned() {
+    use cdpu::lz77::{Parse, Seq};
+    const BLOCK: u32 = 128 * 1024;
+    // `(offset, [(lit_len, match_len)], last_literals)`: every match copies
+    // from `offset` back, over input that repeats with that period.
+    type Shape = (u32, Vec<(u32, u32)>, u32);
+    let mut shapes: Vec<Shape> = vec![
+        (16, vec![(16, 1), (5, 2), (5, 3), (5, 4)], 7),
+        (16, vec![(16, 258), (3, 259), (3, 260)], 3),
+        (16, vec![(16, 200_000)], 10),
+        (16, vec![(16, BLOCK - 16), (8, 50)], 4),
+        (64, vec![(BLOCK - 1, 40)], 5),
+        (64, vec![(BLOCK, 40)], 5),
+        (64, vec![(BLOCK + 1, 40)], 5),
+        (1, vec![(1, 300_000)], 0),
+        (1, vec![(1, BLOCK + 15)], 0),
+        (1, vec![(1, BLOCK + 14)], 0),
+        (1, vec![], 0),
+    ];
+    for before in 1..=5 {
+        for after in 1..=5 {
+            shapes.push((16, vec![(16, BLOCK - 116 - before), (100, before + after)], 9));
+        }
+    }
+    let mut rng = Xoshiro256::seed_from(0x5B17);
+    let mut h = 0xCBF2_9CE4_8422_2325u64;
+    for (offset, seqs, last_literals) in shapes {
+        let parse = Parse {
+            seqs: seqs
+                .iter()
+                .map(|&(lit_len, match_len)| Seq { lit_len, match_len, offset })
+                .collect(),
+            last_literals,
+        };
+        let (len, period) = (parse.total_len(), if offset == 1 { 1 } else { offset as usize });
+        let mut pattern = vec![0u8; period];
+        if period > 1 {
+            rng.fill_bytes(&mut pattern);
+        }
+        let data: Vec<u8> = (0..len).map(|i| pattern[i % period]).collect();
+        let (z, stats) = cdpu::zstd::compress_parse_with_stats(&data, &parse, &Default::default());
+        let f = cdpu::flate::compress_parse(&data, &parse, &Default::default());
+        assert_eq!(cdpu::zstd::decompress(&z).unwrap(), data, "zstd frame of {seqs:?}");
+        assert_eq!(cdpu::flate::decompress(&f).unwrap(), data, "flate frame of {seqs:?}");
+        for frame in [&z, &f, format!("{stats:?}").as_bytes()] {
+            h = fnv1a64(h, &(frame.len() as u64).to_le_bytes());
+            h = fnv1a64(h, frame);
+        }
+    }
+    assert_eq!(h, 0x1ED2_0848_DB39_C4E5, "hand-built parse frames moved: got {h:#018X}");
+}
+
 /// Folds one parse into `h`: sequence count first, so a sequence moving
 /// between parses still shows.
 fn fold_parse(mut h: u64, parse: &cdpu::lz77::Parse) -> u64 {
