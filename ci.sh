@@ -29,6 +29,8 @@ for name in \
     chain_parses_are_pinned \
     entropy_modes_are_pinned \
     hand_built_parse_frames_are_pinned \
+    every_stream_encoder_keeps_the_push_finish_contract \
+    scratch_counts_the_open_block \
     hash_table_grid_matches_reference \
     table_matcher_grid_equivalence \
     hash_chain_grid_matches_reference \
@@ -105,6 +107,21 @@ if grep -nE 'enum DecState|read_u64\(&frame\[pos\.\.\]\)' \
     crates/zstd/src/lib.rs crates/zstd/src/dict.rs crates/zstd/src/stream.rs \
     crates/flate/src/lib.rs crates/flate/src/stream.rs; then
     echo "FAIL: a zstd or flate decoder walks the block frame beside cdpu_util::stream::BlockFrameReader" >&2
+    exit 1
+fi
+
+echo "==> one block-frame writer and one stream-encoder driver under every LZ77-fed encoder"
+# One splitter (cdpu_lz77::block), each streaming constant defined once, the
+# push-past-total check only in cdpu_lz77::stream::StreamDriver and the
+# parserless gipfeli adapter, and no zstd/flate encode path writing the
+# frame magic beside cdpu_lz77::block::BlockFrameWriter.
+past_total="$(grep -rnF '"pushed past the declared total"' crates --include='*.rs' | cut -d: -f1 | sort | tr '\n' ' ')"
+if [ "$(grep -rnE 'struct Splitter\b' crates --include='*.rs' | wc -l)" -ne 1 ] ||
+    [ "$(grep -rnE 'const FEED_PIECE\b' crates --include='*.rs' | wc -l)" -ne 1 ] ||
+    [ "$(grep -rnE 'const HIGH_WATER\b' crates --include='*.rs' | wc -l)" -ne 1 ] ||
+    [ "$past_total" != "crates/lite/src/stream.rs crates/lz77/src/stream.rs " ] ||
+    grep -rnE 'extend_from_slice\(&MAGIC\)|MAGIC\.to_vec\(\)' crates/zstd/src crates/flate/src; then
+    echo "FAIL: a second splitter, streaming constant, push/finish driver or block-frame header writer is back" >&2
     exit 1
 fi
 

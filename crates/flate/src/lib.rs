@@ -25,6 +25,7 @@
 //! ```
 
 use cdpu_entropy::huffman::{HuffmanError, HuffmanTable};
+use cdpu_lz77::block::{BlockCoder, BlockFrameWriter, SplitRule};
 use cdpu_lz77::matcher::{ChainConfig, HashChainMatcher};
 use cdpu_lz77::window::DecoderScratch;
 use cdpu_lz77::{Parse, Seq};
@@ -55,7 +56,8 @@ pub const MAX_WINDOW_LOG: u32 = 15;
 const BLOCK_RAW: u8 = 0;
 const BLOCK_HUFF: u8 = 1;
 
-/// This codec's block-frame container, read by every decoder entry.
+/// This codec's block-frame container, written by every encoder entry and
+/// read by every decoder entry.
 pub(crate) static FRAME: BlockFrameSpec<FlateError> = BlockFrameSpec {
     magic: MAGIC,
     window_logs: 0..=MAX_WINDOW_LOG,
@@ -205,141 +207,42 @@ pub fn compress_with(data: &[u8], cfg: &FlateConfig) -> Vec<u8> {
 ///
 /// Panics if `parse` does not cover `data` exactly.
 pub fn compress_parse(data: &[u8], parse: &Parse, cfg: &FlateConfig) -> Vec<u8> {
-    assert_eq!(parse.total_len(), data.len(), "parse must cover the input");
     let mut out = Vec::with_capacity(data.len() / 2 + 64);
-    out.extend_from_slice(&MAGIC);
-    out.push(cfg.window_log.min(MAX_WINDOW_LOG) as u8);
-    varint::write_u64(&mut out, data.len() as u64);
-
-    // One payload scratch buffer serves every block of the frame.
-    let chunks = split_parse(parse, MAX_BLOCK_SIZE);
-    let mut payload = Vec::new();
-    let mut pos = 0usize;
-    for (i, chunk) in chunks.iter().enumerate() {
-        let last = i + 1 == chunks.len();
-        let len = chunk.total_len();
-        emit_block(&data[pos..pos + len], chunk, last, &mut out, &mut payload);
-        pos += len;
-    }
-    if chunks.is_empty() {
-        emit_block(b"", &Parse::default(), true, &mut out, &mut payload);
-    }
+    frame_writer(cfg, data.len(), &mut out).write_parse(data, parse, &mut out, |_| {});
     out
 }
 
-/// Splits a parse into ≤ `target` blocks, also capping matches at
-/// DEFLATE's 258-byte maximum (longer matches become back-to-back copies
-/// at the same distance).
-fn split_parse(parse: &Parse, target: usize) -> Vec<Parse> {
-    let mut s = Splitter::new(target);
-    for seq in &parse.seqs {
-        s.add_literals(seq.lit_len as usize);
-        s.add_match(seq.match_len, seq.offset);
-    }
-    s.add_literals(parse.last_literals as usize);
-    s.close();
-    s.chunks
-}
+/// How this codec's blocks cut the parse: 128 KiB blocks and DEFLATE's
+/// 258-byte match cap (longer matches become back-to-back copies at the
+/// same distance). No length code exists below `MIN_MATCH` and no matcher
+/// emits one, so a hand-built parse's short match goes out as literals.
+const SPLIT: SplitRule = SplitRule {
+    block: MAX_BLOCK_SIZE,
+    max_match: Some(MAX_MATCH),
+    short_as_literals: true,
+    back_off_whole: true,
+};
 
-/// Incremental block splitter: accepts dictionary-stage events one at a
-/// time (so the streaming encoder can drive it without a whole-input
-/// parse) and accumulates closed ≤ `target`-byte chunks, capping matches
-/// at DEFLATE's 258-byte maximum. Feeding a parse event-by-event produces
-/// the same chunks as [`split_parse`] because literal runs are additive:
-/// `add_literals(a); add_literals(b)` ≡ `add_literals(a + b)`.
-pub(crate) struct Splitter {
-    /// Chunks closed so far, in input order. Drained by the caller.
-    pub(crate) chunks: Vec<Parse>,
-    cur: Parse,
-    cur_len: usize,
-    target: usize,
-}
+/// This codec's block payload: one Huffman block.
+#[derive(Debug)]
+pub(crate) struct Blocks;
 
-impl Splitter {
-    pub(crate) fn new(target: usize) -> Self {
-        assert!(target >= cdpu_lz77::MIN_MATCH * 2, "target too small to split matches");
-        Splitter { chunks: Vec::new(), cur: Parse::default(), cur_len: 0, target }
-    }
+impl BlockCoder for Blocks {
+    type Stats = ();
 
-    fn flush(&mut self) {
-        if self.cur_len > 0 || !self.cur.seqs.is_empty() {
-            self.chunks.push(std::mem::take(&mut self.cur));
-            self.cur_len = 0;
-        }
-    }
-
-    /// Closes the trailing partial chunk (end of input).
-    pub(crate) fn close(&mut self) {
-        self.flush();
-    }
-
-    pub(crate) fn add_literals(&mut self, mut n: usize) {
-        while n > 0 {
-            if self.cur_len == self.target {
-                self.flush();
-            }
-            let take = n.min(self.target - self.cur_len);
-            self.cur.last_literals += take as u32;
-            self.cur_len += take;
-            n -= take;
-        }
-    }
-
-    pub(crate) fn add_match(&mut self, mut rem: u32, offset: u32) {
-        if rem < cdpu_lz77::MIN_MATCH as u32 {
-            // No length code exists below MIN_MATCH and no matcher emits
-            // one; a hand-built parse's short match goes out as literals.
-            self.add_literals(rem as usize);
-            return;
-        }
-        while rem > 0 {
-            if self.cur_len == self.target {
-                self.flush();
-            }
-            let space = (self.target - self.cur_len) as u32;
-            let mut piece = rem.min(MAX_MATCH).min(space);
-            if piece < rem && rem - piece < cdpu_lz77::MIN_MATCH as u32 {
-                piece = piece.saturating_sub(cdpu_lz77::MIN_MATCH as u32);
-            }
-            if piece < cdpu_lz77::MIN_MATCH as u32 {
-                self.flush();
-                continue;
-            }
-            let lit_len = std::mem::take(&mut self.cur.last_literals);
-            self.cur.seqs.push(Seq {
-                lit_len,
-                match_len: piece,
-                offset,
-            });
-            self.cur_len += piece as usize;
-            rem -= piece;
-        }
+    fn code(&mut self, data: &[u8], parse: &Parse, payload: &mut Vec<u8>) -> Option<()> {
+        encode_huff_block(data, parse, payload).ok()
     }
 }
 
-pub(crate) fn emit_block(
-    data: &[u8],
-    parse: &Parse,
-    last: bool,
+/// The frame writer for `total` bytes at `cfg`, after it wrote the frame
+/// header into `out`.
+pub(crate) fn frame_writer(
+    cfg: &FlateConfig,
+    total: usize,
     out: &mut Vec<u8>,
-    payload: &mut Vec<u8>,
-) {
-    let last_bit = if last { 1u8 } else { 0 };
-    // The payload scratch is caller-owned so one allocation serves the frame.
-    payload.clear();
-    match encode_huff_block(data, parse, payload) {
-        Ok(()) if payload.len() < data.len() => {
-            out.push(last_bit | (BLOCK_HUFF << 1));
-            varint::write_u64(out, data.len() as u64);
-            varint::write_u64(out, payload.len() as u64);
-            out.extend_from_slice(payload);
-        }
-        _ => {
-            out.push(last_bit | (BLOCK_RAW << 1));
-            varint::write_u64(out, data.len() as u64);
-            out.extend_from_slice(data);
-        }
-    }
+) -> BlockFrameWriter<FlateError, Blocks> {
+    BlockFrameWriter::new(&FRAME, SPLIT, cfg.window_log.min(MAX_WINDOW_LOG), total, Blocks, out)
 }
 
 /// Encodes one Huffman block: the DEFLATE symbol stream (literal/length +

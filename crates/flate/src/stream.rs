@@ -1,12 +1,13 @@
 //! Streaming Flate-class coding: bounded-memory, chunk-resumable
 //! encode/decode.
 //!
-//! The encoder drives the incremental [`Splitter`](crate::Splitter) off
-//! [`StreamParser`](cdpu_lz77::stream::StreamParser) events and emits
-//! closed blocks with [`emit_block`](crate::emit_block), byte-identical
-//! to [`compress_with`](crate::compress_with) for any chunking, while only
-//! the current block (≤ 128 KiB) plus the parser's ≤ 32 KiB window is
-//! resident.
+//! The encoder is the shared [`StreamDriver`] (the push/finish contract
+//! every parser-fed encoder runs under) with a chain [`StreamParser`],
+//! feeding the same [`BlockFrameWriter`] the one-shot
+//! [`compress_with`](crate::compress_with) writes its parse through:
+//! byte-identical to it for any chunking, while
+//! only the open block (≤ 128 KiB of input and its sequences) plus the
+//! parser's ≤ 32 KiB window is resident.
 //!
 //! The decoder is the same [`BlockFrameReader`] the one-shot
 //! [`decompress`](crate::decompress) runs, fed one push at a time, with
@@ -17,35 +18,17 @@
 //! input whose staging is not bounded by the block size: see
 //! [`BlockFrameReader`].
 
-use crate::{
-    decode_huff_block, emit_block, FlateConfig, FlateError, Splitter, FRAME, MAGIC,
-    MAX_BLOCK_SIZE, MAX_WINDOW_LOG,
-};
-use cdpu_lz77::stream::{ParseEvent, StreamParser};
-use cdpu_lz77::{Parse, Seq};
+use crate::{decode_huff_block, frame_writer, Blocks, FlateConfig, FlateError, FRAME};
+use cdpu_lz77::block::BlockFrameWriter;
+use cdpu_lz77::stream::{StreamDriver, StreamParser};
+use cdpu_lz77::Seq;
 use cdpu_util::stream::{
-    BlockFrameReader, OutBuf, StreamDecoder, StreamEncoder, StreamError, StreamProgress,
+    BlockFrameReader, StreamDecoder, StreamEncoder, StreamError, StreamProgress,
 };
-use cdpu_util::varint;
 
-/// Stop accepting input while this much output is staged undrained.
-const HIGH_WATER: usize = 256 * 1024;
-/// Largest slice handed to the parser per push (bounds per-call latency).
-const FEED_PIECE: usize = 64 * 1024;
-
-/// Streaming Flate-class compressor. See the module docs for the
-/// contract.
-pub struct FlateStreamEncoder {
-    parser: StreamParser,
-    splitter: Splitter,
-    /// Fed-but-not-yet-emitted input bytes (the data behind open chunks).
-    data: Vec<u8>,
-    emitted: usize,
-    total: usize,
-    out: OutBuf,
-    payload: Vec<u8>,
-    finished: bool,
-}
+/// Streaming Flate-class compressor: the shared [`StreamDriver`] feeding
+/// this codec's [`BlockFrameWriter`]. See the module docs.
+pub struct FlateStreamEncoder(StreamDriver<BlockFrameWriter<FlateError, Blocks>>);
 
 impl FlateStreamEncoder {
     /// Creates an encoder for exactly `total` input bytes at `cfg`,
@@ -56,91 +39,22 @@ impl FlateStreamEncoder {
     /// Panics if `total` is not less than `u32::MAX` (the parser's input
     /// bound).
     pub fn new(total: usize, cfg: &FlateConfig) -> Self {
-        let mut out = OutBuf::new();
-        out.sink().extend_from_slice(&MAGIC);
-        out.sink().push(cfg.window_log.min(MAX_WINDOW_LOG) as u8);
-        varint::write_u64(out.sink(), total as u64);
-        FlateStreamEncoder {
-            parser: StreamParser::chain(cfg.chain_config(), total, None),
-            splitter: Splitter::new(MAX_BLOCK_SIZE),
-            data: Vec::new(),
-            emitted: 0,
-            total,
-            out,
-            payload: Vec::new(),
-            finished: false,
-        }
-    }
-
-    fn pump(&mut self, piece: &[u8], is_final: bool) {
-        self.data.extend_from_slice(piece);
-        let Self { parser, splitter, .. } = self;
-        let mut sink = |ev: ParseEvent<'_>| match ev {
-            ParseEvent::Literals(b) => splitter.add_literals(b.len()),
-            ParseEvent::Match { offset, len } => splitter.add_match(len, offset),
-        };
-        if is_final {
-            parser.finish(&mut sink);
-            splitter.close();
-        } else {
-            parser.feed(piece, &mut sink);
-        }
-        let mut head = 0usize;
-        for chunk in std::mem::take(&mut self.splitter.chunks) {
-            let len = chunk.total_len();
-            let last = self.emitted + len == self.total;
-            emit_block(
-                &self.data[head..head + len],
-                &chunk,
-                last,
-                self.out.sink(),
-                &mut self.payload,
-            );
-            head += len;
-            self.emitted += len;
-        }
-        if head > 0 {
-            self.data.drain(..head);
-        }
-        if is_final && self.emitted == 0 {
-            emit_block(b"", &Parse::default(), true, self.out.sink(), &mut self.payload);
-        }
+        let parser = StreamParser::chain(cfg.chain_config(), total, None);
+        FlateStreamEncoder(StreamDriver::new(parser, |out| frame_writer(cfg, total, out)))
     }
 }
 
 impl StreamEncoder for FlateStreamEncoder {
     fn push(&mut self, input: &[u8], out: &mut [u8]) -> Result<StreamProgress, StreamError> {
-        if self.finished {
-            return Err(StreamError::Api("push after finish"));
-        }
-        if self.parser.fed() + input.len() > self.parser.total() {
-            return Err(StreamError::Api("pushed past the declared total"));
-        }
-        let mut consumed = 0;
-        if self.out.len() < HIGH_WATER && !input.is_empty() {
-            consumed = input.len().min(FEED_PIECE);
-            self.pump(&input[..consumed], false);
-        }
-        Ok(StreamProgress { consumed, written: self.out.drain_into(out) })
+        self.0.push(input, out)
     }
 
     fn finish(&mut self, out: &mut [u8]) -> Result<(usize, bool), StreamError> {
-        if !self.finished {
-            if self.parser.fed() < self.parser.total() {
-                return Err(StreamError::Api("finish before all input was pushed"));
-            }
-            self.pump(&[], true);
-            self.finished = true;
-        }
-        let n = self.out.drain_into(out);
-        Ok((n, self.out.is_empty()))
+        self.0.finish(out)
     }
 
     fn scratch_bytes(&self) -> usize {
-        self.parser.scratch_bytes()
-            + self.data.capacity()
-            + self.out.capacity()
-            + self.payload.capacity()
+        self.0.scratch_bytes()
     }
 }
 

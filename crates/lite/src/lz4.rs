@@ -21,6 +21,7 @@
 
 use crate::{extend_literals, matcher_for_level, read_ext, Stop};
 use cdpu_lz77::matcher::HashTableMatcher;
+use cdpu_lz77::stream::Elements;
 use cdpu_lz77::window::{apply_copy, DecoderScratch};
 use cdpu_util::varint;
 
@@ -79,18 +80,7 @@ pub fn compress_with_level(data: &[u8], level: u32) -> Vec<u8> {
     parse.fold_matches_beyond(MAX_OFFSET);
     let mut out = Vec::with_capacity(data.len() / 2 + 16);
     varint::write_u64(&mut out, data.len() as u64);
-    let mut pos = 0usize;
-    for s in &parse.seqs {
-        emit_sequence(
-            &mut out,
-            &data[pos..pos + s.lit_len as usize],
-            Some((s.offset, s.match_len)),
-        );
-        pos += (s.lit_len + s.match_len) as usize;
-    }
-    if parse.last_literals > 0 {
-        emit_sequence(&mut out, &data[pos..pos + parse.last_literals as usize], None);
-    }
+    Elements::write_parse(data, &parse, &mut out, emit_sequence);
     out
 }
 

@@ -15,6 +15,7 @@
 
 use crate::{extend_literals, matcher_for_level, read_ext, Stop};
 use cdpu_lz77::matcher::HashTableMatcher;
+use cdpu_lz77::stream::Elements;
 use cdpu_lz77::window::{apply_copy, DecoderScratch};
 use cdpu_util::varint;
 
@@ -73,18 +74,19 @@ pub fn compress_with_level(data: &[u8], level: u32) -> Vec<u8> {
     parse.fold_matches_beyond(MAX_OFFSET);
     let mut out = Vec::with_capacity(data.len() / 2 + 16);
     varint::write_u64(&mut out, data.len() as u64);
-    let mut pos = 0usize;
-    for s in &parse.seqs {
-        emit_literals(&mut out, &data[pos..pos + s.lit_len as usize]);
-        pos += s.lit_len as usize;
-        emit_match(&mut out, s.offset, s.match_len);
-        pos += s.match_len as usize;
-    }
-    emit_literals(&mut out, &data[pos..pos + parse.last_literals as usize]);
+    Elements::write_parse(data, &parse, &mut out, emit_element);
     out
 }
 
-pub(crate) fn emit_literals(out: &mut Vec<u8>, lits: &[u8]) {
+/// One element: a literal run, then the match that ends it.
+pub(crate) fn emit_element(out: &mut Vec<u8>, lits: &[u8], m: Option<(u32, u32)>) {
+    emit_literals(out, lits);
+    if let Some((offset, len)) = m {
+        emit_match(out, offset, len);
+    }
+}
+
+fn emit_literals(out: &mut Vec<u8>, lits: &[u8]) {
     if lits.is_empty() {
         return;
     }
@@ -98,7 +100,7 @@ pub(crate) fn emit_literals(out: &mut Vec<u8>, lits: &[u8]) {
     out.extend_from_slice(lits);
 }
 
-pub(crate) fn emit_match(out: &mut Vec<u8>, offset: u32, len: u32) {
+fn emit_match(out: &mut Vec<u8>, offset: u32, len: u32) {
     debug_assert!((1..=MAX_OFFSET).contains(&offset));
     debug_assert!(len >= 4);
     // Two tiers, like LZO's M2/M3 forms: a 2-byte token for short, near

@@ -1,11 +1,16 @@
 //! Streaming adapters for the lightweight codecs, byte-identical to the
 //! one-shot entry points.
 //!
-//! The LZO- and LZ4-class coders stream natively. Encoders feed a
-//! [`StreamParser`] configured by the shared [`matcher_for_level`] ladder
-//! (with offsets folded at the 16-bit field ceiling, exactly like the
-//! one-shot paths' `fold_matches_beyond`) and serialize events with the
-//! same `emit_*` helpers. Both decoders are one core, `ElementStream`,
+//! The LZO- and LZ4-class coders stream natively. Each encoder is the
+//! shared [`StreamDriver`] (the push/finish contract every parser-fed
+//! encoder runs under) with a [`StreamParser`] configured by the shared
+//! [`matcher_for_level`] ladder (with offsets folded at the 16-bit field
+//! ceiling, exactly like the one-shot paths' `fold_matches_beyond`), whose
+//! events [`Elements`] writes with the element writer the one-shot path
+//! hands [`Elements::write_parse`] (`lzo::emit_element`,
+//! `lz4::emit_sequence`).
+//!
+//! Both decoders are one core, `ElementStream`,
 //! over the format's one-shot element loop (`lzo::decode_tokens`,
 //! `lz4::decode_sequences`) and a sliding [`HistBuf`] window. Each push
 //! hands the loop the new input; the loop applies every whole element and
@@ -32,14 +37,11 @@ use crate::gipfeli::{self, GipfeliError};
 use crate::lz4::{self, Lz4Error};
 use crate::lzo::{self, LzoError};
 use crate::{matcher_for_level, Stop};
-use cdpu_lz77::stream::{ParseEvent, StreamParser};
-use cdpu_util::stream::{HistBuf, OutBuf, StreamDecoder, StreamEncoder, StreamError, StreamProgress};
+use cdpu_lz77::stream::{Elements, StreamDriver, StreamParser};
+use cdpu_util::stream::{
+    HistBuf, OutBuf, StreamDecoder, StreamEncoder, StreamError, StreamProgress, HIGH_WATER,
+};
 use cdpu_util::varint::{self, VarintError};
-
-/// Stop accepting input while this much output is staged undrained.
-const HIGH_WATER: usize = 256 * 1024;
-/// Largest slice handed to the parser per push (bounds per-call latency).
-const FEED_PIECE: usize = 64 * 1024;
 /// Both byte-oriented formats use a 64 KiB history window.
 const WINDOW_SIZE: usize = 64 * 1024;
 
@@ -243,12 +245,7 @@ impl<F: Format> ElementStream<F> {
 
 /// Streaming LZO-class compressor; output matches
 /// [`lzo::compress_with_level`] for any input chunking.
-pub struct LzoStreamEncoder {
-    parser: StreamParser,
-    lits: Vec<u8>,
-    out: OutBuf,
-    finished: bool,
-}
+pub struct LzoStreamEncoder(StreamDriver<Elements>);
 
 impl LzoStreamEncoder {
     /// Creates an encoder for exactly `total` input bytes.
@@ -260,63 +257,24 @@ impl LzoStreamEncoder {
     pub fn new(total: usize, level: u32) -> Self {
         assert!((1..=9).contains(&level), "lzo levels are 1..=9");
         let parser = StreamParser::table(matcher_for_level(level), total, Some(lzo::MAX_OFFSET));
-        let mut out = OutBuf::new();
-        varint::write_u64(out.sink(), total as u64);
-        LzoStreamEncoder { parser, lits: Vec::new(), out, finished: false }
-    }
-
-    fn pump(&mut self, input: &[u8], is_final: bool) {
-        let Self { parser, lits, out, .. } = self;
-        let mut sink = |ev: ParseEvent<'_>| match ev {
-            ParseEvent::Literals(b) => lits.extend_from_slice(b),
-            ParseEvent::Match { offset, len } => {
-                lzo::emit_literals(out.sink(), lits);
-                lits.clear();
-                lzo::emit_match(out.sink(), offset, len);
-            }
-        };
-        if is_final {
-            parser.finish(&mut sink);
-        } else {
-            parser.feed(input, &mut sink);
-        }
-        if is_final {
-            lzo::emit_literals(out.sink(), lits);
-            lits.clear();
-        }
+        LzoStreamEncoder(StreamDriver::new(parser, |out| {
+            varint::write_u64(out, total as u64);
+            Elements::new(lzo::emit_element)
+        }))
     }
 }
 
 impl StreamEncoder for LzoStreamEncoder {
     fn push(&mut self, input: &[u8], out: &mut [u8]) -> Result<StreamProgress, StreamError> {
-        if self.finished {
-            return Err(StreamError::Api("push after finish"));
-        }
-        if self.parser.fed() + input.len() > self.parser.total() {
-            return Err(StreamError::Api("pushed past the declared total"));
-        }
-        let mut consumed = 0;
-        if self.out.len() < HIGH_WATER && !input.is_empty() {
-            consumed = input.len().min(FEED_PIECE);
-            self.pump(&input[..consumed], false);
-        }
-        Ok(StreamProgress { consumed, written: self.out.drain_into(out) })
+        self.0.push(input, out)
     }
 
     fn finish(&mut self, out: &mut [u8]) -> Result<(usize, bool), StreamError> {
-        if !self.finished {
-            if self.parser.fed() < self.parser.total() {
-                return Err(StreamError::Api("finish before all input was pushed"));
-            }
-            self.pump(&[], true);
-            self.finished = true;
-        }
-        let n = self.out.drain_into(out);
-        Ok((n, self.out.is_empty()))
+        self.0.finish(out)
     }
 
     fn scratch_bytes(&self) -> usize {
-        self.parser.scratch_bytes() + self.lits.capacity() + self.out.capacity()
+        self.0.scratch_bytes()
     }
 }
 
@@ -379,12 +337,7 @@ impl StreamDecoder for LzoStreamDecoder {
 
 /// Streaming LZ4-class compressor; output matches
 /// [`lz4::compress_with_level`] for any input chunking.
-pub struct Lz4StreamEncoder {
-    parser: StreamParser,
-    lits: Vec<u8>,
-    out: OutBuf,
-    finished: bool,
-}
+pub struct Lz4StreamEncoder(StreamDriver<Elements>);
 
 impl Lz4StreamEncoder {
     /// Creates an encoder for exactly `total` input bytes.
@@ -396,62 +349,24 @@ impl Lz4StreamEncoder {
     pub fn new(total: usize, level: u32) -> Self {
         assert!((1..=9).contains(&level), "lz4 levels are 1..=9");
         let parser = StreamParser::table(matcher_for_level(level), total, Some(lz4::MAX_OFFSET));
-        let mut out = OutBuf::new();
-        varint::write_u64(out.sink(), total as u64);
-        Lz4StreamEncoder { parser, lits: Vec::new(), out, finished: false }
-    }
-
-    fn pump(&mut self, input: &[u8], is_final: bool) {
-        let Self { parser, lits, out, .. } = self;
-        let mut sink = |ev: ParseEvent<'_>| match ev {
-            ParseEvent::Literals(b) => lits.extend_from_slice(b),
-            ParseEvent::Match { offset, len } => {
-                lz4::emit_sequence(out.sink(), lits, Some((offset, len)));
-                lits.clear();
-            }
-        };
-        if is_final {
-            parser.finish(&mut sink);
-        } else {
-            parser.feed(input, &mut sink);
-        }
-        if is_final && !lits.is_empty() {
-            lz4::emit_sequence(out.sink(), lits, None);
-            lits.clear();
-        }
+        Lz4StreamEncoder(StreamDriver::new(parser, |out| {
+            varint::write_u64(out, total as u64);
+            Elements::new(lz4::emit_sequence)
+        }))
     }
 }
 
 impl StreamEncoder for Lz4StreamEncoder {
     fn push(&mut self, input: &[u8], out: &mut [u8]) -> Result<StreamProgress, StreamError> {
-        if self.finished {
-            return Err(StreamError::Api("push after finish"));
-        }
-        if self.parser.fed() + input.len() > self.parser.total() {
-            return Err(StreamError::Api("pushed past the declared total"));
-        }
-        let mut consumed = 0;
-        if self.out.len() < HIGH_WATER && !input.is_empty() {
-            consumed = input.len().min(FEED_PIECE);
-            self.pump(&input[..consumed], false);
-        }
-        Ok(StreamProgress { consumed, written: self.out.drain_into(out) })
+        self.0.push(input, out)
     }
 
     fn finish(&mut self, out: &mut [u8]) -> Result<(usize, bool), StreamError> {
-        if !self.finished {
-            if self.parser.fed() < self.parser.total() {
-                return Err(StreamError::Api("finish before all input was pushed"));
-            }
-            self.pump(&[], true);
-            self.finished = true;
-        }
-        let n = self.out.drain_into(out);
-        Ok((n, self.out.is_empty()))
+        self.0.finish(out)
     }
 
     fn scratch_bytes(&self) -> usize {
-        self.parser.scratch_bytes() + self.lits.capacity() + self.out.capacity()
+        self.0.scratch_bytes()
     }
 }
 

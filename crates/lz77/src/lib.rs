@@ -18,10 +18,16 @@
 //!   search depth, used by the software ZStd-class codec to realize
 //!   compression *levels*.
 //!
+//! [`block`] cuts a parse into blocks and writes the block-frame container
+//! the ZStd-class and Flate-class encoders share, and
+//! [`stream::StreamDriver`] is the push/finish contract under every
+//! parser-fed stream encoder.
+//!
 //! [`window`] holds the decode side: applying sequences against produced
 //! output with correct overlapping-copy semantics and offset validation —
 //! the job of the paper's LZ77 decoder block (Section 5.2).
 
+pub mod block;
 pub mod hash;
 pub mod matcher;
 pub mod reference;

@@ -45,10 +45,25 @@
 //! incompressible stretch under the skip heuristic can push the cursor
 //! far ahead of the fed bytes. Both resolve as soon as the region ends.
 //!
+//! # Encoding
+//!
+//! [`StreamDriver`] is the one push/finish contract
+//! ([`StreamEncoder`]) under every parser-fed stream encoder: the API
+//! checks, input fed in pieces of at most 64 KiB while less than
+//! [`HIGH_WATER`] output waits, the drain, and `scratch_bytes`. Each codec
+//! supplies an [`EventCoder`] that turns the parser's events into output:
+//! [`Elements`] for the byte-aligned element formats (Snappy, LZ4, LZO),
+//! and the block-frame writer ([`crate::block::BlockFrameWriter`]) for the
+//! ZStd-class and Flate-class frames. Their one-shot encoders hand a whole
+//! parse to the same writers ([`Elements::write_parse`],
+//! [`BlockFrameWriter::write_parse`](crate::block::BlockFrameWriter::write_parse)).
+//!
 //! [`HashTableMatcher`]: crate::matcher::HashTableMatcher
 //! [`HashChainMatcher`]: crate::matcher::HashChainMatcher
 
 use crate::matcher::{run_hash_chain, run_hash_table, ChainConfig, MatcherConfig, ParseCursor, TableInput};
+use crate::Parse;
+use cdpu_util::stream::{OutBuf, StreamEncoder, StreamError, StreamProgress, HIGH_WATER};
 
 /// One parse decision, streamed to the consumer as soon as it is final.
 ///
@@ -245,4 +260,213 @@ fn emit_match(
         sink(ParseEvent::Match { offset: off as u32, len: len as u32 });
     }
     *emitted = end;
+}
+
+/// Largest slice handed to the parser per push (bounds per-call latency).
+const FEED_PIECE: usize = 64 * 1024;
+
+/// The codec half of a parser-fed stream encoder: turns the parser's
+/// events into output, under [`StreamDriver`].
+pub trait EventCoder {
+    /// Takes one parse event, appending whatever output it completes to
+    /// `out`.
+    fn event(&mut self, ev: ParseEvent<'_>, out: &mut Vec<u8>);
+
+    /// Ends a push after the parser took `piece`, or, with `last`, ends
+    /// the input after the parser finished (`piece` is then empty):
+    /// writes what the piece completed, and at the end everything left.
+    fn end_piece(&mut self, piece: &[u8], last: bool, out: &mut Vec<u8>);
+
+    /// Bytes the coder holds.
+    fn scratch_bytes(&self) -> usize;
+}
+
+/// The one [`StreamEncoder`] contract under every parser-fed encoder: a
+/// [`StreamParser`] feeding an [`EventCoder`]. See the module docs.
+#[derive(Debug)]
+pub struct StreamDriver<C> {
+    parser: StreamParser,
+    coder: C,
+    out: OutBuf,
+    finished: bool,
+}
+
+impl<C: EventCoder> StreamDriver<C> {
+    /// A driver of `parser` into the coder `start` returns, after `start`
+    /// wrote the stream's header into the output.
+    pub fn new(parser: StreamParser, start: impl FnOnce(&mut Vec<u8>) -> C) -> Self {
+        let mut out = OutBuf::new();
+        let coder = start(out.sink());
+        StreamDriver { parser, coder, out, finished: false }
+    }
+
+    /// Feeds `piece` (or, with `last`, finishes the parse) and codes what
+    /// it completes.
+    fn pump(&mut self, piece: &[u8], last: bool) {
+        let Self { parser, coder, out, .. } = self;
+        let out = out.sink();
+        let mut sink = |ev: ParseEvent<'_>| coder.event(ev, out);
+        if last {
+            parser.finish(&mut sink);
+        } else {
+            parser.feed(piece, &mut sink);
+        }
+        coder.end_piece(piece, last, out);
+    }
+}
+
+impl<C: EventCoder> StreamEncoder for StreamDriver<C> {
+    fn push(&mut self, input: &[u8], out: &mut [u8]) -> Result<StreamProgress, StreamError> {
+        if self.finished {
+            return Err(StreamError::Api("push after finish"));
+        }
+        if self.parser.fed() + input.len() > self.parser.total() {
+            return Err(StreamError::Api("pushed past the declared total"));
+        }
+        let mut consumed = 0;
+        if self.out.len() < HIGH_WATER && !input.is_empty() {
+            consumed = input.len().min(FEED_PIECE);
+            self.pump(&input[..consumed], false);
+        }
+        Ok(StreamProgress { consumed, written: self.out.drain_into(out) })
+    }
+
+    fn finish(&mut self, out: &mut [u8]) -> Result<(usize, bool), StreamError> {
+        if !self.finished {
+            if self.parser.fed() < self.parser.total() {
+                return Err(StreamError::Api("finish before all input was pushed"));
+            }
+            self.pump(&[], true);
+            self.finished = true;
+        }
+        let n = self.out.drain_into(out);
+        Ok((n, self.out.is_empty()))
+    }
+
+    fn scratch_bytes(&self) -> usize {
+        self.parser.scratch_bytes() + self.coder.scratch_bytes() + self.out.capacity()
+    }
+}
+
+/// An element format's writer of one element: a literal run and the
+/// match that ends it, or `None` for the run that ends the input.
+pub type EmitElement = fn(&mut Vec<u8>, &[u8], Option<(u32, u32)>);
+
+/// The [`EventCoder`] of a byte-aligned element format: buffers each
+/// literal run and hands it to the format's [`EmitElement`] with the match
+/// that ends it, and a non-empty last run with `None`.
+#[derive(Debug)]
+pub struct Elements {
+    lits: Vec<u8>,
+    emit: EmitElement,
+}
+
+impl Elements {
+    /// A coder that writes elements with `emit`.
+    pub fn new(emit: EmitElement) -> Self {
+        Elements { lits: Vec::new(), emit }
+    }
+
+    /// Writes `data`, whose parse is `parse`, as the elements a coder of
+    /// `emit` streams out for it: the one-shot encoders' element writer.
+    pub fn write_parse(
+        data: &[u8],
+        parse: &Parse,
+        out: &mut Vec<u8>,
+        emit: impl Fn(&mut Vec<u8>, &[u8], Option<(u32, u32)>),
+    ) {
+        let mut pos = 0;
+        for s in &parse.seqs {
+            emit(out, &data[pos..pos + s.lit_len as usize], Some((s.offset, s.match_len)));
+            pos += (s.lit_len + s.match_len) as usize;
+        }
+        if pos < data.len() {
+            emit(out, &data[pos..], None);
+        }
+    }
+}
+
+impl EventCoder for Elements {
+    fn event(&mut self, ev: ParseEvent<'_>, out: &mut Vec<u8>) {
+        match ev {
+            ParseEvent::Literals(b) => self.lits.extend_from_slice(b),
+            ParseEvent::Match { offset, len } => {
+                (self.emit)(out, &self.lits, Some((offset, len)));
+                self.lits.clear();
+            }
+        }
+    }
+
+    fn end_piece(&mut self, _piece: &[u8], last: bool, out: &mut Vec<u8>) {
+        if last && !self.lits.is_empty() {
+            (self.emit)(out, &self.lits, None);
+            self.lits.clear();
+        }
+    }
+
+    fn scratch_bytes(&self) -> usize {
+        self.lits.capacity()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::block::{BlockCoder, BlockFrameWriter, SplitRule};
+    use crate::Seq;
+    use cdpu_util::stream::BlockFrameSpec;
+
+    static SPEC: BlockFrameSpec<()> = BlockFrameSpec {
+        magic: *b"TEST",
+        window_logs: 10..=16,
+        block_cap: 128 * 1024,
+        raw: 0,
+        rle: None,
+        coded: 1,
+        bad_magic: (),
+        bad_header: (),
+        truncated: (),
+        bad_block: |_| (),
+        length_mismatch: |_, _| (),
+    };
+
+    /// Writes every block raw.
+    struct Raw;
+    impl BlockCoder for Raw {
+        type Stats = ();
+        fn code(&mut self, _: &[u8], _: &Parse, _: &mut Vec<u8>) -> Option<()> {
+            None
+        }
+    }
+
+    #[test]
+    fn scratch_counts_the_open_block() {
+        // "abcd" then one pseudo-random byte, over and over: a match every
+        // few bytes, all in one open 128 KiB block.
+        let (mut data, mut x) = (Vec::new(), 0x2545_F491u32);
+        while data.len() < 120_000 {
+            x = x.wrapping_mul(1_103_515_245).wrapping_add(12_345);
+            data.extend_from_slice(b"abcd");
+            data.push((x >> 16) as u8);
+        }
+        let total = data.len() + 1;
+        let rule = SplitRule {
+            block: 128 * 1024,
+            max_match: None,
+            short_as_literals: false,
+            back_off_whole: false,
+        };
+        let parser = StreamParser::table(MatcherConfig::snappy_sw(), total, None);
+        let mut enc =
+            StreamDriver::new(parser, |out| BlockFrameWriter::new(&SPEC, rule, 16, total, Raw, out));
+        let mut fed = 0;
+        while fed < data.len() {
+            fed += enc.push(&data[fed..], &mut []).unwrap().consumed;
+        }
+        let open = &enc.coder.split.cur.seqs;
+        assert!(open.len() > 10_000, "{} sequences in the open block", open.len());
+        let open_bytes = open.capacity() * std::mem::size_of::<Seq>();
+        let rest = enc.parser.scratch_bytes() + enc.out.capacity();
+        assert!(enc.scratch_bytes() >= rest + open_bytes);
+    }
 }

@@ -30,6 +30,7 @@ pub mod reference;
 pub mod stream;
 
 use cdpu_lz77::matcher::{HashTableMatcher, MatcherConfig};
+use cdpu_lz77::stream::Elements;
 use cdpu_lz77::window::{apply_copy, DecoderScratch};
 use cdpu_lz77::Parse;
 use cdpu_util::varint;
@@ -147,15 +148,16 @@ pub fn compress_parse(data: &[u8], parse: &Parse) -> Vec<u8> {
     let mut out = Vec::with_capacity(max_compressed_len(data.len()));
     varint::write_u64(&mut out, data.len() as u64);
 
-    let mut pos = 0usize;
-    for seq in &parse.seqs {
-        emit_literals(&mut out, &data[pos..pos + seq.lit_len as usize]);
-        pos += seq.lit_len as usize;
-        emit_copy(&mut out, seq.offset, seq.match_len);
-        pos += seq.match_len as usize;
-    }
-    emit_literals(&mut out, &data[pos..pos + parse.last_literals as usize]);
+    Elements::write_parse(data, parse, &mut out, emit_element);
     out
+}
+
+/// One element: a literal run, then the copy that ends it.
+pub(crate) fn emit_element(out: &mut Vec<u8>, lits: &[u8], copy: Option<(u32, u32)>) {
+    emit_literals(out, lits);
+    if let Some((offset, len)) = copy {
+        emit_copy(out, offset, len);
+    }
 }
 
 pub(crate) fn emit_literals(out: &mut Vec<u8>, mut lits: &[u8]) {

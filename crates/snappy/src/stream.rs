@@ -1,12 +1,14 @@
 //! Streaming Snappy: bounded-memory, chunk-resumable encode/decode that
 //! is byte-identical to the one-shot entry points.
 //!
-//! The encoder feeds input windows into a [`StreamParser`] configured
-//! exactly like [`parse_with`](crate::parse_with) (64 KiB window clamp,
-//! same matcher knobs) and serializes its events with the same
-//! `emit_literals`/`emit_copy` helpers the one-shot path uses, so the
-//! element stream — and therefore every output byte — matches
-//! [`compress_with`](crate::compress_with) for any chunking of the input.
+//! The encoder is the shared [`StreamDriver`] (the push/finish contract
+//! every parser-fed encoder runs under) with a [`StreamParser`]
+//! configured exactly like [`parse_with`](crate::parse_with) (64 KiB
+//! window clamp, same matcher knobs), whose events [`Elements`] writes
+//! with the element writer the one-shot path hands
+//! [`Elements::write_parse`], so the element stream — and therefore every
+//! output byte — matches [`compress_with`](crate::compress_with) for any
+//! chunking of the input.
 //!
 //! The decoder runs the one-shot decoder's element loop
 //! (`decode_elements`) over a sliding [`HistBuf`] window instead of the
@@ -34,24 +36,17 @@
 //! incompressible input). The decoder retains at most the 64 KiB format
 //! window plus the undrained staged output.
 
-use crate::{decode_elements, emit_copy, emit_literals, end_of_input, SnappyError, WINDOW_SIZE};
+use crate::{decode_elements, emit_element, end_of_input, SnappyError, WINDOW_SIZE};
 use cdpu_lz77::matcher::MatcherConfig;
-use cdpu_lz77::stream::{ParseEvent, StreamParser};
-use cdpu_util::stream::{HistBuf, OutBuf, StreamDecoder, StreamEncoder, StreamError, StreamProgress};
+use cdpu_lz77::stream::{Elements, StreamDriver, StreamParser};
+use cdpu_util::stream::{
+    HistBuf, StreamDecoder, StreamEncoder, StreamError, StreamProgress, HIGH_WATER,
+};
 use cdpu_util::varint::{self, VarintError};
 
-/// Stop accepting input while this much output is staged undrained.
-const HIGH_WATER: usize = 256 * 1024;
-/// Largest slice handed to the parser per push (bounds per-call latency).
-const FEED_PIECE: usize = 64 * 1024;
-
-/// Streaming Snappy compressor. See the module docs for the contract.
-pub struct SnappyStreamEncoder {
-    parser: StreamParser,
-    lits: Vec<u8>,
-    out: OutBuf,
-    finished: bool,
-}
+/// Streaming Snappy compressor: the shared [`StreamDriver`] writing this
+/// format's elements. See the module docs for the contract.
+pub struct SnappyStreamEncoder(StreamDriver<Elements>);
 
 impl SnappyStreamEncoder {
     /// Creates an encoder for exactly `total` input bytes, mirroring
@@ -65,63 +60,24 @@ impl SnappyStreamEncoder {
         assert!(total <= u32::MAX as usize, "snappy caps input at 4 GiB");
         let cfg = MatcherConfig { window_log: cfg.window_log.min(16), ..*cfg };
         let parser = StreamParser::table(cfg, total, None);
-        let mut out = OutBuf::new();
-        varint::write_u64(out.sink(), total as u64);
-        SnappyStreamEncoder { parser, lits: Vec::new(), out, finished: false }
-    }
-
-    fn pump(&mut self, input: &[u8], is_final: bool) {
-        let Self { parser, lits, out, .. } = self;
-        let mut sink = |ev: ParseEvent<'_>| match ev {
-            ParseEvent::Literals(b) => lits.extend_from_slice(b),
-            ParseEvent::Match { offset, len } => {
-                emit_literals(out.sink(), lits);
-                lits.clear();
-                emit_copy(out.sink(), offset, len);
-            }
-        };
-        if is_final {
-            parser.finish(&mut sink);
-        } else {
-            parser.feed(input, &mut sink);
-        }
-        if is_final {
-            emit_literals(out.sink(), lits);
-            lits.clear();
-        }
+        SnappyStreamEncoder(StreamDriver::new(parser, |out| {
+            varint::write_u64(out, total as u64);
+            Elements::new(emit_element)
+        }))
     }
 }
 
 impl StreamEncoder for SnappyStreamEncoder {
     fn push(&mut self, input: &[u8], out: &mut [u8]) -> Result<StreamProgress, StreamError> {
-        if self.finished {
-            return Err(StreamError::Api("push after finish"));
-        }
-        if self.parser.fed() + input.len() > self.parser.total() {
-            return Err(StreamError::Api("pushed past the declared total"));
-        }
-        let mut consumed = 0;
-        if self.out.len() < HIGH_WATER && !input.is_empty() {
-            consumed = input.len().min(FEED_PIECE);
-            self.pump(&input[..consumed], false);
-        }
-        Ok(StreamProgress { consumed, written: self.out.drain_into(out) })
+        self.0.push(input, out)
     }
 
     fn finish(&mut self, out: &mut [u8]) -> Result<(usize, bool), StreamError> {
-        if !self.finished {
-            if self.parser.fed() < self.parser.total() {
-                return Err(StreamError::Api("finish before all input was pushed"));
-            }
-            self.pump(&[], true);
-            self.finished = true;
-        }
-        let n = self.out.drain_into(out);
-        Ok((n, self.out.is_empty()))
+        self.0.finish(out)
     }
 
     fn scratch_bytes(&self) -> usize {
-        self.parser.scratch_bytes() + self.lits.capacity() + self.out.capacity()
+        self.0.scratch_bytes()
     }
 }
 

@@ -35,7 +35,9 @@
 //! [`BlockFrameReader`] reads the block-frame container the ZStd-class and
 //! Flate-class codecs share, for their one-shot and streaming decoders
 //! alike; each codec supplies a [`BlockFrameSpec`] and a per-block decode
-//! call.
+//! call. The same spec names the container to its one writer,
+//! `cdpu_lz77::block::BlockFrameWriter`, and every parser-fed encoder runs
+//! under one push/finish driver, `cdpu_lz77::stream::StreamDriver`.
 
 use std::ops::RangeInclusive;
 
@@ -243,15 +245,18 @@ impl HistBuf {
     }
 }
 
-/// Stop stepping a streamed frame while this much output sits undrained.
-const HIGH_WATER: usize = 256 * 1024;
+/// Staged output at which every streamer stops taking input until the
+/// caller drains it: an encoder stops feeding its parser, a decoder stops
+/// stepping its frame.
+pub const HIGH_WATER: usize = 256 * 1024;
 /// Cap on the output reserved for a frame's declared (untrusted) size.
 const RESERVE_CAP: usize = 128 * 1024;
 
 /// A codec's per-block call: `(payload, history, window, block_len)`.
 type Decode<'a, E> = dyn FnMut(&[u8], &mut HistBuf, u32, usize) -> Result<(), E> + 'a;
 
-/// The constants of one block-frame codec, for [`BlockFrameReader`].
+/// The constants of one block-frame codec, for [`BlockFrameReader`] and
+/// the one writer, `cdpu_lz77::block::BlockFrameWriter`.
 ///
 /// The container is `magic`, a window-log byte, a content-size varint,
 /// then blocks: a flags byte (bit 0: last; bits 1–2: type), a

@@ -13,12 +13,13 @@
 //! frames carry their own magic plus a dictionary checksum so mismatched
 //! dictionaries fail loudly instead of producing garbage.
 
+use cdpu_lz77::block::BlockFrameWriter;
 use cdpu_lz77::{Parse, Seq};
 use cdpu_util::crc32c::crc32c;
 use cdpu_util::stream::BlockFrameReader;
 use cdpu_util::varint;
 
-use crate::{decode_compressed, parse_with, ZstdConfig, ZstdError, FRAME};
+use crate::{decode_compressed, parse_with, Blocks, ZstdConfig, ZstdError, FRAME, SPLIT};
 
 /// Magic for dictionary frames (`CDPD`).
 pub const DICT_MAGIC: [u8; 4] = *b"CDPD";
@@ -39,7 +40,6 @@ pub fn compress_with_dict(data: &[u8], cfg: &ZstdConfig, dict: &[u8]) -> Vec<u8>
     buf.extend_from_slice(data);
     let full = parse_with(&buf, cfg);
     let parse = cut_prefix(&full, dict_tail.len());
-    debug_assert_eq!(parse.total_len(), data.len());
 
     let mut out = Vec::with_capacity(data.len() / 2 + 64);
     out.extend_from_slice(&DICT_MAGIC);
@@ -48,7 +48,8 @@ pub fn compress_with_dict(data: &[u8], cfg: &ZstdConfig, dict: &[u8]) -> Vec<u8>
     varint::write_u64(&mut out, dict.len() as u64);
     out.extend_from_slice(&crc32c(dict).to_le_bytes());
 
-    crate::emit_blocks(data, &parse, &mut out, &mut Default::default(), &cfg.entropy);
+    let blocks = BlockFrameWriter::at_blocks(&FRAME, SPLIT, data.len(), Blocks(cfg.entropy));
+    blocks.write_parse(data, &parse, &mut out, |_| {});
     out
 }
 

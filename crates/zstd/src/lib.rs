@@ -28,6 +28,7 @@
 //! assert_eq!(cdpu_zstd::decompress(&c).unwrap(), data);
 //! ```
 
+use cdpu_lz77::block::{BlockCoder, BlockFrameWriter, SplitRule, Written};
 use cdpu_lz77::matcher::{ChainConfig, HashChainMatcher, HashTableMatcher, MatcherConfig};
 use cdpu_lz77::{Lz77Error, Parse, Seq};
 use cdpu_util::stream::{BlockFrameReader, BlockFrameSpec, HistBuf};
@@ -57,7 +58,8 @@ const BLOCK_RAW: u8 = 0;
 const BLOCK_RLE: u8 = 1;
 const BLOCK_COMPRESSED: u8 = 2;
 
-/// This codec's block-frame container, read by every decoder entry.
+/// This codec's block-frame container, written by every encoder entry and
+/// read by every decoder entry.
 pub(crate) static FRAME: BlockFrameSpec<ZstdError> = BlockFrameSpec {
     magic: MAGIC,
     window_logs: 10..=31,
@@ -424,182 +426,50 @@ pub fn compress_parse_with_stats(
     parse: &Parse,
     cfg: &ZstdConfig,
 ) -> (Vec<u8>, ZstdStats) {
-    assert_eq!(parse.total_len(), data.len(), "parse must cover the input");
-    let wlog = cfg.effective_window_log();
     let mut out = Vec::with_capacity(data.len() / 2 + 64);
-    out.extend_from_slice(&MAGIC);
-    out.push(wlog as u8);
-    varint::write_u64(&mut out, data.len() as u64);
-
     let mut stats = ZstdStats {
         uncompressed_size: data.len(),
         ..Default::default()
     };
-
-    emit_blocks(data, parse, &mut out, &mut stats, &cfg.entropy);
+    frame_writer(cfg, data.len(), &mut out).write_parse(data, parse, &mut out, |block| match block {
+        Written::Raw => stats.raw_blocks += 1,
+        Written::Rle => stats.rle_blocks += 1,
+        Written::Coded(b) => stats.blocks.push(b),
+    });
     stats.compressed_size = out.len();
     (out, stats)
 }
 
-/// Writes the blocks of `data`, whose whole-input parse is `parse`: split
-/// at sequence granularity into <= 128 KiB blocks, with one payload
-/// scratch buffer serving every block of the frame.
-fn emit_blocks(
-    data: &[u8],
-    parse: &Parse,
+/// How this codec's blocks cut the parse: 128 KiB blocks, no match-length
+/// cap, and a 3-byte match kept whole.
+const SPLIT: SplitRule = SplitRule {
+    block: MAX_BLOCK_SIZE,
+    max_match: None,
+    short_as_literals: false,
+    back_off_whole: false,
+};
+
+/// This codec's block payload: Huffman or rANS literals and FSE sequences.
+#[derive(Debug)]
+pub(crate) struct Blocks(EntropyConfig);
+
+impl BlockCoder for Blocks {
+    type Stats = BlockStats;
+
+    fn code(&mut self, data: &[u8], parse: &Parse, payload: &mut Vec<u8>) -> Option<BlockStats> {
+        block::encode_block_with(data, parse, payload, &self.0).ok()
+    }
+}
+
+/// The frame writer for `total` bytes at `cfg`, after it wrote the frame
+/// header into `out`.
+pub(crate) fn frame_writer(
+    cfg: &ZstdConfig,
+    total: usize,
     out: &mut Vec<u8>,
-    stats: &mut ZstdStats,
-    entropy: &EntropyConfig,
-) {
-    let chunks = split_parse(parse, MAX_BLOCK_SIZE);
-    let mut payload = Vec::new();
-    let mut pos = 0usize;
-    for (i, chunk) in chunks.iter().enumerate() {
-        let len = chunk.total_len();
-        let last = i + 1 == chunks.len();
-        emit_block(&data[pos..pos + len], chunk, last, out, stats, &mut payload, entropy);
-        pos += len;
-    }
-    if chunks.is_empty() {
-        // Zero-length content still needs a terminating block.
-        emit_block(b"", &Parse::default(), true, out, stats, &mut payload, entropy);
-    }
-}
-
-/// Splits a whole-input parse into per-block parses of at most
-/// `block_target` bytes each.
-///
-/// Long matches are split into back-to-back matches at the *same* offset —
-/// valid because an LZ77 copy of length `L1+L2` from offset `O` produces
-/// identical output to copies of `L1` then `L2` from `O` (the second copy
-/// continues from the same relative source). This keeps every block within
-/// the size target and every match within the match-length code range.
-pub(crate) fn split_parse(parse: &Parse, block_target: usize) -> Vec<Parse> {
-    let mut s = Splitter::new(block_target);
-    for seq in &parse.seqs {
-        s.add_literals(seq.lit_len as usize);
-        s.add_match(seq.match_len as usize, seq.offset);
-    }
-    s.add_literals(parse.last_literals as usize);
-    s.close();
-    s.chunks
-}
-
-/// Incremental block splitter: accumulates parse events (literal runs,
-/// matches) and closes a [`Parse`] chunk whenever `target` bytes are
-/// covered. `split_parse` is one whole-parse drive of this; the streaming
-/// encoder feeds it straight from `cdpu_lz77::stream::StreamParser`, which
-/// yields byte-identical chunking because both literal-run splitting and
-/// match splitting are additive (see `add_match`).
-pub(crate) struct Splitter {
-    /// Closed chunks, ready to encode. Drained by the streaming encoder.
-    pub(crate) chunks: Vec<Parse>,
-    cur: Parse,
-    cur_len: usize,
-    target: usize,
-}
-
-impl Splitter {
-    pub(crate) fn new(target: usize) -> Self {
-        assert!(target >= 8);
-        Splitter {
-            chunks: Vec::new(),
-            cur: Parse::default(),
-            cur_len: 0,
-            target,
-        }
-    }
-
-    pub(crate) fn close(&mut self) {
-        if self.cur_len > 0 || !self.cur.seqs.is_empty() {
-            self.chunks.push(std::mem::take(&mut self.cur));
-            self.cur_len = 0;
-        }
-    }
-
-    /// Accumulates literal bytes, splitting across chunks as needed. They
-    /// sit in `cur.last_literals` until a match converts them into a
-    /// sequence's `lit_len`. Additive: feeding a run as several calls
-    /// produces the same chunking as one call.
-    pub(crate) fn add_literals(&mut self, mut n: usize) {
-        while n > 0 {
-            if self.cur_len == self.target {
-                self.close();
-            }
-            let take = n.min(self.target - self.cur_len);
-            self.cur.last_literals += take as u32;
-            self.cur_len += take;
-            n -= take;
-        }
-    }
-
-    /// Adds a match of `len` bytes at `offset`, splitting so that no chunk
-    /// exceeds the target and every piece stays ≥ 4 bytes (codeable).
-    pub(crate) fn add_match(&mut self, mut len: usize, offset: u32) {
-        const MIN_PIECE: usize = 4;
-        while len > 0 {
-            let space = self.target - self.cur_len;
-            let mut piece = len.min(space);
-            if piece < len {
-                // Splitting: keep the remainder codeable.
-                if len - piece < MIN_PIECE {
-                    piece = len.saturating_sub(MIN_PIECE);
-                }
-                if piece < MIN_PIECE {
-                    // Not enough room for a valid piece here; start fresh.
-                    self.close();
-                    continue;
-                }
-            }
-            let lit_len = std::mem::take(&mut self.cur.last_literals);
-            self.cur.seqs.push(Seq {
-                lit_len,
-                match_len: piece as u32,
-                offset,
-            });
-            self.cur_len += piece;
-            len -= piece;
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn emit_block(
-    data: &[u8],
-    parse: &Parse,
-    last: bool,
-    out: &mut Vec<u8>,
-    stats: &mut ZstdStats,
-    payload: &mut Vec<u8>,
-    entropy: &EntropyConfig,
-) {
-    let last_bit = if last { 1u8 } else { 0 };
-    // RLE block: uniform content.
-    if data.len() >= 16 && data.iter().all(|&b| b == data[0]) {
-        out.push(last_bit | (BLOCK_RLE << 1));
-        varint::write_u64(out, data.len() as u64);
-        out.push(data[0]);
-        stats.rle_blocks += 1;
-        return;
-    }
-    // Try a compressed block; fall back to raw when it does not pay. The
-    // payload scratch is caller-owned so one allocation serves the frame.
-    payload.clear();
-    match block::encode_block_with(data, parse, payload, entropy) {
-        Ok(bstats) if payload.len() < data.len() => {
-            out.push(last_bit | (BLOCK_COMPRESSED << 1));
-            varint::write_u64(out, data.len() as u64);
-            varint::write_u64(out, payload.len() as u64);
-            out.extend_from_slice(payload);
-            stats.blocks.push(bstats);
-        }
-        _ => {
-            out.push(last_bit | (BLOCK_RAW << 1));
-            varint::write_u64(out, data.len() as u64);
-            out.extend_from_slice(data);
-            stats.raw_blocks += 1;
-        }
-    }
+) -> BlockFrameWriter<ZstdError, Blocks> {
+    let wlog = cfg.effective_window_log();
+    BlockFrameWriter::new(&FRAME, SPLIT, wlog, total, Blocks(cfg.entropy), out)
 }
 
 /// Reads frame metadata without decompressing.
@@ -874,33 +744,6 @@ mod tests {
         assert!(std::panic::catch_unwind(|| ZstdConfig::with_level(23)).is_err());
         assert!(std::panic::catch_unwind(|| ZstdConfig::with_level(-8)).is_err());
         assert!(std::panic::catch_unwind(|| ZstdConfig::with_level(3).window_log(9)).is_err());
-    }
-
-    #[test]
-    fn split_parse_respects_target() {
-        let parse = Parse {
-            seqs: (0..100)
-                .map(|_| Seq { lit_len: 1000, match_len: 500, offset: 7 })
-                .collect(),
-            last_literals: 3000,
-        };
-        let chunks = split_parse(&parse, 10_000);
-        let total: usize = chunks.iter().map(|c| c.total_len()).sum();
-        assert_eq!(total, parse.total_len());
-        for c in &chunks {
-            assert!(c.total_len() <= 10_000 + 1500, "chunk {} too big", c.total_len());
-        }
-    }
-
-    #[test]
-    fn split_parse_giant_literal_run() {
-        let parse = Parse {
-            seqs: vec![Seq { lit_len: 50_000, match_len: 4, offset: 1 }],
-            last_literals: 0,
-        };
-        let chunks = split_parse(&parse, 10_000);
-        let total: usize = chunks.iter().map(|c| c.total_len()).sum();
-        assert_eq!(total, parse.total_len());
     }
 
     #[test]
