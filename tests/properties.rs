@@ -419,6 +419,161 @@ fn hand_built_parse_frames_are_pinned() {
     assert_eq!(h, 0x1ED2_0848_DB39_C4E5, "hand-built parse frames moved: got {h:#018X}");
 }
 
+/// The input a parse describes: random literals, each match copied from
+/// `offset` back.
+fn materialize(rng: &mut Xoshiro256, parse: &cdpu::lz77::Parse) -> Vec<u8> {
+    let mut out = Vec::with_capacity(parse.total_len());
+    let mut literals = |out: &mut Vec<u8>, n: u32| {
+        let start = out.len();
+        out.resize(start + n as usize, 0);
+        rng.fill_bytes(&mut out[start..]);
+    };
+    for s in &parse.seqs {
+        literals(&mut out, s.lit_len);
+        assert!(s.offset as usize <= out.len(), "offset {} before the input", s.offset);
+        for _ in 0..s.match_len {
+            out.push(out[out.len() - s.offset as usize]);
+        }
+    }
+    literals(&mut out, parse.last_literals);
+    out
+}
+
+/// Pins the zstd and flate frames (and zstd statistics) on both sides of
+/// the entropy stage's pay tests and at every sequence-code edge:
+///
+/// - literal sections of uniform-random bytes mixed with a 4-symbol
+///   alphabet in 1/16 steps, 8 B–16 KiB, whole-input literal parses and the
+///   codecs' own parses;
+/// - 255- and 256-symbol alphabets at the same sizes;
+/// - sections of 1–16 literals, alone and in blocks of 16+ sequences;
+/// - hand-built parses with literal lengths 15/16/63/64/65535/65536/131071,
+///   match lengths 3/34/35/130/131/258/259/131074, every length of
+///   flate's length table at its bases ±1, offsets at powers of two ±1 up to
+///   zstd's 128 KiB window, flate distances at each distance base ±1, and 15
+///   and 16 sequences (the FSE threshold).
+///
+/// One digest over every frame; every frame also decodes to its input.
+#[test]
+fn entropy_edge_frames_are_pinned() {
+    use cdpu::lz77::{Parse, Seq};
+    let mut rng = Xoshiro256::seed_from(0xED6E);
+    let mut h = 0xCBF2_9CE4_8422_2325u64;
+    let fold = |h: &mut u64, data: &[u8], parse: Option<&Parse>| {
+        let (z, stats) = match parse {
+            Some(p) => cdpu::zstd::compress_parse_with_stats(data, p, &Default::default()),
+            None => cdpu::zstd::compress_with_stats(data, &Default::default()),
+        };
+        let f = match parse {
+            Some(p) => cdpu::flate::compress_parse(data, p, &Default::default()),
+            None => cdpu::flate::compress(data),
+        };
+        assert_eq!(cdpu::zstd::decompress(&z).unwrap(), data, "zstd frame of {} bytes", data.len());
+        assert_eq!(cdpu::flate::decompress(&f).unwrap(), data, "flate frame of {} bytes", data.len());
+        for frame in [&z, &f, format!("{stats:?}").as_bytes()] {
+            *h = fnv1a64(*h, &(frame.len() as u64).to_le_bytes());
+            *h = fnv1a64(*h, frame);
+        }
+    };
+    let literal_parse = |len: usize| Parse { seqs: Vec::new(), last_literals: len as u32 };
+
+    // Literal sections: random bytes in `sixteenths`/16 of the positions,
+    // the 4-symbol alphabet elsewhere; then 255 and 256 symbols.
+    for len in [8usize, 16, 64, 256, 1024, 4096, 16384] {
+        for sixteenths in 0..=16 {
+            let data: Vec<u8> = (0..len)
+                .map(|_| {
+                    if rng.index(16) < sixteenths {
+                        rng.next_u64() as u8
+                    } else {
+                        b"acgt"[rng.index(4)]
+                    }
+                })
+                .collect();
+            fold(&mut h, &data, Some(&literal_parse(len)));
+            fold(&mut h, &data, None);
+        }
+        for alphabet in [255usize, 256] {
+            let mut data: Vec<u8> = (0..len).map(|_| rng.index(alphabet) as u8).collect();
+            for (i, b) in data.iter_mut().take(alphabet).enumerate() {
+                *b = i as u8;
+            }
+            fold(&mut h, &data, Some(&literal_parse(len)));
+            fold(&mut h, &data, None);
+        }
+    }
+
+    // `(lit_len, match_len, offset)` rows; every parse starts with a
+    // literal run as long as its longest offset.
+    let mut parses: Vec<Vec<(u32, u32, u32)>> = Vec::new();
+    let filler = |n: usize| vec![(20u32, 6u32, 20u32); n];
+    for lits in 1..=16 {
+        parses.push(vec![(20, 6, 20), (lits, 8, 20)]);
+        let mut seqs = filler(1);
+        seqs.extend(std::iter::repeat_n((lits, 5, 17), 20));
+        parses.push(seqs);
+    }
+    for lit_len in [15u32, 16, 63, 64, 65535, 65536, 131071] {
+        let mut seqs = filler(8);
+        seqs.push((lit_len, 6, 20));
+        seqs.extend(filler(8));
+        parses.push(seqs);
+    }
+    for match_len in [3u32, 34, 35, 130, 131, 258, 259, 131074] {
+        let mut seqs = filler(8);
+        seqs.push((20, match_len, 20));
+        seqs.extend(filler(8));
+        parses.push(seqs);
+    }
+    let mut lengths = filler(1);
+    for base in [
+        3u32, 4, 5, 6, 7, 8, 9, 10, 11, 13, 15, 17, 19, 23, 27, 31, 35, 43, 51, 59, 67, 83, 99,
+        115, 131, 163, 195, 227, 258,
+    ] {
+        for len in [base - 1, base, base + 1] {
+            if (3..=258).contains(&len) {
+                lengths.push((20, len, 20));
+            }
+        }
+    }
+    parses.push(lengths);
+    let mut offsets = vec![(131_072, 4, 1)];
+    for k in 0..=17 {
+        for offset in [(1u32 << k) - 1, 1 << k, (1 << k) + 1] {
+            if (1..=131_072).contains(&offset) {
+                offsets.push((20, 6, offset));
+            }
+        }
+    }
+    parses.push(offsets);
+    let mut distances = vec![(32_768, 4, 1)];
+    for base in [
+        1u32, 2, 3, 4, 5, 7, 9, 13, 17, 25, 33, 49, 65, 97, 129, 193, 257, 385, 513, 769, 1025,
+        1537, 2049, 3073, 4097, 6145, 8193, 12289, 16385, 24577, 32768,
+    ] {
+        for dist in [base - 1, base, base + 1] {
+            if (1..=32_768).contains(&dist) {
+                distances.push((20, 6, dist));
+            }
+        }
+    }
+    parses.push(distances);
+    parses.push(filler(15));
+    parses.push(filler(16));
+    for seqs in parses {
+        let parse = Parse {
+            seqs: seqs
+                .iter()
+                .map(|&(lit_len, match_len, offset)| Seq { lit_len, match_len, offset })
+                .collect(),
+            last_literals: 7,
+        };
+        let data = materialize(&mut rng, &parse);
+        fold(&mut h, &data, Some(&parse));
+    }
+    assert_eq!(h, 0xC1E3_2C25_4326_6C02, "entropy edge frames moved: got {h:#018X}");
+}
+
 /// Folds one parse into `h`: sequence count first, so a sequence moving
 /// between parses still shows.
 fn fold_parse(mut h: u64, parse: &cdpu::lz77::Parse) -> u64 {
