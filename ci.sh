@@ -29,6 +29,11 @@ for name in \
     chain_parses_are_pinned \
     entropy_modes_are_pinned \
     hand_built_parse_frames_are_pinned \
+    entropy_edge_frames_are_pinned \
+    table_mappers_match_the_base_walk \
+    raw_precheck_is_sound \
+    normalize_matches_the_one_step_oracle \
+    small_random_zstd_call_builds_no_huffman_table \
     every_stream_encoder_keeps_the_push_finish_contract \
     scratch_counts_the_open_block \
     hash_table_grid_matches_reference \
@@ -101,6 +106,14 @@ if grep -nE 'transition_width|FseStreamDecoder' crates/zstd/src/block.rs; then
     echo "FAIL: crates/zstd/src/block.rs steps FSE states field by field again" >&2
     exit 1
 fi
+
+echo "==> table-driven sequence codes: no base walk outside the test oracles"
+for f in crates/zstd/src/codes.rs crates/flate/src/codes.rs; do
+    if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -n 'partition_point'; then
+        echo "FAIL: $f maps values to codes by a base walk again" >&2
+        exit 1
+    fi
+done
 
 echo "==> one block-frame reader: no frame state machine or slice block walk in the zstd/flate decoders"
 if grep -nE 'enum DecState|read_u64\(&frame\[pos\.\.\]\)' \

@@ -86,45 +86,42 @@ pub fn normalize_counts(freqs: &[u32], table_log: u8) -> Result<Vec<u32>, FseErr
     }
     let table_size = 1u64 << table_log;
     let total: u64 = freqs.iter().map(|&c| c as u64).sum();
-    let used: Vec<usize> = (0..freqs.len()).filter(|&s| freqs[s] > 0).collect();
-    if used.is_empty() {
+    let used = freqs.iter().filter(|&&c| c > 0).count() as u64;
+    if used == 0 {
         return Err(FseError::EmptyAlphabet);
     }
-    if used.len() as u64 > table_size {
+    if used > table_size {
         return Err(FseError::BadTableLog);
     }
 
     let mut norm = vec![0u32; freqs.len()];
     let mut assigned: u64 = 0;
-    for &s in &used {
-        let scaled = ((freqs[s] as u128 * table_size as u128) / total as u128) as u64;
+    for (n, &f) in norm.iter_mut().zip(freqs).filter(|(_, &f)| f > 0) {
+        let scaled = ((f as u128 * table_size as u128) / total as u128) as u64;
         let c = scaled.max(1);
-        norm[s] = c as u32;
+        *n = c as u32;
         assigned += c;
     }
 
-    // Correction pass: nudge counts until the sum is exact. Steal from /
-    // give to the symbols where the relative distortion is smallest, i.e.
-    // the largest counts.
-    while assigned != table_size {
-        if assigned > table_size {
-            let victim = used
-                .iter()
-                .copied()
-                .filter(|&s| norm[s] > 1)
-                .max_by_key(|&s| norm[s])
-                .expect("sum can always be reduced to table_size");
-            norm[victim] -= 1;
-            assigned -= 1;
-        } else {
-            let winner = used
-                .iter()
-                .copied()
-                .max_by_key(|&s| (freqs[s] as u64) << 16 | norm[s] as u64)
-                .expect("non-empty");
-            norm[winner] += 1;
-            assigned += 1;
-        }
+    // Correction: nudge counts until the sum is exact, stealing from or
+    // giving to the symbols where the relative distortion is smallest, i.e.
+    // the largest counts (the last of equal ones). A surplus goes one state
+    // at a time, each from the then-largest count. A deficit goes whole to
+    // one symbol: the largest `freq << 16 | norm` among the used ones
+    // (unused ones key 0 and never win) stays the largest once it grows.
+    while assigned > table_size {
+        let victim = (0..norm.len())
+            .filter(|&s| norm[s] > 1)
+            .max_by_key(|&s| norm[s])
+            .expect("sum can always be reduced to table_size");
+        norm[victim] -= 1;
+        assigned -= 1;
+    }
+    if assigned < table_size {
+        let winner = (0..norm.len())
+            .max_by_key(|&s| (freqs[s] as u64) << 16 | norm[s] as u64)
+            .expect("non-empty");
+        norm[winner] += (table_size - assigned) as u32;
     }
     Ok(norm)
 }
@@ -197,7 +194,7 @@ impl FseEncodeTable {
             cumul[s + 1] = cumul[s] + norm[s];
         }
         let mut state_table = vec![0u16; size];
-        let mut fill = cumul.clone();
+        let mut fill = cumul;
         for (u, &s) in spread.iter().enumerate() {
             state_table[fill[s as usize] as usize] = (size + u) as u16;
             fill[s as usize] += 1;
@@ -355,6 +352,21 @@ impl<'t> FseStreamEncoder<'t> {
     ///
     /// [`FseError::UnknownSymbol`] if the symbol has no states in the table.
     pub fn push(&mut self, symbol: u16, out: &mut BitWriter) -> Result<(), FseError> {
+        let (bits, nb_bits) = self.step(symbol)?;
+        out.write_bits(bits, nb_bits);
+        Ok(())
+    }
+
+    /// [`FseStreamEncoder::push`] without the write: moves to the next
+    /// state and returns the `(bits, count)` field `push` would append (at
+    /// most `table_log` bits; none for the first symbol). A caller that
+    /// writes several fields per step packs them into one write.
+    ///
+    /// # Errors
+    ///
+    /// [`FseError::UnknownSymbol`] if the symbol has no states in the table.
+    #[inline]
+    pub fn step(&mut self, symbol: u16) -> Result<(u64, u32), FseError> {
         self.table.check_symbol(symbol)?;
         let tt = self.table.transforms[symbol as usize];
         if !self.started {
@@ -365,13 +377,13 @@ impl<'t> FseStreamEncoder<'t> {
             let idx = (value >> nb_bits_out) as i32 + tt.delta_find_state;
             self.state = self.table.state_table[idx as usize] as u32;
             self.started = true;
-            return Ok(());
+            return Ok((0, 0));
         }
         let nb_bits_out = (self.state + tt.delta_nb_bits) >> 16;
-        out.write_bits((self.state & ((1 << nb_bits_out) - 1)) as u64, nb_bits_out);
+        let bits = (self.state & ((1 << nb_bits_out) - 1)) as u64;
         let idx = (self.state >> nb_bits_out) as i32 + tt.delta_find_state;
         self.state = self.table.state_table[idx as usize] as u32;
-        Ok(())
+        Ok((bits, nb_bits_out))
     }
 
     /// Flushes the final state (`table_log` bits). The caller finishes the
@@ -627,6 +639,66 @@ mod tests {
                 decode_per_symbol(&bytes[..cut], &norm, table_log, len),
                 "trial {trial} truncated to {cut} bytes"
             );
+        }
+    }
+
+    /// The correction loop `normalize_counts` shipped first, one state per
+    /// step in both directions, kept as its oracle.
+    fn normalize_counts_oracle(freqs: &[u32], table_log: u8) -> Result<Vec<u32>, FseError> {
+        if table_log == 0 || table_log > MAX_TABLE_LOG {
+            return Err(FseError::BadTableLog);
+        }
+        let table_size = 1u64 << table_log;
+        let total: u64 = freqs.iter().map(|&c| c as u64).sum();
+        let used: Vec<usize> = (0..freqs.len()).filter(|&s| freqs[s] > 0).collect();
+        if used.is_empty() {
+            return Err(FseError::EmptyAlphabet);
+        }
+        if used.len() as u64 > table_size {
+            return Err(FseError::BadTableLog);
+        }
+        let mut norm = vec![0u32; freqs.len()];
+        let mut assigned: u64 = 0;
+        for &s in &used {
+            let scaled = ((freqs[s] as u128 * table_size as u128) / total as u128) as u64;
+            norm[s] = scaled.max(1) as u32;
+            assigned += scaled.max(1);
+        }
+        while assigned != table_size {
+            if assigned > table_size {
+                let victim = used.iter().copied().filter(|&s| norm[s] > 1).max_by_key(|&s| norm[s]).unwrap();
+                norm[victim] -= 1;
+                assigned -= 1;
+            } else {
+                let winner =
+                    used.iter().copied().max_by_key(|&s| (freqs[s] as u64) << 16 | norm[s] as u64).unwrap();
+                norm[winner] += 1;
+                assigned += 1;
+            }
+        }
+        Ok(norm)
+    }
+
+    #[test]
+    fn normalize_matches_the_one_step_oracle() {
+        let mut rng = Xoshiro256::seed_from(0xF5E);
+        for case in 0..20_000 {
+            let alphabet = 1 + rng.index(if case % 10 == 0 { 256 } else { 53 });
+            let freqs: Vec<u32> = (0..alphabet)
+                .map(|_| match case % 4 {
+                    0 => rng.index(3) as u32,
+                    1 => 1 << rng.index(20),
+                    2 if rng.chance(0.5) => 0,
+                    _ => rng.index(5000) as u32,
+                })
+                .collect();
+            for log in 0..=MAX_TABLE_LOG + 1 {
+                assert_eq!(
+                    normalize_counts(&freqs, log),
+                    normalize_counts_oracle(&freqs, log),
+                    "case {case} log {log} freqs {freqs:?}"
+                );
+            }
         }
     }
 

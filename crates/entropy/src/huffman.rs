@@ -145,11 +145,17 @@ pub fn package_merge_lengths(freqs: &[u32], limit: u8) -> Result<Vec<u8>, Huffma
     // item needs no record of the symbols inside it: a weight to build the
     // next level from (two buffers), and a leaf/package flag to trace the
     // solution back through (all levels, flat; `ends[k]` closes level k).
+    //
+    // A level equal to the level below it makes every higher level equal
+    // too (each is built from the one below alone), so the build stops at
+    // the first repeat and the back-trace reads level `top` for all the
+    // levels above it.
     let levels = limit as usize;
     let mut ends = [0usize; MAX_CODE_LEN as usize + 1];
     let mut is_leaf = Vec::with_capacity(levels * 2 * n);
     is_leaf.resize(n, true);
     ends[1] = n;
+    let mut top = 1;
     let mut below: Vec<u64> = leaves.iter().map(|leaf| leaf.0).collect();
     let mut level: Vec<u64> = Vec::with_capacity(2 * n);
     for end in &mut ends[2..=levels] {
@@ -168,7 +174,11 @@ pub fn package_merge_lengths(freqs: &[u32], limit: u8) -> Result<Vec<u8>, Huffma
             }
             is_leaf.push(take_leaf);
         }
+        if level == below {
+            break;
+        }
         *end = is_leaf.len();
+        top += 1;
         std::mem::swap(&mut below, &mut level);
         level.clear();
     }
@@ -180,6 +190,7 @@ pub fn package_merge_lengths(freqs: &[u32], limit: u8) -> Result<Vec<u8>, Huffma
     // i.e. the first `2 * (take - taken)` items of the level below.
     let mut take = 2 * (n - 1);
     for k in (1..=levels).rev() {
+        let k = k.min(top);
         let level = &is_leaf[ends[k - 1]..ends[k]];
         take = take.min(level.len());
         let taken = level[..take].iter().filter(|&&leaf| leaf).count();
@@ -444,7 +455,7 @@ impl HuffmanTable {
     /// [`HuffmanError::UnknownSymbol`] if `data` contains a byte absent from
     /// the table.
     pub fn encode_bytes(&self, data: &[u8]) -> Result<(Vec<u8>, usize), HuffmanError> {
-        let codes = self.byte_codes();
+        let codes = self.packed_codes::<256>();
         let mut w = MsbBitWriter::new();
         for &b in data {
             encode_byte(&codes, b, &mut w)?;
@@ -452,11 +463,11 @@ impl HuffmanTable {
         Ok(w.finish())
     }
 
-    /// The code book for byte symbols packed one `code << 8 | len` entry
-    /// per byte value, 0 for an absent one: one load per symbol where
+    /// The code book of symbols below `N` packed one `code << 8 | len`
+    /// entry per symbol, 0 for an absent one: one load per symbol where
     /// [`HuffmanTable::encode_symbol`] makes two bounds-checked ones.
-    pub(crate) fn byte_codes(&self) -> [u32; 256] {
-        let mut packed = [0u32; 256];
+    pub fn packed_codes<const N: usize>(&self) -> [u32; N] {
+        let mut packed = [0u32; N];
         for (entry, (&len, &code)) in packed.iter_mut().zip(self.lengths.iter().zip(&self.codes)) {
             *entry = (code as u32) << 8 | len as u32;
         }
@@ -758,7 +769,7 @@ fn decode_group<const N: usize, const MARK: bool>(
     bad
 }
 
-/// Appends byte `b`'s code from a [`HuffmanTable::byte_codes`] table.
+/// Appends byte `b`'s code from a [`HuffmanTable::packed_codes`] table.
 ///
 /// # Errors
 ///

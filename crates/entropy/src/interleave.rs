@@ -71,7 +71,7 @@ pub fn huffman_encode(
     if !check_ways(ways) {
         return Err(HuffmanError::BadStream);
     }
-    let codes = table.byte_codes();
+    let codes = table.packed_codes::<256>();
     let mut writers: Vec<MsbBitWriter> = (0..ways).map(|_| MsbBitWriter::new()).collect();
     for (i, &b) in data.iter().enumerate() {
         encode_byte(&codes, b, &mut writers[i % ways])?;

@@ -40,6 +40,20 @@ const DIST_TABLE: [(u32, u8); 30] = [
     (16385, 13), (24577, 13),
 ];
 
+/// Index into [`LENGTH_TABLE`] of every length 3..=258, from `len - 3`.
+const LENGTH_CODES: [u8; 256] = {
+    let mut codes = [0u8; 256];
+    let (mut len, mut idx) = (3u32, 0usize);
+    while len <= 258 {
+        while idx + 1 < LENGTH_TABLE.len() && LENGTH_TABLE[idx + 1].0 <= len {
+            idx += 1;
+        }
+        codes[len as usize - 3] = idx as u8;
+        len += 1;
+    }
+    codes
+};
+
 /// A coded field: symbol + extra bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Coded {
@@ -72,10 +86,7 @@ pub fn length_code(len: u32) -> Result<Coded, OutOfRange> {
     if !(3..=258).contains(&len) {
         return Err(OutOfRange(len));
     }
-    if len == 258 {
-        return Ok(Coded { code: 285, extra_bits: 0, extra: 0 });
-    }
-    let idx = LENGTH_TABLE[..28].partition_point(|&(b, _)| b <= len) - 1;
+    let idx = LENGTH_CODES[len as usize - 3] as usize;
     let (base, bits) = LENGTH_TABLE[idx];
     Ok(Coded {
         code: 257 + idx as u16,
@@ -112,7 +123,15 @@ pub fn dist_code(dist: u32) -> Result<Coded, OutOfRange> {
     if !(1..=32768).contains(&dist) {
         return Err(OutOfRange(dist));
     }
-    let idx = DIST_TABLE.partition_point(|&(b, _)| b <= dist) - 1;
+    // Codes 0–3 are distances 1–4; from there two codes per power of two
+    // of `dist - 1`, split by the bit below its top bit.
+    let d = dist - 1;
+    let idx = if d < 4 {
+        d as usize
+    } else {
+        let top = d.ilog2();
+        (2 * top + ((d >> (top - 1)) & 1)) as usize
+    };
     let (base, bits) = DIST_TABLE[idx];
     Ok(Coded {
         code: idx as u16,
@@ -142,6 +161,40 @@ pub fn dist_extra_bits(code: u16) -> Option<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The base walks `length_code` and `dist_code` were first written as,
+    /// kept as their oracle.
+    fn length_code_oracle(len: u32) -> Result<Coded, OutOfRange> {
+        if !(3..=258).contains(&len) {
+            return Err(OutOfRange(len));
+        }
+        if len == 258 {
+            return Ok(Coded { code: 285, extra_bits: 0, extra: 0 });
+        }
+        let idx = LENGTH_TABLE[..28].partition_point(|&(b, _)| b <= len) - 1;
+        let (base, bits) = LENGTH_TABLE[idx];
+        Ok(Coded { code: 257 + idx as u16, extra_bits: bits, extra: len - base })
+    }
+
+    fn dist_code_oracle(dist: u32) -> Result<Coded, OutOfRange> {
+        if !(1..=32768).contains(&dist) {
+            return Err(OutOfRange(dist));
+        }
+        let idx = DIST_TABLE.partition_point(|&(b, _)| b <= dist) - 1;
+        let (base, bits) = DIST_TABLE[idx];
+        Ok(Coded { code: idx as u16, extra_bits: bits, extra: dist - base })
+    }
+
+    #[test]
+    fn table_mappers_match_the_base_walk() {
+        let wide = || (15..32).flat_map(|k| [(1u32 << k) - 1, 1 << k, (1 << k) + 1]).chain([u32::MAX]);
+        for len in (0..=1024).chain(wide()) {
+            assert_eq!(length_code(len), length_code_oracle(len), "length {len}");
+        }
+        for dist in (0..=100_000).chain(wide()) {
+            assert_eq!(dist_code(dist), dist_code_oracle(dist), "distance {dist}");
+        }
+    }
 
     #[test]
     fn length_roundtrip_exhaustive() {

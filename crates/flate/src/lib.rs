@@ -231,7 +231,7 @@ impl BlockCoder for Blocks {
     type Stats = ();
 
     fn code(&mut self, data: &[u8], parse: &Parse, payload: &mut Vec<u8>) -> Option<()> {
-        encode_huff_block(data, parse, payload).ok()
+        encode_huff_block(data, parse, payload)
     }
 }
 
@@ -245,75 +245,150 @@ pub(crate) fn frame_writer(
     BlockFrameWriter::new(&FRAME, SPLIT, cfg.window_log.min(MAX_WINDOW_LOG), total, Blocks, out)
 }
 
-/// Encodes one Huffman block: the DEFLATE symbol stream (literal/length +
-/// distance alphabets) with dynamic tables.
-fn encode_huff_block(data: &[u8], parse: &Parse, out: &mut Vec<u8>) -> Result<(), FlateError> {
-    // Build the symbol stream and frequency tables.
-    let mut litlen_freq = vec![0u32; codes::LITLEN_SYMBOLS];
-    let mut dist_freq = vec![0u32; codes::DIST_SYMBOLS];
-    litlen_freq[codes::END_OF_BLOCK as usize] = 1;
+/// Relative margin [`min_coded_bits`] keeps under the Shannon bound: the
+/// f64 sum is within 1e-10 of the bound, relative (DESIGN.md, "Entropy
+/// pay tests"), so the result never exceeds the true bound.
+const SHANNON_MARGIN: f64 = 1e-6;
 
-    let mut pos = 0usize;
-    for s in &parse.seqs {
-        for &b in &data[pos..pos + s.lit_len as usize] {
-            litlen_freq[b as usize] += 1;
+/// A lower bound on the bits any prefix code, a Huffman table built from
+/// `hist` among them, spends on the symbols `hist` counts.
+fn min_coded_bits(hist: &[u32]) -> u64 {
+    let total: u64 = hist.iter().map(|&c| c as u64).sum();
+    (cdpu_entropy::shannon_entropy(hist) * total as f64 * (1.0 - SHANNON_MARGIN)) as u64
+}
+
+/// The bits a table with code `lengths` spends on the symbols `hist`
+/// counts.
+fn coded_bits(lengths: &[u8], hist: &[u32]) -> u64 {
+    lengths.iter().zip(hist).map(|(&len, &count)| len as u64 * count as u64).sum()
+}
+
+/// Bytes [`HuffmanTable::serialize`] writes for a table built from `hist`:
+/// the symbol count, then a nibble per symbol up to the last used one.
+fn table_bytes(hist: &[u32]) -> usize {
+    2 + hist.iter().rposition(|&c| c > 0).map_or(0, |last| last + 1).div_ceil(2)
+}
+
+/// One block's symbol counts: what its tables are built from and what its
+/// pay test reads.
+struct BlockSymbols {
+    litlen: [u32; codes::LITLEN_SYMBOLS],
+    dist: [u32; codes::DIST_SYMBOLS],
+    /// Length and distance extra bits, which no table changes.
+    extra_bits: u64,
+    /// Whether the distance table codes any symbol; without matches it is
+    /// a 1-symbol placeholder.
+    has_dists: bool,
+}
+
+impl BlockSymbols {
+    /// Counts the block's symbols; `None` for a match no code covers.
+    fn count(data: &[u8], parse: &Parse) -> Option<Self> {
+        let mut litlen = [0u32; codes::LITLEN_SYMBOLS];
+        let mut dist = [0u32; codes::DIST_SYMBOLS];
+        litlen[codes::END_OF_BLOCK as usize] = 1;
+        let mut extra_bits = 0u64;
+        let mut pos = 0usize;
+        for s in &parse.seqs {
+            for &b in &data[pos..pos + s.lit_len as usize] {
+                litlen[b as usize] += 1;
+            }
+            pos += (s.lit_len + s.match_len) as usize;
+            let lc = codes::length_code(s.match_len).ok()?;
+            let dc = codes::dist_code(s.offset).ok()?;
+            litlen[lc.code as usize] += 1;
+            dist[dc.code as usize] += 1;
+            extra_bits += (lc.extra_bits + dc.extra_bits) as u64;
         }
-        pos += (s.lit_len + s.match_len) as usize;
-        let lc = codes::length_code(s.match_len).map_err(|_| FlateError::BadBlock("length"))?;
-        litlen_freq[lc.code as usize] += 1;
-        let dc = codes::dist_code(s.offset).map_err(|_| FlateError::BadBlock("distance"))?;
-        dist_freq[dc.code as usize] += 1;
-    }
-    for &b in &data[pos..pos + parse.last_literals as usize] {
-        litlen_freq[b as usize] += 1;
+        for &b in &data[pos..pos + parse.last_literals as usize] {
+            litlen[b as usize] += 1;
+        }
+        let has_dists = !parse.seqs.is_empty();
+        if !has_dists {
+            dist[0] = 1;
+        }
+        Some(BlockSymbols { litlen, dist, extra_bits, has_dists })
     }
 
-    let litlen = HuffmanTable::from_frequencies_limited(&litlen_freq, 15)
-        .map_err(FlateError::Huffman)?;
-    // The distance alphabet may be empty (no matches): write a 1-symbol
-    // placeholder table.
-    let has_dists = dist_freq.iter().any(|&c| c > 0);
-    if !has_dists {
-        dist_freq[0] = 1;
+    /// Whether a payload of both tables and `bits` stream bits comes in
+    /// under `raw` bytes, the raw block's.
+    fn pays(&self, bits: u64, raw: usize) -> bool {
+        let bit_len_bytes = (bits.max(1).ilog2() / 7 + 1) as usize;
+        let headers = table_bytes(&self.litlen) + table_bytes(&self.dist);
+        headers + bit_len_bytes + (bits.div_ceil(8) as usize) < raw
     }
-    let dist =
-        HuffmanTable::from_frequencies_limited(&dist_freq, 15).map_err(FlateError::Huffman)?;
 
+    /// A lower bound on the stream bits of any tables.
+    fn min_bits(&self) -> u64 {
+        min_coded_bits(&self.litlen) + min_coded_bits(&self.dist) + self.extra_bits
+    }
+
+    /// The stream bits of the tables `litlen` and `dist`.
+    fn bits(&self, litlen: &HuffmanTable, dist: &HuffmanTable) -> u64 {
+        let dist_bits = if self.has_dists { coded_bits(dist.lengths(), &self.dist) } else { 0 };
+        coded_bits(litlen.lengths(), &self.litlen) + dist_bits + self.extra_bits
+    }
+}
+
+/// Encodes one Huffman block: the DEFLATE symbol stream (literal/length +
+/// distance alphabets) with dynamic tables. `None` when the block cannot
+/// be coded or its payload would not come in under the raw block's
+/// `data.len()` bytes, which the writer then stores: the bound on the
+/// symbol bits proves most such blocks before a table is built, the built
+/// tables' exact bit count the rest before any bit is written.
+fn encode_huff_block(data: &[u8], parse: &Parse, out: &mut Vec<u8>) -> Option<()> {
+    let symbols = BlockSymbols::count(data, parse)?;
+    if !symbols.pays(symbols.min_bits(), data.len()) {
+        return None;
+    }
+    let litlen = HuffmanTable::from_frequencies_limited(&symbols.litlen, 15).ok()?;
+    let dist = HuffmanTable::from_frequencies_limited(&symbols.dist, 15).ok()?;
+    let bit_len = symbols.bits(&litlen, &dist);
+    if !symbols.pays(bit_len, data.len()) {
+        return None;
+    }
     litlen.serialize(out);
     dist.serialize(out);
 
     // Bit stream: literals/lengths/distances with extra bits, terminated
-    // by END_OF_BLOCK.
+    // by END_OF_BLOCK. Each symbol is one load of a packed `code << 8 |
+    // len` entry; a match is one write of its length code, length extra
+    // bits, distance code and distance extra bits (at most 15 + 5 + 15 +
+    // 13 bits).
+    let litlen_codes = litlen.packed_codes::<{ codes::LITLEN_SYMBOLS }>();
+    let dist_codes = dist.packed_codes::<{ codes::DIST_SYMBOLS }>();
     let mut w = MsbBitWriter::new();
+    let put = |w: &mut MsbBitWriter, entry: u32| w.write_bits((entry >> 8) as u64, entry & 0xFF);
     let mut pos = 0usize;
     for s in &parse.seqs {
         for &b in &data[pos..pos + s.lit_len as usize] {
-            litlen.encode_symbol(b as u16, &mut w).map_err(FlateError::Huffman)?;
+            put(&mut w, litlen_codes[b as usize]);
         }
         pos += (s.lit_len + s.match_len) as usize;
         let lc = codes::length_code(s.match_len).expect("validated above");
-        litlen.encode_symbol(lc.code, &mut w).map_err(FlateError::Huffman)?;
-        w.write_bits(lc.extra as u64, lc.extra_bits as u32);
         let dc = codes::dist_code(s.offset).expect("validated above");
-        dist.encode_symbol(dc.code, &mut w).map_err(FlateError::Huffman)?;
-        w.write_bits(dc.extra as u64, dc.extra_bits as u32);
+        let (l, d) = (litlen_codes[lc.code as usize], dist_codes[dc.code as usize]);
+        let mut field = (l >> 8) as u64;
+        field = field << lc.extra_bits | lc.extra as u64;
+        field = field << (d & 0xFF) | (d >> 8) as u64;
+        field = field << dc.extra_bits | dc.extra as u64;
+        w.write_bits(field, (l & 0xFF) + lc.extra_bits as u32 + (d & 0xFF) + dc.extra_bits as u32);
     }
     for &b in &data[pos..pos + parse.last_literals as usize] {
-        litlen.encode_symbol(b as u16, &mut w).map_err(FlateError::Huffman)?;
+        put(&mut w, litlen_codes[b as usize]);
     }
-    litlen
-        .encode_symbol(codes::END_OF_BLOCK, &mut w)
-        .map_err(FlateError::Huffman)?;
-    let (bits, bit_len) = w.finish();
-    varint::write_u64(out, bit_len as u64);
+    put(&mut w, litlen_codes[codes::END_OF_BLOCK as usize]);
+    let (bits, written) = w.finish();
+    debug_assert_eq!(written as u64, bit_len);
+    varint::write_u64(out, bit_len);
     out.extend_from_slice(&bits);
     if cdpu_telemetry::enabled() {
         use cdpu_telemetry::counter;
         counter!("flate.entropy.blocks").incr();
         counter!("flate.entropy.sequences").add(parse.seqs.len() as u64);
-        counter!("flate.entropy.payload_bits").add(bit_len as u64);
+        counter!("flate.entropy.payload_bits").add(bit_len);
     }
-    Ok(())
+    Some(())
 }
 
 /// Decompresses a Flate-class frame.
@@ -376,6 +451,90 @@ pub(crate) fn decode_huff_block(
 mod tests {
     use super::*;
     use cdpu_util::rng::Xoshiro256;
+
+    /// The payload bytes of a Huffman block coded the full way: both
+    /// tables built and serialized, every symbol written one at a time.
+    fn full_payload_len(data: &[u8], parse: &Parse, symbols: &BlockSymbols) -> usize {
+        let litlen = HuffmanTable::from_frequencies_limited(&symbols.litlen, 15).unwrap();
+        let dist = HuffmanTable::from_frequencies_limited(&symbols.dist, 15).unwrap();
+        let mut payload = Vec::new();
+        litlen.serialize(&mut payload);
+        dist.serialize(&mut payload);
+        let mut w = MsbBitWriter::new();
+        let mut pos = 0usize;
+        for s in &parse.seqs {
+            for &b in &data[pos..pos + s.lit_len as usize] {
+                litlen.encode_symbol(b as u16, &mut w).unwrap();
+            }
+            pos += (s.lit_len + s.match_len) as usize;
+            let lc = codes::length_code(s.match_len).unwrap();
+            litlen.encode_symbol(lc.code, &mut w).unwrap();
+            w.write_bits(lc.extra as u64, lc.extra_bits as u32);
+            let dc = codes::dist_code(s.offset).unwrap();
+            dist.encode_symbol(dc.code, &mut w).unwrap();
+            w.write_bits(dc.extra as u64, dc.extra_bits as u32);
+        }
+        for &b in &data[pos..] {
+            litlen.encode_symbol(b as u16, &mut w).unwrap();
+        }
+        litlen.encode_symbol(codes::END_OF_BLOCK, &mut w).unwrap();
+        let (bits, bit_len) = w.finish();
+        varint::write_u64(&mut payload, bit_len as u64);
+        payload.len() + bits.len()
+    }
+
+    /// Whenever the bound says a block does not pay, the full path — build
+    /// both tables, serialize them, encode, compare sizes — agrees; and the
+    /// exact count a built block is tested with is the full path's.
+    #[test]
+    fn raw_precheck_is_sound() {
+        let mut rng = Xoshiro256::seed_from(0xF1A7);
+        let (mut proven, mut near) = (0, 0);
+        for case in 0..3000 {
+            let len = 8usize << rng.index(12);
+            let len = len + rng.index(len);
+            let (sixty_fourths, alphabet) = (rng.index(65), 1 + rng.index(26));
+            let data: Vec<u8> = (0..len)
+                .map(|_| {
+                    if rng.index(64) < sixty_fourths {
+                        rng.next_u64() as u8
+                    } else {
+                        b'a' + rng.index(alphabet) as u8
+                    }
+                })
+                .collect();
+            let parse = if case % 2 == 0 {
+                // The matcher's parse, matches cut to DEFLATE's 258 bytes.
+                let mut parse = parse_with(&data, &FlateConfig::default());
+                let mut seqs = Vec::new();
+                for &Seq { mut lit_len, mut match_len, offset } in &parse.seqs {
+                    while match_len > MAX_MATCH {
+                        let take = if match_len - MAX_MATCH >= 3 { MAX_MATCH } else { match_len - 3 };
+                        seqs.push(Seq { lit_len, match_len: take, offset });
+                        (lit_len, match_len) = (0, match_len - take);
+                    }
+                    seqs.push(Seq { lit_len, match_len, offset });
+                }
+                parse.seqs = seqs;
+                parse
+            } else {
+                Parse { seqs: Vec::new(), last_literals: len as u32 }
+            };
+            let symbols = BlockSymbols::count(&data, &parse).unwrap();
+            let full = full_payload_len(&data, &parse, &symbols);
+            let litlen = HuffmanTable::from_frequencies_limited(&symbols.litlen, 15).unwrap();
+            let dist = HuffmanTable::from_frequencies_limited(&symbols.dist, 15).unwrap();
+            assert_eq!(symbols.pays(symbols.bits(&litlen, &dist), len), full < len, "case {case}");
+            if !symbols.pays(symbols.min_bits(), len) {
+                assert!(full >= len, "case {case}: {len} bytes proven raw but code in {full}");
+                proven += 1;
+            }
+            near += (full.abs_diff(len) * 100 <= len) as usize;
+        }
+        // Both sides of the test are reached, and many blocks sit within 1 %
+        // of it.
+        assert!(proven > 500 && near > 100, "proven {proven}, near {near}");
+    }
 
     fn roundtrip(data: &[u8], cfg: &FlateConfig) -> usize {
         let c = compress_with(data, cfg);

@@ -146,21 +146,25 @@ fn encode_literals(
             }
         }
         crate::LitBackend::Huffman => {
-            // The seed format: single-stream Huffman (mode 2).
+            // The seed format: single-stream Huffman (mode 2), when its
+            // table, bits and 10 bytes of framing come in under the raw
+            // size. The bound on the bits proves most sections that do not
+            // pay before a table is built; a built table's exact bit count
+            // decides before any bit is written.
             let hist = cdpu_entropy::byte_histogram(literals);
-            if let Ok(table) = HuffmanTable::from_frequencies(&hist) {
-                if let Ok((bits, bit_len)) = table.encode_bytes(literals) {
-                    let mut header = Vec::new();
-                    table.serialize(&mut header);
-                    let encoded_total = header.len() + bits.len() + 10;
-                    if encoded_total < literals.len() {
+            if huffman_pays(&hist, min_coded_bits(&hist)) {
+                if let Ok(table) = HuffmanTable::from_frequencies(&hist) {
+                    let bit_len = coded_bits(table.lengths(), &hist);
+                    if huffman_pays(&hist, bit_len) {
+                        let (bits, written) = table.encode_bytes(literals).expect("every byte is in the table");
+                        debug_assert_eq!(written as u64, bit_len);
                         out.push(2); // Huffman
                         varint::write_u64(out, literals.len() as u64);
-                        out.extend_from_slice(&header);
-                        varint::write_u64(out, bit_len as u64);
+                        table.serialize(out);
+                        varint::write_u64(out, bit_len);
                         out.extend_from_slice(&bits);
                         stats.huffman_literals = true;
-                        stats.huffman_bits = bit_len;
+                        stats.huffman_bits = written;
                         return;
                     }
                 }
@@ -170,6 +174,38 @@ fn encode_literals(
     out.push(0); // Raw
     varint::write_u64(out, literals.len() as u64);
     out.extend_from_slice(literals);
+}
+
+/// Relative margin [`min_coded_bits`] keeps under the Shannon bound: the
+/// f64 sum is within 1e-10 of the bound, relative (DESIGN.md, "Entropy
+/// pay tests"), so the result never exceeds the true bound.
+const SHANNON_MARGIN: f64 = 1e-6;
+
+/// A lower bound on the bits any prefix code, a Huffman table built from
+/// `hist` among them, spends on the symbols `hist` counts.
+fn min_coded_bits(hist: &[u32]) -> u64 {
+    let total: u64 = hist.iter().map(|&c| c as u64).sum();
+    (cdpu_entropy::shannon_entropy(hist) * total as f64 * (1.0 - SHANNON_MARGIN)) as u64
+}
+
+/// The bits a table with code `lengths` spends on the symbols `hist`
+/// counts.
+fn coded_bits(lengths: &[u8], hist: &[u32]) -> u64 {
+    lengths.iter().zip(hist).map(|(&len, &count)| len as u64 * count as u64).sum()
+}
+
+/// Bytes [`HuffmanTable::serialize`] writes for a table built from `hist`:
+/// the symbol count, then a nibble per symbol up to the last used one.
+fn table_bytes(hist: &[u32]) -> usize {
+    2 + hist.iter().rposition(|&c| c > 0).map_or(0, |last| last + 1).div_ceil(2)
+}
+
+/// Whether a Huffman literal section of the literals `hist` counts, with a
+/// stream of `bits` bits, comes in under the raw section: the table, the
+/// stream and 10 bytes of framing against the literal bytes.
+fn huffman_pays(hist: &[u32], bits: u64) -> bool {
+    let literals: u64 = hist.iter().map(|&c| c as u64).sum();
+    table_bytes(hist) as u64 + bits.div_ceil(8) + 10 < literals
 }
 
 /// Mode 3: K-way interleaved Huffman literals — one shared table, K
@@ -368,35 +404,58 @@ fn decode_literals_into(
     }
 }
 
-/// Splits every sequence into its three coded fields.
+/// One sequence's three codes and extra bits, packed for the two writes
+/// that carry it: the LL extra bits after the three state fields, then the
+/// ML and OF extra bits together (`hi_extra`, ML in the low bits).
+#[derive(Debug, Clone, Copy)]
+struct CodedSeq {
+    codes: [u8; 3],
+    ll_bits: u8,
+    hi_bits: u8,
+    ll_extra: u32,
+    hi_extra: u64,
+}
+
+/// Every sequence's codes, and the LL, ML and OF code histograms.
 struct CodedSeqs {
-    ll: Vec<codes::CodedField>,
-    ml: Vec<codes::CodedField>,
-    of: Vec<codes::CodedField>,
+    seqs: Vec<CodedSeq>,
+    ll: [u32; codes::LL_CODES],
+    ml: [u32; codes::ML_CODES],
+    of: [u32; codes::OF_CODES],
 }
 
+/// Maps and counts the three fields of every sequence in one pass.
 fn code_sequences(seqs: &[Seq]) -> Result<CodedSeqs, ZstdError> {
-    let mut ll = Vec::with_capacity(seqs.len());
-    let mut ml = Vec::with_capacity(seqs.len());
-    let mut of = Vec::with_capacity(seqs.len());
+    let mut coded = CodedSeqs {
+        seqs: Vec::with_capacity(seqs.len()),
+        ll: [0; codes::LL_CODES],
+        ml: [0; codes::ML_CODES],
+        of: [0; codes::OF_CODES],
+    };
     for s in seqs {
-        ll.push(codes::ll_code(s.lit_len).map_err(|_| ZstdError::BadBlock("lit_len range"))?);
-        ml.push(codes::ml_code(s.match_len).map_err(|_| ZstdError::BadBlock("match_len range"))?);
-        of.push(codes::of_code(s.offset).map_err(|_| ZstdError::BadBlock("offset range"))?);
+        let ll = codes::ll_code(s.lit_len).map_err(|_| ZstdError::BadBlock("lit_len range"))?;
+        let ml = codes::ml_code(s.match_len).map_err(|_| ZstdError::BadBlock("match_len range"))?;
+        let of = codes::of_code(s.offset).map_err(|_| ZstdError::BadBlock("offset range"))?;
+        coded.ll[ll.code as usize] += 1;
+        coded.ml[ml.code as usize] += 1;
+        coded.of[of.code as usize] += 1;
+        coded.seqs.push(CodedSeq {
+            codes: [ll.code as u8, ml.code as u8, of.code as u8],
+            ll_bits: ll.extra_bits,
+            hi_bits: ml.extra_bits + of.extra_bits,
+            ll_extra: ll.extra,
+            hi_extra: ml.extra as u64 | (of.extra as u64) << ml.extra_bits,
+        });
     }
-    Ok(CodedSeqs { ll, ml, of })
+    Ok(coded)
 }
 
-fn build_norm(fields: &[codes::CodedField], alphabet: usize, max_log: u8) -> (Vec<u32>, u8) {
-    let mut hist = vec![0u32; alphabet];
-    let mut max_code = 0usize;
-    for f in fields {
-        hist[f.code as usize] += 1;
-        max_code = max_code.max(f.code as usize);
-    }
-    hist.truncate(max_code + 1);
-    let table_log = fse::recommended_table_log(&hist, max_log);
-    let norm = fse::normalize_counts(&hist, table_log).expect("non-empty histogram");
+/// Normalized counts of one field's histogram, up to its last used code.
+fn build_norm(hist: &[u32], max_log: u8) -> (Vec<u32>, u8) {
+    let used = hist.iter().rposition(|&c| c > 0).expect("non-empty histogram") + 1;
+    let hist = &hist[..used];
+    let table_log = fse::recommended_table_log(hist, max_log);
+    let norm = fse::normalize_counts(hist, table_log).expect("non-empty histogram");
     (norm, table_log)
 }
 
@@ -441,9 +500,9 @@ fn encode_sequences(
         out.push(SEQ_MODE_FSE);
     }
     let coded = code_sequences(seqs)?;
-    let (ll_norm, ll_log) = build_norm(&coded.ll, codes::LL_CODES, LL_TABLE_LOG_MAX);
-    let (ml_norm, ml_log) = build_norm(&coded.ml, codes::ML_CODES, ML_TABLE_LOG_MAX);
-    let (of_norm, of_log) = build_norm(&coded.of, codes::OF_CODES, OF_TABLE_LOG_MAX);
+    let (ll_norm, ll_log) = build_norm(&coded.ll, LL_TABLE_LOG_MAX);
+    let (ml_norm, ml_log) = build_norm(&coded.ml, ML_TABLE_LOG_MAX);
+    let (of_norm, of_log) = build_norm(&coded.of, OF_TABLE_LOG_MAX);
     write_fse_header(out, &ll_norm, ll_log);
     write_fse_header(out, &ml_norm, ml_log);
     write_fse_header(out, &of_norm, of_log);
@@ -464,17 +523,22 @@ fn encode_sequences(
 
         // Backward over this lane's sequences; the decoder reads the
         // resulting stream in reverse and therefore emits them forward. Per
-        // sequence the write order is (ll_sym, ml_sym, of_sym, ll_extra,
-        // ml_extra, of_extra); the decoder's read order is the exact mirror.
+        // sequence the field order is (ll_sym, ml_sym, of_sym, ll_extra,
+        // ml_extra, of_extra), LSB first, in two writes: the three state
+        // fields (at most 9 + 9 + 8 bits) with the LL extra bits (16), then
+        // the ML (16) and OF (31) extra bits. The decoder's read order is
+        // the exact mirror.
         let lane_count = interleave::stream_symbols(seqs.len(), ways, lane);
         for j in (0..lane_count).rev() {
-            let i = lane + j * ways;
-            ll_enc.push(coded.ll[i].code, &mut w).map_err(ZstdError::Fse)?;
-            ml_enc.push(coded.ml[i].code, &mut w).map_err(ZstdError::Fse)?;
-            of_enc.push(coded.of[i].code, &mut w).map_err(ZstdError::Fse)?;
-            w.write_bits(coded.ll[i].extra as u64, coded.ll[i].extra_bits as u32);
-            w.write_bits(coded.ml[i].extra as u64, coded.ml[i].extra_bits as u32);
-            w.write_bits(coded.of[i].extra as u64, coded.of[i].extra_bits as u32);
+            let s = coded.seqs[lane + j * ways];
+            let [ll, ml, of] = s.codes.map(u16::from);
+            let (ll_state, ll_n) = ll_enc.step(ll).map_err(ZstdError::Fse)?;
+            let (ml_state, ml_n) = ml_enc.step(ml).map_err(ZstdError::Fse)?;
+            let (of_state, of_n) = of_enc.step(of).map_err(ZstdError::Fse)?;
+            let n = ll_n + ml_n + of_n;
+            let states = ll_state | ml_state << ll_n | of_state << (ll_n + ml_n);
+            w.write_bits(states | (s.ll_extra as u64) << n, n + s.ll_bits as u32);
+            w.write_bits(s.hi_extra, s.hi_bits as u32);
         }
         ll_enc.finish(&mut w).map_err(ZstdError::Fse)?;
         ml_enc.finish(&mut w).map_err(ZstdError::Fse)?;
@@ -850,6 +914,49 @@ mod tests {
         decode_block_with(&payload, &mut out, u32::MAX, data.len(), &mut lits, &mut seqs).unwrap();
         assert_eq!(out, data);
         stats
+    }
+
+    /// Literal sections on both sides of the mode-2 size test: `len` bytes,
+    /// each uniform-random with chance `sixty_fourths`/64, else one of the
+    /// first `alphabet` letters.
+    fn mixed_literals(rng: &mut Xoshiro256, len: usize, sixty_fourths: usize, alphabet: usize) -> Vec<u8> {
+        (0..len)
+            .map(|_| {
+                if rng.index(64) < sixty_fourths {
+                    rng.next_u64() as u8
+                } else {
+                    b'a' + rng.index(alphabet) as u8
+                }
+            })
+            .collect()
+    }
+
+    /// Whenever the bound says a section does not pay, the full path —
+    /// build the table, serialize it, encode, compare sizes — agrees.
+    #[test]
+    fn raw_precheck_is_sound() {
+        let mut rng = Xoshiro256::seed_from(0x5A7);
+        let (mut proven, mut near) = (0, 0);
+        for case in 0..4000 {
+            let len = 8usize << rng.index(12);
+            let len = len + rng.index(len);
+            let (sixty_fourths, alphabet) = (rng.index(65), 1 + rng.index(26));
+            let lits = mixed_literals(&mut rng, len, sixty_fourths, alphabet);
+            let hist = cdpu_entropy::byte_histogram(&lits);
+            let table = HuffmanTable::from_frequencies(&hist).unwrap();
+            let mut header = Vec::new();
+            table.serialize(&mut header);
+            let (bits, _) = table.encode_bytes(&lits).unwrap();
+            let coded = header.len() + bits.len() + 10;
+            if !huffman_pays(&hist, min_coded_bits(&hist)) {
+                assert!(coded >= len, "case {case}: {len} literals proven raw but code in {coded} bytes");
+                proven += 1;
+            }
+            near += (coded.abs_diff(len) * 100 <= len) as usize;
+        }
+        // Both sides of the test are reached, and many sections sit within
+        // 1 % of it.
+        assert!(proven > 500 && near > 100, "proven {proven}, near {near}");
     }
 
     #[test]

@@ -95,19 +95,52 @@ impl std::fmt::Display for ValueOutOfRange {
 
 impl std::error::Error for ValueOutOfRange {}
 
-fn code_from_bases(value: u32, bases: &[(u32, u8)], first_code: u16) -> Option<CodedField> {
-    // Bases are ascending; find the last base <= value and check range.
-    let idx = bases.partition_point(|&(b, _)| b <= value);
-    if idx == 0 {
-        return None;
+/// `(baseline, extra_bits)` of every code of a table whose first
+/// `direct` codes carry the values `first..first + direct` verbatim and
+/// whose remaining codes are `bases`.
+const fn code_fields<const N: usize>(direct: usize, first: u32, bases: &[(u32, u8)]) -> [(u32, u8); N] {
+    let mut fields = [(0u32, 0u8); N];
+    let mut code = 0;
+    while code < N {
+        fields[code] = if code < direct { (first + code as u32, 0) } else { bases[code - direct] };
+        code += 1;
     }
-    let (base, bits) = bases[idx - 1];
-    let span = 1u32 << bits;
-    if value >= base + span {
-        return None;
+    fields
+}
+
+/// The code of every value below `N + first`: the last code whose
+/// baseline does not exceed it.
+const fn low_codes<const N: usize>(fields: &[(u32, u8)], first: u32) -> [u8; N] {
+    let mut codes = [0u8; N];
+    let (mut value, mut code) = (0, 0);
+    while value < N {
+        while code + 1 < fields.len() && fields[code + 1].0 <= value as u32 + first {
+            code += 1;
+        }
+        codes[value] = code as u8;
+        value += 1;
     }
+    codes
+}
+
+/// `(baseline, extra_bits)` of every literal-length code.
+const LL_FIELDS: [(u32, u8); LL_CODES] = code_fields(16, 0, &LL_BASES);
+/// `(baseline, extra_bits)` of every match-length code.
+const ML_FIELDS: [(u32, u8); ML_CODES] = code_fields(32, MIN_MATCH_LEN, &ML_BASES);
+
+/// Literal-length codes of lengths below 64; from 64 on, code 19 plus the
+/// length's top bit (code 25 spans 64..128, each next code doubles).
+const LL_LOW_CODES: [u8; 64] = low_codes(&LL_FIELDS, 0);
+/// Match-length codes of lengths 3..131; from 131 on, code 36 plus the top
+/// bit of `length - 3`.
+const ML_LOW_CODES: [u8; 128] = low_codes(&ML_FIELDS, MIN_MATCH_LEN);
+
+/// The field of `value` under `code` of `fields`, or `None` past the table.
+#[inline(always)]
+fn field(fields: &[(u32, u8)], code: usize, value: u32) -> Option<CodedField> {
+    let &(base, bits) = fields.get(code)?;
     Some(CodedField {
-        code: first_code + (idx as u16 - 1),
+        code: code as u16,
         extra_bits: bits,
         extra: value - base,
     })
@@ -119,14 +152,11 @@ fn code_from_bases(value: u32, bases: &[(u32, u8)], first_code: u16) -> Option<C
 ///
 /// [`ValueOutOfRange`] for lengths above 131071 (code 35's range end).
 pub fn ll_code(lit_len: u32) -> Result<CodedField, ValueOutOfRange> {
-    if lit_len < 16 {
-        return Ok(CodedField {
-            code: lit_len as u16,
-            extra_bits: 0,
-            extra: 0,
-        });
-    }
-    code_from_bases(lit_len, &LL_BASES, 16).ok_or(ValueOutOfRange {
+    let code = match LL_LOW_CODES.get(lit_len as usize) {
+        Some(&code) => code as usize,
+        None => lit_len.ilog2() as usize + 19,
+    };
+    field(&LL_FIELDS, code, lit_len).ok_or(ValueOutOfRange {
         table: "literal-length",
         value: lit_len,
     })
@@ -175,14 +205,12 @@ pub fn ml_code(match_len: u32) -> Result<CodedField, ValueOutOfRange> {
             value: match_len,
         });
     }
-    if match_len < 35 {
-        return Ok(CodedField {
-            code: (match_len - 3) as u16,
-            extra_bits: 0,
-            extra: 0,
-        });
-    }
-    code_from_bases(match_len, &ML_BASES, 32).ok_or(ValueOutOfRange {
+    let above = match_len - MIN_MATCH_LEN;
+    let code = match ML_LOW_CODES.get(above as usize) {
+        Some(&code) => code as usize,
+        None => above.ilog2() as usize + 36,
+    };
+    field(&ML_FIELDS, code, match_len).ok_or(ValueOutOfRange {
         table: "match-length",
         value: match_len,
     })
@@ -263,6 +291,64 @@ pub fn of_extra_bits(code: u16) -> u8 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The base walk `ll_code` and `ml_code` were first written as, kept as
+    /// their oracle: the last base not above the value, if its span
+    /// reaches the value.
+    fn code_from_bases(value: u32, bases: &[(u32, u8)], first_code: u16) -> Option<CodedField> {
+        let idx = bases.partition_point(|&(b, _)| b <= value);
+        if idx == 0 {
+            return None;
+        }
+        let (base, bits) = bases[idx - 1];
+        if value >= base + (1u32 << bits) {
+            return None;
+        }
+        Some(CodedField {
+            code: first_code + (idx as u16 - 1),
+            extra_bits: bits,
+            extra: value - base,
+        })
+    }
+
+    fn ll_code_oracle(lit_len: u32) -> Result<CodedField, ValueOutOfRange> {
+        if lit_len < 16 {
+            return Ok(CodedField { code: lit_len as u16, extra_bits: 0, extra: 0 });
+        }
+        code_from_bases(lit_len, &LL_BASES, 16)
+            .ok_or(ValueOutOfRange { table: "literal-length", value: lit_len })
+    }
+
+    fn ml_code_oracle(match_len: u32) -> Result<CodedField, ValueOutOfRange> {
+        let out_of_range = ValueOutOfRange { table: "match-length", value: match_len };
+        if match_len < MIN_MATCH_LEN {
+            return Err(out_of_range);
+        }
+        if match_len < 35 {
+            return Ok(CodedField { code: (match_len - 3) as u16, extra_bits: 0, extra: 0 });
+        }
+        code_from_bases(match_len, &ML_BASES, 32).ok_or(out_of_range)
+    }
+
+    /// Every value up to `last_in_range + 70_000`, and every power of two
+    /// ±1 above it up to `u32::MAX`.
+    fn values_around(last_in_range: u32) -> impl Iterator<Item = u32> {
+        let wide = (17..32).flat_map(|k| [(1u32 << k) - 1, 1 << k, (1 << k) + 1]);
+        (0..=last_in_range + 70_000).chain(wide).chain([u32::MAX])
+    }
+
+    #[test]
+    fn table_mappers_match_the_base_walk() {
+        for v in values_around(131_071) {
+            assert_eq!(ll_code(v), ll_code_oracle(v), "lit_len {v}");
+        }
+        for v in values_around(131_074) {
+            assert_eq!(ml_code(v), ml_code_oracle(v), "match_len {v}");
+        }
+        assert!(ll_code(131_071).is_ok() && ll_code(131_072).is_err());
+        assert!(ml_code(2).is_err() && ml_code(131_074).is_ok() && ml_code(131_075).is_err());
+        assert!(of_code(0).is_err());
+    }
 
     #[test]
     fn ll_roundtrip_exhaustive_low() {
