@@ -65,8 +65,7 @@ fn huffman_table_build_allocates_a_handful_of_arrays() {
     assert!(n <= 16, "a full 256-symbol table build allocated {n} times");
 }
 
-/// 76 allocations measured for this call (95 before literal sections were
-/// proven raw and sequences mapped in one pass).
+/// The ceiling is the 76 allocations measured for this call plus a margin.
 #[test]
 fn small_zstd_call_allocates_per_stage_not_per_symbol() {
     let text = cdpu::corpus::generate(cdpu::corpus::CorpusKind::MarkovText, 4 << 10, 3);
@@ -78,9 +77,8 @@ fn small_zstd_call_allocates_per_stage_not_per_symbol() {
 }
 
 /// A random literal section is proven raw before any Huffman table is
-/// built. The whole warm call measured 10 allocations (33 when it built
-/// and encoded a table it then discarded); a table build alone makes at
-/// least six (package-merge's leaves, lengths, flags and two level
+/// built. The whole warm call measured 10 allocations; a table build alone
+/// makes at least six (package-merge's leaves, lengths, flags and two level
 /// buffers, then the canonical codes), so a build would break the ceiling.
 #[test]
 fn small_random_zstd_call_builds_no_huffman_table() {
