@@ -183,14 +183,7 @@ pub fn ll_value(code: u16, extra: u32) -> Result<u32, ValueOutOfRange> {
 
 /// Number of extra bits carried by a literal-length code.
 pub fn ll_extra_bits(code: u16) -> u8 {
-    if code < 16 {
-        0
-    } else {
-        LL_BASES
-            .get(code as usize - 16)
-            .map(|&(_, b)| b)
-            .unwrap_or(0)
-    }
+    LL_FIELDS.get(code as usize).map_or(0, |&(_, bits)| bits)
 }
 
 /// Splits a match length (≥ 3) into `(code, extra)`.
@@ -237,14 +230,7 @@ pub fn ml_value(code: u16, extra: u32) -> Result<u32, ValueOutOfRange> {
 
 /// Number of extra bits carried by a match-length code.
 pub fn ml_extra_bits(code: u16) -> u8 {
-    if code < 32 {
-        0
-    } else {
-        ML_BASES
-            .get(code as usize - 32)
-            .map(|&(_, b)| b)
-            .unwrap_or(0)
-    }
+    ML_FIELDS.get(code as usize).map_or(0, |&(_, bits)| bits)
 }
 
 /// Splits an offset (≥ 1) into `(code, extra)`:
