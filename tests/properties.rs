@@ -1315,3 +1315,111 @@ fn block_payload_length_overflow_is_an_error_not_a_panic() {
         }
     }
 }
+
+/// What the two serving tiers published to the global telemetry registry
+/// during `f`: every `serve.*` and `served.*` counter, gauge and histogram,
+/// zeroed before and read after. No other test in this binary records
+/// telemetry, so the registry holds only `f`'s serving metrics.
+fn serving_telemetry<R>(f: impl FnOnce() -> R) -> (R, String) {
+    use cdpu::telemetry;
+    telemetry::reset();
+    telemetry::enable();
+    let r = f();
+    telemetry::disable();
+    let reg = telemetry::registry();
+    let ours = |name: &str| name.starts_with("serve.") || name.starts_with("served.");
+    let mut text = String::new();
+    for (name, v) in reg.counters().into_iter().filter(|(n, _)| ours(n)) {
+        text += &format!("{name}={v}\n");
+    }
+    for (name, v) in reg.gauges().into_iter().filter(|(n, _)| ours(n)) {
+        text += &format!("{name}={v}\n");
+    }
+    for (name, v) in reg.histograms().into_iter().filter(|(n, _)| ours(n)) {
+        text += &format!("{name}={v:?}\n");
+    }
+    (r, text)
+}
+
+/// Pins the serving simulator's and the serving engine's reports (event
+/// logs recorded) and the telemetry each publishes, one FNV-1a-64 digest
+/// per tier over the `Debug` text. The grid reaches where the two tiers
+/// differ: the simulator starts an arrival on an idle instance without
+/// queueing it and applies its global bound only while every instance is
+/// busy (capacity 0 still serves), the engine queues every admitted call
+/// behind four per-tenant gates (the harsh gates shed at every one), and
+/// the tiers publish under `serve.*` and `served.*`.
+#[test]
+fn serve_reports_are_pinned() {
+    use cdpu::serve::tenants::fleet_tenants;
+    use cdpu::serve::workload::WorkloadConfig;
+    use cdpu::serve::{
+        engine, sim, AdmissionConfig, BatchPolicy, EngineConfig, ObsConfig, SchedKind,
+        ServeConfig, ShedConfig, SloSpec, Timing, Workload, PS_PER_SEC,
+    };
+    use std::sync::Arc;
+
+    let mut sim_h = 0xCBF2_9CE4_8422_2325u64;
+    for sched in SchedKind::ALL {
+        for obs in [false, true] {
+            for queue_capacity in [4096, 2, 0] {
+                let mut cfg = ServeConfig::new(fleet_tenants(4));
+                cfg.sched = sched;
+                cfg.instances = 2;
+                cfg.total_calls = 300;
+                cfg.offered_load = 0.9;
+                cfg.queue_capacity = queue_capacity;
+                cfg.record_events = true;
+                if obs {
+                    let mut o = ObsConfig::new(2_000_000_000);
+                    o.slos = vec![SloSpec {
+                        tenant: cfg.tenants[0].name.clone(),
+                        wait_limit_ps: 1_000_000,
+                        objective: 0.99,
+                    }];
+                    cfg.obs = Some(o);
+                }
+                let (r, metrics) = serving_telemetry(|| sim::run(&cfg));
+                sim_h = fnv1a64(sim_h, format!("{r:?}\n{metrics}").as_bytes());
+            }
+        }
+    }
+
+    let wl = Arc::new(Workload::build(&WorkloadConfig::tiny()));
+    let harsh = AdmissionConfig {
+        queue_capacity: 2,
+        quota_outstanding: 1,
+        bucket_rate_cps: 500.0,
+        bucket_burst: 2.0,
+        shed: Some(ShedConfig {
+            window_ps: PS_PER_SEC / 10_000,
+            wait_slo_ps: PS_PER_SEC / 1_000_000,
+            objective: 0.999,
+            shed_burn: 1.0,
+            onset_windows: 1,
+        }),
+    };
+    let mut engine_h = 0xCBF2_9CE4_8422_2325u64;
+    for sched in SchedKind::ALL {
+        for batch in [BatchPolicy::default(), BatchPolicy::off()] {
+            for admission in [AdmissionConfig::default(), AdmissionConfig::open(), harsh.clone()] {
+                let mut cfg = EngineConfig::new(fleet_tenants(4));
+                cfg.sched = sched;
+                cfg.shards = 2;
+                cfg.total_calls = 200;
+                cfg.offered_load = 0.9;
+                cfg.admission = admission;
+                cfg.batch = batch;
+                cfg.timing = Timing::Work;
+                cfg.record_events = true;
+                let (r, metrics) = serving_telemetry(|| engine::run(&cfg, &wl));
+                engine_h = fnv1a64(engine_h, format!("{r:?}\n{metrics}").as_bytes());
+            }
+        }
+    }
+    assert_eq!(
+        (sim_h, engine_h),
+        (0xA78B_CEC3_C3CF_5D8C, 0xA971_2DA0_8526_704B),
+        "serving reports moved: got ({sim_h:#018X}, {engine_h:#018X})"
+    );
+}
