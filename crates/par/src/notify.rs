@@ -12,12 +12,16 @@
 //!
 //! Like the rest of the crate this is `std`-only: an `mpsc` task channel
 //! shared by the shards behind a mutex, and an `mpsc` completion channel
-//! cloned into each shard. Dropping the pool closes the task channel and
-//! joins every shard, so no work is silently abandoned.
+//! cloned into each shard. A task runs under `catch_unwind`, so a panic
+//! travels back as that task's completion and resumes in the submitter
+//! (as [`par_map`](crate::par_map) rethrows a worker's panic) while the
+//! shard lives on. Dropping the pool closes the task channel and joins
+//! every shard, so no work is silently abandoned.
 
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::thread::{self, JoinHandle};
 
 type Task<T> = (u64, Box<dyn FnOnce() -> T + Send + 'static>);
 
@@ -27,7 +31,7 @@ type Task<T> = (u64, Box<dyn FnOnce() -> T + Send + 'static>);
 pub struct NotifyPool<T: Send + 'static> {
     /// `Some` until drop; taken to close the channel and stop the shards.
     task_tx: Option<Sender<Task<T>>>,
-    done_rx: Receiver<(u64, T)>,
+    done_rx: Receiver<(u64, thread::Result<T>)>,
     shards: Vec<JoinHandle<()>>,
     next_ticket: u64,
     outstanding: u64,
@@ -38,7 +42,7 @@ impl<T: Send + 'static> NotifyPool<T> {
     pub fn new(shards: usize) -> Self {
         let shards = shards.max(1);
         let (task_tx, task_rx) = channel::<Task<T>>();
-        let (done_tx, done_rx) = channel::<(u64, T)>();
+        let (done_tx, done_rx) = channel::<(u64, thread::Result<T>)>();
         let task_rx = Arc::new(Mutex::new(task_rx));
         let shards = (0..shards)
             .map(|_| {
@@ -54,7 +58,7 @@ impl<T: Send + 'static> NotifyPool<T> {
                     let Ok((ticket, f)) = task else { break };
                     // If the submitter is gone the result is undeliverable;
                     // keep draining so Drop's join terminates.
-                    let _ = tx.send((ticket, f()));
+                    let _ = tx.send((ticket, catch_unwind(AssertUnwindSafe(f))));
                 })
             })
             .collect();
@@ -97,18 +101,14 @@ impl<T: Send + 'static> NotifyPool<T> {
     ///
     /// # Panics
     ///
-    /// Panics if a shard died with work outstanding (a task panicked):
+    /// Resumes the panic of a task that panicked, with its payload:
     /// losing a completion silently would deadlock the serving loop.
     pub fn recv(&mut self) -> Option<(u64, T)> {
         if self.outstanding == 0 {
             return None;
         }
-        let pair = self
-            .done_rx
-            .recv()
-            .expect("shard died with work outstanding (task panicked?)");
-        self.outstanding -= 1;
-        Some(pair)
+        let done = self.done_rx.recv().expect("shards alive until drop");
+        Some(self.settle(done))
     }
 
     /// Non-blocking variant of [`recv`](Self::recv): `None` when nothing
@@ -117,13 +117,22 @@ impl<T: Send + 'static> NotifyPool<T> {
         if self.outstanding == 0 {
             return None;
         }
-        let pair = self.done_rx.try_recv().ok()?;
+        let done = self.done_rx.try_recv().ok()?;
+        Some(self.settle(done))
+    }
+
+    /// Counts one completion in and unwraps it, resuming a task's panic.
+    fn settle(&mut self, (ticket, result): (u64, thread::Result<T>)) -> (u64, T) {
         self.outstanding -= 1;
-        Some(pair)
+        match result {
+            Ok(v) => (ticket, v),
+            Err(payload) => resume_unwind(payload),
+        }
     }
 
     /// Blocks until every outstanding task has completed, returning the
-    /// drained `(ticket, result)` pairs in completion order.
+    /// drained `(ticket, result)` pairs in completion order. Like
+    /// [`recv`](Self::recv), resumes the first panic it receives.
     pub fn drain(&mut self) -> Vec<(u64, T)> {
         let mut out = Vec::with_capacity(self.outstanding as usize);
         while let Some(pair) = self.recv() {
@@ -138,8 +147,8 @@ impl<T: Send + 'static> Drop for NotifyPool<T> {
         // Closing the task channel ends each shard's recv loop.
         drop(self.task_tx.take());
         for h in self.shards.drain(..) {
-            // A shard that panicked already reported through recv(); at
-            // drop time there is nothing useful left to propagate.
+            // Task panics are caught and reported through recv(); a shard
+            // itself has nothing left to propagate.
             let _ = h.join();
         }
     }
@@ -212,6 +221,39 @@ mod tests {
         let ids: HashSet<ThreadId> = pool.drain().into_iter().map(|(_, t)| t.id()).collect();
         assert!(!ids.contains(&main), "work must run on shards, not the submitter");
         assert!(!ids.is_empty() && ids.len() <= 3);
+    }
+
+    /// A panicking task must surface from `recv` with its payload, with 1
+    /// and 2 shards, and the pool must still drop. `recv` runs on a helper
+    /// thread so a regression (a surviving shard holding the completion
+    /// channel open) fails by timeout instead of hanging the suite.
+    #[test]
+    fn a_panicking_task_resumes_in_recv_and_the_pool_drops() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::sync::mpsc::channel;
+        use std::thread;
+        use std::time::Duration;
+        for shards in [2, 1] {
+            let (tx, rx) = channel();
+            thread::spawn(move || {
+                let mut pool = NotifyPool::new(shards);
+                pool.submit(|| -> u64 { panic!("kernel failed") });
+                let caught = catch_unwind(AssertUnwindSafe(|| pool.recv()));
+                let message = caught.err().and_then(|p| p.downcast_ref::<&str>().copied());
+                assert_eq!(pool.outstanding(), 0);
+                // The shard survived its task: the pool still serves.
+                pool.submit(|| 7);
+                let next = pool.recv();
+                drop(pool);
+                let _ = tx.send((message, next));
+            });
+            let got = rx.recv_timeout(Duration::from_secs(10));
+            assert_eq!(
+                got,
+                Ok((Some("kernel failed"), Some((1, 7)))),
+                "{shards} shard(s): the panic must resume in recv and the pool must drop"
+            );
+        }
     }
 
     #[test]
