@@ -56,10 +56,12 @@ fn base_cfg(total_calls: u64, load: f64) -> EngineConfig {
 /// Conservation must hold even when every admission gate fires: a harsh
 /// queue bound, a one-call quota, a slow token bucket and a hair-trigger
 /// burn gate, all under 3x overload. Every tenant records sheds, nothing
-/// is lost, and the calls that do get through really execute.
+/// is lost, the calls that do get through really execute, and the event
+/// log accounts for every call in time order.
 #[test]
 fn all_tenants_shedding_conserves_calls() {
     let mut cfg = base_cfg(600, 3.0);
+    cfg.record_events = true;
     cfg.admission = AdmissionConfig {
         queue_capacity: 2,
         quota_outstanding: 1,
@@ -95,6 +97,19 @@ fn all_tenants_shedding_conserves_calls() {
         "expected multiple gates to fire, got {gates:?}"
     );
     assert!(r.executed_uncompressed_bytes > 0, "admitted calls must really execute");
+
+    for pair in r.events.windows(2) {
+        assert!(pair[0].time_ps <= pair[1].time_ps, "log out of order");
+    }
+    for (i, t) in r.tenants.iter().enumerate() {
+        let count = |kind: u8| {
+            r.events.iter().filter(|e| e.kind == kind && e.tenant == i as u32).count() as u64
+        };
+        assert_eq!(count(0), t.injected, "tenant {}: one arrival record per call", t.name);
+        assert_eq!(count(1), t.completed, "tenant {}: one start per completed call", t.name);
+        assert_eq!(count(2), t.completed, "tenant {}: one departure per completed call", t.name);
+        assert_eq!(count(3), t.shed(), "tenant {}: one shed record per shed call", t.name);
+    }
 }
 
 /// A one-outstanding-call quota under a burst: the quota gate must shed
