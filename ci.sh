@@ -69,7 +69,9 @@ for name in \
     baked_tables_match_the_fse_decode_table \
     hostile_offset_code_is_an_error_not_a_panic \
     literal_count_overflow_is_an_error_not_a_panic \
-    block_payload_length_overflow_is_an_error_not_a_panic; do
+    block_payload_length_overflow_is_an_error_not_a_panic \
+    serve_reports_are_pinned \
+    a_panicking_task_resumes_in_recv_and_the_pool_drops; do
     if ! grep -q "${name}: test\$" /tmp/cdpu_test_list.txt; then
         echo "FAIL: test $name is no longer in the workspace suite" >&2
         exit 1
@@ -135,6 +137,25 @@ if [ "$(grep -rnE 'struct Splitter\b' crates --include='*.rs' | wc -l)" -ne 1 ] 
     [ "$past_total" != "crates/lite/src/stream.rs crates/lz77/src/stream.rs " ] ||
     grep -rnE 'extend_from_slice\(&MAGIC\)|MAGIC\.to_vec\(\)' crates/zstd/src crates/flate/src; then
     echo "FAIL: a second splitter, streaming constant, push/finish driver or block-frame header writer is back" >&2
+    exit 1
+fi
+
+echo "==> one serving event loop: the simulator and the engine are tiers over crates/serve/src/event.rs"
+# No loop state or idle dispatcher of a tier's own, and the one match on
+# a departure event is the loop's (test modules excluded).
+departure_matches=""
+for f in crates/serve/src/*.rs; do
+    if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE 'struct (RunState|EngState)\b|fn dispatch_idle\b'; then
+        echo "FAIL: $f grew a serving loop's own state or idle dispatcher beside the one loop" >&2
+        exit 1
+    fi
+    n="$(sed '/^#\[cfg(test)\]/,$d' "$f" | grep 'EventKind::Departure' | grep -vc 'push(' || true)"
+    if [ "$n" -gt 0 ]; then
+        departure_matches="$departure_matches $f:$n"
+    fi
+done
+if [ "$departure_matches" != " crates/serve/src/event.rs:1" ]; then
+    echo "FAIL: departures are matched outside the one loop:$departure_matches" >&2
     exit 1
 fi
 

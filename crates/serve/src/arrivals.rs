@@ -13,9 +13,9 @@
 //! and scheduling decisions interleave differently between the two tiers,
 //! but they never touch the arrival streams.
 //!
-//! [`schedule`] materializes the merged arrival sequence directly (no
-//! serving model at all); the unit tests pin the simulator's recorded
-//! arrival log to it bit-for-bit.
+//! [`schedule`] materializes the merged arrival sequence through the
+//! serving loop's own injection, with no serving model at all; the unit
+//! tests pin the simulator's recorded arrival log to it bit-for-bit.
 
 use crate::event::{EventHeap, EventKind};
 use crate::tenants::TenantSpec;
@@ -82,49 +82,66 @@ pub fn calibrated_rates(
     weights.iter().map(|w| w * lambda_total).collect()
 }
 
-/// The per-tenant seeded streams: call bodies and inter-arrival gaps.
-///
-/// Callers drive the draw order themselves (the simulator and engine both
-/// draw gap-then-call per arrival event); the streams only guarantee that
-/// per-tenant draws are reproducible and independent across tenants.
-#[derive(Debug)]
-pub struct ArrivalStreams {
+/// The arrival injection of every serving run (the loop in
+/// [`crate::event`]) and of [`schedule`]: per tenant, one call-body
+/// sampler and one exponential-gap stream forked from the seed, under a
+/// cap on the calls injected. Each live tenant keeps one pending arrival
+/// in the heap; one popped after the cap is dropped undrawn.
+pub(crate) struct Injector {
     samplers: Vec<FleetSampler>,
     rngs: Vec<Xoshiro256>,
     rates: Vec<f64>,
+    cap: u64,
+    injected: u64,
 }
 
-impl ArrivalStreams {
-    /// Forks one sampler and one gap stream per tenant from `seed`.
-    pub fn new(seed: u64, rates: Vec<f64>) -> Self {
+impl Injector {
+    /// Forks the streams and schedules each live tenant's first arrival.
+    pub(crate) fn new(seed: u64, rates: Vec<f64>, cap: u64, heap: &mut EventHeap) -> Self {
+        let fork = |tag: u64, i: usize| mix64(seed ^ tag ^ (i as u64) << 8);
         let n = rates.len();
-        ArrivalStreams {
-            samplers: (0..n)
-                .map(|i| FleetSampler::new(mix64(seed ^ TAG_SAMPLER ^ (i as u64) << 8)))
-                .collect(),
-            rngs: (0..n)
-                .map(|i| Xoshiro256::seed_from(mix64(seed ^ TAG_ARRIVAL ^ (i as u64) << 8)))
-                .collect(),
+        let mut arrivals = Injector {
+            samplers: (0..n).map(|i| FleetSampler::new(fork(TAG_SAMPLER, i))).collect(),
+            rngs: (0..n).map(|i| Xoshiro256::seed_from(fork(TAG_ARRIVAL, i))).collect(),
             rates,
+            cap,
+            injected: 0,
+        };
+        for t in 0..n {
+            if arrivals.rates[t] > 0.0 && cap > 0 {
+                let gap = arrivals.gap_ps(t);
+                heap.push(gap, EventKind::Arrival(t as u32));
+            }
         }
+        arrivals
     }
 
-    /// The calibrated per-tenant rates.
-    pub fn rates(&self) -> &[f64] {
-        &self.rates
-    }
-
-    /// Draws tenant `t`'s next inter-arrival gap, picoseconds (≥ 1).
-    /// Only call for tenants with a positive rate — a zero-rate tenant's
-    /// stream must stay untouched so runs that skip it are reproducible.
-    pub fn next_gap_ps(&mut self, t: usize) -> u64 {
-        debug_assert!(self.rates[t] > 0.0, "gap drawn for a zero-rate tenant");
+    /// Tenant `t`'s next inter-arrival gap, picoseconds (≥ 1). A
+    /// zero-rate tenant's stream is never drawn.
+    fn gap_ps(&mut self, t: usize) -> u64 {
         self.rngs[t].exp_f64(self.rates[t]).round().max(1.0) as u64
     }
 
-    /// Draws tenant `t`'s next call body.
-    pub fn next_call(&mut self, t: usize, spec: &TenantSpec) -> CallRecord {
-        spec.sample(&mut self.samplers[t])
+    /// Tenant `t`'s arrival at `now`: its global id and call body, with
+    /// the tenant's next arrival scheduled while the cap allows. `None`
+    /// once the cap is reached.
+    pub(crate) fn inject(
+        &mut self,
+        heap: &mut EventHeap,
+        now: u64,
+        t: u32,
+        tenants: &[TenantSpec],
+    ) -> Option<(u64, CallRecord)> {
+        if self.injected >= self.cap {
+            return None;
+        }
+        let call = tenants[t as usize].sample(&mut self.samplers[t as usize]);
+        self.injected += 1;
+        if self.injected < self.cap {
+            let gap = self.gap_ps(t as usize);
+            heap.push(now + gap, EventKind::Arrival(t));
+        }
+        Some((self.injected - 1, call))
     }
 }
 
@@ -154,37 +171,22 @@ pub fn schedule(
     max_calls: u64,
 ) -> Vec<ScheduledArrival> {
     assert_eq!(tenants.len(), rates.len(), "one rate per tenant");
-    let mut streams = ArrivalStreams::new(seed, rates.to_vec());
     let mut heap = EventHeap::new();
-    for (i, rate) in rates.iter().enumerate() {
-        if *rate > 0.0 && max_calls > 0 {
-            let dt = streams.next_gap_ps(i);
-            heap.push(dt, EventKind::Arrival(i as u32));
-        }
-    }
+    let mut arrivals = Injector::new(seed, rates.to_vec(), max_calls, &mut heap);
     let mut out = Vec::with_capacity(max_calls.min(1 << 20) as usize);
     while let Some(event) = heap.pop() {
-        // Every tenant keeps one pending arrival in the heap; once the cap
-        // is reached those stragglers are discarded undrawn — exactly the
-        // simulator's pop-time cap check.
-        if (out.len() as u64) >= max_calls {
-            break;
-        }
         let EventKind::Arrival(t) = event.kind else {
             unreachable!("schedule() pushes only arrivals")
         };
-        let ti = t as usize;
-        let id = out.len() as u64;
+        let Some((id, call)) = arrivals.inject(&mut heap, event.time_ps, t, tenants) else {
+            break;
+        };
         out.push(ScheduledArrival {
             time_ps: event.time_ps,
             tenant: t,
             id,
-            call: streams.next_call(ti, &tenants[ti]),
+            call,
         });
-        if (out.len() as u64) < max_calls {
-            let dt = streams.next_gap_ps(ti);
-            heap.push(event.time_ps + dt, EventKind::Arrival(t));
-        }
     }
     out
 }

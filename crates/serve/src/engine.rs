@@ -1,23 +1,27 @@
-//! The serving engine: a closed-loop executor that runs *real* codec
-//! calls on worker shards behind the tenant model — the measured
-//! counterpart of [`crate::sim`]'s analytic simulator.
+//! The serving engine: the execution tier of the one serving loop
+//! (`event::serve`), running *real* codec calls on worker shards
+//! behind the tenant model.
 //!
-//! Where the simulator prices a call and moves on, the engine dispatches
-//! it to a [`NotifyPool`] worker shard which executes the actual
-//! compress/decompress kernel over corpus-bank bytes
-//! ([`crate::workload`]). The virtual clock still drives everything —
-//! arrivals, scheduling, admission and departures happen in simulated
-//! time — but the *content* of every call (bytes in, bytes out,
-//! checksums) comes from real execution, never from the analytic model.
+//! Where the simulator's tier prices a call and moves on, the engine's
+//! tier dispatches it to a [`NotifyPool`] worker shard which executes
+//! the actual compress/decompress kernel over corpus-bank bytes
+//! ([`crate::workload`]); a kernel that panics panics `run` with its
+//! payload. The virtual clock still drives everything — arrivals,
+//! scheduling, admission and departures happen in simulated time — but
+//! the *content* of every call (bytes in, bytes out, checksums) comes
+//! from real execution, never from the analytic model.
 //!
 //! # Closing the loop
 //!
-//! The engine injects the **same workload** as the simulator: arrival
-//! instants, tenants and call bodies come from the shared
-//! [`crate::arrivals`] streams, with rates calibrated against the same
-//! analytic `E[S]` — so a (ρ, seed) point means the same thing in both
-//! tiers and their reports are comparable point-for-point. `figures
-//! --served` renders exactly that comparison.
+//! The engine runs the loop on [`EngineConfig::as_sim`], so it injects
+//! the **same workload** as the simulator: arrival instants, tenants and
+//! call bodies come from the same seeded streams, with rates calibrated
+//! against the same analytic `E[S]` — a (ρ, seed) point means the same
+//! thing in both tiers and their reports are comparable point-for-point.
+//! `figures --served` renders exactly that comparison. The tiers differ
+//! only where their policies do: every admitted call queues behind four
+//! per-tenant admission gates ([`crate::admission`]), and the batcher
+//! ([`crate::batch`]) forms each dispatch.
 //!
 //! # Two timing modes
 //!
@@ -32,26 +36,20 @@
 //!   the shard becomes its virtual service time. Reports then reflect
 //!   this host's real codec throughput (and are *not* reproducible
 //!   bit-for-bit).
-//!
-//! Batching (see [`crate::batch`]) amortizes the per-dispatch offload
-//! overhead over coalesced small calls; admission (see
-//! [`crate::admission`]) sheds gracefully off the SLO burn-rate signal.
 
 use crate::admission::{Admission, AdmissionConfig, ShedReason, Verdict};
-use crate::arrivals::{self, ArrivalStreams};
+use crate::arrivals;
 use crate::batch::{BatchPolicy, Batcher};
-use crate::event::{EventHeap, EventKind, LogRecord};
+use crate::event::{self, Entry, LogRecord, Tier};
 use crate::report::LatencyDist;
 use crate::scheduler::{Job, SchedKind, Scheduler};
 use crate::sim::{analytic_price_ps, offload_overhead_ps};
 use crate::tenants::TenantSpec;
-use crate::workload::{EngineCall, Workload};
+use crate::workload::{EngineCall, ExecOutcome, Workload};
 use cdpu_fleet::{AlgoOp, CallRecord};
 use cdpu_hwsim::params::{CdpuParams, MemParams};
 use cdpu_par::NotifyPool;
 use cdpu_util::rng::mix64;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 /// How dispatch service times are derived.
@@ -320,58 +318,110 @@ impl ServedReport {
     }
 }
 
-/// One in-flight dispatch on a shard.
-struct Flight {
-    jobs: Vec<Job>,
-    start_ps: u64,
-}
-
-/// Mutable engine run state.
-struct EngState {
-    sched: Scheduler,
+/// The engine's side of the loop: the work-model estimate, the four
+/// admission gates, the batcher, and real execution on the shard pool.
+struct EngineTier<'c> {
+    cfg: &'c EngineConfig,
+    workload: &'c Arc<Workload>,
+    model: WorkModel,
     batcher: Batcher,
     admission: Admission,
-    idle: BinaryHeap<Reverse<u32>>,
-    in_flight: Vec<Option<Flight>>,
-    spare: Vec<Vec<Job>>,
-    pool: NotifyPool<(Vec<crate::workload::ExecOutcome>, u64)>,
+    pool: NotifyPool<(Vec<ExecOutcome>, u64)>,
+    /// Every injected call, indexed by job id.
     calls: Vec<EngineCall>,
-    waits: Vec<Vec<u64>>,
-    totals: Vec<Vec<u64>>,
-    injected: Vec<u64>,
     admitted: Vec<u64>,
-    completed: Vec<u64>,
     shed: Vec<[u64; 4]>,
     exec_unc: Vec<u64>,
     exec_comp: Vec<u64>,
     checksum: Vec<u64>,
-    busy_ps: u64,
-    last_departure_ps: u64,
-    peak_queue: u64,
     dispatches: u64,
-    dispatched_jobs: u64,
     coalesced_jobs: u64,
     max_batch: u64,
-    events: Vec<LogRecord>,
-    record_events: bool,
-    heap: EventHeap,
-    depth_gauge: cdpu_telemetry::metrics::Gauge,
-    wait_hist: cdpu_telemetry::metrics::Histogram,
     dispatch_counter: cdpu_telemetry::metrics::Counter,
     shed_counters: Vec<cdpu_telemetry::metrics::Counter>,
 }
 
-impl EngState {
-    fn log(&mut self, time_ps: u64, kind: u8, tenant: u32, job: u64) {
-        if self.record_events {
-            self.events.push(LogRecord { time_ps, kind, tenant, job });
+impl Tier for EngineTier<'_> {
+    const TELEMETRY: &'static str = "served";
+
+    fn price(&mut self, id: u64, call: &CallRecord) -> (u64, u64) {
+        let c = engine_call(self.cfg.seed, id, call, self.workload);
+        self.calls.push(c);
+        (self.model.estimate_ps(c.op, c.bytes), c.bytes)
+    }
+
+    /// Every admitted call queues, idle shard or not, behind the four
+    /// per-tenant gates.
+    fn admit(&mut self, job: &Job, _idle: bool, _queued: usize) -> Entry {
+        let ti = job.tenant as usize;
+        match self.admission.offer(ti, job.arrival_ps) {
+            Verdict::Admit => {
+                self.admitted[ti] += 1;
+                Entry::Queue
+            }
+            Verdict::Shed(reason) => {
+                let r = ShedReason::ALL.iter().position(|&x| x == reason).unwrap();
+                self.shed[ti][r] += 1;
+                self.shed_counters[r].incr();
+                Entry::Shed
+            }
         }
     }
 
-    fn queue_changed(&mut self) {
-        let depth = (self.sched.len() + self.batcher.carried()) as u64;
-        self.peak_queue = self.peak_queue.max(depth);
-        self.depth_gauge.set(depth as i64);
+    fn next_dispatch(&mut self, sched: &mut Scheduler, out: &mut Vec<Job>) -> bool {
+        self.batcher.next_into(sched, out)
+    }
+
+    fn held(&self) -> usize {
+        self.batcher.carried()
+    }
+
+    /// Real execution on a worker shard: submit, then block on this
+    /// dispatch's completion (the virtual clock cannot advance past the
+    /// dispatch without its outcome). A kernel's panic resumes here.
+    fn serve(&mut self, jobs: &[Job]) -> u64 {
+        let batch: Vec<EngineCall> = jobs.iter().map(|j| self.calls[j.id as usize]).collect();
+        let wl = Arc::clone(self.workload);
+        self.pool.submit(move || wl.execute_all(&batch));
+        let (_, (outcomes, measured_ns)) = self.pool.recv().expect("one dispatch outstanding");
+        debug_assert_eq!(outcomes.len(), jobs.len());
+        let mut residency_ps = 0u64;
+        for (job, out) in jobs.iter().zip(&outcomes) {
+            let ti = job.tenant as usize;
+            self.admission.on_dispatch(ti);
+            self.exec_unc[ti] += out.uncompressed_bytes;
+            self.exec_comp[ti] += out.compressed_bytes;
+            self.checksum[ti] ^= mix64(out.check ^ job.id);
+            let op = self.calls[job.id as usize].op;
+            residency_ps += self.model.call_ps(op, out.uncompressed_bytes);
+        }
+        self.dispatches += 1;
+        self.dispatch_counter.incr();
+        self.max_batch = self.max_batch.max(jobs.len() as u64);
+        if jobs.len() > 1 {
+            self.coalesced_jobs += jobs.len() as u64;
+        }
+        self.model.offload_ps
+            + match self.cfg.timing {
+                Timing::Work => residency_ps.max(1),
+                Timing::Measured => (measured_ns * 1000).max(1),
+            }
+    }
+
+    fn on_complete(&mut self, now: u64, job: &Job, start_ps: u64) {
+        let wait_ps = start_ps - job.arrival_ps;
+        self.admission.on_complete(job.tenant as usize, now, wait_ps);
+    }
+}
+
+/// The executable form of call `id`: bytes clamped to the workload, a
+/// salt from the seed and the id.
+fn engine_call(seed: u64, id: u64, call: &CallRecord, workload: &Workload) -> EngineCall {
+    EngineCall {
+        op: call.op,
+        bytes: workload.clamp_bytes(call.uncompressed_bytes),
+        level: call.level,
+        salt: mix64(seed ^ id),
     }
 }
 
@@ -383,285 +433,92 @@ impl EngState {
 /// # Panics
 ///
 /// Panics on an empty tenant list, zero shards, or a non-positive
-/// offered load.
+/// offered load, and with the payload of a kernel that panicked.
 pub fn run(cfg: &EngineConfig, workload: &Arc<Workload>) -> ServedReport {
-    assert!(!cfg.tenants.is_empty(), "need at least one tenant");
-    assert!(cfg.shards >= 1, "need at least one shard");
-    assert!(
-        cfg.offered_load > 0.0 && cfg.offered_load.is_finite(),
-        "offered load must be positive"
-    );
-    cfg.params.validate();
     cfg.batch.validate();
-
-    let model = WorkModel::calibrate(&cfg.params, &cfg.mem);
-    // Same calibration entry point as the simulator: identical rates →
-    // identical arrival instants for a given (seed, ρ, shard count).
-    let rates = arrivals::calibrated_rates(
-        cfg.seed,
-        &cfg.tenants,
-        cfg.offered_load,
-        cfg.shards,
-        |call| analytic_price_ps(call, &cfg.params, &cfg.mem),
-    );
-    let weights = arrivals::normalized_weights(&cfg.tenants);
-
     let registry = cdpu_telemetry::registry();
     let n = cfg.tenants.len();
-    let mut st = EngState {
-        sched: Scheduler::new(cfg.sched, &weights),
+    let mut tier = EngineTier {
+        cfg,
+        workload,
+        model: WorkModel::calibrate(&cfg.params, &cfg.mem),
         batcher: Batcher::new(cfg.batch),
         admission: Admission::new(cfg.admission.clone(), n),
-        idle: (0..cfg.shards).map(Reverse).collect(),
-        in_flight: (0..cfg.shards).map(|_| None).collect(),
-        spare: Vec::new(),
         pool: NotifyPool::new(cfg.shards as usize),
         calls: Vec::with_capacity(cfg.total_calls.min(1 << 20) as usize),
-        waits: vec![Vec::new(); n],
-        totals: vec![Vec::new(); n],
-        injected: vec![0; n],
         admitted: vec![0; n],
-        completed: vec![0; n],
         shed: vec![[0; 4]; n],
         exec_unc: vec![0; n],
         exec_comp: vec![0; n],
         checksum: vec![0; n],
-        busy_ps: 0,
-        last_departure_ps: 0,
-        peak_queue: 0,
         dispatches: 0,
-        dispatched_jobs: 0,
         coalesced_jobs: 0,
         max_batch: 0,
-        events: Vec::new(),
-        record_events: cfg.record_events,
-        heap: EventHeap::new(),
-        depth_gauge: registry.gauge("served.queue.depth"),
-        wait_hist: registry.histogram("served.wait_ns"),
         dispatch_counter: registry.counter("served.dispatches"),
         shed_counters: ShedReason::ALL
             .iter()
             .map(|r| registry.counter(&format!("served.shed.{}", r.label())))
             .collect(),
     };
+    // The simulator's config of this workload: the same calls arrive at
+    // the same instants in both tiers.
+    let mut sim = cfg.as_sim();
+    sim.record_events = cfg.record_events;
+    let (r, end_ps) = event::serve(&mut tier, &sim);
 
-    let mut streams = ArrivalStreams::new(cfg.seed, rates);
-    for i in 0..n {
-        if streams.rates()[i] > 0.0 && cfg.total_calls > 0 {
-            let dt = streams.next_gap_ps(i);
-            st.heap.push(dt, EventKind::Arrival(i as u32));
-        }
-    }
-
-    let mut total_injected = 0u64;
-    while let Some(event) = st.heap.pop() {
-        let now = event.time_ps;
-        match event.kind {
-            EventKind::Arrival(t) => {
-                let ti = t as usize;
-                if total_injected >= cfg.total_calls {
-                    continue;
-                }
-                let call = streams.next_call(ti, &cfg.tenants[ti]);
-                let bytes = workload.clamp_bytes(call.uncompressed_bytes);
-                let id = total_injected;
-                total_injected += 1;
-                st.injected[ti] += 1;
-                st.calls.push(EngineCall {
-                    op: call.op,
-                    bytes,
-                    level: call.level,
-                    salt: mix64(cfg.seed ^ id),
-                });
-                st.log(now, 0, t, id);
-                if total_injected < cfg.total_calls {
-                    let dt = streams.next_gap_ps(ti);
-                    st.heap.push(now + dt, EventKind::Arrival(t));
-                }
-                match st.admission.offer(ti, now) {
-                    Verdict::Admit => {
-                        st.admitted[ti] += 1;
-                        st.sched.push(Job {
-                            id,
-                            tenant: t,
-                            arrival_ps: now,
-                            service_ps: model.estimate_ps(call.op, bytes),
-                            bytes,
-                        });
-                        st.queue_changed();
-                        dispatch_idle(&mut st, now, cfg, &model, workload);
-                    }
-                    Verdict::Shed(reason) => {
-                        let r = ShedReason::ALL.iter().position(|&x| x == reason).unwrap();
-                        st.shed[ti][r] += 1;
-                        st.shed_counters[r].incr();
-                        st.log(now, 3, t, id);
-                    }
-                }
-            }
-            EventKind::Departure(shard) => {
-                let flight = st.in_flight[shard as usize]
-                    .take()
-                    .expect("departure from an occupied shard");
-                for job in &flight.jobs {
-                    let ti = job.tenant as usize;
-                    st.totals[ti].push(now - job.arrival_ps);
-                    st.completed[ti] += 1;
-                    st.admission
-                        .on_complete(ti, now, flight.start_ps - job.arrival_ps);
-                    if st.record_events {
-                        st.events.push(LogRecord {
-                            time_ps: now,
-                            kind: 2,
-                            tenant: job.tenant,
-                            job: job.id,
-                        });
-                    }
-                }
-                st.last_departure_ps = st.last_departure_ps.max(now);
-                let mut jobs = flight.jobs;
-                jobs.clear();
-                st.spare.push(jobs);
-                st.idle.push(Reverse(shard));
-                dispatch_idle(&mut st, now, cfg, &model, workload);
-            }
-        }
-    }
-
-    build_report(cfg, st, total_injected, &weights)
-}
-
-/// Dispatches batches onto idle shards until one side runs dry.
-fn dispatch_idle(
-    st: &mut EngState,
-    now: u64,
-    cfg: &EngineConfig,
-    model: &WorkModel,
-    workload: &Arc<Workload>,
-) {
-    while let Some(Reverse(shard)) = st.idle.pop() {
-        let mut jobs = st.spare.pop().unwrap_or_default();
-        if !st.batcher.next_into(&mut st.sched, &mut jobs) {
-            st.spare.push(jobs);
-            st.idle.push(Reverse(shard));
-            return;
-        }
-        st.queue_changed();
-        let batch_calls: Vec<EngineCall> =
-            jobs.iter().map(|j| st.calls[j.id as usize]).collect();
-        for job in &jobs {
-            let ti = job.tenant as usize;
-            st.admission.on_dispatch(ti);
-            let wait = now - job.arrival_ps;
-            st.waits[ti].push(wait);
-            st.wait_hist.record(wait / 1000);
-            if st.record_events {
-                st.events.push(LogRecord {
-                    time_ps: now,
-                    kind: 1,
-                    tenant: job.tenant,
-                    job: job.id,
-                });
-            }
-        }
-        // Real execution on a worker shard: submit, then block on this
-        // dispatch's completion (the virtual clock cannot advance past
-        // the dispatch without its outcome).
-        let wl = Arc::clone(workload);
-        st.pool.submit(move || wl.execute_all(&batch_calls));
-        let (_, (outcomes, measured_ns)) =
-            st.pool.recv().expect("one dispatch outstanding");
-        debug_assert_eq!(outcomes.len(), jobs.len());
-        let mut residency_ps = 0u64;
-        for (job, out) in jobs.iter().zip(&outcomes) {
-            let ti = job.tenant as usize;
-            st.exec_unc[ti] += out.uncompressed_bytes;
-            st.exec_comp[ti] += out.compressed_bytes;
-            st.checksum[ti] ^= mix64(out.check ^ job.id);
-            residency_ps += model.call_ps(st.calls[job.id as usize].op, out.uncompressed_bytes);
-        }
-        let service_ps = match cfg.timing {
-            Timing::Work => model.offload_ps + residency_ps.max(1),
-            Timing::Measured => model.offload_ps + (measured_ns * 1000).max(1),
-        };
-        st.busy_ps += service_ps;
-        st.dispatches += 1;
-        st.dispatch_counter.incr();
-        let len = jobs.len() as u64;
-        st.dispatched_jobs += len;
-        st.max_batch = st.max_batch.max(len);
-        if len > 1 {
-            st.coalesced_jobs += len;
-        }
-        st.heap.push(now + service_ps, EventKind::Departure(shard));
-        st.in_flight[shard as usize] = Some(Flight {
-            jobs,
-            start_ps: now,
-        });
-    }
-}
-
-fn build_report(
-    cfg: &EngineConfig,
-    mut st: EngState,
-    total_injected: u64,
-    weights: &[f64],
-) -> ServedReport {
-    let span_ps = st.last_departure_ps.max(1);
-    let mut all_waits = Vec::new();
-    let mut all_totals = Vec::new();
-    let mut tenants = Vec::with_capacity(cfg.tenants.len());
-    for (i, spec) in cfg.tenants.iter().enumerate() {
-        all_waits.extend_from_slice(&st.waits[i]);
-        all_totals.extend_from_slice(&st.totals[i]);
-        tenants.push(ServedTenant {
-            name: spec.name.clone(),
-            weight: weights[i],
-            injected: st.injected[i],
-            admitted: st.admitted[i],
-            completed: st.completed[i],
-            shed_burn: st.shed[i][0],
-            shed_quota: st.shed[i][1],
-            shed_bucket: st.shed[i][2],
-            shed_queue: st.shed[i][3],
-            wait: LatencyDist::from_ps(&mut st.waits[i]),
-            total: LatencyDist::from_ps(&mut st.totals[i]),
-            executed_uncompressed_bytes: st.exec_unc[i],
-            checksum: st.checksum[i],
-        });
-    }
-    let completed: u64 = st.completed.iter().sum();
-    let exec_unc: u64 = st.exec_unc.iter().sum();
+    let tenants = r
+        .tenants
+        .into_iter()
+        .enumerate()
+        .map(|(i, t)| ServedTenant {
+            name: t.name,
+            weight: t.weight,
+            injected: t.injected,
+            admitted: tier.admitted[i],
+            completed: t.completed,
+            shed_burn: tier.shed[i][0],
+            shed_quota: tier.shed[i][1],
+            shed_bucket: tier.shed[i][2],
+            shed_queue: tier.shed[i][3],
+            wait: t.wait,
+            total: t.total,
+            executed_uncompressed_bytes: tier.exec_unc[i],
+            checksum: tier.checksum[i],
+        })
+        .collect();
+    let exec_unc: u64 = tier.exec_unc.iter().sum();
     ServedReport {
         timing: cfg.timing,
         sched: cfg.sched,
         offered_load: cfg.offered_load,
         shards: cfg.shards,
-        injected: total_injected,
-        admitted: st.admitted.iter().sum(),
-        completed,
-        shed: st.shed.iter().flatten().sum(),
-        wait: LatencyDist::from_ps(&mut all_waits),
-        total: LatencyDist::from_ps(&mut all_totals),
-        utilization: st.busy_ps as f64 / (cfg.shards as u64 * span_ps) as f64,
-        goodput_gbps: exec_unc as f64 * 1000.0 / span_ps as f64,
-        dispatches: st.dispatches,
-        coalesced_jobs: st.coalesced_jobs,
-        mean_batch: if st.dispatches == 0 {
+        injected: r.injected,
+        admitted: tier.admitted.iter().sum(),
+        completed: r.completed,
+        shed: r.dropped,
+        wait: r.wait,
+        total: r.total,
+        utilization: r.utilization,
+        // Bytes really processed, which the decode ladder's steps move
+        // off the calls' nominal sizes.
+        goodput_gbps: exec_unc as f64 * 1000.0 / end_ps.max(1) as f64,
+        dispatches: tier.dispatches,
+        coalesced_jobs: tier.coalesced_jobs,
+        mean_batch: if tier.dispatches == 0 {
             0.0
         } else {
-            st.dispatched_jobs as f64 / st.dispatches as f64
+            r.completed as f64 / tier.dispatches as f64
         },
-        max_batch: st.max_batch,
-        peak_queue_depth: st.peak_queue,
+        max_batch: tier.max_batch,
+        peak_queue_depth: r.peak_queue_depth,
         executed_uncompressed_bytes: exec_unc,
-        executed_compressed_bytes: st.exec_comp.iter().sum(),
-        checksum: st
+        executed_compressed_bytes: tier.exec_comp.iter().sum(),
+        checksum: tier
             .checksum
             .iter()
             .fold(0u64, |acc, &c| acc ^ mix64(c ^ acc.rotate_left(17))),
         tenants,
-        events: std::mem::take(&mut st.events),
+        events: r.events,
     }
 }
 
@@ -679,7 +536,7 @@ pub fn saturation_run(
     batch: BatchPolicy,
 ) -> (u64, f64) {
     batch.validate();
-    let mut pool: NotifyPool<(Vec<crate::workload::ExecOutcome>, u64)> = NotifyPool::new(shards);
+    let mut pool: NotifyPool<(Vec<ExecOutcome>, u64)> = NotifyPool::new(shards);
     let start = std::time::Instant::now();
     let mut i = 0;
     while i < calls.len() {
@@ -711,21 +568,9 @@ pub fn saturation_run(
 /// [`saturation_run`]: the same bodies the engine would inject for `cfg`,
 /// in arrival order.
 pub fn materialize_calls(cfg: &EngineConfig, workload: &Workload) -> Vec<EngineCall> {
-    let rates = arrivals::calibrated_rates(
-        cfg.seed,
-        &cfg.tenants,
-        cfg.offered_load,
-        cfg.shards,
-        |call| analytic_price_ps(call, &cfg.params, &cfg.mem),
-    );
-    arrivals::schedule(cfg.seed, &cfg.tenants, &rates, cfg.total_calls)
-        .into_iter()
-        .map(|a| EngineCall {
-            op: a.call.op,
-            bytes: workload.clamp_bytes(a.call.uncompressed_bytes),
-            level: a.call.level,
-            salt: mix64(cfg.seed ^ a.id),
-        })
+    arrivals::schedule(cfg.seed, &cfg.tenants, &cfg.as_sim().rates(), cfg.total_calls)
+        .iter()
+        .map(|a| engine_call(cfg.seed, a.id, &a.call, workload))
         .collect()
 }
 

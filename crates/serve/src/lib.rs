@@ -13,14 +13,16 @@
 //! The simulator tier:
 //!
 //! - [`event`]: the event heap — total order on `(time, seq)`, so a run
-//!   is a pure function of its seed.
+//!   is a pure function of its seed — and the one serving loop both
+//!   tiers run, each supplying its own pricing, admission, dispatch and
+//!   service.
 //! - [`scheduler`]: FCFS, size-aware SJF, and per-tenant deficit
 //!   round-robin (weighted fair) queue disciplines.
 //! - [`tenants`]: tenant specifications and call mixes (full fleet mix,
 //!   one algorithm/direction, or fixed-size synthetic tenants).
-//! - [`sim`]: the simulator core — open-loop Poisson arrivals calibrated
-//!   to an offered load, bounded queue with drop accounting, busy/idle
-//!   instance tracking.
+//! - [`sim`]: the simulator tier — analytic prices, open-loop Poisson
+//!   arrivals calibrated to an offered load, a bounded queue with drop
+//!   accounting.
 //! - [`report`]: per-tenant and aggregate tail-latency reports
 //!   (p50/p99/p99.9 wait and sojourn, utilization, goodput).
 //! - [`obs`]: time-resolved observability — tumbling-window tenant
@@ -38,7 +40,7 @@
 //!   quota, token bucket, SLO burn-rate shedding with onset hysteresis).
 //! - [`batch`]: small-call coalescing, amortizing per-dispatch offload
 //!   overhead across jobs.
-//! - [`engine`]: the engine core — admission, scheduling and dispatch of
+//! - [`engine`]: the engine tier — admission, batching and dispatch of
 //!   real codec calls over worker shards, under deterministic work
 //!   timing (calibrated against the analytic price, bit-identical across
 //!   runs and hosts) or measured wall-clock timing.

@@ -1,4 +1,9 @@
-//! The simulator core: open-loop arrivals → bounded queue → N instances.
+//! The simulator: open-loop arrivals → bounded queue → N instances, as
+//! the analytic tier of the one serving loop (`event::serve`).
+//! Its tier prices each call with the `cdpu-hwsim` cycle model, starts an
+//! arrival at once on an idle instance (never counted in queue depth),
+//! and drops one only when every instance is busy and `queue_capacity`
+//! jobs wait; the loop does the rest and reports.
 //!
 //! Arrival rates are *calibrated*, not guessed: a pre-pass prices a few
 //! hundred calls per tenant (with dedicated RNG streams that do not
@@ -13,16 +18,15 @@
 //! forked from `ServeConfig::seed` by fixed tags, and events are totally
 //! ordered by `(time, seq)`.
 
-use crate::arrivals::{self, ArrivalStreams};
-use crate::event::{EventHeap, EventKind, LogRecord};
-use crate::obs::{ObsConfig, ObsState};
-use crate::report::{LatencyDist, ServeReport, SizeBin, TenantReport};
+use crate::arrivals;
+use crate::event::{self, Entry, Tier};
+use crate::obs::ObsConfig;
+use crate::report::ServeReport;
 use crate::scheduler::{Job, SchedKind, Scheduler};
 use crate::tenants::TenantSpec;
+use cdpu_fleet::CallRecord;
 use cdpu_hwsim::params::{CdpuParams, MemParams, Placement};
 use cdpu_hwsim::service::service_cycles;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Per-invocation software offload overhead by placement, picoseconds —
 /// the driver/DMA/doorbell cost of *reaching* the accelerator that
@@ -124,11 +128,6 @@ impl ServeConfig {
         }
     }
 
-    /// Normalized tenant weights.
-    fn weights(&self) -> Vec<f64> {
-        arrivals::normalized_weights(&self.tenants)
-    }
-
     /// Prices one sampled call: accelerator residency plus the
     /// per-invocation offload overhead of the placement. Large decompress
     /// calls under a [`ChunkedPolicy`] are priced at the chunked-frame
@@ -157,67 +156,66 @@ impl ServeConfig {
     pub fn mean_service_ps(&self) -> f64 {
         arrivals::mean_service_ps(self.seed, &self.tenants, |call| self.price_ps(call))
     }
+
+    /// Per-tenant arrival rates calibrated so the load is `offered_load`:
+    /// λ_total in events per picosecond is ρ·N / E[S].
+    pub(crate) fn rates(&self) -> Vec<f64> {
+        arrivals::calibrated_rates(
+            self.seed,
+            &self.tenants,
+            self.offered_load,
+            self.instances,
+            |call| self.price_ps(call),
+        )
+    }
 }
 
-/// Mutable per-run accumulators.
-struct RunState {
-    scheduler: Scheduler,
-    idle: BinaryHeap<Reverse<u32>>,
-    in_service: Vec<Option<Job>>,
-    waits: Vec<Vec<u64>>,
-    totals: Vec<Vec<u64>>,
-    service_sums: Vec<u64>,
-    injected: Vec<u64>,
-    completed: Vec<u64>,
-    dropped: Vec<u64>,
-    bin_count: [u64; 33],
-    bin_service_ps: [u64; 33],
-    bin_bytes: [u64; 33],
-    busy_ps: u64,
-    completed_bytes: u64,
-    last_departure_ps: u64,
-    peak_queue: u64,
-    events: Vec<LogRecord>,
-    record_events: bool,
-    obs: Option<ObsState>,
-    heap: EventHeap,
+/// The simulator's side of the loop: the analytic price and the global
+/// drop-tail bound.
+struct SimTier<'c> {
+    cfg: &'c ServeConfig,
     // Telemetry handles (names are dynamic per tenant, so they are
     // registered once here, like FleetSampler does).
-    depth_gauge: cdpu_telemetry::metrics::Gauge,
     peak_gauge: cdpu_telemetry::metrics::Gauge,
-    wait_hist: cdpu_telemetry::metrics::Histogram,
     tenant_completed: Vec<cdpu_telemetry::metrics::Counter>,
 }
 
-impl RunState {
-    fn log(&mut self, time_ps: u64, kind: u8, tenant: u32, job: u64) {
-        if self.record_events {
-            self.events.push(LogRecord { time_ps, kind, tenant, job });
+impl Tier for SimTier<'_> {
+    const TELEMETRY: &'static str = "serve";
+
+    fn price(&mut self, _id: u64, call: &CallRecord) -> (u64, u64) {
+        (self.cfg.price_ps(call), call.uncompressed_bytes)
+    }
+
+    /// An arrival starts at once on an idle instance, never counted in
+    /// queue depth; otherwise it queues unless `queue_capacity` jobs
+    /// already wait.
+    fn admit(&mut self, _job: &Job, idle: bool, queued: usize) -> Entry {
+        if idle {
+            Entry::Start
+        } else if queued < self.cfg.queue_capacity {
+            Entry::Queue
+        } else {
+            Entry::Shed
         }
     }
 
-    fn queue_changed(&mut self, now: u64) {
-        let depth = self.scheduler.len() as u64;
-        self.peak_queue = self.peak_queue.max(depth);
-        self.depth_gauge.set(depth as i64);
+    fn next_dispatch(&mut self, sched: &mut Scheduler, out: &mut Vec<Job>) -> bool {
+        out.extend(sched.pop());
+        !out.is_empty()
+    }
+
+    fn on_queue_depth(&mut self, depth: u64) {
         self.peak_gauge.set_max(depth as i64);
-        if let Some(obs) = self.obs.as_mut() {
-            obs.on_queue_depth(now, depth);
-        }
     }
 
-    /// Puts `job` on `instance` at `now` and schedules its departure.
-    fn start(&mut self, job: Job, instance: u32, now: u64) {
-        let wait = now - job.arrival_ps;
-        self.waits[job.tenant as usize].push(wait);
-        self.wait_hist.record(wait / 1000);
-        self.busy_ps += job.service_ps;
-        self.in_service[instance as usize] = Some(job);
-        self.heap.push(now + job.service_ps, EventKind::Departure(instance));
-        if let Some(obs) = self.obs.as_mut() {
-            obs.on_start(now, &job);
-        }
-        self.log(now, 1, job.tenant, job.id);
+    /// A call is resident for exactly its price.
+    fn serve(&mut self, jobs: &[Job]) -> u64 {
+        jobs.iter().map(|j| j.service_ps).sum()
+    }
+
+    fn on_complete(&mut self, _now: u64, job: &Job, _start_ps: u64) {
+        self.tenant_completed[job.tenant as usize].incr();
     }
 }
 
@@ -228,203 +226,17 @@ impl RunState {
 /// Panics on an empty tenant list, zero instances, or a non-positive
 /// offered load.
 pub fn run(cfg: &ServeConfig) -> ServeReport {
-    assert!(!cfg.tenants.is_empty(), "need at least one tenant");
-    assert!(cfg.instances >= 1, "need at least one instance");
-    assert!(
-        cfg.offered_load > 0.0 && cfg.offered_load.is_finite(),
-        "offered load must be positive"
-    );
-    cfg.params.validate();
-
-    let weights = cfg.weights();
-    // λ_total in events per picosecond: ρ·N / E[S].
-    let rates = arrivals::calibrated_rates(
-        cfg.seed,
-        &cfg.tenants,
-        cfg.offered_load,
-        cfg.instances,
-        |call| cfg.price_ps(call),
-    );
-
     let registry = cdpu_telemetry::registry();
-    let n_tenants = cfg.tenants.len();
-    let mut state = RunState {
-        scheduler: Scheduler::new(cfg.sched, &weights),
-        idle: (0..cfg.instances).map(Reverse).collect(),
-        in_service: vec![None; cfg.instances as usize],
-        waits: vec![Vec::new(); n_tenants],
-        totals: vec![Vec::new(); n_tenants],
-        service_sums: vec![0; n_tenants],
-        injected: vec![0; n_tenants],
-        completed: vec![0; n_tenants],
-        dropped: vec![0; n_tenants],
-        bin_count: [0; 33],
-        bin_service_ps: [0; 33],
-        bin_bytes: [0; 33],
-        busy_ps: 0,
-        completed_bytes: 0,
-        last_departure_ps: 0,
-        peak_queue: 0,
-        events: Vec::new(),
-        record_events: cfg.record_events,
-        obs: cfg
-            .obs
-            .clone()
-            .map(|obs_cfg| ObsState::new(obs_cfg, &cfg.tenants)),
-        heap: EventHeap::new(),
-        depth_gauge: registry.gauge("serve.queue.depth"),
+    let mut tier = SimTier {
+        cfg,
         peak_gauge: registry.gauge("serve.queue.depth_peak"),
-        wait_hist: registry.histogram("serve.wait_ns"),
         tenant_completed: cfg
             .tenants
             .iter()
             .map(|t| registry.counter(&format!("serve.tenant.{}.completed", t.name)))
             .collect(),
     };
-
-    let mut streams = ArrivalStreams::new(cfg.seed, rates);
-
-    // Seed each tenant's first arrival.
-    let mut total_injected = 0u64;
-    for i in 0..n_tenants {
-        if streams.rates()[i] > 0.0 && cfg.total_calls > 0 {
-            let dt = streams.next_gap_ps(i);
-            state.heap.push(dt, EventKind::Arrival(i as u32));
-        }
-    }
-
-    while let Some(event) = state.heap.pop() {
-        let now = event.time_ps;
-        match event.kind {
-            EventKind::Arrival(t) => {
-                let ti = t as usize;
-                if total_injected >= cfg.total_calls {
-                    continue;
-                }
-                let call = streams.next_call(ti, &cfg.tenants[ti]);
-                let job = Job {
-                    id: total_injected,
-                    tenant: t,
-                    arrival_ps: now,
-                    service_ps: cfg.price_ps(&call),
-                    bytes: call.uncompressed_bytes,
-                };
-                total_injected += 1;
-                state.injected[ti] += 1;
-                if let Some(obs) = state.obs.as_mut() {
-                    obs.on_arrival(now, &job, &call);
-                }
-                state.log(now, 0, t, job.id);
-                if total_injected < cfg.total_calls {
-                    let dt = streams.next_gap_ps(ti);
-                    state.heap.push(now + dt, EventKind::Arrival(t));
-                }
-                if let Some(Reverse(instance)) = state.idle.pop() {
-                    state.start(job, instance, now);
-                } else if state.scheduler.len() < cfg.queue_capacity {
-                    state.scheduler.push(job);
-                    state.queue_changed(now);
-                } else {
-                    state.dropped[ti] += 1;
-                    if let Some(obs) = state.obs.as_mut() {
-                        obs.on_drop(now, &job);
-                    }
-                    state.log(now, 3, t, job.id);
-                }
-            }
-            EventKind::Departure(instance) => {
-                let job = state.in_service[instance as usize]
-                    .take()
-                    .expect("departure from an occupied instance");
-                let ti = job.tenant as usize;
-                state.totals[ti].push(now - job.arrival_ps);
-                state.service_sums[ti] += job.service_ps;
-                state.completed[ti] += 1;
-                state.tenant_completed[ti].incr();
-                state.completed_bytes += job.bytes;
-                state.last_departure_ps = state.last_departure_ps.max(now);
-                let bin = cdpu_util::ceil_log2(job.bytes.max(1)).min(32) as usize;
-                state.bin_count[bin] += 1;
-                state.bin_service_ps[bin] += job.service_ps;
-                state.bin_bytes[bin] += job.bytes;
-                if let Some(obs) = state.obs.as_mut() {
-                    obs.on_completion(now, &job);
-                }
-                state.log(now, 2, job.tenant, job.id);
-                if let Some(next) = state.scheduler.pop() {
-                    state.queue_changed(now);
-                    state.start(next, instance, now);
-                } else {
-                    state.idle.push(Reverse(instance));
-                }
-            }
-        }
-    }
-
-    build_report(cfg, state, total_injected)
-}
-
-fn build_report(cfg: &ServeConfig, mut state: RunState, total_injected: u64) -> ServeReport {
-    let weights = cfg.weights();
-    let span_ps = state.last_departure_ps.max(1);
-    let obs = state
-        .obs
-        .take()
-        .map(|o| o.into_report(cfg, state.last_departure_ps));
-    let mut all_waits = Vec::new();
-    let mut all_totals = Vec::new();
-    let mut tenants = Vec::with_capacity(cfg.tenants.len());
-    for (i, spec) in cfg.tenants.iter().enumerate() {
-        all_waits.extend_from_slice(&state.waits[i]);
-        all_totals.extend_from_slice(&state.totals[i]);
-        let completed = state.completed[i];
-        tenants.push(TenantReport {
-            name: spec.name.clone(),
-            weight: weights[i],
-            injected: state.injected[i],
-            completed,
-            dropped: state.dropped[i],
-            wait: LatencyDist::from_ps(&mut state.waits[i]),
-            total: LatencyDist::from_ps(&mut state.totals[i]),
-            mean_service_ns: if completed == 0 {
-                0.0
-            } else {
-                state.service_sums[i] as f64 / completed as f64 / 1000.0
-            },
-        });
-    }
-    let completed: u64 = state.completed.iter().sum();
-    let size_bins = (0..33)
-        .filter(|&b| state.bin_count[b] > 0)
-        .map(|b| SizeBin {
-            log2: b as u32,
-            count: state.bin_count[b],
-            mean_service_ns: state.bin_service_ps[b] as f64 / state.bin_count[b] as f64 / 1000.0,
-            mean_bytes: state.bin_bytes[b] as f64 / state.bin_count[b] as f64,
-        })
-        .collect();
-    let service_sum: u64 = state.service_sums.iter().sum();
-    ServeReport {
-        offered_load: cfg.offered_load,
-        instances: cfg.instances,
-        injected: total_injected,
-        completed,
-        dropped: state.dropped.iter().sum(),
-        wait: LatencyDist::from_ps(&mut all_waits),
-        total: LatencyDist::from_ps(&mut all_totals),
-        mean_service_ns: if completed == 0 {
-            0.0
-        } else {
-            service_sum as f64 / completed as f64 / 1000.0
-        },
-        utilization: state.busy_ps as f64 / (cfg.instances as u64 * span_ps) as f64,
-        goodput_gbps: state.completed_bytes as f64 * 1000.0 / span_ps as f64,
-        peak_queue_depth: state.peak_queue,
-        tenants,
-        size_bins,
-        events: std::mem::take(&mut state.events),
-        obs,
-    }
+    event::serve(&mut tier, cfg).0
 }
 
 #[cfg(test)]
