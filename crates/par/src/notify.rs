@@ -235,7 +235,7 @@ mod tests {
         use std::time::Duration;
         for shards in [2, 1] {
             let (tx, rx) = channel();
-            thread::spawn(move || {
+            let helper = thread::spawn(move || {
                 let mut pool = NotifyPool::new(shards);
                 pool.submit(|| -> u64 { panic!("kernel failed") });
                 let caught = catch_unwind(AssertUnwindSafe(|| pool.recv()));
@@ -253,6 +253,7 @@ mod tests {
                 Ok((Some("kernel failed"), Some((1, 7)))),
                 "{shards} shard(s): the panic must resume in recv and the pool must drop"
             );
+            helper.join().expect("the helper returned its reading");
         }
     }
 

@@ -360,7 +360,10 @@ impl Tier for EngineTier<'_> {
                 Entry::Queue
             }
             Verdict::Shed(reason) => {
-                let r = ShedReason::ALL.iter().position(|&x| x == reason).unwrap();
+                let r = ShedReason::ALL
+                    .iter()
+                    .position(|&x| x == reason)
+                    .expect("ShedReason::ALL lists every reason");
                 self.shed[ti][r] += 1;
                 self.shed_counters[r].incr();
                 Entry::Shed

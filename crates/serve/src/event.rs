@@ -129,8 +129,10 @@ pub(crate) trait Tier {
     fn on_complete(&mut self, now: u64, job: &Job, start_ps: u64);
 }
 
-/// One dispatch on an instance.
-struct Flight {
+/// One instance: the dispatch it serves (empty while idle, the buffer
+/// kept for the next one) and when that dispatch started.
+#[derive(Default)]
+struct Instance {
     jobs: Vec<Job>,
     start_ps: u64,
 }
@@ -141,8 +143,7 @@ struct Loop {
     arrivals: Injector,
     sched: Scheduler,
     idle: BinaryHeap<Reverse<u32>>,
-    in_flight: Vec<Option<Flight>>,
-    spare: Vec<Vec<Job>>,
+    instances: Vec<Instance>,
     injected: Vec<u64>,
     completed: Vec<u64>,
     dropped: Vec<u64>,
@@ -192,20 +193,35 @@ impl Loop {
         let service_ps = tier.serve(&jobs);
         self.busy_ps += service_ps;
         self.heap.push(now + service_ps, EventKind::Departure(instance));
-        self.in_flight[instance as usize] = Some(Flight { jobs, start_ps: now });
+        self.instances[instance as usize] = Instance { jobs, start_ps: now };
+    }
+
+    /// Puts the next dispatch, formed in the empty `jobs`, on the free
+    /// `instance`, or idles it when the queue is empty; `false` then.
+    fn refill(
+        &mut self,
+        tier: &mut impl Tier,
+        instance: u32,
+        mut jobs: Vec<Job>,
+        now: u64,
+    ) -> bool {
+        if !tier.next_dispatch(&mut self.sched, &mut jobs) {
+            self.instances[instance as usize].jobs = jobs;
+            self.idle.push(Reverse(instance));
+            return false;
+        }
+        self.queue_changed(tier, now);
+        self.dispatch(tier, instance, jobs, now);
+        true
     }
 
     /// Dispatches onto idle instances until either side runs dry.
     fn start_idle(&mut self, tier: &mut impl Tier, now: u64) {
         while let Some(Reverse(instance)) = self.idle.pop() {
-            let mut jobs = self.spare.pop().unwrap_or_default();
-            if !tier.next_dispatch(&mut self.sched, &mut jobs) {
-                self.spare.push(jobs);
-                self.idle.push(Reverse(instance));
+            let jobs = std::mem::take(&mut self.instances[instance as usize].jobs);
+            if !self.refill(tier, instance, jobs, now) {
                 return;
             }
-            self.queue_changed(tier, now);
-            self.dispatch(tier, instance, jobs, now);
         }
     }
 
@@ -225,7 +241,7 @@ impl Loop {
         match tier.admit(&job, !self.idle.is_empty(), self.sched.len()) {
             Entry::Start => {
                 let Reverse(instance) = self.idle.pop().expect("an idle instance");
-                let mut jobs = self.spare.pop().unwrap_or_default();
+                let mut jobs = std::mem::take(&mut self.instances[instance as usize].jobs);
                 jobs.push(job);
                 self.dispatch(tier, instance, jobs, now);
             }
@@ -246,9 +262,9 @@ impl Loop {
 
     /// Retires the dispatch on `instance` at `now` and refills it.
     fn depart(&mut self, tier: &mut impl Tier, instance: u32, now: u64) {
-        let Flight { mut jobs, start_ps } = self.in_flight[instance as usize]
-            .take()
-            .expect("departure from a busy instance");
+        let Instance { mut jobs, start_ps } =
+            std::mem::take(&mut self.instances[instance as usize]);
+        debug_assert!(!jobs.is_empty(), "departure from an idle instance");
         for job in &jobs {
             let ti = job.tenant as usize;
             self.totals[ti].push(now - job.arrival_ps);
@@ -267,9 +283,9 @@ impl Loop {
         }
         self.end_ps = self.end_ps.max(now);
         jobs.clear();
-        self.spare.push(jobs);
-        self.idle.push(Reverse(instance));
-        self.start_idle(tier, now);
+        // An instance is idle only while the queue is empty, so queued work
+        // goes to this one, the instance the lowest-index rule would pick.
+        self.refill(tier, instance, jobs, now);
     }
 }
 
@@ -311,8 +327,7 @@ pub(crate) fn serve<T: Tier>(tier: &mut T, cfg: &ServeConfig) -> (ServeReport, u
         arrivals,
         sched: Scheduler::new(cfg.sched, &weights),
         idle: (0..cfg.instances).map(Reverse).collect(),
-        in_flight: (0..cfg.instances).map(|_| None).collect(),
-        spare: Vec::new(),
+        instances: (0..cfg.instances).map(|_| Instance::default()).collect(),
         injected: vec![0; n],
         completed: vec![0; n],
         dropped: vec![0; n],
