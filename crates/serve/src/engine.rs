@@ -656,13 +656,7 @@ mod tests {
         let mut cfg = small_cfg(0.7);
         cfg.record_events = true;
         let r = run(&cfg, &wl());
-        let rates = arrivals::calibrated_rates(
-            cfg.seed,
-            &cfg.tenants,
-            cfg.offered_load,
-            cfg.shards,
-            |call| analytic_price_ps(call, &cfg.params, &cfg.mem),
-        );
+        let rates = cfg.as_sim().rates();
         let sched = arrivals::schedule(cfg.seed, &cfg.tenants, &rates, cfg.total_calls);
         let logged: Vec<_> = r.events.iter().filter(|e| e.kind == 0).collect();
         assert_eq!(logged.len(), sched.len());
