@@ -102,9 +102,13 @@ fn matcher_cycles(parse: &Parse, probe_bpc: f64) -> u64 {
 /// Simulates one Snappy compression call under the CDPU's parameters.
 pub fn snappy_compress(data: &[u8], p: &CdpuParams, mem: &MemParams) -> CompressSim {
     p.validate();
-    let cfg = hw_matcher_config(p);
+    // Snappy's format caps copy offsets at 64 KiB whatever the SRAM holds.
+    let cfg = MatcherConfig {
+        window_log: hw_matcher_config(p).window_log.min(16),
+        ..hw_matcher_config(p)
+    };
     let parse = HashTableMatcher::new(cfg).parse(data);
-    let compressed = cdpu_snappy::compress_with(data, &cfg).len() as u64;
+    let compressed = cdpu_snappy::compress_parse(data, &parse).len() as u64;
 
     let io = p.placement.io_injection_cycles(mem.freq_ghz);
     let input = mem.stream_cycles(data.len() as u64, io);
@@ -208,7 +212,7 @@ pub fn flate_compress(data: &[u8], p: &CdpuParams, mem: &MemParams) -> CompressS
     };
     let parse = HashTableMatcher::new(cfg).parse(data);
     let flate_cfg = cdpu_flate::FlateConfig::default();
-    let compressed = cdpu_flate::compress_with(data, &flate_cfg).len() as u64;
+    let compressed = cdpu_flate::compress_parse(data, &parse, &flate_cfg).len() as u64;
 
     let io = p.placement.io_injection_cycles(mem.freq_ghz);
     let input = mem.stream_cycles(data.len() as u64, io);

@@ -170,3 +170,48 @@ fn generator_instance_runs_suite_calls() {
     }
     assert!(total_out < total_in, "compression must shrink suite data");
 }
+
+#[test]
+fn flate_compress_sim_encodes_the_hardware_parse() {
+    // The achieved Flate size is the hardware matcher's parse, encoded:
+    // it moves with the hash table, as Figures 12/13 need, instead of
+    // reading a software encoder's output at every configuration.
+    use cdpu::corpus::{generate, CorpusKind};
+    use cdpu::hwsim::comp::hw_matcher_config;
+    use cdpu::lz77::matcher::{HashTableMatcher, MatcherConfig};
+
+    let data = generate(CorpusKind::JsonLogs, 256 * 1024, 7);
+    let op = AlgoOp::new(Algorithm::Flate, Direction::Compress);
+    let mut sizes = Vec::new();
+    for (history, entries_log) in [(32 << 10, 14), (2 << 10, 14), (32 << 10, 9)] {
+        let inst = cdpu::core::CdpuInstance::builder()
+            .pipelines(&[op])
+            .history_bytes(history)
+            .hash_entries_log(entries_log)
+            .build();
+        let sim = inst.compress(Algorithm::Flate, &data);
+        let cfg = hw_matcher_config(inst.params());
+        let cfg = MatcherConfig { window_log: cfg.window_log.min(15), ..cfg };
+        let parse = HashTableMatcher::new(cfg).parse(&data);
+        let stream = cdpu::flate::compress_parse(&data, &parse, &Default::default());
+        assert_eq!(sim.compressed_bytes, stream.len() as u64, "{history} B, 2^{entries_log}");
+        assert_eq!(cdpu::flate::decompress(&stream).unwrap(), data);
+        sizes.push(sim.compressed_bytes);
+    }
+    assert!(sizes[2] > sizes[0], "2^9 entries must compress worse than 2^14: {sizes:?}");
+}
+
+#[test]
+fn snappy_compress_sim_caps_history_at_the_format_window() {
+    // A repeat 200 KiB back is out of Snappy's 64 KiB reach: history SRAM
+    // beyond the format's window can neither find it nor price it.
+    use cdpu::corpus::{generate, CorpusKind};
+    use cdpu::hwsim::comp;
+    use cdpu::hwsim::params::CdpuParams;
+
+    let half = generate(CorpusKind::Random, 200 * 1024, 3);
+    let data = [half.as_slice(), &half].concat();
+    let mem = MemParams::default();
+    let at = |history| comp::snappy_compress(&data, &CdpuParams::default().with_history(history), &mem);
+    assert_eq!(at(1 << 20), at(64 << 10));
+}

@@ -184,7 +184,7 @@ fn model_prices_are_pinned() {
 
     assert_eq!(
         (h1, h2),
-        (0xD1E3_2732_C16A_6C13, 0xD52B_1488_9479_30B2),
+        (0xD1E3_2732_C16A_6C13, 0xE872_BF1C_E0D7_AEA4),
         "model prices moved: got ({h1:#018X}, {h2:#018X})"
     );
 }
