@@ -57,7 +57,8 @@ pub fn hash_function(wb: &Workbench) -> String {
 /// Associativity ablation: 1/2/4-way hash tables at small sizes, where
 /// conflict misses bite (ratio and area).
 pub fn associativity(wb: &Workbench) -> String {
-    let files = suite_data(wb, AlgoOp::new(Algorithm::Snappy, Direction::Compress), 24);
+    let op = AlgoOp::new(Algorithm::Snappy, Direction::Compress);
+    let files = suite_data(wb, op, 24);
     let total: usize = files.iter().map(Vec::len).sum();
     let mut rows = Vec::new();
     for entries_log in [12u32, 10, 9] {
@@ -76,7 +77,7 @@ pub fn associativity(wb: &Workbench) -> String {
                 format!("2^{entries_log}"),
                 ways.to_string(),
                 format!("{:.3}", total as f64 / compressed as f64),
-                format!("{:.3}", cdpu_hwsim::area::snappy_compressor_mm2(&params)),
+                format!("{:.3}", cdpu_hwsim::area::mm2(op, &params)),
             ]);
         }
     }
@@ -221,14 +222,19 @@ pub fn chaining_study(wb: &Workbench) -> String {
 pub fn generator_reuse() -> String {
     use cdpu_hwsim::area;
     let p = CdpuParams::default();
-    let rows = vec![
-        vec!["Snappy-D".into(), format!("{:.3}", area::snappy_decompressor_mm2(&p))],
-        vec!["Snappy-C".into(), format!("{:.3}", area::snappy_compressor_mm2(&p))],
-        vec!["Flate-D".into(), format!("{:.3}", area::flate_decompressor_mm2(&p))],
-        vec!["Flate-C".into(), format!("{:.3}", area::flate_compressor_mm2(&p))],
-        vec!["ZStd-D".into(), format!("{:.3}", area::zstd_decompressor_mm2(&p))],
-        vec!["ZStd-C".into(), format!("{:.3}", area::zstd_compressor_mm2(&p))],
-    ];
+    let (c, d) = (Direction::Compress, Direction::Decompress);
+    let rows = [
+        ("Snappy-D", Algorithm::Snappy, d),
+        ("Snappy-C", Algorithm::Snappy, c),
+        ("Flate-D", Algorithm::Flate, d),
+        ("Flate-C", Algorithm::Flate, c),
+        ("ZStd-D", Algorithm::Zstd, d),
+        ("ZStd-C", Algorithm::Zstd, c),
+    ]
+    .map(|(name, algo, dir)| {
+        vec![name.into(), format!("{:.3}", area::mm2(AlgoOp::new(algo, dir), &p))]
+    })
+    .to_vec();
     let mut out = render_table(
         "Section 3.4 generator reuse: pipeline areas at full-size parameters (mm2)",
         &["pipeline", "area"],

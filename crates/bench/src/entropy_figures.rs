@@ -11,7 +11,7 @@
 //! paper's formats, and this sweep recompresses the suite five times.
 
 use crate::{render_table, Workbench};
-use cdpu_hwsim::decomp::{zstd_decomp_stages, zstd_decompress};
+use cdpu_fleet::{Algorithm, AlgoOp, Direction};
 use cdpu_hwsim::params::{CdpuParams, MemParams};
 use cdpu_hwsim::profile::profile_zstd_with;
 use cdpu_hwsim::stages::StageCycles;
@@ -63,8 +63,9 @@ pub fn entropy(wb: &Workbench) -> String {
                     cfg = cfg.window_log(w.clamp(10, 24));
                 }
                 let profile = profile_zstd_with(&f.data, &knobs(cfg));
-                let stages = zstd_decomp_stages(&profile, &params, &mem);
-                let cycles = zstd_decompress(&profile, &params, &mem).cycles;
+                let op = AlgoOp::new(Algorithm::Zstd, Direction::Decompress);
+                let stages = cdpu_hwsim::stages(op, &profile, &params, &mem);
+                let cycles = cdpu_hwsim::simulate(op, &profile, &params, &mem).cycles;
                 (profile, stages, cycles)
             });
             let mut agg = Agg::default();

@@ -13,7 +13,7 @@ use cdpu_telemetry::{counter, span};
 use cdpu_hcbench::Suite;
 use cdpu_hwsim::params::{CdpuParams, MemParams, Placement, HISTORY_SWEEP};
 use cdpu_hwsim::profile::{profile_snappy, profile_zstd, CallProfile};
-use cdpu_hwsim::{area, comp, decomp};
+use cdpu_hwsim::{area, comp};
 
 /// One design point in a sweep.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -135,19 +135,11 @@ pub fn decompression_sweep(
             .with_spec(spec_ways);
         let mut cycles = 0u64;
         for prof in profiles {
-            cycles += match suite.op.algo {
-                Algorithm::Snappy => decomp::snappy_decompress(prof, &params, mem).cycles,
-                Algorithm::Zstd => decomp::zstd_decompress(prof, &params, mem).cycles,
-                _ => unreachable!(),
-            };
+            cycles += cdpu_hwsim::simulate(suite.op, prof, &params, mem).cycles;
         }
         point_span.add_cycles(cycles);
         let accel_seconds = cycles as f64 / (mem.freq_ghz * 1e9);
-        let area_mm2 = match suite.op.algo {
-            Algorithm::Snappy => area::snappy_decompressor_mm2(&params),
-            Algorithm::Zstd => area::zstd_decompressor_mm2(&params),
-            _ => unreachable!(),
-        };
+        let area_mm2 = area::mm2(suite.op, &params);
         DsePoint {
             placement,
             history_bytes: history,
@@ -210,22 +202,14 @@ pub fn compression_sweep(
         let mut cycles = 0u64;
         let mut hw_compressed = 0u64;
         for f in &suite.files {
-            let sim = match suite.op.algo {
-                Algorithm::Snappy => comp::snappy_compress(&f.data, &params, mem),
-                Algorithm::Zstd => comp::zstd_compress(&f.data, &params, mem),
-                _ => unreachable!(),
-            };
+            let sim = comp::compress(suite.op.algo, &f.data, &params, mem);
             cycles += sim.sim.cycles;
             hw_compressed += sim.compressed_bytes;
         }
         point_span.add_cycles(cycles);
         let accel_seconds = cycles as f64 / (mem.freq_ghz * 1e9);
         let hw_ratio = total_unc as f64 / hw_compressed as f64;
-        let area_mm2 = match suite.op.algo {
-            Algorithm::Snappy => area::snappy_compressor_mm2(&params),
-            Algorithm::Zstd => area::zstd_compressor_mm2(&params),
-            _ => unreachable!(),
-        };
+        let area_mm2 = area::mm2(suite.op, &params);
         DsePoint {
             placement,
             history_bytes: history,

@@ -9,7 +9,7 @@
 use cdpu_fleet::{Algorithm, AlgoOp, Direction};
 use cdpu_hwsim::params::{CdpuParams, MemParams, Placement};
 use cdpu_hwsim::profile::CallProfile;
-use cdpu_hwsim::{area, comp, decomp, SimResult};
+use cdpu_hwsim::{area, comp, SimResult};
 
 /// One generated CDPU instance.
 #[derive(Debug, Clone, PartialEq)]
@@ -66,30 +66,7 @@ impl CdpuInstance {
 
     /// Total silicon area of the instantiated pipelines, mm² (16nm-class).
     pub fn area_mm2(&self) -> f64 {
-        self.pipelines
-            .iter()
-            .map(|op| match (op.algo, op.dir) {
-                (Algorithm::Snappy, Direction::Compress) => {
-                    area::snappy_compressor_mm2(&self.params)
-                }
-                (Algorithm::Snappy, Direction::Decompress) => {
-                    area::snappy_decompressor_mm2(&self.params)
-                }
-                (Algorithm::Zstd, Direction::Compress) => {
-                    area::zstd_compressor_mm2(&self.params)
-                }
-                (Algorithm::Zstd, Direction::Decompress) => {
-                    area::zstd_decompressor_mm2(&self.params)
-                }
-                (Algorithm::Flate, Direction::Compress) => {
-                    area::flate_compressor_mm2(&self.params)
-                }
-                (Algorithm::Flate, Direction::Decompress) => {
-                    area::flate_decompressor_mm2(&self.params)
-                }
-                _ => unreachable!("builder rejects unsupported algorithms"),
-            })
-            .sum()
+        self.pipelines.iter().map(|&op| area::mm2(op, &self.params)).sum()
     }
 
     /// Fraction of a Xeon core tile this instance occupies.
@@ -105,12 +82,7 @@ impl CdpuInstance {
     pub fn compress(&self, algo: Algorithm, data: &[u8]) -> comp::CompressSim {
         let op = AlgoOp::new(algo, Direction::Compress);
         assert!(self.supports(op), "{op} pipeline not instantiated");
-        match algo {
-            Algorithm::Snappy => comp::snappy_compress(data, &self.params, &self.mem),
-            Algorithm::Zstd => comp::zstd_compress(data, &self.params, &self.mem),
-            Algorithm::Flate => comp::flate_compress(data, &self.params, &self.mem),
-            _ => unreachable!(),
-        }
+        comp::compress(algo, data, &self.params, &self.mem)
     }
 
     /// Simulates a decompression call from a pre-computed profile.
@@ -121,12 +93,7 @@ impl CdpuInstance {
     pub fn decompress(&self, algo: Algorithm, profile: &CallProfile) -> SimResult {
         let op = AlgoOp::new(algo, Direction::Decompress);
         assert!(self.supports(op), "{op} pipeline not instantiated");
-        match algo {
-            Algorithm::Snappy => decomp::snappy_decompress(profile, &self.params, &self.mem),
-            Algorithm::Zstd => decomp::zstd_decompress(profile, &self.params, &self.mem),
-            Algorithm::Flate => decomp::flate_decompress(profile, &self.params, &self.mem),
-            _ => unreachable!(),
-        }
+        cdpu_hwsim::simulate(op, profile, &self.params, &self.mem)
     }
 }
 

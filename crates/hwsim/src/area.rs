@@ -16,6 +16,8 @@
 //! | Xeon core tile = 17.98 mm² (14nm, ref. \[63\]) | constant |
 
 use crate::params::CdpuParams;
+use crate::Pipeline;
+use cdpu_fleet::{Algorithm, AlgoOp, Direction};
 
 /// SRAM density including periphery, mm² per byte (16nm-class, solved
 /// from the paper's Snappy-D 64K→2K delta).
@@ -50,40 +52,31 @@ pub const FSE_EXPANDER_MM2: f64 = 0.55;
 /// + SeqToCode converter), mm².
 pub const FSE_COMPRESSOR_MM2: f64 = 1.10;
 
-/// Area of a Flate decompressor instance, mm²: the ZStd decompressor
-/// minus its FSE expander.
-pub fn flate_decompressor_mm2(p: &CdpuParams) -> f64 {
-    zstd_decompressor_mm2(p) - FSE_EXPANDER_MM2
-}
-
-/// Area of a Flate compressor instance, mm²: the ZStd compressor minus
-/// its FSE stages.
-pub fn flate_compressor_mm2(p: &CdpuParams) -> f64 {
-    zstd_compressor_mm2(p) - FSE_COMPRESSOR_MM2
-}
-
-/// Area of a Snappy decompressor instance, mm².
-pub fn snappy_decompressor_mm2(p: &CdpuParams) -> f64 {
-    SNAPPY_D_LOGIC + p.history_bytes as f64 * SRAM_MM2_PER_BYTE
-}
-
-/// Area of a Snappy compressor instance, mm².
-pub fn snappy_compressor_mm2(p: &CdpuParams) -> f64 {
-    let ht_bytes = (1u64 << p.hash_entries_log) as f64 * HASH_ENTRY_BYTES;
-    SNAPPY_C_LOGIC + (p.history_bytes as f64 + ht_bytes) * SRAM_MM2_PER_BYTE
-}
-
-/// Area of a ZStd decompressor instance, mm².
-pub fn zstd_decompressor_mm2(p: &CdpuParams) -> f64 {
-    ZSTD_D_LOGIC
-        + SPEC_LANE_MM2 * p.spec_ways as f64
-        + p.history_bytes as f64 * SRAM_MM2_PER_BYTE
-}
-
-/// Area of a ZStd compressor instance, mm².
-pub fn zstd_compressor_mm2(p: &CdpuParams) -> f64 {
-    let ht_bytes = (1u64 << p.hash_entries_log) as f64 * HASH_ENTRY_BYTES;
-    ZSTD_C_LOGIC + (p.history_bytes as f64 + ht_bytes) * SRAM_MM2_PER_BYTE
+/// Area of one `op` pipeline instance, mm². A pipeline is its logic plus
+/// its SRAM macros: the history buffer, and for compressors the hash
+/// table; the ZStd decompressor adds one lane per Huffman speculation way.
+/// A Flate pipeline is the ZStd one minus its FSE blocks (Section 3.4).
+pub fn mm2(op: AlgoOp, p: &CdpuParams) -> f64 {
+    let history = p.history_bytes as f64;
+    let hash_table = (1u64 << p.hash_entries_log) as f64 * HASH_ENTRY_BYTES;
+    match (Pipeline::of(op.algo), op.dir) {
+        (Pipeline::Snappy, Direction::Decompress) => SNAPPY_D_LOGIC + history * SRAM_MM2_PER_BYTE,
+        (Pipeline::Snappy, Direction::Compress) => {
+            SNAPPY_C_LOGIC + (history + hash_table) * SRAM_MM2_PER_BYTE
+        }
+        (Pipeline::Zstd, Direction::Decompress) => {
+            ZSTD_D_LOGIC + SPEC_LANE_MM2 * p.spec_ways as f64 + history * SRAM_MM2_PER_BYTE
+        }
+        (Pipeline::Zstd, Direction::Compress) => {
+            ZSTD_C_LOGIC + (history + hash_table) * SRAM_MM2_PER_BYTE
+        }
+        (Pipeline::Flate, Direction::Decompress) => {
+            mm2(AlgoOp::new(Algorithm::Zstd, op.dir), p) - FSE_EXPANDER_MM2
+        }
+        (Pipeline::Flate, Direction::Compress) => {
+            mm2(AlgoOp::new(Algorithm::Zstd, op.dir), p) - FSE_COMPRESSOR_MM2
+        }
+    }
 }
 
 /// Fraction of a Xeon core tile an area consumes (the paper's headline
@@ -96,6 +89,25 @@ pub fn fraction_of_xeon_core(mm2: f64) -> f64 {
 mod tests {
     use super::*;
 
+    fn snappy_d(p: &CdpuParams) -> f64 {
+        mm2(AlgoOp::new(Algorithm::Snappy, Direction::Decompress), p)
+    }
+    fn snappy_c(p: &CdpuParams) -> f64 {
+        mm2(AlgoOp::new(Algorithm::Snappy, Direction::Compress), p)
+    }
+    fn zstd_d(p: &CdpuParams) -> f64 {
+        mm2(AlgoOp::new(Algorithm::Zstd, Direction::Decompress), p)
+    }
+    fn zstd_c(p: &CdpuParams) -> f64 {
+        mm2(AlgoOp::new(Algorithm::Zstd, Direction::Compress), p)
+    }
+    fn flate_d(p: &CdpuParams) -> f64 {
+        mm2(AlgoOp::new(Algorithm::Flate, Direction::Decompress), p)
+    }
+    fn flate_c(p: &CdpuParams) -> f64 {
+        mm2(AlgoOp::new(Algorithm::Flate, Direction::Compress), p)
+    }
+
     fn full() -> CdpuParams {
         CdpuParams::default()
     }
@@ -106,7 +118,7 @@ mod tests {
 
     #[test]
     fn snappy_decompressor_absolute() {
-        let a = snappy_decompressor_mm2(&full());
+        let a = snappy_d(&full());
         assert!((a - 0.431).abs() < 0.01, "{a}");
         // Paper: 2.4% of a Xeon core.
         let frac = fraction_of_xeon_core(a);
@@ -115,27 +127,27 @@ mod tests {
 
     #[test]
     fn snappy_decompressor_2k_saves_around_38_percent() {
-        let full_a = snappy_decompressor_mm2(&full());
-        let small = snappy_decompressor_mm2(&with_history(2048));
+        let full_a = snappy_d(&full());
+        let small = snappy_d(&with_history(2048));
         let saving = 1.0 - small / full_a;
         assert!((0.32..0.45).contains(&saving), "saving {saving}");
     }
 
     #[test]
     fn snappy_compressor_absolute() {
-        let a = snappy_compressor_mm2(&full());
+        let a = snappy_c(&full());
         assert!((a - 0.851).abs() < 0.01, "{a}");
     }
 
     #[test]
     fn snappy_compressor_sweeps() {
-        let full_a = snappy_compressor_mm2(&full());
+        let full_a = snappy_c(&full());
         // 2K history, full hash table: ~20% smaller.
-        let small_hist = snappy_compressor_mm2(&with_history(2048));
+        let small_hist = snappy_c(&with_history(2048));
         let s1 = 1.0 - small_hist / full_a;
         assert!((0.15..0.25).contains(&s1), "history saving {s1}");
         // 2K history + 2^9 hash table: the paper's 34%-of-full design.
-        let tiny = snappy_compressor_mm2(&with_history(2048).with_hash_entries_log(9));
+        let tiny = snappy_c(&with_history(2048).with_hash_entries_log(9));
         let frac = tiny / full_a;
         assert!((0.30..0.45).contains(&frac), "tiny fraction {frac}");
         // And ~1.6% of a Xeon core.
@@ -145,22 +157,22 @@ mod tests {
 
     #[test]
     fn zstd_decompressor_absolute_and_sweeps() {
-        let a = zstd_decompressor_mm2(&full());
+        let a = zstd_d(&full());
         assert!((a - 1.90).abs() < 0.02, "{a}");
         // 2K history saves only ~8.6% (logic dominates).
-        let small = zstd_decompressor_mm2(&with_history(2048));
+        let small = zstd_d(&with_history(2048));
         let saving = 1.0 - small / a;
         assert!((0.06..0.11).contains(&saving), "saving {saving}");
         // Speculation sweep: +18% for 32, −10% for 4 (approximately).
-        let s32 = zstd_decompressor_mm2(&full().with_spec(32));
-        let s4 = zstd_decompressor_mm2(&full().with_spec(4));
+        let s32 = zstd_d(&full().with_spec(32));
+        let s4 = zstd_d(&full().with_spec(4));
         assert!(((s32 / a) - 1.16).abs() < 0.05, "spec32 {}", s32 / a);
         assert!((1.0 - (s4 / a) - 0.12).abs() < 0.05, "spec4 {}", s4 / a);
     }
 
     #[test]
     fn zstd_compressor_absolute() {
-        let a = zstd_compressor_mm2(&full());
+        let a = zstd_c(&full());
         assert!((a - 3.48).abs() < 0.02, "{a}");
     }
 
@@ -168,9 +180,9 @@ mod tests {
     fn pipeline_totals_match_related_work_comparison() {
         // Section 7: "our design consuming around 1.3 mm² (Snappy) or
         // 5.7 mm² (ZStd) in a 16nm process".
-        let snappy = snappy_decompressor_mm2(&full()) + snappy_compressor_mm2(&full());
+        let snappy = snappy_d(&full()) + snappy_c(&full());
         assert!((1.1..1.5).contains(&snappy), "snappy pipeline {snappy}");
-        let zstd = zstd_decompressor_mm2(&full()) + zstd_compressor_mm2(&full());
+        let zstd = zstd_d(&full()) + zstd_c(&full());
         assert!((5.0..6.0).contains(&zstd), "zstd pipeline {zstd}");
     }
 
@@ -180,22 +192,22 @@ mod tests {
         // entail adding an FSE module" — the area deltas are exactly the
         // FSE blocks, and they are a minority of the pipeline.
         let p = full();
-        let d_delta = zstd_decompressor_mm2(&p) - flate_decompressor_mm2(&p);
+        let d_delta = zstd_d(&p) - flate_d(&p);
         assert!((d_delta - FSE_EXPANDER_MM2).abs() < 1e-12);
-        let c_delta = zstd_compressor_mm2(&p) - flate_compressor_mm2(&p);
+        let c_delta = zstd_c(&p) - flate_c(&p);
         assert!((c_delta - FSE_COMPRESSOR_MM2).abs() < 1e-12);
-        let pipeline = zstd_decompressor_mm2(&p) + zstd_compressor_mm2(&p);
+        let pipeline = zstd_d(&p) + zstd_c(&p);
         assert!((d_delta + c_delta) / pipeline < 0.4);
     }
 
     #[test]
     fn area_monotone_in_every_knob() {
         let base = full();
-        assert!(snappy_decompressor_mm2(&with_history(4096)) < snappy_decompressor_mm2(&base));
+        assert!(snappy_d(&with_history(4096)) < snappy_d(&base));
         assert!(
-            snappy_compressor_mm2(&base.with_hash_entries_log(10))
-                < snappy_compressor_mm2(&base)
+            snappy_c(&base.with_hash_entries_log(10))
+                < snappy_c(&base)
         );
-        assert!(zstd_decompressor_mm2(&base.with_spec(8)) < zstd_decompressor_mm2(&base));
+        assert!(zstd_d(&base.with_spec(8)) < zstd_d(&base));
     }
 }

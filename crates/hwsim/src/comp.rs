@@ -15,17 +15,17 @@
 //!    speed "only because of the increased amount of data they must
 //!    write" — which falls out of the measured ratio.
 
+use cdpu_fleet::{Algorithm, AlgoOp, Direction};
 use cdpu_lz77::hash::HashFn;
 use cdpu_lz77::matcher::{HashTableMatcher, MatcherConfig};
 use cdpu_lz77::Parse;
 use cdpu_util::floor_log2;
 
-use crate::decomp::{bound_label, DISPATCH_CYCLES};
+use crate::decomp::DISPATCH_CYCLES;
 use crate::params::{CdpuParams, MemParams};
 use crate::profile::CallProfile;
 use crate::stages::StageCycles;
-use crate::SimResult;
-use cdpu_telemetry::counter;
+use crate::{Pipeline, SimResult};
 
 /// LZ77 encoder: literal positions probed per cycle (hash pipeline).
 const PROBE_BPC: f64 = 2.0;
@@ -81,366 +81,106 @@ pub fn hw_matcher_config(p: &CdpuParams) -> MatcherConfig {
     }
 }
 
-/// Records per-call compressor telemetry: call count, bottleneck
-/// attribution and per-stage occupancy cycles.
-fn record_comp(bound: &'static str, stages: &[(&'static str, u64)]) {
-    counter!("hwsim.comp.calls").incr();
-    counter!("hwsim.comp.dispatch_cycles").add(DISPATCH_CYCLES);
-    cdpu_telemetry::registry().counter(bound).add(1);
-    for &(name, cycles) in stages {
-        cdpu_telemetry::registry().counter(name).add(cycles);
-    }
-}
-
-fn matcher_cycles(parse: &Parse, probe_bpc: f64) -> u64 {
-    (parse.literal_len() as f64 / probe_bpc
-        + parse.matched_len() as f64 / MATCH_SKIP_BPC
-        + parse.seqs.len() as f64 * SEQ_CYCLES)
-        .round() as u64
-}
-
-/// Simulates one Snappy compression call under the CDPU's parameters.
-pub fn snappy_compress(data: &[u8], p: &CdpuParams, mem: &MemParams) -> CompressSim {
-    p.validate();
-    // Snappy's format caps copy offsets at 64 KiB whatever the SRAM holds.
-    let cfg = MatcherConfig {
-        window_log: hw_matcher_config(p).window_log.min(16),
-        ..hw_matcher_config(p)
-    };
-    let parse = HashTableMatcher::new(cfg).parse(data);
-    let compressed = cdpu_snappy::compress_parse(data, &parse).len() as u64;
-
-    let io = p.placement.io_injection_cycles(mem.freq_ghz);
-    let input = mem.stream_cycles(data.len() as u64, io);
-    let output = mem.stream_cycles(compressed, io);
-    let compute = matcher_cycles(&parse, PROBE_BPC);
-    let cycles = DISPATCH_CYCLES + input.max(compute).max(output);
-    if cdpu_telemetry::enabled() {
-        record_comp(
-            bound_label(
-                "hwsim.comp.snappy.bound.input",
-                "hwsim.comp.snappy.bound.compute",
-                "hwsim.comp.snappy.bound.output",
-                input,
-                compute,
-                output,
-            ),
-            &[
-                ("hwsim.comp.snappy.input_stream_cycles", input),
-                ("hwsim.comp.snappy.matcher_cycles", compute),
-                ("hwsim.comp.snappy.output_stream_cycles", output),
-            ],
-        );
-    }
-    CompressSim {
-        sim: SimResult {
-            cycles,
-            input_bytes: data.len() as u64,
-            output_bytes: compressed,
-            freq_ghz: mem.freq_ghz,
-        },
-        compressed_bytes: compressed,
-    }
-}
-
-/// Simulates one ZStd compression call under the CDPU's parameters.
-///
-/// The hardware re-uses the Snappy-configured LZ77 encoder block
-/// (Section 6.5), so the dictionary stage is the same greedy hash-table
-/// matcher; entropy stages (statistics collection, Huffman/FSE encode,
-/// dictionary builds) are charged on top.
-pub fn zstd_compress(data: &[u8], p: &CdpuParams, mem: &MemParams) -> CompressSim {
-    p.validate();
-    let cfg = hw_matcher_config(p);
-    let parse = HashTableMatcher::new(cfg).parse(data);
-    // Achieved output: encode blocks from the hardware parse with the real
-    // entropy coders (what the accelerator's FSE/Huffman stages emit).
-    let (compressed, blocks, huff_blocks) = encode_hw_frame(data, &parse, p);
-
-    let io = p.placement.io_injection_cycles(mem.freq_ghz);
-    let input = mem.stream_cycles(data.len() as u64, io);
-    let output = mem.stream_cycles(compressed, io);
-
-    let lit = parse.literal_len() as f64;
-    let matcher = matcher_cycles(&parse, ZSTD_PROBE_BPC);
-    let stats_stage = (lit / p.stats_bytes_per_cycle as f64).round() as u64;
-    let huff_stage = (lit / HUFF_ENC_BPC).round() as u64;
-    let fse_stage = (parse.seqs.len() as f64 / FSE_ENC_SEQS_PER_CYCLE).round() as u64;
-    let builds = huff_blocks * HUFF_DICT_BUILD + blocks * FSE_DICT_BUILD;
-    let compute = matcher.max(stats_stage).max(huff_stage).max(fse_stage) + builds;
-    let cycles = DISPATCH_CYCLES + input.max(compute).max(output);
-    if cdpu_telemetry::enabled() {
-        record_comp(
-            bound_label(
-                "hwsim.comp.zstd.bound.input",
-                "hwsim.comp.zstd.bound.compute",
-                "hwsim.comp.zstd.bound.output",
-                input,
-                compute,
-                output,
-            ),
-            &[
-                ("hwsim.comp.zstd.input_stream_cycles", input),
-                ("hwsim.comp.zstd.matcher_cycles", matcher),
-                ("hwsim.comp.zstd.stats_cycles", stats_stage),
-                ("hwsim.comp.zstd.huffman_cycles", huff_stage),
-                ("hwsim.comp.zstd.fse_cycles", fse_stage),
-                ("hwsim.comp.zstd.dict_build_cycles", builds),
-                ("hwsim.comp.zstd.output_stream_cycles", output),
-            ],
-        );
-    }
-    CompressSim {
-        sim: SimResult {
-            cycles,
-            input_bytes: data.len() as u64,
-            output_bytes: compressed,
-            freq_ghz: mem.freq_ghz,
-        },
-        compressed_bytes: compressed,
-    }
-}
-
-/// Simulates one Flate compression call: the ZStd compressor minus the
-/// FSE stages; the Huffman encoder carries the whole symbol stream.
-pub fn flate_compress(data: &[u8], p: &CdpuParams, mem: &MemParams) -> CompressSim {
-    p.validate();
-    // Flate's format caps the window at 32 KiB regardless of SRAM budget.
-    let cfg = MatcherConfig {
-        window_log: floor_log2(p.history_bytes.min(32 * 1024) as u64) as u32,
-        ..hw_matcher_config(p)
-    };
-    let parse = HashTableMatcher::new(cfg).parse(data);
-    let flate_cfg = cdpu_flate::FlateConfig::default();
-    let compressed = cdpu_flate::compress_parse(data, &parse, &flate_cfg).len() as u64;
-
-    let io = p.placement.io_injection_cycles(mem.freq_ghz);
-    let input = mem.stream_cycles(data.len() as u64, io);
-    let output = mem.stream_cycles(compressed, io);
-
-    let lit = parse.literal_len() as f64;
-    let matcher = matcher_cycles(&parse, ZSTD_PROBE_BPC);
-    let huff_stage = ((lit + 2.0 * parse.seqs.len() as f64) / HUFF_ENC_BPC).round() as u64;
-    let blocks = data.len().div_ceil(cdpu_zstd::MAX_BLOCK_SIZE).max(1) as u64;
-    let builds = blocks * 2 * HUFF_DICT_BUILD;
-    let compute = matcher.max(huff_stage) + builds;
-    let cycles = DISPATCH_CYCLES + input.max(compute).max(output);
-    if cdpu_telemetry::enabled() {
-        record_comp(
-            bound_label(
-                "hwsim.comp.flate.bound.input",
-                "hwsim.comp.flate.bound.compute",
-                "hwsim.comp.flate.bound.output",
-                input,
-                compute,
-                output,
-            ),
-            &[
-                ("hwsim.comp.flate.input_stream_cycles", input),
-                ("hwsim.comp.flate.matcher_cycles", matcher),
-                ("hwsim.comp.flate.huffman_cycles", huff_stage),
-                ("hwsim.comp.flate.dict_build_cycles", builds),
-                ("hwsim.comp.flate.output_stream_cycles", output),
-            ],
-        );
-    }
-    CompressSim {
-        sim: SimResult {
-            cycles,
-            input_bytes: data.len() as u64,
-            output_bytes: compressed,
-            freq_ghz: mem.freq_ghz,
-        },
-        compressed_bytes: compressed,
-    }
-}
-
-/// Matcher-stage cycles from a structural profile instead of a live parse
-/// (the serving tier's analytic path — see [`crate::service`]).
-fn profiled_matcher_cycles(profile: &CallProfile, probe_bpc: f64) -> u64 {
-    (profile.literal_bytes as f64 / probe_bpc
-        + profile.match_bytes as f64 / MATCH_SKIP_BPC
-        + profile.seqs as f64 * SEQ_CYCLES)
-        .round() as u64
-}
-
-/// Per-stage breakdown of one profiled Snappy compression call.
-pub fn snappy_comp_stages(
-    profile: &CallProfile,
-    p: &CdpuParams,
-    mem: &MemParams,
-) -> StageCycles {
-    let io = p.placement.io_injection_cycles(mem.freq_ghz);
-    StageCycles {
-        dispatch: DISPATCH_CYCLES,
-        input_stream: mem.stream_cycles(profile.uncompressed, io),
-        matcher: profiled_matcher_cycles(profile, PROBE_BPC),
-        output_stream: mem.stream_cycles(profile.compressed, io),
-        ..Default::default()
-    }
-}
-
-/// Simulates one Snappy compression call from a pre-built [`CallProfile`]
-/// instead of real data: the matcher stage is charged from the profile's
-/// parse statistics and the output size is the profile's `compressed`
-/// field. This is the fast path for the serving simulator, which must
-/// price hundreds of thousands of calls without running the matcher.
-pub fn snappy_compress_profiled(
-    profile: &CallProfile,
-    p: &CdpuParams,
-    mem: &MemParams,
-) -> SimResult {
-    p.validate();
-    let s = snappy_comp_stages(profile, p, mem);
-    if cdpu_telemetry::enabled() {
-        record_comp(
-            bound_label(
-                "hwsim.comp.snappy.bound.input",
-                "hwsim.comp.snappy.bound.compute",
-                "hwsim.comp.snappy.bound.output",
-                s.input_stream,
-                s.compute(),
-                s.output_stream,
-            ),
-            &[
-                ("hwsim.comp.snappy.input_stream_cycles", s.input_stream),
-                ("hwsim.comp.snappy.matcher_cycles", s.matcher),
-                ("hwsim.comp.snappy.output_stream_cycles", s.output_stream),
-            ],
-        );
-    }
-    SimResult {
-        cycles: s.total(),
-        input_bytes: profile.uncompressed,
-        output_bytes: profile.compressed,
-        freq_ghz: mem.freq_ghz,
-    }
-}
-
-/// Simulates one ZStd compression call from a pre-built [`CallProfile`]:
-/// the analytic counterpart of [`zstd_compress`], with identical stage
-/// structure (matcher, statistics, Huffman/FSE encode, dictionary builds)
-/// but all occupancies derived from the profile's counts.
-pub fn zstd_compress_profiled(
-    profile: &CallProfile,
-    p: &CdpuParams,
-    mem: &MemParams,
-) -> SimResult {
-    p.validate();
-    let s = zstd_comp_stages(profile, p, mem);
-    if cdpu_telemetry::enabled() {
-        record_comp(
-            bound_label(
-                "hwsim.comp.zstd.bound.input",
-                "hwsim.comp.zstd.bound.compute",
-                "hwsim.comp.zstd.bound.output",
-                s.input_stream,
-                s.compute(),
-                s.output_stream,
-            ),
-            &[
-                ("hwsim.comp.zstd.input_stream_cycles", s.input_stream),
-                ("hwsim.comp.zstd.matcher_cycles", s.matcher),
-                ("hwsim.comp.zstd.stats_cycles", s.stats),
-                ("hwsim.comp.zstd.huffman_cycles", s.huffman),
-                ("hwsim.comp.zstd.fse_cycles", s.fse),
-                ("hwsim.comp.zstd.dict_build_cycles", s.table_build),
-                ("hwsim.comp.zstd.output_stream_cycles", s.output_stream),
-            ],
-        );
-    }
-    SimResult {
-        cycles: s.total(),
-        input_bytes: profile.uncompressed,
-        output_bytes: profile.compressed,
-        freq_ghz: mem.freq_ghz,
-    }
-}
-
-/// Per-stage breakdown of one profiled ZStd compression call: matcher,
-/// statistics collection, Huffman/FSE encode, dictionary builds.
-pub fn zstd_comp_stages(
+/// Per-stage breakdown of one compression call on pipeline `class`, from
+/// the call's counts: the matcher charges probes, skipped match bytes and
+/// emitted sequences; the ZStd class adds statistics collection, Huffman
+/// and FSE encode and their per-block dictionary builds; the Flate class
+/// drops the FSE stages and its Huffman encoder carries literals plus two
+/// coded symbols per sequence.
+pub(crate) fn stages(
+    class: Pipeline,
     profile: &CallProfile,
     p: &CdpuParams,
     mem: &MemParams,
 ) -> StageCycles {
     let io = p.placement.io_injection_cycles(mem.freq_ghz);
     let lit = profile.literal_bytes as f64;
-    StageCycles {
+    let probe_bpc = if class == Pipeline::Snappy { PROBE_BPC } else { ZSTD_PROBE_BPC };
+    let s = StageCycles {
         dispatch: DISPATCH_CYCLES,
         input_stream: mem.stream_cycles(profile.uncompressed, io),
-        matcher: profiled_matcher_cycles(profile, ZSTD_PROBE_BPC),
-        stats: (lit / p.stats_bytes_per_cycle as f64).round() as u64,
-        huffman: (lit / HUFF_ENC_BPC).round() as u64,
-        fse: (profile.seqs as f64 / FSE_ENC_SEQS_PER_CYCLE).round() as u64,
-        table_build: profile.huffman_blocks * HUFF_DICT_BUILD
-            + profile.blocks * FSE_DICT_BUILD,
-        output_stream: mem.stream_cycles(profile.compressed, io),
-        ..Default::default()
-    }
-}
-
-/// Simulates one Flate compression call from a pre-built [`CallProfile`]:
-/// the ZStd analytic path minus the FSE stages, with the Huffman encoder
-/// carrying literals plus two coded symbols per sequence.
-pub fn flate_compress_profiled(
-    profile: &CallProfile,
-    p: &CdpuParams,
-    mem: &MemParams,
-) -> SimResult {
-    p.validate();
-    let s = flate_comp_stages(profile, p, mem);
-    if cdpu_telemetry::enabled() {
-        record_comp(
-            bound_label(
-                "hwsim.comp.flate.bound.input",
-                "hwsim.comp.flate.bound.compute",
-                "hwsim.comp.flate.bound.output",
-                s.input_stream,
-                s.compute(),
-                s.output_stream,
-            ),
-            &[
-                ("hwsim.comp.flate.input_stream_cycles", s.input_stream),
-                ("hwsim.comp.flate.matcher_cycles", s.matcher),
-                ("hwsim.comp.flate.huffman_cycles", s.huffman),
-                ("hwsim.comp.flate.dict_build_cycles", s.table_build),
-                ("hwsim.comp.flate.output_stream_cycles", s.output_stream),
-            ],
-        );
-    }
-    SimResult {
-        cycles: s.total(),
-        input_bytes: profile.uncompressed,
-        output_bytes: profile.compressed,
-        freq_ghz: mem.freq_ghz,
-    }
-}
-
-/// Per-stage breakdown of one profiled Flate compression call: the ZStd
-/// path minus the FSE stages, with the Huffman encoder carrying literals
-/// plus two coded symbols per sequence.
-pub fn flate_comp_stages(
-    profile: &CallProfile,
-    p: &CdpuParams,
-    mem: &MemParams,
-) -> StageCycles {
-    let io = p.placement.io_injection_cycles(mem.freq_ghz);
-    StageCycles {
-        dispatch: DISPATCH_CYCLES,
-        input_stream: mem.stream_cycles(profile.uncompressed, io),
-        matcher: profiled_matcher_cycles(profile, ZSTD_PROBE_BPC),
-        huffman: ((profile.literal_bytes as f64 + 2.0 * profile.seqs as f64) / HUFF_ENC_BPC)
+        matcher: (lit / probe_bpc
+            + profile.match_bytes as f64 / MATCH_SKIP_BPC
+            + profile.seqs as f64 * SEQ_CYCLES)
             .round() as u64,
-        table_build: profile.blocks * 2 * HUFF_DICT_BUILD,
         output_stream: mem.stream_cycles(profile.compressed, io),
         ..Default::default()
+    };
+    match class {
+        Pipeline::Snappy => s,
+        Pipeline::Zstd => StageCycles {
+            stats: (lit / p.stats_bytes_per_cycle as f64).round() as u64,
+            huffman: (lit / HUFF_ENC_BPC).round() as u64,
+            fse: (profile.seqs as f64 / FSE_ENC_SEQS_PER_CYCLE).round() as u64,
+            table_build: profile.huffman_blocks * HUFF_DICT_BUILD
+                + profile.blocks * FSE_DICT_BUILD,
+            ..s
+        },
+        Pipeline::Flate => StageCycles {
+            huffman: ((lit + 2.0 * profile.seqs as f64) / HUFF_ENC_BPC).round() as u64,
+            table_build: profile.blocks * 2 * HUFF_DICT_BUILD,
+            ..s
+        },
     }
+}
+
+/// Simulates one compression call on live data under the CDPU's
+/// parameters: runs the hardware matcher once, with the window the history
+/// SRAM allows capped at the format's own (Snappy 64 KiB, Flate 32 KiB,
+/// ZStd uncapped), measures the achieved size by encoding that parse, and
+/// prices its counts through [`crate::simulate`].
+///
+/// The ZStd-class hardware re-uses the Snappy-configured LZ77 encoder
+/// block (Section 6.5), so every class runs the same greedy hash-table
+/// matcher; only the entropy stages priced on top differ.
+pub fn compress(algo: Algorithm, data: &[u8], p: &CdpuParams, mem: &MemParams) -> CompressSim {
+    p.validate();
+    let class = Pipeline::of(algo);
+    let cfg = hw_matcher_config(p);
+    let window_log = match class {
+        Pipeline::Snappy => cfg.window_log.min(16),
+        Pipeline::Flate => cfg.window_log.min(15),
+        Pipeline::Zstd => cfg.window_log,
+    };
+    let parse = HashTableMatcher::new(MatcherConfig { window_log, ..cfg }).parse(data);
+    let (compressed, blocks, huffman_blocks) = match class {
+        Pipeline::Snappy => (cdpu_snappy::compress_parse(data, &parse).len() as u64, 1, 0),
+        Pipeline::Zstd => encode_hw_frame(data, &parse),
+        Pipeline::Flate => {
+            let stream = cdpu_flate::compress_parse(data, &parse, &Default::default());
+            let blocks = data.len().div_ceil(cdpu_flate::MAX_BLOCK_SIZE).max(1) as u64;
+            (stream.len() as u64, blocks, 0)
+        }
+    };
+    let profile = CallProfile {
+        uncompressed: data.len() as u64,
+        compressed,
+        seqs: parse.seqs.len() as u64,
+        literal_bytes: parse.literal_len() as u64,
+        match_bytes: parse.matched_len() as u64,
+        blocks,
+        huffman_blocks,
+        ..Default::default()
+    };
+    CompressSim {
+        sim: crate::simulate(AlgoOp::new(algo, Direction::Compress), &profile, p, mem),
+        compressed_bytes: compressed,
+    }
+}
+
+/// [`compress`] on the Snappy pipeline.
+pub fn snappy_compress(data: &[u8], p: &CdpuParams, mem: &MemParams) -> CompressSim {
+    compress(Algorithm::Snappy, data, p, mem)
+}
+
+/// [`compress`] on the ZStd pipeline.
+pub fn zstd_compress(data: &[u8], p: &CdpuParams, mem: &MemParams) -> CompressSim {
+    compress(Algorithm::Zstd, data, p, mem)
 }
 
 /// Encodes the hardware parse through the real ZStd-class block coder and
 /// returns `(compressed_bytes, blocks, huffman_blocks)`.
-fn encode_hw_frame(data: &[u8], parse: &Parse, _p: &CdpuParams) -> (u64, u64, u64) {
+fn encode_hw_frame(data: &[u8], parse: &Parse) -> (u64, u64, u64) {
     // Frame assembly mirrors the software codec's framing so sizes are
     // comparable; the parse (and therefore the ratio) is the hardware's.
     let mut total = 4 + 1 + 10u64; // magic + window byte + size varint bound
@@ -580,7 +320,7 @@ mod tests {
     #[test]
     fn flate_compress_sane() {
         let data = sample(256 * 1024);
-        let r = flate_compress(&data, &CdpuParams::default(), &MemParams::default());
+        let r = compress(Algorithm::Flate, &data, &CdpuParams::default(), &MemParams::default());
         assert!(r.ratio() > 1.5, "ratio {}", r.ratio());
         let gbps = r.sim.input_gbps();
         assert!((1.0..=8.0).contains(&gbps), "flate-c {gbps} GB/s");
@@ -606,14 +346,14 @@ mod tests {
         let p = CdpuParams::default();
         let real = snappy_compress(&data, &p, &mem);
         let prof = crate::profile::profile_snappy(&data);
-        let analytic = snappy_compress_profiled(&prof, &p, &mem);
+        let analytic = crate::simulate(AlgoOp::new(Algorithm::Snappy, Direction::Compress), &prof, &p, &mem);
         let ratio = analytic.cycles as f64 / real.sim.cycles as f64;
         assert!((0.5..=2.0).contains(&ratio), "analytic/real {ratio}");
         assert_eq!(analytic.output_bytes, prof.compressed);
 
         let zprof = crate::profile::profile_zstd(&data, 3, None);
         let zreal = zstd_compress(&data, &p, &mem);
-        let zana = zstd_compress_profiled(&zprof, &p, &mem);
+        let zana = crate::simulate(AlgoOp::new(Algorithm::Zstd, Direction::Compress), &zprof, &p, &mem);
         let zratio = zana.cycles as f64 / zreal.sim.cycles as f64;
         assert!((0.4..=2.5).contains(&zratio), "zstd analytic/real {zratio}");
     }
@@ -622,7 +362,8 @@ mod tests {
     fn flate_profiled_between_calls() {
         let data = sample(128 * 1024);
         let prof = crate::profile::profile_flate(&data, 6);
-        let r = flate_compress_profiled(&prof, &CdpuParams::default(), &MemParams::default());
+        let op = AlgoOp::new(Algorithm::Flate, Direction::Compress);
+        let r = crate::simulate(op, &prof, &CdpuParams::default(), &MemParams::default());
         assert!(r.cycles > DISPATCH_CYCLES);
         assert_eq!(r.input_bytes, prof.uncompressed);
     }

@@ -16,7 +16,8 @@
 use crate::params::{CdpuParams, MemParams};
 use crate::profile::CallProfile;
 use crate::stages::StageCycles;
-use crate::SimResult;
+use crate::{Pipeline, SimResult};
+use cdpu_fleet::{Algorithm, AlgoOp, Direction};
 use cdpu_telemetry::counter;
 
 /// RoCC command dispatch + unit setup overhead per call, cycles.
@@ -96,94 +97,6 @@ fn writer_cycles(profile: &CallProfile, p: &CdpuParams, mem: &MemParams) -> u64 
     base.round() as u64 + fallback_cycles(profile.fallback_bytes(p.history_bytes), p, mem)
 }
 
-/// Records per-call telemetry shared by every decompressor pipeline:
-/// bottleneck attribution (which stage bounded the call) and history-SRAM
-/// hit/fallback volumes derived from the profiled offset distribution.
-fn record_decomp_common(
-    bound: &'static str,
-    profile: &CallProfile,
-    p: &CdpuParams,
-    stages: &[(&'static str, u64)],
-) {
-    counter!("hwsim.decomp.calls").incr();
-    counter!("hwsim.decomp.dispatch_cycles").add(DISPATCH_CYCLES);
-    cdpu_telemetry::registry().counter(bound).add(1);
-    for &(name, cycles) in stages {
-        cdpu_telemetry::registry().counter(name).add(cycles);
-    }
-    let fb = profile.fallback_bytes(p.history_bytes);
-    counter!("hwsim.history.fallback_bytes").add(fb);
-    counter!("hwsim.history.local_bytes").add(profile.match_bytes - fb);
-    counter!("hwsim.history.fallback_requests")
-        .add((fb as f64 / FALLBACK_CHUNK).ceil() as u64);
-}
-
-/// The stage that bounds the streaming pipeline: input, compute or output.
-pub(crate) fn bound_label(
-    prefix_in: &'static str,
-    prefix_cp: &'static str,
-    prefix_out: &'static str,
-    input: u64,
-    compute: u64,
-    output: u64,
-) -> &'static str {
-    if compute >= input && compute >= output {
-        prefix_cp
-    } else if input >= output {
-        prefix_in
-    } else {
-        prefix_out
-    }
-}
-
-/// Per-stage breakdown of one Snappy decompression call: memloader, the
-/// shared LZ77 writer, memwriter.
-pub fn snappy_decomp_stages(
-    profile: &CallProfile,
-    p: &CdpuParams,
-    mem: &MemParams,
-) -> StageCycles {
-    let io = p.placement.io_injection_cycles(mem.freq_ghz);
-    StageCycles {
-        dispatch: DISPATCH_CYCLES,
-        input_stream: mem.stream_cycles(profile.compressed, io),
-        writer: writer_cycles(profile, p, mem),
-        output_stream: mem.stream_cycles(profile.uncompressed, io),
-        ..Default::default()
-    }
-}
-
-/// Simulates one Snappy decompression call.
-pub fn snappy_decompress(profile: &CallProfile, p: &CdpuParams, mem: &MemParams) -> SimResult {
-    p.validate();
-    let s = snappy_decomp_stages(profile, p, mem);
-    if cdpu_telemetry::enabled() {
-        record_decomp_common(
-            bound_label(
-                "hwsim.decomp.snappy.bound.input",
-                "hwsim.decomp.snappy.bound.compute",
-                "hwsim.decomp.snappy.bound.output",
-                s.input_stream,
-                s.compute(),
-                s.output_stream,
-            ),
-            profile,
-            p,
-            &[
-                ("hwsim.decomp.snappy.input_stream_cycles", s.input_stream),
-                ("hwsim.decomp.snappy.writer_cycles", s.writer),
-                ("hwsim.decomp.snappy.output_stream_cycles", s.output_stream),
-            ],
-        );
-    }
-    SimResult {
-        cycles: s.total(),
-        input_bytes: profile.compressed,
-        output_bytes: profile.uncompressed,
-        freq_ghz: mem.freq_ghz,
-    }
-}
-
 /// Literal bytes that went through Huffman (approximated by the share of
 /// blocks that chose Huffman literals).
 fn zstd_huff_lit(profile: &CallProfile) -> f64 {
@@ -204,152 +117,96 @@ fn zstd_rans_lit(profile: &CallProfile) -> f64 {
     }
 }
 
-/// Per-stage breakdown of one ZStd decompression call.
-///
-/// Entropy stages — Huffman-coded literal expansion and FSE sequence
-/// decode — run concurrently with the writer; table builds serialize per
-/// block (the expander cannot decode while its table SRAM is filling).
-pub fn zstd_decomp_stages(
+/// Per-stage breakdown of one decompression call on pipeline `class`:
+/// memloader, the shared LZ77 writer and memwriter for every class, plus
+/// the entropy expanders. The ZStd class's Huffman-coded literal expansion,
+/// FSE sequence decode and rANS expansion run concurrently with the
+/// writer, and its table builds serialize per block (an expander cannot
+/// decode while its table SRAM is filling). In the Flate class literals
+/// and ~2 coded symbols per sequence (length + distance) all flow through
+/// the Huffman expander, charged at one literal-equivalent each.
+pub(crate) fn stages(
+    class: Pipeline,
     profile: &CallProfile,
     p: &CdpuParams,
     mem: &MemParams,
 ) -> StageCycles {
     let io = p.placement.io_injection_cycles(mem.freq_ghz);
-    let huff_tp =
-        huffman_bytes_per_cycle(p.spec_ways) * interleave_efficiency(profile.lit_streams);
-    let huff_lit = zstd_huff_lit(profile);
-    let rans_lit = zstd_rans_lit(profile);
-    let raw_lit = profile.literal_bytes as f64 - huff_lit - rans_lit;
-    let rans_tp = RANS_BPC * interleave_efficiency(profile.lit_streams);
-    let fse_tp = FSE_SEQS_PER_CYCLE * interleave_efficiency(profile.seq_streams);
-    // Extra interleaved streams (beyond the single stream every frame has)
-    // pay splitter/mux setup per block; legacy frames charge nothing.
-    let extra_streams =
-        profile.lit_streams.saturating_sub(1) + profile.seq_streams.saturating_sub(1);
-    StageCycles {
+    let s = StageCycles {
         dispatch: DISPATCH_CYCLES,
         input_stream: mem.stream_cycles(profile.compressed, io),
-        huffman: (huff_lit / huff_tp + raw_lit / LIT_WRITE_BPC).round() as u64,
-        fse: (profile.seqs as f64 / fse_tp).round() as u64,
-        rans: (rans_lit / rans_tp).round() as u64,
-        interleave: (profile.blocks as f64 * extra_streams as f64 * INTERLEAVE_STREAM_CYCLES)
-            .round() as u64,
         writer: writer_cycles(profile, p, mem),
-        table_build: profile.huffman_blocks * HUFF_BUILD_CYCLES
-            + profile.blocks * FSE_BUILD_CYCLES
-            + profile.rans_blocks * RANS_BUILD_CYCLES,
         output_stream: mem.stream_cycles(profile.uncompressed, io),
         ..Default::default()
+    };
+    match class {
+        Pipeline::Snappy => s,
+        Pipeline::Zstd => {
+            let huff_tp =
+                huffman_bytes_per_cycle(p.spec_ways) * interleave_efficiency(profile.lit_streams);
+            let huff_lit = zstd_huff_lit(profile);
+            let rans_lit = zstd_rans_lit(profile);
+            let raw_lit = profile.literal_bytes as f64 - huff_lit - rans_lit;
+            let rans_tp = RANS_BPC * interleave_efficiency(profile.lit_streams);
+            let fse_tp = FSE_SEQS_PER_CYCLE * interleave_efficiency(profile.seq_streams);
+            // Extra interleaved streams (beyond the single stream every
+            // frame has) pay splitter/mux setup per block; legacy frames
+            // charge nothing.
+            let extra_streams =
+                profile.lit_streams.saturating_sub(1) + profile.seq_streams.saturating_sub(1);
+            StageCycles {
+                huffman: (huff_lit / huff_tp + raw_lit / LIT_WRITE_BPC).round() as u64,
+                fse: (profile.seqs as f64 / fse_tp).round() as u64,
+                rans: (rans_lit / rans_tp).round() as u64,
+                interleave: (profile.blocks as f64
+                    * extra_streams as f64
+                    * INTERLEAVE_STREAM_CYCLES)
+                    .round() as u64,
+                table_build: profile.huffman_blocks * HUFF_BUILD_CYCLES
+                    + profile.blocks * FSE_BUILD_CYCLES
+                    + profile.rans_blocks * RANS_BUILD_CYCLES,
+                ..s
+            }
+        }
+        Pipeline::Flate => {
+            let symbol_bytes = profile.literal_bytes as f64 + 2.0 * profile.seqs as f64;
+            StageCycles {
+                huffman: (symbol_bytes / huffman_bytes_per_cycle(p.spec_ways)).round() as u64,
+                // lit/len + dist tables
+                table_build: profile.huffman_blocks * 2 * HUFF_BUILD_CYCLES,
+                ..s
+            }
+        }
     }
 }
 
-/// Simulates one ZStd decompression call.
-pub fn zstd_decompress(profile: &CallProfile, p: &CdpuParams, mem: &MemParams) -> SimResult {
-    p.validate();
-    let s = zstd_decomp_stages(profile, p, mem);
-    if cdpu_telemetry::enabled() {
-        // The rANS/interleave stages exist only for frames that use them;
-        // keep their counters out of legacy runs so instrumented exports
-        // stay stable.
-        let mut stages = vec![
-            ("hwsim.decomp.zstd.input_stream_cycles", s.input_stream),
-            ("hwsim.decomp.zstd.huffman_cycles", s.huffman),
-            ("hwsim.decomp.zstd.fse_cycles", s.fse),
-            ("hwsim.decomp.zstd.writer_cycles", s.writer),
-            ("hwsim.decomp.zstd.table_build_cycles", s.table_build),
-            ("hwsim.decomp.zstd.output_stream_cycles", s.output_stream),
-        ];
-        if s.rans > 0 {
-            stages.push(("hwsim.decomp.zstd.rans_cycles", s.rans));
-        }
-        if s.interleave > 0 {
-            stages.push(("hwsim.decomp.zstd.interleave_cycles", s.interleave));
-        }
-        record_decomp_common(
-            bound_label(
-                "hwsim.decomp.zstd.bound.input",
-                "hwsim.decomp.zstd.bound.compute",
-                "hwsim.decomp.zstd.bound.output",
-                s.input_stream,
-                s.compute(),
-                s.output_stream,
-            ),
-            profile,
-            p,
-            &stages,
-        );
-        // Speculation accounting per the √spec model: decoding one useful
-        // byte launches `spec_ways` candidate starts of which only
-        // ~√spec-aligned ones contribute, so the wasted share per useful
-        // byte is √spec − 1 mispredicted starts.
+/// Decompression telemetry beside the per-stage counters: history-SRAM
+/// hit/fallback volumes derived from the profiled offset distribution and,
+/// for the ZStd class, speculation accounting per the √spec model —
+/// decoding one useful byte launches `spec_ways` candidate starts of which
+/// only ~√spec-aligned ones contribute, so the wasted share per useful
+/// byte is √spec − 1 mispredicted starts.
+pub(crate) fn record(class: Pipeline, profile: &CallProfile, p: &CdpuParams) {
+    let fb = profile.fallback_bytes(p.history_bytes);
+    counter!("hwsim.history.fallback_bytes").add(fb);
+    counter!("hwsim.history.local_bytes").add(profile.match_bytes - fb);
+    counter!("hwsim.history.fallback_requests").add((fb as f64 / FALLBACK_CHUNK).ceil() as u64);
+    if class == Pipeline::Zstd {
         let huff_lit = zstd_huff_lit(profile);
         let waste = (p.spec_ways as f64).sqrt() - 1.0;
         counter!("hwsim.spec.decoded_bytes").add(huff_lit.round() as u64);
         counter!("hwsim.spec.mispredict_bytes").add((huff_lit * waste).round() as u64);
     }
-    SimResult {
-        cycles: s.total(),
-        input_bytes: profile.compressed,
-        output_bytes: profile.uncompressed,
-        freq_ghz: mem.freq_ghz,
-    }
 }
 
-/// Simulates one Flate decompression call: the ZStd pipeline minus the
-/// FSE expander — length/distance codes flow through the same Huffman
-/// expander as literals (DEFLATE's single symbol stream).
-pub fn flate_decompress(profile: &CallProfile, p: &CdpuParams, mem: &MemParams) -> SimResult {
-    p.validate();
-    let s = flate_decomp_stages(profile, p, mem);
-    if cdpu_telemetry::enabled() {
-        record_decomp_common(
-            bound_label(
-                "hwsim.decomp.flate.bound.input",
-                "hwsim.decomp.flate.bound.compute",
-                "hwsim.decomp.flate.bound.output",
-                s.input_stream,
-                s.compute(),
-                s.output_stream,
-            ),
-            profile,
-            p,
-            &[
-                ("hwsim.decomp.flate.input_stream_cycles", s.input_stream),
-                ("hwsim.decomp.flate.huffman_cycles", s.huffman),
-                ("hwsim.decomp.flate.writer_cycles", s.writer),
-                ("hwsim.decomp.flate.table_build_cycles", s.table_build),
-                ("hwsim.decomp.flate.output_stream_cycles", s.output_stream),
-            ],
-        );
-    }
-    SimResult {
-        cycles: s.total(),
-        input_bytes: profile.compressed,
-        output_bytes: profile.uncompressed,
-        freq_ghz: mem.freq_ghz,
-    }
+/// [`crate::simulate`] of one Snappy decompression call.
+pub fn snappy_decompress(profile: &CallProfile, p: &CdpuParams, mem: &MemParams) -> SimResult {
+    crate::simulate(AlgoOp::new(Algorithm::Snappy, Direction::Decompress), profile, p, mem)
 }
 
-/// Per-stage breakdown of one Flate decompression call: literals plus ~2
-/// coded symbols per sequence (length + distance) all flow through the
-/// Huffman expander, charged at one literal-equivalent each.
-pub fn flate_decomp_stages(
-    profile: &CallProfile,
-    p: &CdpuParams,
-    mem: &MemParams,
-) -> StageCycles {
-    let io = p.placement.io_injection_cycles(mem.freq_ghz);
-    let huff_tp = huffman_bytes_per_cycle(p.spec_ways);
-    let symbol_bytes = profile.literal_bytes as f64 + 2.0 * profile.seqs as f64;
-    StageCycles {
-        dispatch: DISPATCH_CYCLES,
-        input_stream: mem.stream_cycles(profile.compressed, io),
-        huffman: (symbol_bytes / huff_tp).round() as u64,
-        writer: writer_cycles(profile, p, mem),
-        table_build: profile.huffman_blocks * 2 * HUFF_BUILD_CYCLES, // lit/len + dist tables
-        output_stream: mem.stream_cycles(profile.uncompressed, io),
-        ..Default::default()
-    }
+/// [`crate::simulate`] of one ZStd decompression call.
+pub fn zstd_decompress(profile: &CallProfile, p: &CdpuParams, mem: &MemParams) -> SimResult {
+    crate::simulate(AlgoOp::new(Algorithm::Zstd, Direction::Decompress), profile, p, mem)
 }
 
 #[cfg(test)]
@@ -490,7 +347,8 @@ mod tests {
         let mem = MemParams::default();
         let params = CdpuParams::default();
         let s = snappy_decompress(&profile_snappy(&data), &params, &mem).output_gbps();
-        let f = flate_decompress(&crate::profile::profile_flate(&data, 6), &params, &mem)
+        let op = AlgoOp::new(Algorithm::Flate, Direction::Decompress);
+        let f = crate::simulate(op, &crate::profile::profile_flate(&data, 6), &params, &mem)
             .output_gbps();
         assert!(f < s, "flate {f} must trail snappy {s}");
         assert!(f > 0.5, "flate {f} still beats the 0.55 GB/s Xeon estimate");

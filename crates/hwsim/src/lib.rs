@@ -2,18 +2,22 @@
 //!
 //! This crate is the substitute for the paper's Chisel RTL generator plus
 //! FireSim cycle-exact FPGA simulation (see DESIGN.md's substitution
-//! table). It models the four generated pipelines of Figures 9 and 10 —
-//! Snappy/ZStd × compress/decompress — at block level:
+//! table). It models the generated pipelines of Figures 9 and 10 — the
+//! Snappy, ZStd and Flate classes, each in both directions — at block
+//! level, through one dispatch: [`stages()`] prices a call of any fleet
+//! operation from its structural [`CallProfile`] as a [`StageCycles`], and
+//! [`simulate`] turns that into a [`SimResult`] and records its telemetry.
 //!
 //! - [`params`]: the full Section 5.8 parameter list (placement, history
 //!   SRAM, hash table, speculation, statistics width, FSE accuracy) and
 //!   the SoC memory model (256-bit TileLink into a shared L2, Figure 8).
 //! - [`profile`]: per-call structural profiling (sequences, literals,
 //!   offset distribution, entropy-block structure) using the real codecs.
-//! - [`decomp`] / [`comp`]: pipeline cycle models. Decompression sweeps
-//!   history SRAM analytically via the profiled offset distribution
-//!   (off-chip fallbacks); compression *re-runs the real matcher* under
-//!   the restricted window/hash-table and measures the achieved ratio.
+//! - [`decomp`] / [`comp`]: the one stage function per direction.
+//!   Decompression sweeps history SRAM analytically via the profiled
+//!   offset distribution (off-chip fallbacks); live compression
+//!   ([`comp::compress`]) *re-runs the real matcher* under the restricted
+//!   window/hash-table and measures the achieved ratio.
 //! - [`area`]: the 16nm-class silicon area model calibrated to the
 //!   paper's reported mm² figures.
 //! - [`service`]: the analytic per-call service-time entry point the
@@ -27,10 +31,12 @@
 //! Section 6 is about.
 //!
 //! ```
-//! use cdpu_hwsim::{params::{CdpuParams, MemParams}, profile, decomp};
+//! use cdpu_fleet::{Algorithm, AlgoOp, Direction};
+//! use cdpu_hwsim::{params::{CdpuParams, MemParams}, profile};
 //! let data = b"a hyperscale call's worth of data, repeated ".repeat(100);
 //! let prof = profile::profile_snappy(&data);
-//! let result = decomp::snappy_decompress(&prof, &CdpuParams::default(), &MemParams::default());
+//! let op = AlgoOp::new(Algorithm::Snappy, Direction::Decompress);
+//! let result = cdpu_hwsim::simulate(op, &prof, &CdpuParams::default(), &MemParams::default());
 //! assert!(result.output_gbps() > 1.0);
 //! ```
 
@@ -44,6 +50,113 @@ pub mod pipeline;
 pub mod profile;
 pub mod service;
 pub mod stages;
+
+use cdpu_fleet::{Algorithm, AlgoOp, Direction};
+use params::{CdpuParams, MemParams};
+use profile::CallProfile;
+use stages::StageCycles;
+
+/// The three generated pipeline classes (Section 5.1) the six fleet
+/// algorithms run on: Gipfeli and LZO behave like Snappy (LZ77, no entropy
+/// stage), Brotli like ZStd (LZ77 + entropy + context), Flate is itself.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Pipeline {
+    Snappy,
+    Zstd,
+    Flate,
+}
+
+impl Pipeline {
+    pub(crate) fn of(algo: Algorithm) -> Pipeline {
+        match algo {
+            Algorithm::Snappy | Algorithm::Gipfeli | Algorithm::Lzo => Pipeline::Snappy,
+            Algorithm::Zstd | Algorithm::Brotli => Pipeline::Zstd,
+            Algorithm::Flate => Pipeline::Flate,
+        }
+    }
+
+    fn name(self) -> &'static str {
+        match self {
+            Pipeline::Snappy => "snappy",
+            Pipeline::Zstd => "zstd",
+            Pipeline::Flate => "flate",
+        }
+    }
+}
+
+/// Per-stage cycles of one `op` call whose structure `profile` describes,
+/// on the pipeline class `op`'s algorithm maps to.
+///
+/// # Panics
+///
+/// Panics if `p` is structurally invalid (see [`CdpuParams::validate`]).
+pub fn stages(op: AlgoOp, profile: &CallProfile, p: &CdpuParams, mem: &MemParams) -> StageCycles {
+    p.validate();
+    let class = Pipeline::of(op.algo);
+    match op.dir {
+        Direction::Compress => comp::stages(class, profile, p, mem),
+        Direction::Decompress => decomp::stages(class, profile, p, mem),
+    }
+}
+
+/// Simulates one `op` call: prices [`stages()`] and, when telemetry is on,
+/// records the call, its bounding stage and every stage's occupancy.
+///
+/// # Panics
+///
+/// Panics if `p` is structurally invalid (see [`CdpuParams::validate`]).
+pub fn simulate(op: AlgoOp, profile: &CallProfile, p: &CdpuParams, mem: &MemParams) -> SimResult {
+    let s = stages(op, profile, p, mem);
+    if cdpu_telemetry::enabled() {
+        record(op, &s, profile, p);
+    }
+    let (input_bytes, output_bytes) = match op.dir {
+        Direction::Compress => (profile.uncompressed, profile.compressed),
+        Direction::Decompress => (profile.compressed, profile.uncompressed),
+    };
+    SimResult {
+        cycles: s.total(),
+        input_bytes,
+        output_bytes,
+        freq_ghz: mem.freq_ghz,
+    }
+}
+
+/// Publishes one call under `hwsim.{comp,decomp}.<class>.*`: the bound
+/// (ties resolve as [`StageCycles::bound`] does) and the occupancy of each
+/// unit the class instantiates, zero or not. The rANS and interleave
+/// stages exist only for frames that use them, so they are recorded only
+/// when nonzero and runs without such frames export no counter for them.
+fn record(op: AlgoOp, s: &StageCycles, profile: &CallProfile, p: &CdpuParams) {
+    let class = Pipeline::of(op.algo);
+    let comp = op.dir == Direction::Compress;
+    let dir = if comp { "comp" } else { "decomp" };
+    let reg = cdpu_telemetry::registry();
+    reg.counter(&format!("hwsim.{dir}.calls")).incr();
+    reg.counter(&format!("hwsim.{dir}.dispatch_cycles")).add(s.dispatch);
+    reg.counter(&format!("hwsim.{dir}.{}.bound.{}", class.name(), s.bound())).incr();
+    let entropy = class != Pipeline::Snappy;
+    let zstd = class == Pipeline::Zstd;
+    for (stage, cycles, kept) in [
+        ("input_stream", s.input_stream, true),
+        ("matcher", s.matcher, comp),
+        ("stats", s.stats, comp && zstd),
+        ("huffman", s.huffman, entropy),
+        ("fse", s.fse, zstd),
+        ("writer", s.writer, !comp),
+        (if comp { "dict_build" } else { "table_build" }, s.table_build, entropy),
+        ("output_stream", s.output_stream, true),
+        ("rans", s.rans, s.rans > 0),
+        ("interleave", s.interleave, s.interleave > 0),
+    ] {
+        if kept {
+            reg.counter(&format!("hwsim.{dir}.{}.{stage}_cycles", class.name())).add(cycles);
+        }
+    }
+    if !comp {
+        decomp::record(class, profile, p);
+    }
+}
 
 /// Result of simulating one accelerator call.
 #[derive(Debug, Clone, Copy, PartialEq)]

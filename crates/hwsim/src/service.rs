@@ -8,24 +8,20 @@
 //! [`CallProfile`] whose counts (literal/match split, sequence density,
 //! block structure, offset distribution) are fixed by the algorithm class
 //! and size, calibrated so the default RoCC configuration reproduces the
-//! paper's absolute throughputs — and feeds it to the same pipeline cycle
-//! models every other figure uses.
+//! paper's absolute throughputs — and prices it through the one dispatch
+//! every other figure uses, [`crate::stages()`] / [`crate::simulate`].
 //!
 //! The result is a *pure function* of `(op, bytes, level, params)`: no
-//! RNG, no payload, deterministic across platforms, ~100 ns per call.
-//!
-//! Algorithm classes map the six fleet algorithms onto the three modeled
-//! pipelines (Section 5.1 generates Snappy/ZStd/Flate-class hardware):
-//! Gipfeli and LZO behave like Snappy (LZ77, no entropy stage), Brotli
-//! like ZStd (LZ77 + entropy + context), Flate is itself.
+//! RNG, no payload, deterministic across platforms, ~100 ns per call. The
+//! six fleet algorithms share the three modeled pipeline classes
+//! (Section 5.1 generates Snappy/ZStd/Flate-class hardware): Gipfeli and
+//! LZO are priced as Snappy, Brotli as ZStd.
 
-use crate::comp;
-use crate::decomp;
 use crate::params::{CdpuParams, MemParams};
 use crate::profile::CallProfile;
 use crate::stages::StageCycles;
-use crate::SimResult;
-use cdpu_fleet::{Algorithm, AlgoOp, CallRecord, Direction};
+use crate::Pipeline;
+use cdpu_fleet::{AlgoOp, CallRecord};
 
 /// Snappy-class calibration: achieved ratio, literal fraction of
 /// uncompressed bytes, and mean match length. The implied writer
@@ -64,22 +60,6 @@ const OFFSET_DECAY: f64 = 0.62;
 const MIN_OFFSET_BIN: u32 = 6;
 const MAX_OFFSET_BIN: u32 = 16;
 
-/// The three modeled pipeline classes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PipeClass {
-    Snappy,
-    Zstd,
-    Flate,
-}
-
-fn class_of(algo: Algorithm) -> PipeClass {
-    match algo {
-        Algorithm::Snappy | Algorithm::Gipfeli | Algorithm::Lzo => PipeClass::Snappy,
-        Algorithm::Zstd | Algorithm::Brotli => PipeClass::Zstd,
-        Algorithm::Flate => PipeClass::Flate,
-    }
-}
-
 /// Spreads `match_bytes` over the offset bins with geometric decay,
 /// conserving the total exactly (remainder lands in the smallest bin).
 fn fill_offsets(profile: &mut CallProfile) {
@@ -88,16 +68,11 @@ fn fill_offsets(profile: &mut CallProfile) {
     }
     let top = cdpu_util::ceil_log2(profile.uncompressed.max(2))
         .clamp(MIN_OFFSET_BIN, MAX_OFFSET_BIN);
-    let bins: Vec<u32> = (MIN_OFFSET_BIN..=top).collect();
-    let weights: Vec<f64> = bins
-        .iter()
-        .enumerate()
-        .map(|(i, _)| OFFSET_DECAY.powi(i as i32))
-        .collect();
-    let total: f64 = weights.iter().sum();
+    let weight = |bin: u32| OFFSET_DECAY.powi((bin - MIN_OFFSET_BIN) as i32);
+    let total: f64 = (MIN_OFFSET_BIN..=top).map(weight).sum();
     let mut assigned = 0u64;
-    for (&bin, &w) in bins.iter().zip(&weights).skip(1) {
-        let share = (profile.match_bytes as f64 * w / total).floor() as u64;
+    for bin in MIN_OFFSET_BIN + 1..=top {
+        let share = (profile.match_bytes as f64 * weight(bin) / total).floor() as u64;
         profile.offset_bytes[bin as usize] = share;
         assigned += share;
     }
@@ -110,9 +85,9 @@ fn fill_offsets(profile: &mut CallProfile) {
 /// `level` matters only for ZStd-class compression ratio (fast vs high
 /// levels); pass the sampled fleet level (or `None` for non-ZStd).
 pub fn synthetic_profile(op: AlgoOp, uncompressed: u64, level: Option<i32>) -> CallProfile {
-    let (ratio, lit_frac, mean_match, block_bytes, huff_frac) = match class_of(op.algo) {
-        PipeClass::Snappy => (SNAPPY_RATIO, SNAPPY_LIT_FRAC, SNAPPY_MEAN_MATCH, 0, 0.0),
-        PipeClass::Zstd => {
+    let (ratio, lit_frac, mean_match, block_bytes, huff_frac) = match Pipeline::of(op.algo) {
+        Pipeline::Snappy => (SNAPPY_RATIO, SNAPPY_LIT_FRAC, SNAPPY_MEAN_MATCH, 0, 0.0),
+        Pipeline::Zstd => {
             let ratio = if level.unwrap_or(3) <= 3 {
                 ZSTD_RATIO_FAST
             } else {
@@ -120,7 +95,7 @@ pub fn synthetic_profile(op: AlgoOp, uncompressed: u64, level: Option<i32>) -> C
             };
             (ratio, ZSTD_LIT_FRAC, ZSTD_MEAN_MATCH, ZSTD_BLOCK_BYTES, ZSTD_HUFF_BLOCK_FRAC)
         }
-        PipeClass::Flate => (FLATE_RATIO, FLATE_LIT_FRAC, FLATE_MEAN_MATCH, FLATE_BLOCK_BYTES, 1.0),
+        Pipeline::Flate => (FLATE_RATIO, FLATE_LIT_FRAC, FLATE_MEAN_MATCH, FLATE_BLOCK_BYTES, 1.0),
     };
     let literal_bytes = (uncompressed as f64 * lit_frac).round() as u64;
     let match_bytes = uncompressed - literal_bytes.min(uncompressed);
@@ -138,7 +113,7 @@ pub fn synthetic_profile(op: AlgoOp, uncompressed: u64, level: Option<i32>) -> C
     } else {
         0
     };
-    let fse_stream_bytes = if class_of(op.algo) == PipeClass::Zstd {
+    let fse_stream_bytes = if Pipeline::of(op.algo) == Pipeline::Zstd {
         (compressed as f64 * 0.2).round() as u64
     } else {
         0
@@ -159,27 +134,12 @@ pub fn synthetic_profile(op: AlgoOp, uncompressed: u64, level: Option<i32>) -> C
     profile
 }
 
-/// Simulates one fleet call end-to-end on a CDPU: builds the synthetic
-/// profile for the call's algorithm/size/level and dispatches to the
-/// matching pipeline cycle model. This is the `service_cycles` entry
-/// point the serving simulator prices every job with.
-pub fn service_sim(call: &CallRecord, p: &CdpuParams, mem: &MemParams) -> SimResult {
-    let profile = synthetic_profile(call.op, call.uncompressed_bytes, call.level);
-    match (class_of(call.op.algo), call.op.dir) {
-        (PipeClass::Snappy, Direction::Decompress) => decomp::snappy_decompress(&profile, p, mem),
-        (PipeClass::Zstd, Direction::Decompress) => decomp::zstd_decompress(&profile, p, mem),
-        (PipeClass::Flate, Direction::Decompress) => decomp::flate_decompress(&profile, p, mem),
-        (PipeClass::Snappy, Direction::Compress) => {
-            comp::snappy_compress_profiled(&profile, p, mem)
-        }
-        (PipeClass::Zstd, Direction::Compress) => comp::zstd_compress_profiled(&profile, p, mem),
-        (PipeClass::Flate, Direction::Compress) => comp::flate_compress_profiled(&profile, p, mem),
-    }
-}
-
-/// Accelerator-resident cycles for one call (dispatch to completion).
+/// Accelerator-resident cycles for one fleet call (dispatch to
+/// completion): [`crate::simulate`] of the call's synthetic profile. This
+/// is the entry point the serving simulator prices every job with.
 pub fn service_cycles(call: &CallRecord, p: &CdpuParams, mem: &MemParams) -> u64 {
-    service_sim(call, p, mem).cycles
+    let profile = synthetic_profile(call.op, call.uncompressed_bytes, call.level);
+    crate::simulate(call.op, &profile, p, mem).cycles
 }
 
 /// Per-stage cycle breakdown for one fleet call — the attribution behind
@@ -188,27 +148,22 @@ pub fn service_cycles(call: &CallRecord, p: &CdpuParams, mem: &MemParams) -> u64
 /// layer uses this to explain *why* a retained slow-call exemplar was
 /// slow (which pipeline stage bounded it), without re-running anything.
 pub fn service_stages(call: &CallRecord, p: &CdpuParams, mem: &MemParams) -> StageCycles {
-    p.validate();
     let profile = synthetic_profile(call.op, call.uncompressed_bytes, call.level);
-    match (class_of(call.op.algo), call.op.dir) {
-        (PipeClass::Snappy, Direction::Decompress) => {
-            decomp::snappy_decomp_stages(&profile, p, mem)
-        }
-        (PipeClass::Zstd, Direction::Decompress) => decomp::zstd_decomp_stages(&profile, p, mem),
-        (PipeClass::Flate, Direction::Decompress) => {
-            decomp::flate_decomp_stages(&profile, p, mem)
-        }
-        (PipeClass::Snappy, Direction::Compress) => comp::snappy_comp_stages(&profile, p, mem),
-        (PipeClass::Zstd, Direction::Compress) => comp::zstd_comp_stages(&profile, p, mem),
-        (PipeClass::Flate, Direction::Compress) => comp::flate_comp_stages(&profile, p, mem),
-    }
+    crate::stages(call.op, &profile, p, mem)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::params::Placement;
+    use crate::decomp;
+    use crate::SimResult;
     use cdpu_fleet::{Algorithm, AlgoOp, Direction};
+
+    fn simulate_call(call: &CallRecord, p: &CdpuParams, mem: &MemParams) -> SimResult {
+        let profile = synthetic_profile(call.op, call.uncompressed_bytes, call.level);
+        crate::simulate(call.op, &profile, p, mem)
+    }
 
     fn call(algo: Algorithm, dir: Direction, bytes: u64, level: Option<i32>) -> CallRecord {
         CallRecord {
@@ -225,7 +180,7 @@ mod tests {
         let c = call(Algorithm::Zstd, Direction::Decompress, 1 << 20, Some(3));
         let p = CdpuParams::default();
         let mem = MemParams::default();
-        assert_eq!(service_sim(&c, &p, &mem), service_sim(&c, &p, &mem));
+        assert_eq!(simulate_call(&c, &p, &mem), simulate_call(&c, &p, &mem));
     }
 
     #[test]
@@ -250,14 +205,14 @@ mod tests {
     fn calibration_lands_on_paper_throughputs() {
         let p = CdpuParams::default();
         let mem = MemParams::default();
-        let sd = service_sim(
+        let sd = simulate_call(
             &call(Algorithm::Snappy, Direction::Decompress, 1 << 20, None),
             &p,
             &mem,
         )
         .output_gbps();
         assert!((9.0..=15.0).contains(&sd), "snappy-d {sd} GB/s (paper 11.4)");
-        let zd = service_sim(
+        let zd = simulate_call(
             &call(Algorithm::Zstd, Direction::Decompress, 1 << 20, Some(3)),
             &p,
             &mem,
@@ -307,8 +262,8 @@ mod tests {
     fn zstd_slower_and_denser_than_snappy() {
         let p = CdpuParams::default();
         let mem = MemParams::default();
-        let s = service_sim(&call(Algorithm::Snappy, Direction::Decompress, 1 << 20, None), &p, &mem);
-        let z = service_sim(&call(Algorithm::Zstd, Direction::Decompress, 1 << 20, Some(3)), &p, &mem);
+        let s = simulate_call(&call(Algorithm::Snappy, Direction::Decompress, 1 << 20, None), &p, &mem);
+        let z = simulate_call(&call(Algorithm::Zstd, Direction::Decompress, 1 << 20, Some(3)), &p, &mem);
         assert!(z.cycles > s.cycles, "entropy stages cost cycles");
         assert!(z.input_bytes < s.input_bytes, "zstd compresses harder");
     }

@@ -1,13 +1,15 @@
-//! Unified per-stage cycle breakdown shared by all six pipelines.
+//! The per-stage cycle breakdown every model call yields.
 //!
 //! Every modeled pipeline — Snappy/ZStd/Flate × compress/decompress — has
 //! the same macro-structure: a serial dispatch, three streaming stages
 //! (input, compute, output) of which the slowest bounds throughput, and a
 //! compute stage that is itself the max of concurrent block-level unit
 //! occupancies plus serial per-block table builds. [`StageCycles`] makes
-//! that structure a value instead of six copies of inline arithmetic, so
-//! the serving tier's observability layer can attribute an individual
-//! slow call to the stage that actually bounded it (queue wait aside).
+//! that structure a value: [`crate::stages()`] returns one for any call,
+//! live or profiled, and [`crate::simulate`] prices its [`total`] and
+//! publishes its [`bound`] and parts, so the serving tier's observability
+//! layer can attribute an individual slow call to the stage that actually
+//! bounded it (queue wait aside).
 //!
 //! Stages a pipeline does not have simply stay at zero: a Snappy
 //! decompressor is `{writer}`, a ZStd compressor is
@@ -15,6 +17,8 @@
 //! degrades to the right expression in each case.
 //!
 //! [`compute`]: StageCycles::compute
+//! [`total`]: StageCycles::total
+//! [`bound`]: StageCycles::bound
 
 /// Cycle occupancy of each pipeline stage for one simulated call.
 ///
@@ -74,8 +78,8 @@ impl StageCycles {
     }
 
     /// Which streaming stage bounded the call. Ties resolve toward
-    /// compute, then input — the same convention the telemetry bound
-    /// counters use.
+    /// compute, then input; the `hwsim.*.bound.*` telemetry counters
+    /// publish this value.
     pub fn bound(&self) -> &'static str {
         let compute = self.compute();
         if compute >= self.input_stream && compute >= self.output_stream {

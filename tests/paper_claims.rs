@@ -110,12 +110,15 @@ fn claim_area_absolutes() {
     // Xeon core), Snappy-C 0.851 mm² (~4.7%), ZStd-D 1.9 mm²,
     // ZStd-C 3.48 mm².
     let full = CdpuParams::default();
-    assert!((area::snappy_decompressor_mm2(&full) - 0.431).abs() < 0.01);
-    assert!((area::snappy_compressor_mm2(&full) - 0.851).abs() < 0.01);
-    assert!((area::zstd_decompressor_mm2(&full) - 1.90).abs() < 0.02);
-    assert!((area::zstd_compressor_mm2(&full) - 3.48).abs() < 0.02);
-    assert!(area::fraction_of_xeon_core(area::snappy_decompressor_mm2(&full)) < 0.025);
-    assert!(area::fraction_of_xeon_core(area::snappy_compressor_mm2(&full)) < 0.050);
+    let mm2 = |algo, dir| area::mm2(AlgoOp::new(algo, dir), &full);
+    let snappy_d = mm2(Algorithm::Snappy, Direction::Decompress);
+    let snappy_c = mm2(Algorithm::Snappy, Direction::Compress);
+    assert!((snappy_d - 0.431).abs() < 0.01);
+    assert!((snappy_c - 0.851).abs() < 0.01);
+    assert!((mm2(Algorithm::Zstd, Direction::Decompress) - 1.90).abs() < 0.02);
+    assert!((mm2(Algorithm::Zstd, Direction::Compress) - 3.48).abs() < 0.02);
+    assert!(area::fraction_of_xeon_core(snappy_d) < 0.025);
+    assert!(area::fraction_of_xeon_core(snappy_c) < 0.050);
 }
 
 #[test]
