@@ -71,7 +71,10 @@ for name in \
     literal_count_overflow_is_an_error_not_a_panic \
     block_payload_length_overflow_is_an_error_not_a_panic \
     serve_reports_are_pinned \
-    a_panicking_task_resumes_in_recv_and_the_pool_drops; do
+    a_panicking_task_resumes_in_recv_and_the_pool_drops \
+    model_prices_are_pinned \
+    flate_compress_sim_encodes_the_hardware_parse \
+    snappy_compress_sim_caps_history_at_the_format_window; do
     if ! grep -q "${name}: test\$" /tmp/cdpu_test_list.txt; then
         echo "FAIL: test $name is no longer in the workspace suite" >&2
         exit 1
@@ -158,6 +161,22 @@ if [ "$departure_matches" != " crates/serve/src/event.rs:1" ]; then
     echo "FAIL: departures are matched outside the one loop:$departure_matches" >&2
     exit 1
 fi
+
+echo "==> one pipeline model: every cdpu_hwsim price goes through cdpu_hwsim::{stages, simulate}"
+# No per-pipeline stage, profiled, area or service function in cdpu_hwsim,
+# and no per-algorithm model call in cdpu_core (test modules excluded).
+for f in crates/hwsim/src/*.rs; do
+    if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE 'fn (snappy|zstd|flate)_(comp|decomp)_stages|_compress_profiled|fn flate_(compress|decompress)\b|_compressor_mm2|_decompressor_mm2|PipeClass|fn service_sim\b'; then
+        echo "FAIL: $f grew a per-pipeline model function beside the one stages/simulate dispatch" >&2
+        exit 1
+    fi
+done
+for f in crates/core/src/*.rs; do
+    if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE 'comp::(snappy|zstd)_compress|decomp::(snappy|zstd)_decompress|area::[a-z_]+_mm2'; then
+        echo "FAIL: $f dispatches per algorithm into the model beside cdpu_hwsim::{stages, simulate}" >&2
+        exit 1
+    fi
+done
 
 echo "==> one benchmark harness: no bench timing binary, regress gate or stage-pipelined codec paths"
 for f in crates/bench/src/bin/bench.rs crates/bench/src/regress.rs crates/par/src/pipeline.rs; do
