@@ -1,13 +1,24 @@
 //! Pins what the hardware cycle model prices, not just its shape: two
 //! FNV-1a-64 digests over the `Debug` text of every model output on a
-//! fixed grid, plus the `hwsim.*` telemetry the runs publish.
+//! fixed grid, plus the `hwsim.*` telemetry the runs publish, and one over
+//! every field of the DSE sweeps the figures are drawn from.
 //!
-//! This test enables telemetry, so it lives in a test binary of its own:
-//! the registry it zeroes and reads holds nothing but these runs.
+//! The model price pin enables telemetry, so it lives in a test binary of
+//! its own, and the sweep pin, which runs with telemetry off, takes
+//! [`TELEMETRY`] in turn with it: the registry the price pin zeroes and
+//! reads holds nothing but its own runs.
 
+use std::sync::{Mutex, MutexGuard};
+
+use cdpu::core::dse::{
+    compression_sweep, decompression_sweep, profile_suite, speculation_sweep, standard_histories,
+    standard_placements, DsePoint,
+};
 use cdpu::core::CdpuInstance;
 use cdpu::corpus::{generate, ALL_KINDS};
 use cdpu::fleet::{Algorithm, AlgoOp, CallRecord, Direction};
+use cdpu::hcbench::bank::{BankConfig, ChunkBank};
+use cdpu::hcbench::{generate_suite, Suite, SuiteConfig};
 use cdpu::hwsim::params::{CdpuParams, MemParams, Placement};
 use cdpu::hwsim::profile::{profile_flate, profile_snappy, profile_zstd, profile_zstd_with};
 use cdpu::hwsim::service::{service_cycles, service_stages};
@@ -21,6 +32,15 @@ fn fnv1a64(mut h: u64, bytes: &[u8]) -> u64 {
         h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
     }
     h
+}
+
+/// Held by each test of this binary for its whole run: telemetry is
+/// global, so a sweep running beside the price pin would add to the
+/// counters it reads.
+static TELEMETRY: Mutex<()> = Mutex::new(());
+
+fn telemetry_turn() -> MutexGuard<'static, ()> {
+    TELEMETRY.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Runs `f` with telemetry on over a zeroed registry and appends to
@@ -80,6 +100,7 @@ fn payloads() -> Vec<Vec<u8>> {
 
 #[test]
 fn model_prices_are_pinned() {
+    let _turn = telemetry_turn();
     let mem = MemParams::default();
     let sets = param_sets();
     let data = payloads();
@@ -187,4 +208,56 @@ fn model_prices_are_pinned() {
         (0xD1E3_2732_C16A_6C13, 0xE872_BF1C_E0D7_AEA4),
         "model prices moved: got ({h1:#018X}, {h2:#018X})"
     );
+}
+
+/// A small hcbench suite for `op`: ten files of at most 64 KiB, so every
+/// history SRAM of the standard sweep cuts some matches off.
+fn small_suite(bank: &ChunkBank, op: AlgoOp) -> Suite {
+    generate_suite(bank, &SuiteConfig { op, files: 10, max_call_bytes: 64 << 10, seed: 17 })
+}
+
+/// Appends the bits of every field of `points` to `text`.
+fn push_points(text: &mut String, points: &[DsePoint]) {
+    for p in points {
+        let floats = [p.accel_seconds, p.xeon_seconds, p.accel_gbps, p.speedup, p.area_mm2];
+        *text += &format!(
+            "{} {} {} {} {:?} {:?}\n",
+            p.placement,
+            p.history_bytes,
+            p.spec_ways,
+            p.hash_entries_log,
+            floats.map(f64::to_bits),
+            p.ratio_vs_sw.map(f64::to_bits),
+        );
+    }
+}
+
+#[test]
+fn dse_sweeps_are_pinned() {
+    let _turn = telemetry_turn();
+    let mem = MemParams::default();
+    let bank = ChunkBank::build(&BankConfig {
+        chunk_size: 4096,
+        per_kind_bytes: 96 * 1024,
+        zstd_levels: vec![1, 3],
+        seed: 31,
+    });
+    let (placements, histories) = (standard_placements(), standard_histories());
+    let mut text = String::new();
+    for algo in [Algorithm::Snappy, Algorithm::Zstd] {
+        let suite = small_suite(&bank, AlgoOp::new(algo, Direction::Compress));
+        for hash_log in [14, 9] {
+            let sweep = compression_sweep(&suite, &placements, &histories, hash_log, &mem);
+            push_points(&mut text, &sweep.points);
+        }
+        let suite = small_suite(&bank, AlgoOp::new(algo, Direction::Decompress));
+        let profiles = profile_suite(&suite);
+        let sweep = decompression_sweep(&suite, &profiles, &placements, &histories, 16, &mem);
+        push_points(&mut text, &sweep.points);
+        if algo == Algorithm::Zstd {
+            push_points(&mut text, &speculation_sweep(&suite, &profiles, &[4, 16, 32], &mem));
+        }
+    }
+    let h = fnv1a64(0xCBF2_9CE4_8422_2325, text.as_bytes());
+    assert_eq!(h, 0x9282_790A_C63C_20F2, "DSE sweeps moved: got {h:#018X}");
 }
