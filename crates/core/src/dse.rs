@@ -171,6 +171,12 @@ fn placement_history_grid(
 /// Figures 12, 13, 15: compression sweep over placements × history SRAM
 /// sizes at a fixed hash-table size. Reports speedup, area, and the ratio
 /// relative to software.
+///
+/// Placement only injects offload latency, so the hardware parse, its
+/// counts and its compressed size depend on the history SRAM and the hash
+/// table alone: each file is parsed once per history
+/// ([`comp::hw_profile`]), and that profile is priced at every placement
+/// through [`cdpu_hwsim::simulate`], once per (point, file).
 pub fn compression_sweep(
     suite: &Suite,
     placements: &[Placement],
@@ -192,19 +198,34 @@ pub fn compression_sweep(
     .sum();
     let sw_ratio = total_unc as f64 / sw_compressed as f64;
 
+    let params = |placement, history| {
+        CdpuParams::full_size(placement)
+            .with_history(history)
+            .with_hash_entries_log(hash_entries_log)
+    };
+    // One hardware profile per (history, file), history-major, taken at
+    // the first placement; an empty placement axis prices nothing, so it
+    // parses nothing.
+    let files = suite.files.len();
+    let jobs = if placements.is_empty() { 0 } else { histories.len() * files };
+    let profiles = cdpu_par::par_map_indexed(jobs, |j| {
+        let p = params(placements[0], histories[j / files]);
+        comp::hw_profile(suite.op.algo, &suite.files[j % files].data, &p)
+    });
+
     let grid = placement_history_grid(placements, histories);
-    let points = cdpu_par::par_map(&grid, |&(placement, history)| {
+    let points = cdpu_par::par_map_indexed(grid.len(), |i| {
+        let (placement, history) = grid[i];
         let mut point_span = span!("dse.comp.point");
         counter!("dse.points").incr();
-        let params = CdpuParams::full_size(placement)
-            .with_history(history)
-            .with_hash_entries_log(hash_entries_log);
+        let params = params(placement, history);
+        // The grid is placement-major, so point i sits at history i mod H.
+        let h = i % histories.len();
         let mut cycles = 0u64;
         let mut hw_compressed = 0u64;
-        for f in &suite.files {
-            let sim = comp::compress(suite.op.algo, &f.data, &params, mem);
-            cycles += sim.sim.cycles;
-            hw_compressed += sim.compressed_bytes;
+        for prof in &profiles[h * files..(h + 1) * files] {
+            cycles += cdpu_hwsim::simulate(suite.op, prof, &params, mem).cycles;
+            hw_compressed += prof.compressed;
         }
         point_span.add_cycles(cycles);
         let accel_seconds = cycles as f64 / (mem.freq_ghz * 1e9);

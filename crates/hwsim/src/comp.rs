@@ -124,16 +124,22 @@ pub(crate) fn stages(
     }
 }
 
-/// Simulates one compression call on live data under the CDPU's
-/// parameters: runs the hardware matcher once, with the window the history
-/// SRAM allows capped at the format's own (Snappy 64 KiB, Flate 32 KiB,
-/// ZStd uncapped), measures the achieved size by encoding that parse, and
-/// prices its counts through [`crate::simulate`].
+/// The count-only profile of one compression call on live data under the
+/// CDPU's parameters: runs the hardware matcher once, with the window the
+/// history SRAM allows capped at the format's own (Snappy 64 KiB, Flate
+/// 32 KiB, ZStd uncapped), and measures the achieved size by encoding that
+/// parse into `compressed`. It prices and records nothing.
 ///
 /// The ZStd-class hardware re-uses the Snappy-configured LZ77 encoder
 /// block (Section 6.5), so every class runs the same greedy hash-table
-/// matcher; only the entropy stages priced on top differ.
-pub fn compress(algo: Algorithm, data: &[u8], p: &CdpuParams, mem: &MemParams) -> CompressSim {
+/// matcher; only the entropy stages priced on top differ. The parse reads
+/// the history SRAM and the hash table of `p`, never its placement, so one
+/// profile prices a call at every placement.
+///
+/// # Panics
+///
+/// Panics if `p` is structurally invalid (see [`CdpuParams::validate`]).
+pub fn hw_profile(algo: Algorithm, data: &[u8], p: &CdpuParams) -> CallProfile {
     p.validate();
     let class = Pipeline::of(algo);
     let cfg = hw_matcher_config(p);
@@ -152,7 +158,7 @@ pub fn compress(algo: Algorithm, data: &[u8], p: &CdpuParams, mem: &MemParams) -
             (stream.len() as u64, blocks, 0)
         }
     };
-    let profile = CallProfile {
+    CallProfile {
         uncompressed: data.len() as u64,
         compressed,
         seqs: parse.seqs.len() as u64,
@@ -161,10 +167,16 @@ pub fn compress(algo: Algorithm, data: &[u8], p: &CdpuParams, mem: &MemParams) -
         blocks,
         huffman_blocks,
         ..Default::default()
-    };
+    }
+}
+
+/// Simulates one compression call on live data under the CDPU's
+/// parameters: [`hw_profile`] priced through [`crate::simulate`].
+pub fn compress(algo: Algorithm, data: &[u8], p: &CdpuParams, mem: &MemParams) -> CompressSim {
+    let profile = hw_profile(algo, data, p);
     CompressSim {
         sim: crate::simulate(AlgoOp::new(algo, Direction::Compress), &profile, p, mem),
-        compressed_bytes: compressed,
+        compressed_bytes: profile.compressed,
     }
 }
 
@@ -366,6 +378,41 @@ mod tests {
         let r = crate::simulate(op, &prof, &CdpuParams::default(), &MemParams::default());
         assert!(r.cycles > DISPATCH_CYCLES);
         assert_eq!(r.input_bytes, prof.uncompressed);
+    }
+
+    #[test]
+    fn hw_profile_is_placement_independent() {
+        // The DSE prices every placement from one profile per history:
+        // a profile taken at another placement must price exactly as the
+        // live call does, compressed bytes included.
+        let data = sample(80 * 1024);
+        let mem = MemParams::default();
+        for algo in [Algorithm::Snappy, Algorithm::Zstd, Algorithm::Flate] {
+            let op = AlgoOp::new(algo, Direction::Compress);
+            for (i, placement) in Placement::ALL.into_iter().enumerate() {
+                let other = Placement::ALL[(i + 1) % Placement::ALL.len()];
+                for history in [2 << 10, 32 << 10, 64 << 10, 1 << 20] {
+                    for hash_log in [9, 14] {
+                        let at = |pl| {
+                            CdpuParams::full_size(pl)
+                                .with_history(history)
+                                .with_hash_entries_log(hash_log)
+                        };
+                        let p = at(placement);
+                        let prof = hw_profile(algo, &data, &at(other));
+                        let priced = CompressSim {
+                            sim: crate::simulate(op, &prof, &p, &mem),
+                            compressed_bytes: prof.compressed,
+                        };
+                        assert_eq!(
+                            compress(algo, &data, &p, &mem),
+                            priced,
+                            "{algo:?} at {placement} from {other}, {history} B, 2^{hash_log}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

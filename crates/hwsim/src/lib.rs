@@ -16,8 +16,11 @@
 //! - [`decomp`] / [`comp`]: the one stage function per direction.
 //!   Decompression sweeps history SRAM analytically via the profiled
 //!   offset distribution (off-chip fallbacks); live compression
-//!   ([`comp::compress`]) *re-runs the real matcher* under the restricted
-//!   window/hash-table and measures the achieved ratio.
+//!   ([`comp::hw_profile`]) *re-runs the real matcher* under the restricted
+//!   window/hash-table and measures the achieved ratio, and
+//!   [`comp::compress`] prices that profile. The profile does not depend
+//!   on placement, so a sweep takes it once per history SRAM and prices it
+//!   at every placement.
 //! - [`area`]: the 16nm-class silicon area model calibrated to the
 //!   paper's reported mm² figures.
 //! - [`service`]: the analytic per-call service-time entry point the
