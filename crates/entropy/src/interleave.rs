@@ -23,7 +23,7 @@
 //! symbol counts `ceil((count - k) / K)` — derivable from `count`, never
 //! transmitted.
 //!
-//! Every decoder has a per-symbol reference twin in [`reference`], the
+//! Every decoder has a per-symbol reference twin in [`mod@reference`], the
 //! equivalence oracle the adversarial parity tests pin against.
 
 use cdpu_util::bits::{BitBufBank, MsbBitReader, MsbBitWriter, ReverseTailCursor};

@@ -7,7 +7,7 @@
 //! rest of the simulator uses:
 //!
 //! - each chunk is priced as its own call through
-//!   [`service_cycles`](crate::service::service_cycles) (so per-chunk
+//!   [`service_cycles`] (so per-chunk
 //!   fixed costs — RoCC dispatch, entropy table builds — are charged per
 //!   chunk, which is exactly the ratio/overhead tax chunking pays);
 //! - the frame layer adds a serial per-chunk descriptor walk up front

@@ -11,9 +11,9 @@
 //! model result.
 //!
 //! This module prices both executions with the same per-block
-//! [`StageCycles`] the rest of the simulator uses
-//! ([`service_stages`](crate::service::service_stages) on a block-sized
-//! call), keeping the classic pipeline shape:
+//! [`StageCycles`](crate::stages::StageCycles) the rest of the simulator
+//! uses ([`service_stages`] on a block-sized call), keeping the classic
+//! pipeline shape:
 //!
 //! - **serial**: `dispatch + n · (input + compute + output)` — no
 //!   overlap, every stage of every block on the critical path;
@@ -56,7 +56,7 @@ impl PipelineCycles {
 /// `block_bytes`-sized blocks, with and without stage overlap.
 ///
 /// Per-block stage cycles come from
-/// [`service_stages`](crate::service::service_stages) on a block-sized
+/// [`service_stages`] on a block-sized
 /// call (same algorithm, direction and level), so the per-block fixed
 /// costs — dispatch aside, which is charged once per call — match the
 /// rest of the simulator. The tail block is priced at its true size.

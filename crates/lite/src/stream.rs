@@ -4,7 +4,7 @@
 //! The LZO- and LZ4-class coders stream natively. Each encoder is the
 //! shared [`StreamDriver`] (the push/finish contract every parser-fed
 //! encoder runs under) with a [`StreamParser`] configured by the shared
-//! [`matcher_for_level`] ladder (with offsets folded at the 16-bit field
+//! `matcher_for_level` ladder (with offsets folded at the 16-bit field
 //! ceiling, exactly like the one-shot paths' `fold_matches_beyond`), whose
 //! events [`Elements`] writes with the element writer the one-shot path
 //! hands [`Elements::write_parse`] (`lzo::emit_element`,

@@ -44,7 +44,7 @@ pub fn normalized_weights(tenants: &[TenantSpec]) -> Vec<f64> {
 }
 
 /// Calibration pre-pass: weighted mean service time in picoseconds under
-/// `price_ps`, drawn from dedicated RNG streams (tag [`TAG_CALIBRATE`])
+/// `price_ps`, drawn from dedicated RNG streams (tag `TAG_CALIBRATE`)
 /// that never perturb the run itself.
 pub fn mean_service_ps(
     seed: u64,

@@ -11,7 +11,7 @@
 //!   lock-sharded registry. Handles are registered once (the only point
 //!   that takes a lock or allocates) and then updated with single relaxed
 //!   atomic operations.
-//! - [`span`]: lightweight span tracing. `span!("lz77_decode")` returns an
+//! - [`mod@span`]: lightweight span tracing. `span!("lz77_decode")` returns an
 //!   RAII guard that records wall-time (and an optional user cycle
 //!   payload) into a bounded ring buffer when dropped.
 //! - [`export`]: a plain-text/markdown snapshot, a JSONL metrics dump, and
