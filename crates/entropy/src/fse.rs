@@ -236,11 +236,6 @@ impl FseEncodeTable {
         self.table_log
     }
 
-    /// Normalized counts this table was built from.
-    pub fn normalized_counts(&self) -> &[u32] {
-        &self.norm
-    }
-
     fn check_symbol(&self, symbol: u16) -> Result<(), FseError> {
         match self.norm.get(symbol as usize) {
             Some(&c) if c > 0 => Ok(()),

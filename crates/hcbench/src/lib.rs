@@ -31,7 +31,7 @@ pub mod bank;
 pub mod validate;
 
 use bank::{ChunkBank, Combo};
-use cdpu_fleet::{callsizes, levels, ratios, windows, Algorithm, AlgoOp, Direction};
+use cdpu_fleet::{callsizes, levels, ratios, windows, Algorithm, AlgoOp};
 use cdpu_util::hist::Log2Histogram;
 use cdpu_util::rng::Xoshiro256;
 
@@ -273,32 +273,11 @@ fn measure_ratio(data: &[u8], combo: Combo) -> f64 {
     data.len() as f64 / compressed.max(1) as f64
 }
 
-/// Generates all four suites (Snappy/ZStd × C/D) with scaled defaults —
-/// the full HyperCompressBench.
-pub fn generate_all(bank: &ChunkBank, seed: u64) -> Vec<Suite> {
-    callsizes::instrumented_ops()
-        .into_iter()
-        .map(|op| generate_suite(bank, &SuiteConfig::scaled(op, seed ^ op_tag(op))))
-        .collect()
-}
-
-fn op_tag(op: AlgoOp) -> u64 {
-    let a = match op.algo {
-        Algorithm::Snappy => 1u64,
-        Algorithm::Zstd => 2,
-        _ => 9,
-    };
-    let d = match op.dir {
-        Direction::Compress => 0x100u64,
-        Direction::Decompress => 0x200,
-    };
-    a | d
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use bank::BankConfig;
+    use cdpu_fleet::Direction;
 
     fn tiny_bank() -> ChunkBank {
         ChunkBank::build(&BankConfig {

@@ -297,14 +297,6 @@ impl Admission {
         }
     }
 
-    /// Whether the tenant's burn gate is currently shedding.
-    pub fn is_shedding(&mut self, tenant: usize, now_ps: u64) -> bool {
-        self.tenants[tenant]
-            .burn
-            .as_mut()
-            .is_some_and(|g| g.shedding(now_ps))
-    }
-
     /// Windows the tenant has spent shedding (0 without a burn gate).
     pub fn shed_windows(&self, tenant: usize) -> u64 {
         self.tenants[tenant]

@@ -365,11 +365,6 @@ impl ZstdStats {
         self.blocks.iter().map(|b| b.sequences).sum()
     }
 
-    /// Total literal bytes across compressed blocks.
-    pub fn total_literals(&self) -> usize {
-        self.blocks.iter().map(|b| b.literal_bytes).sum()
-    }
-
     /// Achieved compression ratio (uncompressed / compressed).
     pub fn ratio(&self) -> f64 {
         if self.compressed_size == 0 {
