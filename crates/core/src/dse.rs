@@ -198,7 +198,7 @@ pub fn compression_sweep(
     .sum();
     let sw_ratio = total_unc as f64 / sw_compressed as f64;
 
-    let params = |placement, history| {
+    let params_at = |placement, history| {
         CdpuParams::full_size(placement)
             .with_history(history)
             .with_hash_entries_log(hash_entries_log)
@@ -209,7 +209,7 @@ pub fn compression_sweep(
     let files = suite.files.len();
     let jobs = if placements.is_empty() { 0 } else { histories.len() * files };
     let profiles = cdpu_par::par_map_indexed(jobs, |j| {
-        let p = params(placements[0], histories[j / files]);
+        let p = params_at(placements[0], histories[j / files]);
         comp::hw_profile(suite.op.algo, &suite.files[j % files].data, &p)
     });
 
@@ -218,7 +218,7 @@ pub fn compression_sweep(
         let (placement, history) = grid[i];
         let mut point_span = span!("dse.comp.point");
         counter!("dse.points").incr();
-        let params = params(placement, history);
+        let params = params_at(placement, history);
         // The grid is placement-major, so point i sits at history i mod H.
         let h = i % histories.len();
         let mut cycles = 0u64;
