@@ -74,7 +74,9 @@ for name in \
     a_panicking_task_resumes_in_recv_and_the_pool_drops \
     model_prices_are_pinned \
     flate_compress_sim_encodes_the_hardware_parse \
-    snappy_compress_sim_caps_history_at_the_format_window; do
+    snappy_compress_sim_caps_history_at_the_format_window \
+    dse_sweeps_are_pinned \
+    hw_profile_is_placement_independent; do
     if ! grep -q "${name}: test\$" /tmp/cdpu_test_list.txt; then
         echo "FAIL: test $name is no longer in the workspace suite" >&2
         exit 1
@@ -178,6 +180,14 @@ for f in crates/core/src/*.rs; do
     fi
 done
 
+echo "==> measure once, price per placement: the compression sweep parses once per history SRAM"
+# compression_sweep takes cdpu_hwsim::comp::hw_profile per (history, file)
+# and prices it per placement; comp::compress would parse once per point.
+if sed '/^#\[cfg(test)\]/,$d' crates/core/src/dse.rs | grep -n 'comp::compress('; then
+    echo "FAIL: crates/core/src/dse.rs runs the hardware parse per design point again" >&2
+    exit 1
+fi
+
 echo "==> one benchmark harness: no bench timing binary, regress gate or stage-pipelined codec paths"
 for f in crates/bench/src/bin/bench.rs crates/bench/src/regress.rs crates/par/src/pipeline.rs; do
     if [ -e "$f" ]; then
@@ -192,6 +202,9 @@ fi
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --workspace --no-deps"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "==> repo benchmark smoke (benchmark/smoke.sh: every public entry it links still builds and runs)"
 # The benchmark is a package of its own, which the workspace build never
