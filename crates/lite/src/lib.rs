@@ -28,22 +28,6 @@ use cdpu_lz77::hash::HashFn;
 use cdpu_lz77::matcher::MatcherConfig;
 use cdpu_util::varint::{self, VarintError};
 
-/// Where an element loop ([`lzo::decode_tokens`], [`lz4::decode_sequences`])
-/// stopped. Every element before `pos` is applied; the input ran out at
-/// `pos`, inside the element starting there, or the output reached the
-/// caller's high-water mark.
-pub(crate) struct Stop {
-    /// Input bytes consumed.
-    pub(crate) pos: usize,
-    /// Payload bytes a literal run still owes when the input ended inside
-    /// it; the ones present are applied and `pos` is the input's length.
-    pub(crate) lit_left: u64,
-    /// LZ4: the match-length nibble of a sequence whose literals are
-    /// applied and whose match is not. Read back as a token, it is that
-    /// sequence's rest: no literals, then the match.
-    pub(crate) resume: Option<u8>,
-}
-
 /// A varint length extension at the front of `input`, or `None` while the
 /// input ends inside it.
 ///
@@ -55,20 +39,6 @@ pub(crate) fn read_ext(input: &[u8]) -> Result<Option<(u64, usize)>, VarintError
         Ok(ext) => Ok(Some(ext)),
         Err(VarintError::Truncated) => Ok(None),
         Err(e) => Err(e),
-    }
-}
-
-/// Appends `input[..len]` to `out`. A run of up to 16 bytes, with 16 in
-/// `input` and room for 16 in `out`, moves as one fixed-size copy and is
-/// cut back to `len`, instead of a length-dispatched `memcpy`.
-#[inline(always)]
-pub(crate) fn extend_literals(out: &mut Vec<u8>, input: &[u8], len: usize) {
-    if len <= 16 && input.len() >= 16 && out.capacity() - out.len() >= 16 {
-        let end = out.len() + len;
-        out.extend_from_slice(&input[..16]);
-        out.truncate(end);
-    } else {
-        out.extend_from_slice(&input[..len]);
     }
 }
 

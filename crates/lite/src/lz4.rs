@@ -19,10 +19,10 @@
 //! The final sequence is literals-only: the stream ends after its literal
 //! bytes, so it carries no offset (its match nibble is 0).
 
-use crate::{extend_literals, matcher_for_level, read_ext, Stop};
+use crate::{matcher_for_level, read_ext};
 use cdpu_lz77::matcher::HashTableMatcher;
-use cdpu_lz77::stream::Elements;
-use cdpu_lz77::window::{apply_copy, DecoderScratch};
+use cdpu_lz77::stream::{Elements, Stop};
+use cdpu_lz77::window::{apply_copy, extend_literals, DecoderScratch};
 use cdpu_util::varint;
 
 /// Maximum offset the 16-bit field expresses (also the window size).

@@ -13,10 +13,10 @@
 //! - match: `0x80 | (len - 4)` for lengths 4–130 (one varint extension
 //!   byte for longer), followed by a 2-byte little-endian offset.
 
-use crate::{extend_literals, matcher_for_level, read_ext, Stop};
+use crate::{matcher_for_level, read_ext};
 use cdpu_lz77::matcher::HashTableMatcher;
-use cdpu_lz77::stream::Elements;
-use cdpu_lz77::window::{apply_copy, DecoderScratch};
+use cdpu_lz77::stream::{Elements, Stop};
+use cdpu_lz77::window::{apply_copy, extend_literals, DecoderScratch};
 use cdpu_util::varint;
 
 /// Maximum offset the 16-bit field expresses (also the window size).

@@ -58,12 +58,35 @@
 //! parse to the same writers ([`Elements::write_parse`],
 //! [`BlockFrameWriter::write_parse`](crate::block::BlockFrameWriter::write_parse)).
 //!
+//! # Decoding
+//!
+//! Two cores are every streaming decoder but Gipfeli's buffered one, one
+//! per frame family; each implements [`StreamDecoder`] once, and a codec
+//! supplies a zero-sized format type and names the core over it
+//! (`SnappyStreamDecoder = ElementStream<SnappyFormat>`).
+//!
+//! - [`ElementStream`] runs an [`ElementFormat`]'s one-shot element loop
+//!   (Snappy, LZO, LZ4) over a sliding [`HistBuf`] window. Each push hands
+//!   the loop the new input; the loop applies every whole element and
+//!   stops at the first one the input cuts off. Between pushes the core
+//!   keeps only that element's front, which then takes one input byte at a
+//!   time until it is whole, and the payload bytes a cut-off literal run
+//!   still owes, which pass straight into the window. At end-of-input it
+//!   reports what the one-shot decoder reports for a stream ending there.
+//! - [`BlockStream`] feeds a [`BlockFormat`]'s frame (ZStd-class,
+//!   Flate-class) to the [`BlockFrameReader`] its one-shot decoder runs,
+//!   one push at a time, with the format's per-block decode and staging.
+//!
 //! [`HashTableMatcher`]: crate::matcher::HashTableMatcher
 //! [`HashChainMatcher`]: crate::matcher::HashChainMatcher
 
 use crate::matcher::{run_hash_chain, run_hash_table, ChainConfig, MatcherConfig, ParseCursor, TableInput};
-use crate::Parse;
-use cdpu_util::stream::{OutBuf, StreamEncoder, StreamError, StreamProgress, HIGH_WATER};
+use crate::{Parse, Seq};
+use cdpu_util::stream::{
+    BlockFrameReader, BlockFrameSpec, HistBuf, OutBuf, StreamDecoder, StreamEncoder, StreamError,
+    StreamProgress, HIGH_WATER,
+};
+use cdpu_util::varint::{self, VarintError};
 
 /// One parse decision, streamed to the consumer as soon as it is final.
 ///
@@ -409,12 +432,325 @@ impl EventCoder for Elements {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Decoding
+// ---------------------------------------------------------------------------
+
+/// The history every element format's decoder retains: the 64 KiB window
+/// its encoders emit offsets within.
+const ELEMENT_WINDOW: usize = 64 * 1024;
+
+/// Where an element loop ([`ElementFormat::decode`]) stopped. Every
+/// element before `pos` is applied; the input ran out at `pos`, inside the
+/// element starting there, or the output reached the caller's high-water
+/// mark.
+#[derive(Debug)]
+pub struct Stop {
+    /// Input bytes consumed.
+    pub pos: usize,
+    /// Payload bytes a literal run still owes when the input ended inside
+    /// it; the ones present are applied and `pos` is the input's length.
+    pub lit_left: u64,
+    /// LZ4: the match-length nibble of a sequence whose literals are
+    /// applied and whose match is not. Read back as a token, it is that
+    /// sequence's rest: no literals, then the match.
+    pub resume: Option<u8>,
+}
+
+/// A byte-aligned element format (Snappy, LZO, LZ4) as [`ElementStream`]
+/// drives it: its length preamble, and the element loop and end-of-input
+/// rule its one-shot decoder runs.
+pub trait ElementFormat {
+    /// The codec's decode error.
+    type Error: Copy + std::fmt::Display;
+    /// The error for a preamble that overflows or never ends.
+    const BAD_PREAMBLE: Self::Error;
+
+    /// Reads the declared output length at the front of `bytes`; a `u64`
+    /// varint unless the format says otherwise.
+    ///
+    /// # Errors
+    ///
+    /// [`VarintError::Truncated`] while `bytes` ends inside it.
+    fn preamble(bytes: &[u8]) -> Result<u64, VarintError> {
+        varint::read_u64(bytes).map(|(v, _)| v)
+    }
+
+    /// Applies `input`'s elements to `out` until the input ends inside
+    /// one, or `out` holds `high_water` bytes. `out` holds the output from
+    /// byte `base` on, and the stream declared `expected` bytes in all.
+    ///
+    /// # Errors
+    ///
+    /// The format's error at the first element that is invalid whatever
+    /// follows it.
+    fn decode(
+        input: &[u8],
+        out: &mut Vec<u8>,
+        base: u64,
+        expected: u64,
+        high_water: usize,
+    ) -> Result<Stop, Self::Error>;
+
+    /// What a stream whose elements (`len` bytes of them) ended where
+    /// [`decode`](Self::decode) stopped reports, having produced
+    /// `produced` bytes.
+    ///
+    /// # Errors
+    ///
+    /// The format's error for a cut-off element or a length mismatch.
+    fn end_of_input(stop: &Stop, len: usize, produced: u64, expected: u64) -> Result<(), Self::Error>;
+
+    /// The error for `actual` output bytes against `expected`.
+    fn length_mismatch(expected: u64, actual: u64) -> Self::Error;
+}
+
+/// The streaming decoder of every element format: its one-shot element
+/// loop over a sliding [`HistBuf`] window. See the module docs.
+pub struct ElementStream<F: ElementFormat> {
+    /// The declared output length, once the preamble is in.
+    expected: Option<u64>,
+    /// The front of the preamble, or of an element (behind an LZ4
+    /// [`Stop::resume`] token), that the input so far cut off.
+    carry: Vec<u8>,
+    /// Literal payload bytes owed before the next element.
+    lit_left: u64,
+    hist: HistBuf,
+    err: Option<F::Error>,
+    finished: bool,
+}
+
+impl<F: ElementFormat> Default for ElementStream<F> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<F: ElementFormat> ElementStream<F> {
+    /// Creates a decoder positioned at the length preamble.
+    pub fn new() -> Self {
+        ElementStream {
+            expected: None,
+            carry: Vec::new(),
+            lit_left: 0,
+            hist: HistBuf::new(ELEMENT_WINDOW),
+            err: None,
+            finished: false,
+        }
+    }
+
+    /// Output bytes before the retained window.
+    fn base(&self) -> u64 {
+        self.hist.produced() - self.hist.retained() as u64
+    }
+
+    /// Feeds compressed bytes; the trait `push` with the codec's error
+    /// type. Errors are sticky.
+    ///
+    /// # Errors
+    ///
+    /// The error the one-shot decoder reports at the equivalent point in
+    /// the element stream.
+    pub fn push_bytes(&mut self, input: &[u8], out: &mut [u8]) -> Result<StreamProgress, F::Error> {
+        if let Some(e) = self.err {
+            return Err(e);
+        }
+        let consumed = self.advance(input).inspect_err(|&e| self.err = Some(e))?;
+        Ok(StreamProgress { consumed, written: self.hist.drain_into(out) })
+    }
+
+    /// Decodes from `input` until it is used up or [`HIGH_WATER`] bytes
+    /// wait undrained; returns the bytes consumed.
+    fn advance(&mut self, input: &[u8]) -> Result<usize, F::Error> {
+        let mut i = 0;
+        while i < input.len() && self.hist.undrained() < HIGH_WATER {
+            let Some(expected) = self.expected else {
+                self.carry.push(input[i]);
+                i += 1;
+                match F::preamble(&self.carry) {
+                    Ok(v) => {
+                        self.expected = Some(v);
+                        self.carry.clear();
+                    }
+                    Err(VarintError::Truncated) => {}
+                    Err(VarintError::Overflow) => return Err(F::BAD_PREAMBLE),
+                }
+                continue;
+            };
+            if self.lit_left > 0 {
+                let take = self.lit_left.min((input.len() - i) as u64) as usize;
+                self.hist.sink().extend_from_slice(&input[i..i + take]);
+                i += take;
+                self.lit_left -= take as u64;
+                if self.lit_left == 0 && self.hist.produced() > expected {
+                    return Err(F::length_mismatch(expected, self.hist.produced()));
+                }
+                continue;
+            }
+            let base = self.base();
+            let high_water = self.hist.retained() + (HIGH_WATER - self.hist.undrained());
+            let Self { carry, hist, lit_left, .. } = self;
+            if carry.is_empty() {
+                let stop = F::decode(&input[i..], hist.sink(), base, expected, high_water)?;
+                i += stop.pos;
+                *lit_left = stop.lit_left;
+                carry.extend(stop.resume);
+                if hist.retained() < high_water {
+                    // Cut off by the end of the input, not by the mark.
+                    carry.extend_from_slice(&input[i..]);
+                    i = input.len();
+                }
+            } else {
+                // A cut-off element takes one byte at a time until whole.
+                carry.push(input[i]);
+                i += 1;
+                let stop = F::decode(carry, hist.sink(), base, expected, high_water)?;
+                carry.drain(..stop.pos);
+                *lit_left = stop.lit_left;
+                if let Some(token) = stop.resume {
+                    carry.insert(0, token);
+                }
+            }
+        }
+        Ok(i)
+    }
+
+    /// Declares end-of-input; the trait `finish` with the codec's error
+    /// type.
+    ///
+    /// # Errors
+    ///
+    /// The error the one-shot decoder reports for the equivalent
+    /// truncated stream.
+    pub fn finish_bytes(&mut self, out: &mut [u8]) -> Result<(usize, bool), F::Error> {
+        if let Some(e) = self.err {
+            return Err(e);
+        }
+        if !self.finished {
+            self.end().inspect_err(|&e| self.err = Some(e))?;
+            self.finished = true;
+        }
+        let n = self.hist.drain_into(out);
+        Ok((n, self.hist.undrained() == 0))
+    }
+
+    /// The one-shot's verdict on a stream that ends here.
+    fn end(&mut self) -> Result<(), F::Error> {
+        let expected = self.expected.ok_or(F::BAD_PREAMBLE)?;
+        let stop = if self.lit_left > 0 {
+            Stop { pos: 0, lit_left: self.lit_left, resume: None }
+        } else {
+            let base = self.base();
+            F::decode(&self.carry, self.hist.sink(), base, expected, usize::MAX)?
+        };
+        F::end_of_input(&stop, self.carry.len(), self.hist.produced(), expected)
+    }
+}
+
+impl<F: ElementFormat> StreamDecoder for ElementStream<F> {
+    fn push(&mut self, input: &[u8], out: &mut [u8]) -> Result<StreamProgress, StreamError> {
+        self.push_bytes(input, out).map_err(|e| StreamError::Corrupt(e.to_string()))
+    }
+
+    fn finish(&mut self, out: &mut [u8]) -> Result<(usize, bool), StreamError> {
+        self.finish_bytes(out).map_err(|e| StreamError::Corrupt(e.to_string()))
+    }
+
+    fn scratch_bytes(&self) -> usize {
+        self.hist.capacity() + self.carry.capacity()
+    }
+}
+
+/// A block-frame format (ZStd-class, Flate-class) as [`BlockStream`]
+/// drives it: its frame constants and the per-block decode its one-shot
+/// decoder runs.
+pub trait BlockFormat {
+    /// The codec's decode error.
+    type Error: Copy + std::fmt::Display + 'static;
+    /// The frame the one-shot decoder reads.
+    const FRAME: &'static BlockFrameSpec<Self::Error>;
+
+    /// Decodes one coded block's `payload` of `len` output bytes into
+    /// `hist`, copies reaching at most `window` back, with `lits` and
+    /// `seqs` as staging.
+    ///
+    /// # Errors
+    ///
+    /// The format's error for a malformed block.
+    fn decode_block(
+        payload: &[u8],
+        hist: &mut HistBuf,
+        window: u32,
+        len: usize,
+        lits: &mut Vec<u8>,
+        seqs: &mut Vec<Seq>,
+    ) -> Result<(), Self::Error>;
+}
+
+/// The streaming decoder of every block-frame format: the
+/// [`BlockFrameReader`] its one-shot decoder runs, fed one push at a time,
+/// with the per-block staging. See the module docs.
+pub struct BlockStream<F: BlockFormat> {
+    frame: BlockFrameReader<F::Error>,
+    lits: Vec<u8>,
+    seqs: Vec<Seq>,
+}
+
+impl<F: BlockFormat> Default for BlockStream<F> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<F: BlockFormat> BlockStream<F> {
+    /// Creates a decoder positioned at the frame magic.
+    pub fn new() -> Self {
+        BlockStream { frame: BlockFrameReader::new(F::FRAME), lits: Vec::new(), seqs: Vec::new() }
+    }
+
+    /// The trait `push` with the codec's error type.
+    ///
+    /// # Errors
+    ///
+    /// The error the one-shot decoder reports at the same point in the
+    /// frame; errors are sticky.
+    pub fn push_bytes(&mut self, input: &[u8], out: &mut [u8]) -> Result<StreamProgress, F::Error> {
+        let Self { frame, lits, seqs } = self;
+        frame.push(input, out, |payload, hist, window, len| {
+            F::decode_block(payload, hist, window, len, lits, seqs)
+        })
+    }
+
+    /// The trait `finish` with the codec's error type.
+    ///
+    /// # Errors
+    ///
+    /// The error the one-shot decoder reports for the same frame.
+    pub fn finish_bytes(&mut self, out: &mut [u8]) -> Result<(usize, bool), F::Error> {
+        self.frame.finish(out)
+    }
+}
+
+impl<F: BlockFormat> StreamDecoder for BlockStream<F> {
+    fn push(&mut self, input: &[u8], out: &mut [u8]) -> Result<StreamProgress, StreamError> {
+        self.push_bytes(input, out).map_err(|e| StreamError::Corrupt(e.to_string()))
+    }
+
+    fn finish(&mut self, out: &mut [u8]) -> Result<(usize, bool), StreamError> {
+        self.finish_bytes(out).map_err(|e| StreamError::Corrupt(e.to_string()))
+    }
+
+    fn scratch_bytes(&self) -> usize {
+        self.frame.scratch_bytes()
+            + self.lits.capacity()
+            + self.seqs.capacity() * std::mem::size_of::<Seq>()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::block::{BlockCoder, BlockFrameWriter, SplitRule};
-    use crate::Seq;
-    use cdpu_util::stream::BlockFrameSpec;
 
     static SPEC: BlockFrameSpec<()> = BlockFrameSpec {
         magic: *b"TEST",

@@ -10,6 +10,21 @@
 
 use crate::{Lz77Error, Parse, Seq};
 
+/// Appends `input[..len]` to `out`: the literal copy of every element
+/// loop. A run of up to 16 bytes, with 16 in `input` and room for 16 in
+/// `out`, moves as one fixed-size copy and is cut back to `len`, instead
+/// of a length-dispatched `memcpy`.
+#[inline(always)]
+pub fn extend_literals(out: &mut Vec<u8>, input: &[u8], len: usize) {
+    if len <= 16 && input.len() >= 16 && out.capacity() - out.len() >= 16 {
+        let end = out.len() + len;
+        out.extend_from_slice(&input[..16]);
+        out.truncate(end);
+    } else {
+        out.extend_from_slice(&input[..len]);
+    }
+}
+
 /// Applies one copy of `len` bytes from `offset` back onto `out`.
 ///
 /// Non-overlapping copies (`offset >= len`) are a single wide

@@ -30,8 +30,8 @@ pub mod reference;
 pub mod stream;
 
 use cdpu_lz77::matcher::{HashTableMatcher, MatcherConfig};
-use cdpu_lz77::stream::Elements;
-use cdpu_lz77::window::{apply_copy, DecoderScratch};
+use cdpu_lz77::stream::{Elements, Stop};
+use cdpu_lz77::window::{apply_copy, extend_literals, DecoderScratch};
 use cdpu_lz77::Parse;
 use cdpu_util::varint;
 
@@ -260,16 +260,14 @@ fn decompress_impl(compressed: &[u8], out: &mut Vec<u8>) -> Result<(), SnappyErr
     let bound = (payload / 3 + 1) * 64 + payload;
     out.reserve(expected.min(bound) as usize);
     let elements = &compressed[pos..];
-    let (used, lit_left) = decode_elements(elements, out, 0, expected, usize::MAX)?;
-    end_of_input(elements.len() - used, lit_left, out.len() as u64, expected)
+    let stop = decode_elements(elements, out, 0, expected, usize::MAX)?;
+    end_of_input(&stop, elements.len(), out.len() as u64, expected)
 }
 
 /// The element loop under both decoders: applies `input`'s elements to
 /// `out` until the input ends inside one, or `out` holds `high_water`
 /// bytes. `out` holds the output from byte `base` on, and the stream
-/// declared `expected` bytes in all. Returns the input bytes consumed and
-/// the payload bytes a literal the input ended inside still owes (the ones
-/// present are applied, and all of the input is consumed).
+/// declared `expected` bytes in all.
 ///
 /// # Errors
 ///
@@ -282,7 +280,7 @@ pub(crate) fn decode_elements(
     base: u64,
     expected: u64,
     high_water: usize,
-) -> Result<(usize, u64), SnappyError> {
+) -> Result<Stop, SnappyError> {
     let mut pos = 0;
     while pos < input.len() && out.len() < high_water {
         let tag = input[pos];
@@ -300,7 +298,8 @@ pub(crate) fn decode_elements(
                 let avail = input.len() - start;
                 if len > avail {
                     out.extend_from_slice(&input[start..]);
-                    return Ok((input.len(), (len - avail) as u64));
+                    let lit_left = (len - avail) as u64;
+                    return Ok(Stop { pos: input.len(), lit_left, resume: None });
                 }
                 extend_literals(out, &input[start..], len);
                 pos = start + len;
@@ -332,38 +331,23 @@ pub(crate) fn decode_elements(
             return Err(SnappyError::LengthMismatch { expected, actual: produced });
         }
     }
-    Ok((pos, 0))
+    Ok(Stop { pos, lit_left: 0, resume: None })
 }
 
-/// Appends `input[..len]` to `out`. A run of up to 16 bytes, with 16 in
-/// `input` and room for 16 in `out`, moves as one fixed-size copy and is
-/// cut back to `len`, instead of a length-dispatched `memcpy`.
-#[inline(always)]
-fn extend_literals(out: &mut Vec<u8>, input: &[u8], len: usize) {
-    if len <= 16 && input.len() >= 16 && out.capacity() - out.len() >= 16 {
-        let end = out.len() + len;
-        out.extend_from_slice(&input[..16]);
-        out.truncate(end);
-    } else {
-        out.extend_from_slice(&input[..len]);
-    }
-}
-
-/// What a stream whose elements ended where [`decode_elements`] stopped —
-/// `rest` bytes short of their end, `lit_left` payload bytes short of a
-/// literal's — reports: `BadLiteral` for a cut-off literal payload,
-/// `Truncated` for any other cut-off element, else `LengthMismatch` unless
-/// it produced exactly what it declared.
+/// What a stream whose elements (`len` bytes of them) ended where
+/// [`decode_elements`] stopped reports: `BadLiteral` for a cut-off literal
+/// payload, `Truncated` for any other cut-off element, else
+/// `LengthMismatch` unless it produced exactly what it declared.
 pub(crate) fn end_of_input(
-    rest: usize,
-    lit_left: u64,
+    stop: &Stop,
+    len: usize,
     produced: u64,
     expected: u64,
 ) -> Result<(), SnappyError> {
-    if lit_left > 0 {
+    if stop.lit_left > 0 {
         return Err(SnappyError::BadLiteral);
     }
-    if rest > 0 {
+    if stop.pos < len {
         return Err(SnappyError::Truncated);
     }
     if produced != expected {

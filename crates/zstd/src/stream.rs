@@ -11,23 +11,25 @@
 //! of input and its sequences) plus the parser's sliding state is
 //! resident. The one-shot's per-block statistics are not collected.
 //!
-//! The decoder is the same [`BlockFrameReader`] the one-shot
-//! [`decompress`](crate::decompress) runs, fed one push at a time: it
-//! keeps a sliding history window instead of the whole output and stages
-//! only a varint or payload that arrives split across pushes. Every output
-//! byte and error value matches the one-shot decoder's, including the
-//! `produced` field of [`Lz77Error::BadOffset`](cdpu_lz77::Lz77Error),
-//! which counts compacted-away history back in. A hostile payload length
-//! is the one input whose staging is not bounded by the block size: see
+//! The decoder is the shared [`BlockStream`] core, the one Flate decodes
+//! under too, over [`ZstdFormat`]: the same [`BlockFrameReader`] the
+//! one-shot [`decompress`](crate::decompress) runs, fed one push at a
+//! time, with the same per-block decode. It keeps a sliding history window
+//! instead of the whole output and stages only a varint or payload that
+//! arrives split across pushes. Every output byte and error value matches
+//! the one-shot decoder's, including the `produced` field of
+//! [`Lz77Error::BadOffset`](cdpu_lz77::Lz77Error), which counts
+//! compacted-away history back in. A hostile payload length is the one
+//! input whose staging is not bounded by the block size: see
 //! [`BlockFrameReader`].
+//!
+//! [`BlockFrameReader`]: cdpu_util::stream::BlockFrameReader
 
 use crate::{decode_compressed, frame_writer, Blocks, ZstdConfig, ZstdError, FRAME};
 use cdpu_lz77::block::BlockFrameWriter;
-use cdpu_lz77::stream::{StreamDriver, StreamParser};
+use cdpu_lz77::stream::{BlockFormat, BlockStream, StreamDriver, StreamParser};
 use cdpu_lz77::Seq;
-use cdpu_util::stream::{
-    BlockFrameReader, StreamDecoder, StreamEncoder, StreamError, StreamProgress,
-};
+use cdpu_util::stream::{BlockFrameSpec, HistBuf, StreamEncoder, StreamError, StreamProgress};
 
 /// Streaming ZStd-class compressor: the shared [`StreamDriver`] feeding
 /// this codec's [`BlockFrameWriter`]. See the module docs.
@@ -64,65 +66,25 @@ impl StreamEncoder for ZstdStreamEncoder {
     }
 }
 
+/// The ZStd-class block format, for [`BlockStream`]: the frame and
+/// the per-block decode its one-shot decoder runs.
+pub struct ZstdFormat;
+
+impl BlockFormat for ZstdFormat {
+    type Error = ZstdError;
+    const FRAME: &'static BlockFrameSpec<ZstdError> = &FRAME;
+    fn decode_block(
+        payload: &[u8],
+        hist: &mut HistBuf,
+        window: u32,
+        len: usize,
+        lits: &mut Vec<u8>,
+        seqs: &mut Vec<Seq>,
+    ) -> Result<(), ZstdError> {
+        decode_compressed(payload, hist, window, len, lits, seqs)
+    }
+}
+
 /// Streaming ZStd-class decompressor: the codec's frame reader fed one
 /// push at a time. See the module docs for the contract.
-pub struct ZstdStreamDecoder {
-    frame: BlockFrameReader<ZstdError>,
-    lits: Vec<u8>,
-    seqs: Vec<Seq>,
-}
-
-impl Default for ZstdStreamDecoder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ZstdStreamDecoder {
-    /// Creates a decoder positioned at the frame magic.
-    pub fn new() -> Self {
-        Self { frame: BlockFrameReader::new(&FRAME), lits: Vec::new(), seqs: Vec::new() }
-    }
-
-    /// The trait `push` with the codec's error type.
-    ///
-    /// # Errors
-    ///
-    /// The [`ZstdError`] the one-shot decoder reports at the same point in
-    /// the frame; errors are sticky.
-    pub fn push_bytes(
-        &mut self,
-        input: &[u8],
-        out: &mut [u8],
-    ) -> Result<StreamProgress, ZstdError> {
-        let Self { frame, lits, seqs } = self;
-        frame.push(input, out, |payload, hist, window, len| {
-            decode_compressed(payload, hist, window, len, lits, seqs)
-        })
-    }
-
-    /// The trait `finish` with the codec's error type.
-    ///
-    /// # Errors
-    ///
-    /// The [`ZstdError`] the one-shot decoder reports for the same frame.
-    pub fn finish_bytes(&mut self, out: &mut [u8]) -> Result<(usize, bool), ZstdError> {
-        self.frame.finish(out)
-    }
-}
-
-impl StreamDecoder for ZstdStreamDecoder {
-    fn push(&mut self, input: &[u8], out: &mut [u8]) -> Result<StreamProgress, StreamError> {
-        self.push_bytes(input, out).map_err(|e| StreamError::Corrupt(e.to_string()))
-    }
-
-    fn finish(&mut self, out: &mut [u8]) -> Result<(usize, bool), StreamError> {
-        self.finish_bytes(out).map_err(|e| StreamError::Corrupt(e.to_string()))
-    }
-
-    fn scratch_bytes(&self) -> usize {
-        self.frame.scratch_bytes()
-            + self.lits.capacity()
-            + self.seqs.capacity() * std::mem::size_of::<Seq>()
-    }
-}
+pub type ZstdStreamDecoder = BlockStream<ZstdFormat>;
