@@ -424,21 +424,6 @@ impl<'t> FseStreamDecoder<'t> {
         })
     }
 
-    /// Creates a decoder from a state the caller already pulled off the
-    /// stream (`table_log` bits worth) — the N-way interleaved decoder
-    /// reads lane states through its own tail cursors instead of a
-    /// [`ReverseBitReader`].
-    ///
-    /// # Errors
-    ///
-    /// [`FseError::BadStream`] if `state` does not index the table.
-    pub fn from_state(table: &'t FseDecodeTable, state: u16) -> Result<Self, FseError> {
-        if (state as usize) >= table.entries.len() {
-            return Err(FseError::BadStream);
-        }
-        Ok(FseStreamDecoder { table, state })
-    }
-
     /// Symbol the current state will emit (without advancing).
     pub fn peek(&self) -> u16 {
         self.table.entries[self.state as usize].symbol
@@ -462,25 +447,6 @@ impl<'t> FseStreamDecoder<'t> {
     /// after the last symbol is never used).
     pub fn last(self) -> u16 {
         self.table.entries[self.state as usize].symbol
-    }
-
-    /// Bits the next state transition will consume —
-    /// [`FseStreamDecoder::next`] reads exactly this many. Lets callers
-    /// that interleave several decoders in one bitstream budget a shared
-    /// peeked window before extracting any field.
-    pub fn transition_width(&self) -> u32 {
-        self.table.entries[self.state as usize].nb_bits as u32
-    }
-
-    /// Advances the state with transition bits the caller already
-    /// extracted from a peeked window — exactly
-    /// [`FseStreamDecoder::transition_width`] bits, taken where
-    /// [`FseStreamDecoder::next`] would have read them. Returns the symbol
-    /// the outgoing state emits, like `next`.
-    pub fn advance(&mut self, bits: u64) -> u16 {
-        let e = self.table.entries[self.state as usize];
-        self.state = e.new_state_base + bits as u16;
-        e.symbol
     }
 
     /// Batched form of [`FseStreamDecoder::next`]: decodes up to `max`

@@ -5,17 +5,15 @@
 //! can start, so decode throughput is pinned to the table-load latency.
 //! Real ZStandard attacks this by splitting Huffman literals across 4
 //! independent bitstreams; this module generalizes that to K-way
-//! interleaving for both entropy families in the workspace:
+//! interleaving ([`huffman_encode`] / [`huffman_decode_into`]): symbol `i`
+//! goes to stream `i % K`; each stream is an ordinary MSB-first canonical
+//! Huffman bitstream over one shared code book. The decoder round-robins a
+//! [`BitBufBank`] of per-stream cached-u64 cursors, so one rotation issues
+//! K independent table loads the CPU can overlap.
 //!
-//! - **Huffman** ([`huffman_encode`] / [`huffman_decode_into`]): symbol `i`
-//!   goes to stream `i % K`; each stream is an ordinary MSB-first canonical
-//!   Huffman bitstream over one shared code book. The decoder round-robins
-//!   a [`BitBufBank`] of per-stream cached-u64 cursors, so one rotation
-//!   issues K independent table loads the CPU can overlap.
-//! - **FSE** ([`fse_encode`] / [`fse_decode`]): symbol `i` goes to stream
-//!   `i % K`; each stream is an ordinary backward FSE bitstream (own state,
-//!   shared table). The decoder drives K [`ReverseTailCursor`]s, pulling
-//!   state transitions from per-stream cached tail windows.
+//! The ZStd-class block format's K-way FSE sequence lanes (`seq_streams`)
+//! share only [`stream_symbols`] and [`MAX_WAYS`] with this module: they
+//! are coded, and decoded through baked tables, in `cdpu_zstd::block`.
 //!
 //! Stream framing (per-stream lengths) is the caller's job — the ZStd-class
 //! block format writes varint lengths — so these functions take/return streams
@@ -23,14 +21,12 @@
 //! symbol counts `ceil((count - k) / K)` — derivable from `count`, never
 //! transmitted.
 //!
-//! Every decoder has a per-symbol reference twin in [`mod@reference`], the
+//! The decoder has a per-symbol reference twin in [`mod@reference`], the
 //! equivalence oracle the adversarial parity tests pin against.
 
-use cdpu_util::bits::{BitBufBank, MsbBitReader, MsbBitWriter, ReverseTailCursor};
+use cdpu_util::bits::{BitBufBank, MsbBitReader, MsbBitWriter};
 
-use crate::fse::{FseDecodeTable, FseEncodeTable, FseError, FseStreamDecoder, FseStreamEncoder};
 use crate::huffman::{encode_byte, HuffmanError, HuffmanTable};
-use cdpu_util::bits::BitWriter;
 
 /// Maximum supported stream count. 4 is the sweet spot on current cores
 /// (matching real zstd's literal streams); 8 covers wider speculation.
@@ -199,104 +195,12 @@ fn huffman_decode_k<const K: usize>(
     Ok(())
 }
 
-/// Encodes `symbols` into `ways` interleaved FSE streams over one shared
-/// table (normalized counts `norm`, `table_log`). Returns one
-/// marker-terminated byte stream per lane; a lane with no symbols returns
-/// an empty stream.
-///
-/// # Errors
-///
-/// Any table or symbol error from the streaming FSE API;
-/// [`FseError::BadStream`] if `ways` is out of range.
-pub fn fse_encode(
-    symbols: &[u16],
-    norm: &[u32],
-    table_log: u8,
-    ways: usize,
-) -> Result<Vec<Vec<u8>>, FseError> {
-    if !check_ways(ways) {
-        return Err(FseError::BadStream);
-    }
-    let table = FseEncodeTable::new(norm, table_log)?;
-    let mut streams = Vec::with_capacity(ways);
-    for k in 0..ways {
-        let n = stream_symbols(symbols.len(), ways, k);
-        if n == 0 {
-            streams.push(Vec::new());
-            continue;
-        }
-        let mut w = BitWriter::new();
-        let mut enc = FseStreamEncoder::new(&table);
-        // The encoder walks this lane's subset backward: indices
-        // k, k+ways, ... taken in reverse.
-        for j in (0..n).rev() {
-            enc.push(symbols[k + j * ways], &mut w)?;
-        }
-        enc.finish(&mut w)?;
-        streams.push(w.finish_with_marker());
-    }
-    Ok(streams)
-}
-
-/// Decodes `count` symbols from interleaved FSE streams (one per lane,
-/// shared table) — the K-cursor fast path.
-///
-/// Each lane holds its own decoder state and a [`ReverseTailCursor`]; the
-/// rotation loop pulls one state transition per lane per step, served from
-/// per-lane cached tail windows, so the K transitions are independent
-/// dependency chains.
-///
-/// # Errors
-///
-/// [`FseError::BadStream`] on truncation or a missing marker, plus any
-/// table construction error.
-pub fn fse_decode(
-    streams: &[&[u8]],
-    norm: &[u32],
-    table_log: u8,
-    count: usize,
-) -> Result<Vec<u16>, FseError> {
-    if !check_ways(streams.len()) {
-        return Err(FseError::BadStream);
-    }
-    let ways = streams.len();
-    let table = FseDecodeTable::new(norm, table_log)?;
-    let mut out = Vec::with_capacity(count);
-    let mut lanes: Vec<Option<(ReverseTailCursor<'_>, FseStreamDecoder<'_>)>> =
-        Vec::with_capacity(ways);
-    for (k, stream) in streams.iter().enumerate() {
-        if stream_symbols(count, ways, k) == 0 {
-            lanes.push(None);
-            continue;
-        }
-        let mut cursor = ReverseTailCursor::new(stream).map_err(|_| FseError::BadStream)?;
-        let state = cursor
-            .take(table_log as u32)
-            .map_err(|_| FseError::BadStream)?;
-        lanes.push(Some((cursor, FseStreamDecoder::from_state(&table, state as u16)?)));
-    }
-    for i in 0..count {
-        let k = i % ways;
-        let (cursor, dec) = lanes[k].as_mut().expect("lane with symbols was initialized");
-        if i + ways >= count {
-            // This lane's final symbol: no state transition follows.
-            out.push(dec.peek());
-        } else {
-            let width = dec.transition_width();
-            let bits = cursor.take(width).map_err(|_| FseError::BadStream)?;
-            out.push(dec.advance(bits));
-        }
-    }
-    Ok(out)
-}
-
-/// Per-symbol reference decoders — the seed-shaped equivalence oracles for
-/// the interleaved formats. No cached windows, no banks: plain readers in
-/// global symbol order, the behaviour the fast paths must match bit for
+/// The per-symbol reference decoder — the seed-shaped equivalence oracle
+/// for the interleaved format. No cached windows, no banks: plain readers
+/// in global symbol order, the behaviour the fast path must match bit for
 /// bit (outputs and errors alike).
 pub mod reference {
     use super::*;
-    use cdpu_util::bits::ReverseBitReader;
 
     /// Decodes interleaved Huffman streams one symbol at a time.
     ///
@@ -338,62 +242,13 @@ pub mod reference {
         Ok(())
     }
 
-    /// Decodes interleaved FSE streams one symbol at a time.
-    ///
-    /// # Errors
-    ///
-    /// [`FseError::BadStream`] on truncation or a missing marker, plus any
-    /// table construction error.
-    pub fn fse_decode(
-        streams: &[&[u8]],
-        norm: &[u32],
-        table_log: u8,
-        count: usize,
-    ) -> Result<Vec<u16>, FseError> {
-        if !super::check_ways(streams.len()) {
-            return Err(FseError::BadStream);
-        }
-        let ways = streams.len();
-        let table = FseDecodeTable::new(norm, table_log)?;
-        let mut lanes: Vec<Option<(ReverseBitReader<'_>, FseStreamDecoder<'_>)>> =
-            Vec::with_capacity(ways);
-        for (k, stream) in streams.iter().enumerate() {
-            if super::stream_symbols(count, ways, k) == 0 {
-                lanes.push(None);
-                continue;
-            }
-            let mut r = ReverseBitReader::new(stream).map_err(|_| FseError::BadStream)?;
-            let dec = FseStreamDecoder::new(&table, &mut r)?;
-            lanes.push(Some((r, dec)));
-        }
-        let mut out = Vec::with_capacity(count);
-        for i in 0..count {
-            let k = i % ways;
-            let (r, dec) = lanes[k].as_mut().expect("lane with symbols was initialized");
-            if i + ways >= count {
-                out.push(dec.peek());
-            } else {
-                out.push(dec.next(r)?);
-            }
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fse::{normalize_counts, recommended_table_log};
     use crate::{byte_histogram, huffman};
     use cdpu_util::rng::Xoshiro256;
-
-    fn hist_u16(data: &[u16], alphabet: usize) -> Vec<u32> {
-        let mut h = vec![0u32; alphabet];
-        for &s in data {
-            h[s as usize] += 1;
-        }
-        h
-    }
 
     #[test]
     fn stream_symbols_partition() {
@@ -462,42 +317,5 @@ mod tests {
             huffman_decode_into(&table, &[], &[], 0, &mut out).unwrap_err(),
             HuffmanError::BadStream
         );
-    }
-
-    #[test]
-    fn fse_roundtrip_all_ways() {
-        let mut rng = Xoshiro256::seed_from(202);
-        for ways in 1..=MAX_WAYS {
-            for trial in 0..10 {
-                let alphabet = rng.index(40) + 2;
-                let len = rng.index(3000) + 1;
-                let data: Vec<u16> = (0..len).map(|_| rng.index(alphabet) as u16).collect();
-                let hist = hist_u16(&data, alphabet);
-                let log = recommended_table_log(&hist, 10);
-                let norm = normalize_counts(&hist, log).unwrap();
-                let streams = fse_encode(&data, &norm, log, ways).unwrap();
-                let views: Vec<&[u8]> = streams.iter().map(Vec::as_slice).collect();
-                assert_eq!(
-                    fse_decode(&views, &norm, log, len).unwrap(),
-                    data,
-                    "ways {ways} trial {trial}"
-                );
-                assert_eq!(
-                    reference::fse_decode(&views, &norm, log, len).unwrap(),
-                    data,
-                    "reference ways {ways} trial {trial}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn fse_tiny_inputs() {
-        let norm = normalize_counts(&[1, 1], 2).unwrap();
-        let streams = fse_encode(&[0u16, 1], &norm, 2, 4).unwrap();
-        assert_eq!(streams.len(), 4);
-        assert!(streams[2].is_empty());
-        let views: Vec<&[u8]> = streams.iter().map(Vec::as_slice).collect();
-        assert_eq!(fse_decode(&views, &norm, 2, 2).unwrap(), vec![0, 1]);
     }
 }

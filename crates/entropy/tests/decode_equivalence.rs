@@ -4,7 +4,6 @@
 //! byte, bit-flipped, or carrying hostile per-stream length headers.
 //! Output bytes and error variants alike.
 
-use cdpu_entropy::fse::{normalize_counts, recommended_table_log, FseError};
 use cdpu_entropy::huffman::{HuffmanError, HuffmanTable};
 use cdpu_entropy::{byte_histogram, interleave, rans};
 use cdpu_util::rng::Xoshiro256;
@@ -103,57 +102,6 @@ fn huffman_hostile_stream_lengths() {
         let slow =
             interleave::reference::huffman_decode(&table, &enc.payload, lens, data.len());
         assert_eq!(fast, slow, "hostile case {case}: {lens:?}");
-    }
-}
-
-#[test]
-fn fse_truncation_and_bitflip_parity() {
-    let mut rng = Xoshiro256::seed_from(74);
-    for ways in [2usize, 4, 8] {
-        let alphabet = 24;
-        let data: Vec<u16> = (0..1100)
-            .map(|_| (rng.index(alphabet).min(rng.index(alphabet))) as u16)
-            .collect();
-        let mut hist = vec![0u32; alphabet];
-        for &s in &data {
-            hist[s as usize] += 1;
-        }
-        let log = recommended_table_log(&hist, 10);
-        let norm = normalize_counts(&hist, log).unwrap();
-        let streams = interleave::fse_encode(&data, &norm, log, ways).unwrap();
-        // Truncate each lane at every byte.
-        for lane in 0..ways {
-            for cut in 0..=streams[lane].len() {
-                let views: Vec<&[u8]> = streams
-                    .iter()
-                    .enumerate()
-                    .map(|(k, s)| if k == lane { &s[..cut] } else { s.as_slice() })
-                    .collect();
-                let fast = interleave::fse_decode(&views, &norm, log, data.len());
-                let slow = interleave::reference::fse_decode(&views, &norm, log, data.len());
-                assert_eq!(fast, slow, "ways {ways} lane {lane} cut {cut}");
-            }
-        }
-        // Random bit flips in random lanes.
-        for _ in 0..100 {
-            let lane = rng.index(ways);
-            let mut bad = streams.clone();
-            let i = rng.index(bad[lane].len());
-            bad[lane][i] ^= 1 << rng.index(8);
-            let views: Vec<&[u8]> = bad.iter().map(Vec::as_slice).collect();
-            let fast = interleave::fse_decode(&views, &norm, log, data.len());
-            let slow = interleave::reference::fse_decode(&views, &norm, log, data.len());
-            assert_eq!(fast, slow, "ways {ways} flip lane {lane} byte {i}");
-        }
-        // Wrong stream count for this symbol count.
-        let views: Vec<&[u8]> = streams.iter().take(ways - 1).map(Vec::as_slice).collect();
-        let fast = interleave::fse_decode(&views, &norm, log, data.len());
-        let slow = interleave::reference::fse_decode(&views, &norm, log, data.len());
-        assert_eq!(fast, slow, "ways {ways} missing lane");
-        assert_eq!(
-            interleave::fse_decode(&[], &norm, log, data.len()).unwrap_err(),
-            FseError::BadStream
-        );
     }
 }
 

@@ -613,81 +613,6 @@ impl<'a, const K: usize> BitBufBank<'a, K> {
     }
 }
 
-/// A [`ReverseBitReader`] with a self-refreshing [`peek_tail`] window — the
-/// per-stream cursor behind N-way interleaved FSE decode.
-///
-/// PR 5's batched sequence decoder peeks one 57-bit tail window and slices
-/// several fields out of it by hand. `ReverseTailCursor` packages that
-/// machinery so a decoder can hold `K` independent cursors and round-robin
-/// [`ReverseTailCursor::take`] calls across them: each take serves from the
-/// cached window in registers and only touches the underlying reader when
-/// the window runs dry.
-///
-/// [`peek_tail`]: ReverseBitReader::peek_tail
-#[derive(Debug, Clone)]
-pub struct ReverseTailCursor<'a> {
-    reader: ReverseBitReader<'a>,
-    /// Cached tail window; the low `peeked` bits were valid at refresh.
-    window: u64,
-    /// Unconsumed bits left in the window.
-    have: u32,
-    /// Window occupancy at the last refresh (`peeked - have` bits have been
-    /// taken from the window but not yet consumed from the reader).
-    peeked: u32,
-}
-
-impl<'a> ReverseTailCursor<'a> {
-    /// Creates a cursor over a marker-terminated stream (see
-    /// [`BitWriter::finish_with_marker`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BitstreamExhausted`] if the stream is empty or carries no
-    /// terminator.
-    pub fn new(bytes: &'a [u8]) -> Result<Self, BitstreamExhausted> {
-        Ok(ReverseTailCursor {
-            reader: ReverseBitReader::new(bytes)?,
-            window: 0,
-            have: 0,
-            peeked: 0,
-        })
-    }
-
-    /// Payload bits remaining (cached window included).
-    pub fn remaining(&self) -> usize {
-        self.reader.remaining() - (self.peeked - self.have) as usize
-    }
-
-    /// Commits window consumption to the reader and re-peeks the tail.
-    #[inline(never)]
-    fn refresh(&mut self) {
-        self.reader.consume(self.peeked - self.have);
-        let (window, have) = self.reader.peek_tail();
-        self.window = window;
-        self.have = have;
-        self.peeked = have;
-    }
-
-    /// Reads the `nbits` (≤ 57) most recently written bits, LIFO order —
-    /// bit-identical to [`ReverseBitReader::read_bits`] on the same stream.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BitstreamExhausted`] if fewer than `nbits` remain.
-    #[inline(always)]
-    pub fn take(&mut self, nbits: u32) -> Result<u64, BitstreamExhausted> {
-        debug_assert!(nbits <= MAX_FIELD_BITS);
-        if self.have < nbits {
-            self.refresh();
-            if self.have < nbits {
-                return Err(BitstreamExhausted);
-            }
-        }
-        self.have -= nbits;
-        Ok((self.window >> self.have) & mask(nbits))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -983,32 +908,6 @@ mod tests {
             for slow in &slows {
                 assert_eq!(slow.remaining(), 0);
             }
-        }
-    }
-
-    #[test]
-    fn reverse_tail_cursor_matches_reverse_reader() {
-        let mut rng = Xoshiro256::seed_from(82);
-        for _trial in 0..200 {
-            let n_fields = rng.index(60) + 1;
-            let mut w = BitWriter::new();
-            let mut fields = Vec::new();
-            for _ in 0..n_fields {
-                let nbits = rng.range_u64(0, 20) as u32;
-                let v = rng.next_u64() & mask(nbits);
-                fields.push((v, nbits));
-                w.write_bits(v, nbits);
-            }
-            let bytes = w.finish_with_marker();
-            let mut cursor = ReverseTailCursor::new(&bytes).unwrap();
-            let mut reader = ReverseBitReader::new(&bytes).unwrap();
-            for &(v, nbits) in fields.iter().rev() {
-                assert_eq!(cursor.take(nbits).unwrap(), v);
-                assert_eq!(reader.read_bits(nbits).unwrap(), v);
-                assert_eq!(cursor.remaining(), reader.remaining());
-            }
-            assert_eq!(cursor.remaining(), 0);
-            assert!(cursor.take(1).is_err());
         }
     }
 
