@@ -16,14 +16,11 @@
 //! - [`dse`]: per-figure sweep drivers.
 //! - [`summary`]: the Section 6.6 "key lessons" aggregation (46× speedup
 //!   span, area savings, crossovers).
-//! - [`tco`]: fleet-level savings projection (CPU cycles freed, byte
-//!   volume reduced) — the motivation arithmetic of Sections 1 and 3.3.
 
 pub mod baseline;
 pub mod dse;
 pub mod generator;
 pub mod summary;
-pub mod tco;
 
 pub use generator::CdpuInstance;
 

@@ -21,9 +21,9 @@
 //!    paper's 5–10% window).
 //!
 //! The paper generates 8,000–10,000 files per suite with calls up to
-//! 64 MiB; the default [`SuiteConfig`] here is scaled down (hundreds of
-//! files, capped call sizes) so the full pipeline runs in seconds — the
-//! scaling is configuration, not code (crank [`SuiteConfig::files`] and
+//! 64 MiB; the suites here are scaled down (hundreds of files, capped call
+//! sizes) so the full pipeline runs in seconds — the scaling is
+//! configuration, not code (crank [`SuiteConfig::files`] and
 //! [`SuiteConfig::max_call_bytes`] to paper scale if you have the time
 //! budget).
 
@@ -118,24 +118,12 @@ pub fn compressed_len(f: &BenchmarkFile) -> usize {
 pub struct SuiteConfig {
     /// Algorithm/direction to generate for.
     pub op: AlgoOp,
-    /// Number of benchmark files (paper: 8,000–10,000; default scaled).
+    /// Number of benchmark files (paper: 8,000–10,000).
     pub files: usize,
-    /// Cap on per-call uncompressed size (paper: 64 MiB; default scaled).
+    /// Cap on per-call uncompressed size (paper: 64 MiB).
     pub max_call_bytes: u64,
     /// RNG seed.
     pub seed: u64,
-}
-
-impl SuiteConfig {
-    /// A scaled-down default for `op` that runs in seconds.
-    pub fn scaled(op: AlgoOp, seed: u64) -> Self {
-        SuiteConfig {
-            op,
-            files: 160,
-            max_call_bytes: 1 << 20,
-            seed,
-        }
-    }
 }
 
 /// Per-call ratio-target spread: calls differ in content, so individual
