@@ -35,6 +35,7 @@ for name in \
     normalize_matches_the_one_step_oracle \
     small_random_zstd_call_builds_no_huffman_table \
     every_stream_encoder_keeps_the_push_finish_contract \
+    stream_decoder_traces_are_pinned \
     scratch_counts_the_open_block \
     hash_table_grid_matches_reference \
     table_matcher_grid_equivalence \
@@ -105,6 +106,19 @@ fi
 echo "==> one decode loop per byte-aligned codec: no per-byte state machine beside the element loops"
 if grep -nwE 'CopyOff|LitExt|ShortOff|LongOff|MatchOff|MatchExt' crates/snappy/src/stream.rs crates/lite/src/stream.rs; then
     echo "FAIL: a streaming decoder grew its own element parser beside the one-shot element loop" >&2
+    exit 1
+fi
+
+echo "==> one streaming decoder per frame family: ElementStream and BlockStream in cdpu_lz77::stream"
+# Each codec names a core over a zero-sized format type; the literal copy
+# of every element loop is cdpu_lz77::window::extend_literals. The K-way
+# FSE coder's tail cursor and the unreached tco projection stay deleted.
+if grep -rnE 'pub struct (Snappy|Lzo|Lz4|Zstd|Flate)StreamDecoder\b' crates --include='*.rs' ||
+    grep -rnE '\btrait [A-Za-z]*Format\b' crates/lite/src ||
+    grep -rn 'fn extend_literals' crates --include='*.rs' | grep -v '^crates/lz77/' ||
+    grep -rn 'ReverseTailCursor' crates --include='*.rs' ||
+    grep -rnE '\bmod tco\b' crates --include='*.rs'; then
+    echo "FAIL: a codec-owned stream decoder, element format trait, literal copy, tail cursor or tco module is back" >&2
     exit 1
 fi
 
@@ -209,11 +223,20 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 echo "==> repo benchmark smoke (benchmark/smoke.sh: every public entry it links still builds and runs)"
 # The benchmark is a package of its own, which the workspace build never
 # sees: a renamed entry point would otherwise fail the driver first.
+# Building it after a workspace crate drops a dependency rewrites its
+# Cargo.lock in place; benchmark/ is frozen, so the lock goes back after.
+restore_bench_lock() {
+    if git rev-parse --git-dir > /dev/null 2>&1; then
+        git checkout -- benchmark/Cargo.lock
+    fi
+}
 benchmark/smoke.sh > /tmp/cdpu_benchmark_smoke.txt 2>&1 || {
+    restore_bench_lock
     tail -n 40 /tmp/cdpu_benchmark_smoke.txt >&2
     echo "FAIL: benchmark/smoke.sh" >&2
     exit 1
 }
+restore_bench_lock
 
 echo "==> figures determinism smoke (serial vs parallel at tiny scale)"
 ./target/release/figures --tiny --jobs 1 > /tmp/cdpu_figures_serial.txt
