@@ -499,7 +499,12 @@ pub trait ElementFormat {
     /// # Errors
     ///
     /// The format's error for a cut-off element or a length mismatch.
-    fn end_of_input(stop: &Stop, len: usize, produced: u64, expected: u64) -> Result<(), Self::Error>;
+    fn end_of_input(
+        stop: &Stop,
+        len: usize,
+        produced: u64,
+        expected: u64,
+    ) -> Result<(), Self::Error>;
 
     /// The error for `actual` output bytes against `expected`.
     fn length_mismatch(expected: u64, actual: u64) -> Self::Error;

@@ -22,9 +22,9 @@
 //! 64 KiB history (but not total produced output) reports
 //! [`SnappyError::BadOffset`] where the one-shot decoder, which keeps
 //! everything, can still serve it. The format's encoder never emits such
-//! an offset (the window is clamped to 64 KiB). A literal that overruns the declared length reaches the output
-//! before its `LengthMismatch` fires, as the one-shot decoder extends
-//! before it checks.
+//! an offset (the window is clamped to 64 KiB). A literal that overruns
+//! the declared length reaches the output before its `LengthMismatch`
+//! fires, as the one-shot decoder extends before it checks.
 //!
 //! Memory bounds: the encoder's scratch is the match table plus the
 //! parser's sliding buffer plus staged output; the parser buffer can grow
@@ -95,7 +95,12 @@ impl ElementFormat for SnappyFormat {
     ) -> Result<Stop, SnappyError> {
         decode_elements(input, out, base, expected, high_water)
     }
-    fn end_of_input(stop: &Stop, len: usize, produced: u64, expected: u64) -> Result<(), SnappyError> {
+    fn end_of_input(
+        stop: &Stop,
+        len: usize,
+        produced: u64,
+        expected: u64,
+    ) -> Result<(), SnappyError> {
         end_of_input(stop, len, produced, expected)
     }
     fn length_mismatch(expected: u64, actual: u64) -> SnappyError {

@@ -159,7 +159,8 @@ fn stream_decoder_traces_are_pinned() {
                     let chunk = chunk.min(stream.len().max(1));
                     let outcome = traced(&mut h, new_decoder().as_mut(), stream, chunk, window);
                     if std::ptr::eq(stream, &valid) {
-                        assert_eq!(outcome.as_deref().ok(), Some(&data[..]), "{name}: valid stream");
+                        let out = outcome.as_deref().ok();
+                        assert_eq!(out, Some(&data[..]), "{name}: valid stream");
                     }
                     h = match outcome {
                         Ok(out) => fnv1a64(fnv1a64(h, &[0]), &out),
