@@ -755,7 +755,9 @@ impl<F: BlockFormat> StreamDecoder for BlockStream<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::{BlockCoder, BlockFrameWriter, SplitRule};
+    use crate::block::{BlockCoder, BlockFrameWriter, SplitRule, Written};
+    use crate::window::{apply_copy, extend_literals};
+    use cdpu_util::rng::Xoshiro256;
 
     static SPEC: BlockFrameSpec<()> = BlockFrameSpec {
         magic: *b"TEST",
@@ -809,5 +811,422 @@ mod tests {
         let open_bytes = open.capacity() * std::mem::size_of::<Seq>();
         let rest = enc.parser.scratch_bytes() + enc.out.capacity();
         assert!(enc.scratch_bytes() >= rest + open_bytes);
+    }
+
+    // -- The two decoder cores, each over a toy format --------------------
+
+    /// A toy element format: a `u64` varint preamble, then elements: a tag
+    /// `t < 0x80` and `t + 1` literal bytes, or a tag `t >= 0x80` and an
+    /// offset byte, copying `(t & 0x7F) + 1` bytes from that far back.
+    struct Toy;
+
+    impl ElementFormat for Toy {
+        type Error = &'static str;
+        const BAD_PREAMBLE: &'static str = "bad preamble";
+
+        fn decode(
+            input: &[u8],
+            out: &mut Vec<u8>,
+            base: u64,
+            expected: u64,
+            high_water: usize,
+        ) -> Result<Stop, &'static str> {
+            let mut pos = 0;
+            while pos < input.len() && out.len() < high_water {
+                let tag = input[pos];
+                if tag < 0x80 {
+                    let (len, avail) = (tag as usize + 1, input.len() - pos - 1);
+                    if len > avail {
+                        out.extend_from_slice(&input[pos + 1..]);
+                        let lit_left = (len - avail) as u64;
+                        return Ok(Stop { pos: input.len(), lit_left, resume: None });
+                    }
+                    extend_literals(out, &input[pos + 1..], len);
+                    pos += 1 + len;
+                } else {
+                    let Some(&offset) = input.get(pos + 1) else { break };
+                    let len = (tag & 0x7F) as u32 + 1;
+                    apply_copy(out, offset as u32, len).map_err(|_| "bad offset")?;
+                    pos += 2;
+                }
+                if base + out.len() as u64 > expected {
+                    return Err("length mismatch");
+                }
+            }
+            Ok(Stop { pos, lit_left: 0, resume: None })
+        }
+
+        fn end_of_input(
+            stop: &Stop,
+            len: usize,
+            produced: u64,
+            expected: u64,
+        ) -> Result<(), &'static str> {
+            if stop.lit_left > 0 {
+                Err("cut literal")
+            } else if stop.pos < len {
+                Err("truncated")
+            } else if produced != expected {
+                Err("length mismatch")
+            } else {
+                Ok(())
+            }
+        }
+
+        fn length_mismatch(_: u64, _: u64) -> &'static str {
+            "length mismatch"
+        }
+    }
+
+    /// The toy format's one-shot decoder.
+    fn toy_one_shot(stream: &[u8]) -> Result<Vec<u8>, &'static str> {
+        let (expected, n) = varint::read_u64(stream).map_err(|_| Toy::BAD_PREAMBLE)?;
+        let mut out = Vec::new();
+        let stop = Toy::decode(&stream[n..], &mut out, 0, expected, usize::MAX)?;
+        Toy::end_of_input(&stop, stream.len() - n, out.len() as u64, expected)?;
+        Ok(out)
+    }
+
+    /// A valid toy stream of at least `min` output bytes, literal runs of
+    /// pseudo-random bytes and copies up to 255 back, and its output.
+    fn toy_stream(min: usize, seed: u64) -> (Vec<u8>, Vec<u8>) {
+        let mut rng = Xoshiro256::seed_from(seed);
+        let (mut body, mut out) = (Vec::new(), Vec::new());
+        while out.len() < min {
+            let r = rng.next_u64();
+            let len = (r >> 8) as usize % 128 + 1;
+            if out.is_empty() || r & 1 == 0 {
+                body.push(len as u8 - 1);
+                for _ in 0..len {
+                    let b = rng.next_u32() as u8;
+                    body.push(b);
+                    out.push(b);
+                }
+            } else {
+                let offset = (r >> 16) as usize % out.len().min(255) + 1;
+                body.extend([0x80 | (len as u8 - 1), offset as u8]);
+                for _ in 0..len {
+                    out.push(out[out.len() - offset]);
+                }
+            }
+        }
+        let mut stream = Vec::new();
+        varint::write_u64(&mut stream, out.len() as u64);
+        stream.extend_from_slice(&body);
+        assert_eq!(toy_one_shot(&stream).as_ref(), Ok(&out), "toy stream");
+        (stream, out)
+    }
+
+    /// Feeds `stream` to `dec` in `chunk`-byte pushes through a
+    /// `window`-byte output window, then finishes. Returns the output and
+    /// the peak `scratch_bytes`.
+    fn drive(
+        dec: &mut dyn StreamDecoder,
+        stream: &[u8],
+        chunk: usize,
+        window: usize,
+    ) -> Result<(Vec<u8>, usize), StreamError> {
+        let (mut out, mut w, mut peak) = (Vec::new(), vec![0u8; window], 0);
+        for mut piece in stream.chunks(chunk) {
+            while !piece.is_empty() {
+                let p = dec.push(piece, &mut w)?;
+                peak = peak.max(dec.scratch_bytes());
+                out.extend_from_slice(&w[..p.written]);
+                piece = &piece[p.consumed..];
+            }
+        }
+        loop {
+            let (n, done) = dec.finish(&mut w)?;
+            out.extend_from_slice(&w[..n]);
+            if done {
+                return Ok((out, peak));
+            }
+        }
+    }
+
+    /// The verdict a stream decoder reports for a codec error `e`.
+    fn corrupt(e: &str) -> StreamError {
+        StreamError::Corrupt(e.to_string())
+    }
+
+    #[test]
+    fn element_stream_matches_the_one_shot_at_any_push_size() {
+        // Past the high-water mark and many windows long.
+        let (stream, data) = toy_stream(700 << 10, 1);
+        for (chunk, window) in [(1, 64 << 10), (2, 64 << 10), (129, 1), (4096, 64 << 10)] {
+            let mut dec = ElementStream::<Toy>::new();
+            let (out, _) = drive(&mut dec, &stream, chunk, window).unwrap();
+            assert!(out == data, "{chunk}-byte pushes, {window}-byte window");
+        }
+        let mut dec = ElementStream::<Toy>::default();
+        assert!(drive(&mut dec, &stream, stream.len(), 64 << 10).unwrap().0 == data, "one push");
+    }
+
+    #[test]
+    fn element_stream_carries_a_cut_element_across_pushes() {
+        // Preamble 7, the literals "abcd", then a copy of 3 from 4 back.
+        let stream = [7, 3, b'a', b'b', b'c', b'd', 0x82, 4];
+        let mut dec = ElementStream::<Toy>::new();
+        let mut w = [0u8; 16];
+        let p = dec.push_bytes(&stream[..7], &mut w).unwrap();
+        assert_eq!((p.consumed, &w[..p.written]), (7, &b"abcd"[..]), "the copy's tag alone");
+        let p = dec.push_bytes(&stream[7..], &mut w).unwrap();
+        assert_eq!((p.consumed, &w[..p.written]), (1, &b"abc"[..]), "its offset completes it");
+        assert_eq!(dec.finish_bytes(&mut w), Ok((0, true)));
+    }
+
+    #[test]
+    fn element_stream_writes_a_cut_literal_run_as_it_arrives() {
+        let (stream, data) = toy_stream(1, 2);
+        let mut dec = ElementStream::<Toy>::new();
+        let mut w = [0u8; 256];
+        // The preamble and the run's tag.
+        let head = varint::read_u64(&stream).unwrap().1 + 1;
+        assert_eq!(dec.push_bytes(&stream[..head], &mut w).unwrap().written, 0);
+        let mut out = Vec::new();
+        for piece in stream[head..].chunks(5) {
+            let p = dec.push_bytes(piece, &mut w).unwrap();
+            assert_eq!((p.consumed, p.written), (piece.len(), piece.len()));
+            out.extend_from_slice(&w[..p.written]);
+        }
+        assert_eq!(out, data);
+        assert_eq!(dec.finish_bytes(&mut w), Ok((0, true)));
+    }
+
+    #[test]
+    fn element_stream_stops_consuming_at_the_high_water_mark() {
+        let (stream, data) = toy_stream(700 << 10, 3);
+        let mut dec = ElementStream::<Toy>::new();
+        let p = dec.push_bytes(&stream, &mut []).unwrap();
+        assert!(p.consumed < stream.len() / 2 && p.written == 0, "consumed {}", p.consumed);
+        let mut w = [0u8; 1];
+        let again = dec.push_bytes(&stream[p.consumed..], &mut w).unwrap();
+        assert_eq!((again.consumed, again.written), (0, 1), "output waits: drain only");
+        let mut out = w.to_vec();
+        let (rest, _) = drive(&mut dec, &stream[p.consumed..], 4096, 64 << 10).unwrap();
+        out.extend_from_slice(&rest);
+        assert!(out == data);
+    }
+
+    #[test]
+    fn element_stream_reports_the_one_shot_verdict_at_every_cut() {
+        let (stream, _) = toy_stream(2 << 10, 4);
+        let mut verdicts = std::collections::BTreeSet::new();
+        for cut in 0..=stream.len() {
+            let input = &stream[..cut];
+            let one_shot = toy_one_shot(input);
+            verdicts.insert(one_shot.as_ref().err().copied().unwrap_or("ok"));
+            let want = one_shot.map_err(corrupt);
+            for chunk in [1, input.len().max(1)] {
+                let mut dec = ElementStream::<Toy>::new();
+                let got = drive(&mut dec, input, chunk, 64 << 10).map(|(out, _)| out);
+                assert_eq!(got, want, "cut at {cut}, {chunk}-byte pushes");
+            }
+        }
+        let every = ["bad preamble", "cut literal", "length mismatch", "ok", "truncated"];
+        assert!(verdicts.into_iter().eq(every), "every verdict is reached");
+    }
+
+    #[test]
+    fn element_stream_rejects_a_preamble_that_overflows() {
+        let mut dec = ElementStream::<Toy>::new();
+        let mut w = [0u8; 8];
+        assert_eq!(dec.push_bytes(&[0xFF; 9], &mut w).unwrap().consumed, 9, "still a prefix");
+        assert_eq!(dec.push_bytes(&[0xFF], &mut w).err(), Some("bad preamble"));
+        assert_eq!(dec.finish_bytes(&mut w), Err("bad preamble"));
+        let mut dec = ElementStream::<Toy>::new();
+        assert_eq!(dec.finish_bytes(&mut w), Err("bad preamble"), "no preamble at all");
+    }
+
+    #[test]
+    fn element_stream_errors_are_sticky() {
+        // Literals "ab", then a copy from 3 back: before the output start.
+        let stream = [8, 1, b'a', b'b', 0x81, 3, 1, b'c', b'd'];
+        let mut dec = ElementStream::<Toy>::new();
+        let mut w = [0u8; 16];
+        assert_eq!(dec.push(&stream[..6], &mut w), Err(corrupt("bad offset")));
+        assert_eq!(dec.push(&stream[6..], &mut w), Err(corrupt("bad offset")));
+        assert_eq!(dec.finish(&mut w), Err(corrupt("bad offset")));
+        assert_eq!(dec.finish(&mut w), Err(corrupt("bad offset")));
+    }
+
+    #[test]
+    fn element_stream_rejects_output_past_the_declared_length() {
+        // Preamble 5, a literal run of 10, then a copy from offset 0: the
+        // run is the error, wherever the pushes cut it.
+        let mut stream = vec![5, 9];
+        stream.extend_from_slice(b"0123456789\x80\x00");
+        assert_eq!(toy_one_shot(&stream), Err("length mismatch"));
+        for chunk in [1, 3, stream.len()] {
+            let mut dec = ElementStream::<Toy>::new();
+            let got = drive(&mut dec, &stream, chunk, 64).map(|(out, _)| out);
+            assert_eq!(got, Err(corrupt("length mismatch")), "{chunk}-byte pushes");
+        }
+    }
+
+    #[test]
+    fn element_stream_finish_drains_then_stays_done() {
+        let (stream, data) = toy_stream(4 << 10, 5);
+        let mut dec = ElementStream::<Toy>::new();
+        let p = dec.push_bytes(&stream, &mut []).unwrap();
+        assert_eq!((p.consumed, p.written), (stream.len(), 0));
+        let (mut out, mut w) = (Vec::new(), [0u8; 1000]);
+        loop {
+            let (n, done) = dec.finish_bytes(&mut w).unwrap();
+            out.extend_from_slice(&w[..n]);
+            if done {
+                break;
+            }
+            assert_eq!(n, w.len(), "a window is filled until the last");
+        }
+        assert_eq!(out, data);
+        assert_eq!(dec.finish_bytes(&mut w), Ok((0, true)));
+    }
+
+    #[test]
+    fn element_stream_scratch_does_not_grow_with_the_stream() {
+        // The window and the undrained output, each at most doubled by
+        // the buffer's growth: a bound the 2 MiB stream is far above.
+        let bound = 2 * (ELEMENT_WINDOW + HIGH_WATER);
+        let (stream, data) = toy_stream(2 << 20, 6);
+        let mut dec = ElementStream::<Toy>::new();
+        let (out, peak) = drive(&mut dec, &stream, 64 << 10, 64 << 10).unwrap();
+        assert!(out == data);
+        assert!(peak <= bound, "peak scratch {peak} over {bound}");
+    }
+
+    /// The toy block frame: raw, RLE and coded blocks.
+    static TOY_FRAME: BlockFrameSpec<&str> = BlockFrameSpec {
+        magic: *b"TOYB",
+        window_logs: 10..=16,
+        block_cap: 4096,
+        raw: 0,
+        rle: Some(1),
+        coded: 2,
+        bad_magic: "bad magic",
+        bad_header: "bad header",
+        truncated: "truncated",
+        bad_block: |m| m,
+        length_mismatch: |_, _| "length mismatch",
+    };
+
+    /// Codes a block as `(count, byte)` runs of at most 255.
+    struct Runs;
+
+    impl BlockCoder for Runs {
+        type Stats = ();
+        fn code(&mut self, data: &[u8], _: &Parse, payload: &mut Vec<u8>) -> Option<()> {
+            for run in data.chunk_by(|a, b| a == b) {
+                for piece in run.chunks(255) {
+                    payload.extend([piece.len() as u8, piece[0]]);
+                }
+            }
+            Some(())
+        }
+    }
+
+    impl BlockFormat for Runs {
+        type Error = &'static str;
+        const FRAME: &'static BlockFrameSpec<&'static str> = &TOY_FRAME;
+
+        fn decode_block(
+            payload: &[u8],
+            hist: &mut HistBuf,
+            _: u32,
+            len: usize,
+            _: &mut Vec<u8>,
+            _: &mut Vec<Seq>,
+        ) -> Result<(), &'static str> {
+            let start = hist.retained();
+            let out = hist.sink();
+            if !payload.len().is_multiple_of(2) {
+                return Err("odd payload");
+            }
+            for pair in payload.chunks(2) {
+                out.resize(out.len() + pair[0] as usize, pair[1]);
+            }
+            if out.len() - start != len {
+                return Err("wrong block length");
+            }
+            Ok(())
+        }
+    }
+
+    /// A frame of `data` in 4 KiB blocks, and `data`: blocks of one byte,
+    /// of pseudo-random bytes and of 40-byte runs, the first three in that
+    /// order, so every block type shows.
+    fn toy_frame(len: usize, seed: u64) -> (Vec<u8>, Vec<u8>) {
+        let mut rng = Xoshiro256::seed_from(seed);
+        let mut data = Vec::new();
+        for i in 0..len.div_ceil(4096) {
+            let (r, n) = (rng.next_u64(), (len - data.len()).min(4096));
+            match if i < 3 { i as u64 } else { r % 3 } {
+                0 => data.resize(data.len() + n, r as u8),
+                1 => data.extend((0..n).map(|_| rng.next_u32() as u8)),
+                _ => data.extend((0..n).map(|i| (r >> (i / 40 % 8 * 8)) as u8)),
+            }
+        }
+        let rule =
+            SplitRule { block: 4096, max_match: None, short_as_literals: false, back_off_whole: false };
+        let parse = Parse { seqs: Vec::new(), last_literals: len as u32 };
+        let (mut frame, mut kinds) = (Vec::new(), [0; 3]);
+        let writer = BlockFrameWriter::new(&TOY_FRAME, rule, 16, len, Runs, &mut frame);
+        writer.write_parse(&data, &parse, &mut frame, |w| match w {
+            Written::Raw => kinds[0] += 1,
+            Written::Rle => kinds[1] += 1,
+            Written::Coded(()) => kinds[2] += 1,
+        });
+        assert!(kinds.iter().all(|&n| n > 0), "raw, RLE and coded blocks: {kinds:?}");
+        (frame, data)
+    }
+
+    /// The toy block format's one-shot decoder.
+    fn block_one_shot(frame: &[u8]) -> Result<Vec<u8>, &'static str> {
+        let (mut out, mut lits, mut seqs) = (Vec::new(), Vec::new(), Vec::new());
+        BlockFrameReader::new(&TOY_FRAME).decode_whole(frame, &mut out, |p, hist, window, len| {
+            Runs::decode_block(p, hist, window, len, &mut lits, &mut seqs)
+        })?;
+        Ok(out)
+    }
+
+    #[test]
+    fn block_stream_matches_the_one_shot_at_any_push_size() {
+        let (frame, data) = toy_frame(600 << 10, 7);
+        assert!(block_one_shot(&frame).as_ref() == Ok(&data), "one-shot");
+        for (chunk, window) in [(1, 64 << 10), (7, 1), (4096, 64 << 10), (frame.len(), 64 << 10)] {
+            let mut dec = BlockStream::<Runs>::new();
+            let (out, _) = drive(&mut dec, &frame, chunk, window).unwrap();
+            assert!(out == data, "{chunk}-byte pushes, {window}-byte window");
+        }
+    }
+
+    #[test]
+    fn block_stream_reports_the_one_shot_verdict_at_every_cut() {
+        let (frame, _) = toy_frame(20 << 10, 8);
+        for cut in 0..=frame.len() {
+            let input = &frame[..cut];
+            let want = block_one_shot(input).map_err(corrupt);
+            for chunk in [1, input.len().max(1)] {
+                let mut dec = BlockStream::<Runs>::default();
+                let got = drive(&mut dec, input, chunk, 64 << 10).map(|(out, _)| out);
+                assert_eq!(got, want, "cut at {cut}, {chunk}-byte pushes");
+            }
+        }
+    }
+
+    #[test]
+    fn block_stream_errors_are_sticky() {
+        let (mut frame, _) = toy_frame(20 << 10, 9);
+        // The first block's flags, after the magic, the window log and the
+        // content size: a type the frame does not know.
+        let flags = 5 + varint::write_u64(&mut Vec::new(), 20 << 10);
+        frame[flags] |= 0b110;
+        let want = block_one_shot(&frame).map_err(corrupt);
+        assert!(want.is_err());
+        let mut dec = BlockStream::<Runs>::new();
+        let mut w = [0u8; 64];
+        assert_eq!(dec.push(&frame[..100], &mut w).map(|_| ()), want.clone().map(|_| ()));
+        assert_eq!(dec.push(&frame[100..], &mut w).map(|_| ()), want.clone().map(|_| ()));
+        assert_eq!(dec.finish(&mut w).map(|_| ()), want.map(|_| ()));
     }
 }

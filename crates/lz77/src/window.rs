@@ -303,6 +303,24 @@ mod tests {
     use super::*;
 
     #[test]
+    fn extend_literals_appends_exactly_len_bytes() {
+        let input: Vec<u8> = (0..64).map(|i| i as u8 ^ 0xA5).collect();
+        for len in 0..=40 {
+            // Inputs shorter and longer than the 16-byte copy, into a
+            // buffer with and without 16 bytes of spare capacity.
+            for avail in [len, len + 3, len + 16, 64] {
+                for spare in [0, 16, 100] {
+                    let mut out = Vec::with_capacity(5 + spare);
+                    out.extend_from_slice(b"head:");
+                    extend_literals(&mut out, &input[..avail], len);
+                    let want = [&b"head:"[..], &input[..len]].concat();
+                    assert_eq!(out, want, "len {len}, {avail} bytes in, {spare} spare");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn non_overlapping_copy() {
         let mut out = b"abcd".to_vec();
         apply_copy(&mut out, 4, 4).unwrap();
